@@ -168,10 +168,12 @@ def _config_states(value) -> tuple:
     return tuple(_state(coord) for coord in value)
 
 
-def _replica_count(run: dict) -> int:
-    replicas = int(_field(run, "replicas"))
-    if replicas < 1:
-        raise click.ClickException("replicas must be at least 1")
+def _replica_count(run: dict, minimum: int = 1) -> int:
+    replicas = _field(run, "replicas")
+    if isinstance(replicas, bool) or not isinstance(replicas, int):
+        raise click.ClickException(f"replicas must be an integer, got {replicas!r}")
+    if replicas < minimum:
+        raise click.ClickException(f"replicas must be at least {minimum}")
     return replicas
 
 
@@ -182,8 +184,14 @@ def _horizon(run: dict) -> float:
     return horizon
 
 
-def _sample_times(run: dict) -> tuple:
-    return tuple(float(t) for t in _field(run, "sample_times"))
+def _sample_times(run: dict, horizon: float) -> tuple:
+    times = tuple(float(t) for t in _field(run, "sample_times"))
+    for t in times:
+        if not 0.0 <= t <= horizon:
+            raise click.ClickException(
+                f"sample time {t} lies outside [0, horizon {horizon}]"
+            )
+    return times
 
 
 def _flow_from(spec, horizon: float) -> MeasureFlow:
@@ -326,8 +334,9 @@ def couple(config_path, out_dir, seed, threads) -> None:
     x0, y0 = _state(_field(run, "x0")), _state(_field(run, "y0"))
     horizon = _horizon(run)
     t0 = float(_field(run, "t0"))
-    replicas = _replica_count(run)
-    times = _sample_times(run)
+    # The bound estimates need a standard error, so at least two pairs.
+    replicas = _replica_count(run, minimum=2)
+    times = _sample_times(run, horizon)
     flow1 = _flow_from(_field(run, "flow1"), horizon)
     flow2 = _flow_from(_field(run, "flow2"), horizon)
     _LOG.info("couple: %d replicas on %s", replicas, model.name)
@@ -366,7 +375,7 @@ def simulate(config_path, out_dir, seed, threads) -> None:
     x0 = _state(_field(run, "x0"))
     horizon = _horizon(run)
     replicas = _replica_count(run)
-    times = _sample_times(run)
+    times = _sample_times(run, horizon)
     flow = _flow_from(_field(run, "flow"), horizon)
     unbounded = math.isinf(model.rate_ceiling)
     _LOG.info("simulate: %d replicas on %s", replicas, model.name)
@@ -469,7 +478,7 @@ def particles(config_path, out_dir, seed, threads) -> None:
     x0 = _config_states(_field(run, "x0"))
     horizon = _horizon(run)
     replicas = _replica_count(run)
-    times = _sample_times(run)
+    times = _sample_times(run, horizon)
     _LOG.info("particles: %d replicas of %s", replicas, system.name)
 
     def worker(replica, stream):
@@ -510,7 +519,7 @@ def couple_particles(config_path, out_dir, seed, threads) -> None:
     horizon = _horizon(run)
     t0 = float(_field(run, "t0"))
     replicas = _replica_count(run)
-    times = _sample_times(run)
+    times = _sample_times(run, horizon)
     theta = float(run.get("theta", system.rate_ceiling))
     _LOG.info("couple-particles: %d replicas of %s", replicas, system.name)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .engine import EmpiricalMeasure, MeasureFlow, ModelSpec
 from .metrics import dbar1, quantize_state, states_equal
-from .particles import CoordinateRateError, SystemSpec
+from .particles import SystemSpec, _check_coordinate_rate
 
 __all__ = [
     "CoupledEvent",
@@ -797,12 +797,8 @@ def simulate_coupled_system(
         y_full = tuple(ys)
         rate_x = system.rate(i, x_full)
         rate_y = system.rate(i, y_full)
-        for value in (rate_x, rate_y):
-            if value > lam_star * (1.0 + 1e-9) + 1e-12:
-                raise CoordinateRateError(
-                    f"{system.name}: coordinate {i} rate {value} exceeds "
-                    f"ceiling {lam_star}"
-                )
+        _check_coordinate_rate(rate_x, lam_star, i, system.name)
+        _check_coordinate_rate(rate_y, lam_star, i, system.name)
         equal_before = states_equal(xs[i], ys[i])
         p, nu0, nu1, nu2, _ = overlap_decompose(
             _mixed_atoms(system, i, x_full, rate_x),

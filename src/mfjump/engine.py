@@ -62,12 +62,18 @@ class RateCeilingError(RuntimeError):
 class EmpiricalMeasure:
     """A probability measure supported on finitely many states.
 
-    ``atoms`` is a sequence of ``(state, weight)`` pairs.  Weights must be
-    nonnegative and sum to one (the empty measure, used as a placeholder for
-    zero-mass residuals, is also allowed).
+    ``atoms`` is a read-only sequence of ``(state, weight)`` pairs.  Weights
+    must be nonnegative and sum to one (the empty measure, used as a
+    placeholder for zero-mass residuals, is also allowed).
+
+    A measure made by :meth:`from_states` only keeps the states: its atoms
+    (quantised, merged and sorted) are built on the first read of ``atoms``,
+    and until then :meth:`mean` reads the states directly.  The mean-field
+    lift builds one such measure per rate and kernel call; most are never
+    read, or read only through a moment.
     """
 
-    __slots__ = ("atoms", "_mean_cache")
+    __slots__ = ("_atoms", "_states", "_mean_cache")
 
     def __init__(self, atoms: Iterable[tuple[State, float]]):
         atoms = tuple((tuple(s), float(w)) for s, w in atoms)
@@ -77,22 +83,37 @@ class EmpiricalMeasure:
                 raise ValueError(f"atom weights sum to {total}, expected 1")
             if any(w < -1e-12 for _, w in atoms):
                 raise ValueError("atom weights must be nonnegative")
-        self.atoms = atoms
+        self._atoms = atoms
+        self._states = None
         self._mean_cache: dict[int, float] = {}
 
     @classmethod
     def from_states(cls, states: Iterable[State]) -> "EmpiricalMeasure":
         """Uniform measure on the given states, merging duplicates."""
-        weights: dict[State, float] = {}
-        count = 0
-        for s in states:
-            key = quantize_state(tuple(s))
-            weights[key] = weights.get(key, 0.0) + 1.0
-            count += 1
-        if count == 0:
+        states = tuple(states)
+        if not states:
             raise ValueError("cannot build an empirical measure from no states")
-        atoms = sorted((s, w / count) for s, w in weights.items())
-        return cls(atoms)
+        measure = cls(())
+        measure._atoms = None
+        measure._states = states
+        return measure
+
+    @property
+    def atoms(self) -> tuple:
+        """The ``(state, weight)`` pairs, sorted by state."""
+        # Replica threads may share a measure.  A build sets the atoms before
+        # it drops the states, so a reader that takes the states first (here
+        # and in ``mean``) finds the states or the atoms, never neither.
+        states = self._states
+        if self._atoms is None:
+            weights: dict[State, float] = {}
+            for s in states:
+                key = quantize_state(tuple(s))
+                weights[key] = weights.get(key, 0.0) + 1.0
+            count = len(states)
+            self._atoms = tuple(sorted((s, w / count) for s, w in weights.items()))
+            self._states = None
+        return self._atoms
 
     def expect(self, fn: Callable[[State], float]) -> float:
         """Expectation of ``fn`` under the measure."""
@@ -102,7 +123,11 @@ class EmpiricalMeasure:
         """Cached mean of the ``index``-th state coordinate."""
         cached = self._mean_cache.get(index)
         if cached is None:
-            cached = sum(w * s[index] for s, w in self.atoms)
+            states = self._states
+            if states is not None:
+                cached = sum(s[index] for s in states) / len(states)
+            else:
+                cached = sum(w * s[index] for s, w in self._atoms)
             self._mean_cache[index] = cached
         return cached
 

@@ -15,6 +15,7 @@ import math
 from typing import Callable, Optional, Sequence
 
 from .engine import (
+    _CEILING_SLACK,
     JUMP_ACCEPTED,
     JUMP_REJECTED,
     SAMPLE,
@@ -85,7 +86,7 @@ def empirical(config: Sequence[State]) -> EmpiricalMeasure:
 
 
 def _check_coordinate_rate(rate: float, ceiling: float, i: int, name: str) -> None:
-    if rate > ceiling * (1.0 + 1e-9) + 1e-12:
+    if rate > ceiling * (1.0 + _CEILING_SLACK) + 1e-12:
         raise CoordinateRateError(
             f"{name}: coordinate {i} rate {rate} exceeds ceiling {ceiling}"
         )

@@ -311,3 +311,54 @@ def test_log_env_levels_run_quietly(tmp_path):
     )
     assert res.exit_code == 0, res.output
     assert (out / "couple.csv").exists()
+
+
+def simulate_config(tmp_path, **run_changes):
+    run = {
+        "x0": [0.0, 1],
+        "horizon": 2.0,
+        "replicas": 4,
+        "sample_times": [1.0, 2.0],
+        "flow": {"type": "constant", "atom": [0.0, 1]},
+    }
+    run.update(run_changes)
+    return write_config(
+        tmp_path / "sim.json",
+        {
+            "schema": 1,
+            "kind": "simulate",
+            "model": {"id": "run-tumble", "params": {"theta": 0.1}},
+            "run": run,
+        },
+    )
+
+
+def assert_one_line_error(res, out, expected):
+    assert res.exit_code == 1
+    assert len(res.output.strip().splitlines()) == 1, res.output
+    assert expected in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "times", [[1.0, 3.0], [-0.5, 1.0]], ids=["past-horizon", "negative"]
+)
+def test_sample_times_outside_horizon_fail_without_output(tmp_path, times):
+    cfg = simulate_config(tmp_path, sample_times=times)
+    out = tmp_path / "out"
+    res = run_cli(["simulate", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, "outside [0, horizon 2.0]")
+
+
+def test_non_integer_replicas_fail_without_output(tmp_path):
+    cfg = simulate_config(tmp_path, replicas="many")
+    out = tmp_path / "out"
+    res = run_cli(["simulate", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, "replicas must be an integer, got 'many'")
+
+
+def test_couple_needs_two_replicas(tmp_path):
+    cfg = couple_config(tmp_path, replicas=1)
+    out = tmp_path / "out"
+    res = run_cli(["couple", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, "replicas must be at least 2")

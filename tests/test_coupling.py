@@ -37,8 +37,14 @@ from mfjump.models import (
     selection_mutation,
     tcp,
 )
+from mfjump.particles import CoordinateRateError
 
-from conftest import constant_flow, make_rng, measure_rate_flip_model
+from conftest import (
+    constant_flow,
+    flip_system,
+    make_rng,
+    measure_rate_flip_model,
+)
 
 
 def two_point(a, wa, b, wb):
@@ -343,6 +349,15 @@ def test_coupled_system_equal_starts_stay_equal(rng):
     for e in traj.events:
         assert e.x == e.y
         assert e.j == 0
+
+
+def test_coupled_system_rate_violation_error_names_the_coordinate():
+    system = flip_system(2, rates=(1.0, 3.0), ceiling=2.0)
+    with pytest.raises(CoordinateRateError) as err:
+        simulate_coupled_system(
+            system, ((0,), (0,)), ((0,), (1,)), 50.0, 1.0, 2.0, make_rng(5)
+        )
+    assert "coordinate 1" in str(err.value)
 
 
 def test_coupled_system_counter_setup_and_invariants():

@@ -73,11 +73,18 @@ def test_empirical_measure_weights_must_sum_to_one():
 
 
 def test_empirical_measure_merges_duplicate_states():
-    m = EmpiricalMeasure.from_states([(1.0,), (1.0,), (2.0,), (1.0 + 1e-13,)])
+    states = [(1.0,), (1.0,), (2.0,), (1.0 + 1e-13,)]
+    m = EmpiricalMeasure.from_states(states)
     assert len(m.atoms) == 2
     weights = {s: w for s, w in m.atoms}
     assert weights[(1.0,)] == pytest.approx(0.75)
     assert weights[(2.0,)] == pytest.approx(0.25)
+    atom_mean = sum(w * s[0] for s, w in m.atoms)
+    assert m.mean(0) == pytest.approx(atom_mean, abs=1e-9)
+    # The mean read before the atoms are built comes from the states.
+    read_first = EmpiricalMeasure.from_states(states)
+    assert read_first.mean(0) == pytest.approx(atom_mean, abs=1e-9)
+    assert read_first.atoms == m.atoms
 
 
 def test_empirical_measure_expect():

@@ -1,0 +1,146 @@
+"""Golden bytes: fixed (config, seed) pairs produce pinned outputs.
+
+Each CLI kind runs one small config, and the library runs one mean-field
+run-tumble system at N=16.  The sha256 of every output is pinned, so any
+change to the numbers, to their formatting or to the way random numbers are
+consumed shows up here.  A change that alters random-number use on purpose
+re-pins these values in the same change and says so in ``CHANGES.md``;
+a change meant to be output-neutral must pass with them untouched.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from mfjump.cli import main
+from mfjump.models import RunTumbleParams, run_tumble
+from mfjump.particles import meanfield_system, simulate_system
+
+from conftest import make_rng
+
+RUN_TUMBLE = {"id": "run-tumble", "params": {"theta": 0.1}}
+SELECTION = {"id": "selection", "params": {"n_particles": 3}}
+
+#: kind -> (model, run section, seed, output file, pinned sha256).
+CASES = {
+    "certify": (
+        None,
+        {
+            "family": "particle",
+            "constants": {
+                "lambda_star": 1.0, "theta": 0.3, "rho": 1.0, "rho_star": 0.2,
+                "eta": 0.6, "M": 2.0, "gamma_star": 2.0, "alpha": 0.8, "t0": 2.0,
+            },
+        },
+        0,
+        "certify.csv",
+        "2b4ce04a4bf0211415a197c1351803f08ea7e9f5e8b3af16cf158a58b498cf3b",
+    ),
+    "couple": (
+        RUN_TUMBLE,
+        {
+            "x0": [0.2, 1], "y0": [-0.2, 1], "horizon": 1.0, "t0": 0.5,
+            "replicas": 16, "sample_times": [0.5, 1.0],
+            "flow1": {"type": "constant", "atom": [0.3, 1]},
+            "flow2": {"type": "constant", "atom": [-0.3, -1]},
+        },
+        7,
+        "couple.csv",
+        "be5e80c114a4a607207d9d020fcb3d237948dd8fef46bc3e6f5f83af1298854f",
+    ),
+    "simulate": (
+        RUN_TUMBLE,
+        {
+            "x0": [0.0, 1], "horizon": 2.0, "replicas": 4,
+            "sample_times": [0.0, 1.0, 2.0],
+            "flow": {"type": "constant", "atom": [0.0, 1]},
+        },
+        1,
+        "simulate.csv",
+        "c083a9726b88f0870f8240f767b04d8915a028e82b93cbdbcfba13209f4a64d5",
+    ),
+    "estimate": (
+        RUN_TUMBLE,
+        {"x0": [0.1, 1], "y0": [-0.1, 1], "t0": 1.5, "replicas": 32},
+        2,
+        "estimate.csv",
+        "b87ab336349b4269e24393c26c54a427c5623c2a8a25b62b804c5ec23e8254f3",
+    ),
+    "picard": (
+        RUN_TUMBLE,
+        {
+            "m0": [[0.0, 1], [0.5, -1]], "horizon": 1.0, "grid_step": 0.25,
+            "n_samples": 100, "tol": 0.0, "max_iter": 2,
+        },
+        5,
+        "picard.csv",
+        "1d14a196ab162f6b5cd9bf18a6e9c5bd1428473d6d35ada81fee234f7bf30f8d",
+    ),
+    "particles": (
+        SELECTION,
+        {
+            "x0": [[0.1], [0.5], [0.9]], "horizon": 1.0, "replicas": 3,
+            "sample_times": [0.5, 1.0],
+        },
+        9,
+        "particles.csv",
+        "258b7b731c93ff93387ba6bb83f39d91c8d87cd4985107754e649f91fa17e7f3",
+    ),
+    "couple-particles": (
+        SELECTION,
+        {
+            "x0": [[0.1], [0.5], [0.9]], "y0": [[0.1], [0.4], [0.8]],
+            "horizon": 1.0, "t0": 0.5, "replicas": 8, "sample_times": [0.5, 1.0],
+        },
+        4,
+        "couple_particles.csv",
+        "5428565fce3293ae924d4806bb17abc4e042761c85ef78bfa08d4c1a543855d8",
+    ),
+}
+
+#: sha256 of the repr of the library mean-field run below.
+MEANFIELD_SHA256 = (
+    "5ede2ffbff86f1562e5f65f72d1ba662541f3935bb0da9899e40cd831c5b812e"
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_cli_output_bytes_are_pinned(tmp_path, kind):
+    model, run, seed, name, pinned = CASES[kind]
+    config = {"schema": 1, "kind": kind, "run": run}
+    if model is not None:
+        config["model"] = model
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(
+        main,
+        [kind, "--config", str(path), "--seed", str(seed), "--out", str(out)],
+        catch_exceptions=False,
+    )
+    assert res.exit_code == 0, res.output
+    assert _sha256((out / name).read_bytes()) == pinned
+
+
+def test_meanfield_library_run_is_pinned():
+    system = meanfield_system(run_tumble(RunTumbleParams(theta=0.1)), 16)
+    initial = tuple(((k - 7.5) / 4.0, 1 if k % 2 else -1) for k in range(16))
+    traj = simulate_system(
+        system, initial, 4.0, make_rng(11), sample_times=(2.0, 4.0)
+    )
+    record = (
+        traj.final_state,
+        sorted(traj.sample_states.items()),
+        [(e.time, e.kind, e.state) for e in traj.events],
+        traj.n_accepted,
+        traj.n_rejected,
+    )
+    assert _sha256(repr(record).encode()) == MEANFIELD_SHA256

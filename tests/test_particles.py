@@ -222,6 +222,18 @@ def test_meanfield_rate_uses_configuration_barycenter():
         )
 
 
+def test_meanfield_moment_reader_never_quantises(monkeypatch):
+    # Run-tumble reads only the barycenter, so no atoms need building.
+    def refuse(state):
+        raise AssertionError("quantize_state called")
+
+    monkeypatch.setattr("mfjump.engine.quantize_state", refuse)
+    sys = meanfield_system(run_tumble(RunTumbleParams(theta=0.5)), 8)
+    initial = tuple((0.25 * k, 1 if k % 2 else -1) for k in range(8))
+    traj = simulate_system(sys, initial, 2.0, make_rng(8), sample_times=(2.0,))
+    assert traj.n_accepted > 0
+
+
 def test_meanfield_system_size_and_ceiling():
     bundle = run_tumble(RunTumbleParams(theta=0.25))
     sys = meanfield_system(bundle, 4)
