@@ -2,11 +2,15 @@
 
 Every subcommand reads a single JSON config (``schema: 1``) whose ``kind``
 must match the subcommand, runs its replicas with independently seeded
-streams, and writes one CSV file with a fixed header into ``--out``.  The
-pair (config, seed) determines the output byte-exactly, regardless of
-``--threads``: replica streams are pre-spawned from the seed and reductions
-run in replica order.  Nothing is written on a validation or runtime
-failure.  The ``MFJUMP_LOG`` environment variable (``off``, ``info``,
+streams, and writes one CSV file with a fixed header into ``--out``.
+``--threads K`` runs the replicas of ``simulate``, ``particles``, ``couple``
+and ``couple-particles`` in up to K forked worker processes, each taking one
+contiguous block of replica indices; the other kinds run serially.  The pair
+(config, seed) determines the output byte-exactly, regardless of
+``--threads``: replica streams are pre-spawned from the seed, results are
+gathered in replica order, and a failing run reports its lowest failing
+replica.  A malformed config or a failing replica gives a one-line error and
+writes nothing.  The ``MFJUMP_LOG`` environment variable (``off``, ``info``,
 ``trace``) controls logging verbosity.
 """
 
@@ -17,7 +21,6 @@ import logging
 import math
 import os
 import pathlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import click
@@ -78,7 +81,10 @@ def _common_options(fn: Callable) -> Callable:
         default=1,
         show_default=True,
         type=click.IntRange(min=1),
-        help="Maximum worker threads for replica execution.",
+        help=(
+            "Maximum worker processes for replicas (forked; the output does "
+            "not depend on it). estimate, picard and certify ignore it."
+        ),
     )(fn)
     fn = click.option(
         "--seed",
@@ -168,24 +174,37 @@ def _config_states(value) -> tuple:
     return tuple(_state(coord) for coord in value)
 
 
+def _number(value, name: str, integer: bool = False):
+    """A JSON number as a float (an integer if ``integer``), else a one-line error."""
+    if integer:
+        valid = isinstance(value, int)
+    else:
+        valid = isinstance(value, (int, float)) and math.isfinite(value)
+    if isinstance(value, bool) or not valid:
+        expected = "an integer" if integer else "a finite number"
+        raise click.ClickException(f"{name} must be {expected}, got {value!r}")
+    return value if integer else float(value)
+
+
 def _replica_count(run: dict, minimum: int = 1) -> int:
-    replicas = _field(run, "replicas")
-    if isinstance(replicas, bool) or not isinstance(replicas, int):
-        raise click.ClickException(f"replicas must be an integer, got {replicas!r}")
+    replicas = _number(_field(run, "replicas"), "replicas", integer=True)
     if replicas < minimum:
         raise click.ClickException(f"replicas must be at least {minimum}")
     return replicas
 
 
 def _horizon(run: dict) -> float:
-    horizon = float(_field(run, "horizon"))
+    horizon = _number(_field(run, "horizon"), "horizon")
     if horizon <= 0.0:
         raise click.ClickException("horizon must be positive")
     return horizon
 
 
 def _sample_times(run: dict, horizon: float) -> tuple:
-    times = tuple(float(t) for t in _field(run, "sample_times"))
+    times = _field(run, "sample_times")
+    if not isinstance(times, list):
+        raise click.ClickException(f"sample_times must be a list, got {times!r}")
+    times = tuple(_number(t, "sample time") for t in times)
     for t in times:
         if not 0.0 <= t <= horizon:
             raise click.ClickException(
@@ -218,13 +237,70 @@ def _replica_streams(seed: int, n: int) -> list:
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
+# The worker and streams of a replica pool, set in each forked worker by the
+# pool initializer.  They reach the workers through fork, not pickle, so no
+# model closure has to pickle: only chunk bounds and results are pickled.
+_POOL_TASK: tuple = ()
+
+
+def _set_pool_task(worker: Callable, streams: Sequence) -> None:
+    global _POOL_TASK
+    _POOL_TASK = (worker, streams)
+
+
+def _run_chunk(bounds: tuple) -> tuple:
+    """Run replicas ``start <= r < stop`` of the pool task.
+
+    Returns ``(results, failure)``: the chunk stops at its first failing
+    replica and returns that exception as ``failure`` (``None`` if all ran).
+    """
+    worker, streams = _POOL_TASK
+    start, stop = bounds
+    results = []
+    for r in range(start, stop):
+        try:
+            results.append(worker(r, streams[r]))
+        except Exception as exc:
+            return [], exc
+    return results, None
+
+
 def _map_replicas(worker: Callable, streams: Sequence, threads: int) -> list:
-    """Run ``worker(replica, stream)`` for every replica, in index order."""
-    indices = range(len(streams))
-    if threads <= 1:
-        return [worker(r, stream) for r, stream in zip(indices, streams)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, indices, streams))
+    """Run ``worker(replica, stream)`` for every replica, in index order.
+
+    With ``threads > 1`` the replicas are split into contiguous chunks, one
+    per forked worker process (serially where ``fork`` is unavailable).  The
+    chunks are gathered in order, so the list, and the first failure raised,
+    are those of the serial run.  The workers are forked because model
+    closures cannot be pickled; forking is safe because the CLI starts no
+    threads of its own.
+    """
+    n = len(streams)
+    workers = min(threads, n)
+    if workers > 1:
+        # Imported here, not at the top: they add to every start-up.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers <= 1:
+        return [worker(r, stream) for r, stream in enumerate(streams)]
+    bounds = [(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
+    context = multiprocessing.get_context("fork")
+    results = []
+    with ProcessPoolExecutor(
+        workers, context, _set_pool_task, (worker, streams)
+    ) as pool:
+        try:
+            for chunk, failure in pool.map(_run_chunk, bounds):
+                if failure is not None:
+                    raise failure
+                results.extend(chunk)
+        except BrokenProcessPool:
+            raise click.ClickException("a replica worker process exited unexpectedly")
+    return results
 
 
 def _guarded(worker: Callable) -> Callable:
@@ -333,7 +409,7 @@ def couple(config_path, out_dir, seed, threads) -> None:
     run = cfg["run"]
     x0, y0 = _state(_field(run, "x0")), _state(_field(run, "y0"))
     horizon = _horizon(run)
-    t0 = float(_field(run, "t0"))
+    t0 = _number(_field(run, "t0"), "t0")
     # The bound estimates need a standard error, so at least two pairs.
     replicas = _replica_count(run, minimum=2)
     times = _sample_times(run, horizon)
@@ -344,7 +420,8 @@ def couple(config_path, out_dir, seed, threads) -> None:
     def worker(replica, stream):
         _LOG.debug("couple replica %d", replica)
         return simulate_merge_split(
-            model, flow1, flow2, x0, y0, horizon, t0, stream, sample_times=times
+            model, flow1, flow2, x0, y0, horizon, t0, stream,
+            sample_times=times, record_events=False,
         )
 
     trajectories = _map_replicas(
@@ -414,9 +491,13 @@ def estimate(config_path, out_dir, seed, threads) -> None:
         raise click.ClickException(
             "this model does not define a measure-driven (single-state) form"
         )
+    if model.base_coupler is None:
+        raise click.ClickException(
+            f"model {model.name!r} provides no coupled base construction"
+        )
     run = cfg["run"]
     x0, y0 = _state(_field(run, "x0")), _state(_field(run, "y0"))
-    t0 = float(_field(run, "t0"))
+    t0 = _number(_field(run, "t0"), "t0")
     replicas = _replica_count(run)
     _LOG.info("estimate: %d replicas on %s", replicas, model.name)
     alpha_hat, alpha_se = estimate_doeblin_alpha(
@@ -444,10 +525,10 @@ def picard(config_path, out_dir, seed, threads) -> None:
     weight = 1.0 / len(m0_states)
     m0 = EmpiricalMeasure(atoms=tuple((s, weight) for s in m0_states))
     horizon = _horizon(run)
-    grid_step = float(_field(run, "grid_step"))
-    n_samples = int(_field(run, "n_samples"))
-    tol = float(_field(run, "tol"))
-    max_iter = int(_field(run, "max_iter"))
+    grid_step = _number(_field(run, "grid_step"), "grid_step")
+    n_samples = _number(_field(run, "n_samples"), "n_samples", integer=True)
+    tol = _number(_field(run, "tol"), "tol")
+    max_iter = _number(_field(run, "max_iter"), "max_iter", integer=True)
     _LOG.info("picard: up to %d iterations on %s", max_iter, model.name)
     try:
         result = picard_solve(
@@ -513,20 +594,27 @@ def couple_particles(config_path, out_dir, seed, threads) -> None:
         raise click.ClickException(
             "this model does not define an interacting particle system"
         )
+    if system.kernel_atoms is None:
+        raise click.ClickException(
+            f"system {system.name!r} provides no kernel atoms"
+        )
     run = cfg["run"]
     x0 = _config_states(_field(run, "x0"))
     y0 = _config_states(_field(run, "y0"))
     horizon = _horizon(run)
-    t0 = float(_field(run, "t0"))
+    t0 = _number(_field(run, "t0"), "t0")
     replicas = _replica_count(run)
     times = _sample_times(run, horizon)
-    theta = float(run.get("theta", system.rate_ceiling))
+    theta = float(system.rate_ceiling)
+    if "theta" in run:
+        theta = _number(run["theta"], "theta")
     _LOG.info("couple-particles: %d replicas of %s", replicas, system.name)
 
     def worker(replica, stream):
         _LOG.debug("couple-particles replica %d", replica)
         return simulate_coupled_system(
-            system, x0, y0, horizon, t0, theta, stream, sample_times=times
+            system, x0, y0, horizon, t0, theta, stream,
+            sample_times=times, record_events=False,
         )
 
     trajectories = _map_replicas(
@@ -558,3 +646,7 @@ def couple_particles(config_path, out_dir, seed, threads) -> None:
         "t,mean_J,J_se,mean_dbar1,violations,n_replicas",
         rows,
     )
+
+
+if __name__ == "__main__":
+    main()

@@ -532,6 +532,7 @@ def simulate_merge_split(
     t0: float,
     stream,
     sample_times: Sequence[float] = (),
+    record_events: bool = True,
 ) -> CoupledTrajectory:
     """Couple two runs of a measure-driven model under different flows.
 
@@ -541,7 +542,8 @@ def simulate_merge_split(
     draw from the disjoint residuals (splitting them).  Between proposals the
     pair follows the model's coupled base dynamics (synchronized draws when no
     base coupler is declared), which is restarted at every proposal and at
-    every window boundary ``k * t0``.
+    every window boundary ``k * t0``.  With ``record_events=False`` only
+    sample events are kept, while splits and clamped mass are still counted.
     """
     if model.mixed_kernel_atoms is None:
         raise UnsupportedCouplingError(
@@ -583,7 +585,7 @@ def simulate_merge_split(
         if dt > 0.0:
             points = machine.advance(dt)
             for offset, sx, sy, is_merge in points:
-                if is_merge:
+                if is_merge and record_events:
                     events.append(
                         CoupledEvent(
                             time=t + offset,
@@ -638,9 +640,10 @@ def simulate_merge_split(
         merged = states_equal(x, y)
         if was_merged and not merged:
             n_splits += 1
-        events.append(
-            CoupledEvent(time=t, kind=PROPOSAL, x=x, y=y, merged=merged, p=p)
-        )
+        if record_events:
+            events.append(
+                CoupledEvent(time=t, kind=PROPOSAL, x=x, y=y, merged=merged, p=p)
+            )
         machine = make_machine(x, y, stream)
         next_prop = t + stream.exponential(1.0 / lam_star)
     run_machine(horizon)
@@ -710,6 +713,7 @@ def simulate_coupled_system(
     theta: float,
     stream,
     sample_times: Sequence[float] = (),
+    record_events: bool = True,
 ) -> CoupledSystemTrajectory:
     """Couple two runs of an interacting system, counting potential splits.
 
@@ -722,7 +726,8 @@ def simulate_coupled_system(
     bounds the rate-and-kernel sensitivity to single-coordinate changes.
     Between proposals each coordinate pair follows the system's coupled base
     dynamics (or synchronized draws if none is declared), restarted at window
-    boundaries ``k * t0``.
+    boundaries ``k * t0``.  With ``record_events=False`` only sample events
+    are kept, while ``j`` is still counted.
     """
     if system.kernel_atoms is None:
         raise UnsupportedCouplingError(
@@ -815,11 +820,12 @@ def simulate_coupled_system(
         if equal_before and total_rate > 0.0 and v >= 1.0 - theta * j / total_rate:
             j += 1.0
         machines[i] = build_machine(i)
-        events.append(
-            CoupledSystemEvent(
-                time=t, kind=PROPOSAL, x=tuple(xs), y=tuple(ys), j=j
+        if record_events:
+            events.append(
+                CoupledSystemEvent(
+                    time=t, kind=PROPOSAL, x=tuple(xs), y=tuple(ys), j=j
+                )
             )
-        )
         next_prop = t + stream.exponential(1.0 / total_rate)
     flow_all(horizon)
     return CoupledSystemTrajectory(

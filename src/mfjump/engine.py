@@ -101,9 +101,10 @@ class EmpiricalMeasure:
     @property
     def atoms(self) -> tuple:
         """The ``(state, weight)`` pairs, sorted by state."""
-        # Replica threads may share a measure.  A build sets the atoms before
-        # it drops the states, so a reader that takes the states first (here
-        # and in ``mean``) finds the states or the atoms, never neither.
+        # Callers may read one measure from several threads.  A build sets
+        # the atoms before it drops the states, so a reader that takes the
+        # states first (here and in ``mean``) finds the states or the atoms,
+        # never neither.
         states = self._states
         if self._atoms is None:
             weights: dict[State, float] = {}

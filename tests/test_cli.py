@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import mfjump
+from mfjump import cli
 from mfjump.cli import main
 
 COUPLE_HEADER = "t,p_unequal,tv_bound,tv_se,vnorm_bound,vnorm_se,n_replicas"
@@ -362,3 +367,198 @@ def test_couple_needs_two_replicas(tmp_path):
     out = tmp_path / "out"
     res = run_cli(["couple", "--config", cfg, "--out", str(out)])
     assert_one_line_error(res, out, "replicas must be at least 2")
+
+
+def selection_config(tmp_path, kind, replicas):
+    run = {
+        "x0": [[0.1], [0.5], [0.9]],
+        "horizon": 1.0,
+        "replicas": replicas,
+        "sample_times": [0.5, 1.0],
+    }
+    if kind == "couple-particles":
+        run.update(y0=[[0.1], [0.4], [0.8]], t0=0.5)
+    return write_config(
+        tmp_path / f"{kind}.json",
+        {
+            "schema": 1,
+            "kind": kind,
+            "model": {"id": "selection", "params": {"n_particles": 3}},
+            "run": run,
+        },
+    )
+
+
+#: kind -> (config builder taking (tmp_path, replicas), output file).
+POOL_KINDS = {
+    "couple": (couple_config, "couple.csv"),
+    "simulate": (lambda tmp, n: simulate_config(tmp, replicas=n), "simulate.csv"),
+    "particles": (
+        lambda tmp, n: selection_config(tmp, "particles", n), "particles.csv"
+    ),
+    "couple-particles": (
+        lambda tmp, n: selection_config(tmp, "couple-particles", n),
+        "couple_particles.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POOL_KINDS))
+def test_worker_processes_do_not_change_bytes(tmp_path, kind):
+    make_config, name = POOL_KINDS[kind]
+    outputs = {}
+    for replicas, threads in ((7, 1), (7, 2), (7, 3), (3, 1), (3, 8)):
+        cfg = make_config(tmp_path, replicas)
+        out = tmp_path / f"r{replicas}-t{threads}"
+        res = run_cli(
+            [kind, "--config", cfg, "--seed", "11", "--threads", str(threads),
+             "--out", str(out)]
+        )
+        assert res.exit_code == 0, res.output
+        outputs[replicas, threads] = (out / name).read_bytes()
+    assert outputs[7, 1] == outputs[7, 2] == outputs[7, 3]
+    assert outputs[3, 1] == outputs[3, 8]
+
+
+def test_replica_failure_reports_lowest_index_at_any_threads(tmp_path, monkeypatch):
+    original = cli.simulate_merge_split
+
+    def fail_on_replicas_3_and_5(*args, **kwargs):
+        stream = args[7]
+        if stream.bit_generator.seed_seq.spawn_key[-1] in (3, 5):
+            raise ValueError("forced failure")
+        return original(*args, **kwargs)
+
+    # Forked workers inherit the patched module.
+    monkeypatch.setattr(cli, "simulate_merge_split", fail_on_replicas_3_and_5)
+    cfg = couple_config(tmp_path, replicas=7)
+    for threads in (1, 3):
+        out = tmp_path / f"t{threads}"
+        res = run_cli(
+            ["couple", "--config", cfg, "--threads", str(threads), "--out", str(out)]
+        )
+        assert_one_line_error(res, out, "replica 3: forced failure")
+
+
+def test_dead_worker_process_fails_without_output(tmp_path, monkeypatch):
+    original = cli.simulate_merge_split
+
+    def exit_on_replica_5(*args, **kwargs):
+        if args[7].bit_generator.seed_seq.spawn_key[-1] == 5:
+            os._exit(1)  # only ever reached in a forked worker
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_merge_split", exit_on_replica_5)
+    cfg = couple_config(tmp_path, replicas=7)
+    out = tmp_path / "out"
+    res = run_cli(["couple", "--config", cfg, "--threads", "3", "--out", str(out)])
+    assert_one_line_error(res, out, "a replica worker process exited unexpectedly")
+
+
+def test_couple_particles_without_kernel_atoms_fails_before_replicas(
+    tmp_path, monkeypatch
+):
+    def no_replicas(*args):
+        raise AssertionError("replicas ran")
+
+    monkeypatch.setattr(cli, "_map_replicas", no_replicas)
+    x0 = [[0.1 * k] for k in range(8)]
+    cfg = write_config(
+        tmp_path / "mh.json",
+        {
+            "schema": 1,
+            "kind": "couple-particles",
+            "model": {"id": "mh", "params": {}},
+            "run": {
+                "x0": x0, "y0": x0, "horizon": 1.0, "t0": 0.5, "replicas": 2,
+                "sample_times": [1.0],
+            },
+        },
+    )
+    out = tmp_path / "out"
+    res = run_cli(
+        ["couple-particles", "--config", cfg, "--threads", "2", "--out", str(out)]
+    )
+    assert_one_line_error(res, out, "system 'mh-decomposed' provides no kernel atoms")
+
+
+def test_estimate_without_base_coupler_fails(tmp_path):
+    cfg = write_config(
+        tmp_path / "tcp.json",
+        {
+            "schema": 1,
+            "kind": "estimate",
+            "model": {"id": "tcp", "params": {}},
+            "run": {"x0": [0.1], "y0": [0.2], "t0": 1, "replicas": 2},
+        },
+    )
+    out = tmp_path / "out"
+    res = run_cli(["estimate", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(
+        res, out, "model 'tcp' provides no coupled base construction"
+    )
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        ({"horizon": "two"}, "horizon must be a finite number, got 'two'"),
+        ({"horizon": None}, "horizon must be a finite number, got None"),
+        ({"horizon": True}, "horizon must be a finite number, got True"),
+        ({"sample_times": ["one"]}, "sample time must be a finite number, got 'one'"),
+        ({"sample_times": "1.0"}, "sample_times must be a list, got '1.0'"),
+    ],
+    ids=["string", "null", "bool", "sample-time-string", "sample-times-string"],
+)
+def test_non_numeric_simulate_fields_fail_without_output(tmp_path, change, expected):
+    cfg = simulate_config(tmp_path, **change)
+    out = tmp_path / "out"
+    res = run_cli(["simulate", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, expected)
+
+
+def test_non_integer_n_samples_fails_without_output(tmp_path):
+    cfg = write_config(
+        tmp_path / "pic.json",
+        {
+            "schema": 1,
+            "kind": "picard",
+            "model": {"id": "run-tumble", "params": {"theta": 0.1}},
+            "run": {
+                "m0": [[0.0, 1]], "horizon": 1.0, "grid_step": 0.25,
+                "n_samples": "many", "tol": 0.05, "max_iter": 4,
+            },
+        },
+    )
+    out = tmp_path / "out"
+    res = run_cli(["picard", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, "n_samples must be an integer, got 'many'")
+
+
+def test_module_entry_point_runs_a_command(tmp_path):
+    cfg = write_config(
+        tmp_path / "certify.json",
+        {
+            "schema": 1,
+            "kind": "certify",
+            "run": {
+                "family": "nonlinear",
+                "constants": {
+                    "lambda_star": 1.0, "theta": 0.0, "rho": 1.0, "rho_star": 0.3,
+                    "eta": 0.5, "M": 2.0, "gamma_star": 2.0, "alpha": 0.8,
+                    "t0": 1.0,
+                },
+            },
+        },
+    )
+    out = tmp_path / "out"
+    src = pathlib.Path(mfjump.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfjump.cli", "certify", "--config", cfg,
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = (out / "certify.csv").read_text().splitlines()
+    assert lines[0] == CERTIFY_HEADER

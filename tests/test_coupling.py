@@ -326,6 +326,29 @@ def test_merge_split_clamp_counter_starts_clean(rng):
     assert traj.n_clamped == 0
 
 
+def test_merge_split_without_events_keeps_samples_and_counters():
+    bundle = run_tumble(RunTumbleParams(theta=0.1))
+    flow1 = constant_flow((0.3, 1))
+    flow2 = constant_flow((-0.3, -1))
+    times = (1.0, 2.0, 3.0, 4.0)
+    dropped = 0
+    for seed in range(20):
+        full, lean = (
+            simulate_merge_split(
+                bundle.model, flow1, flow2, (0.2, 1), (-0.2, 1), 4.0, 1.0,
+                make_rng(170_000 + seed), sample_times=times, record_events=record,
+            )
+            for record in (True, False)
+        )
+        assert lean.sample_pairs == full.sample_pairs
+        assert (lean.n_splits, lean.n_clamped) == (full.n_splits, full.n_clamped)
+        assert lean.clamp_excess == full.clamp_excess
+        assert lean.events == tuple(e for e in full.events if e.kind == "sample")
+        assert len(lean.events) == len(times)
+        dropped += len(full.events) - len(lean.events)
+    assert dropped > 0
+
+
 # ---------------------------------------------------------------------------
 # coupled particle systems with a mismatch counter
 
@@ -397,6 +420,29 @@ def test_coupled_system_expected_counter_growth():
     bound = math.exp(theta * 2.0) * 2.0
     se = j_end.std(ddof=1) / math.sqrt(n)
     assert j_end.mean() <= bound + 3.0 * se
+
+
+def test_coupled_system_without_events_keeps_samples_and_counter():
+    bundle = selection_bundle(4)
+    x0 = ((0.1,), (0.2,), (0.3,), (0.4,))
+    y0 = ((0.1,), (0.2,), (0.7,), (0.8,))
+    theta = bundle.system.rate_ceiling
+    dropped = 0
+    for seed in range(10):
+        full, lean = (
+            simulate_coupled_system(
+                bundle.system, x0, y0, 2.0, 1.0, theta, make_rng(340_000 + seed),
+                sample_times=(1.0, 2.0), record_events=record,
+            )
+            for record in (True, False)
+        )
+        assert lean.samples == full.samples
+        assert lean.j_initial == full.j_initial
+        assert lean.events == tuple(e for e in full.events if e.kind == "sample")
+        assert len(lean.events) == 2
+        assert lean.j_at(2.0) == full.events[-1].j
+        dropped += len(full.events) - len(lean.events)
+    assert dropped > 0
 
 
 # ---------------------------------------------------------------------------
