@@ -165,8 +165,11 @@ def _field(run: dict, key: str):
 
 
 def _state(value) -> tuple:
+    """A state array of finite numbers; integers stay integers (labels)."""
     if not isinstance(value, (list, tuple)):
         raise click.ClickException(f"expected a state array, got {value!r}")
+    for entry in value:
+        _number(entry, "state entry")
     return tuple(value)
 
 

@@ -23,9 +23,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import EmpiricalMeasure, MeasureFlow, ModelSpec
+from .engine import (
+    PROPOSAL,
+    SAMPLE,
+    WINDOW,
+    EmpiricalMeasure,
+    MeasureFlow,
+    ModelSpec,
+    check_rate,
+    clock,
+)
 from .metrics import dbar1, quantize_state, states_equal
-from .particles import SystemSpec, _check_coordinate_rate
+from .particles import SystemSpec
 
 __all__ = [
     "CoupledEvent",
@@ -133,6 +142,19 @@ def _pick(atoms: Sequence, w: float) -> tuple:
     return tuple(atoms[-1][0])
 
 
+def _maximal_draw(p: float, nu0, nu1, nu2, stream) -> tuple:
+    """Maximal-coupling draw from the parts :func:`overlap_decompose` returns.
+
+    Returns ``(x, y, v)``; the sides share an overlap atom when ``v < p``.
+    """
+    v = stream.random()
+    w = stream.random()
+    if v < p:
+        shared = _pick(nu0, w)
+        return shared, shared, v
+    return _pick(nu1, w), _pick(nu2, w), v
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class PairSampler:
     """Maximal coupling of two discrete measures, ready for repeated draws.
@@ -156,12 +178,10 @@ class PairSampler:
 
     def sample(self, stream) -> tuple:
         """One coupled draw; returns ``(x_state, y_state, merged)``."""
-        v = stream.random()
-        w = stream.random()
-        if v < self.p:
-            state = _pick(self.nu0.atoms, w)
-            return state, state, True
-        return _pick(self.nu1.atoms, w), _pick(self.nu2.atoms, w), False
+        x, y, v = _maximal_draw(
+            self.p, self.nu0.atoms, self.nu1.atoms, self.nu2.atoms, stream
+        )
+        return x, y, v < self.p
 
     def sample_many(self, size: int, stream):
         """Vectorized coupled draws; returns index arrays into the supports.
@@ -487,9 +507,7 @@ def estimate_doeblin_alpha(model: ModelSpec, pair_source: Callable, t0: float, n
 # Merge/split coupling of one measure-driven pair.
 # ---------------------------------------------------------------------------
 
-PROPOSAL = "proposal"
 MERGE = "merge"
-SAMPLE_EVENT = "sample"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -574,8 +592,6 @@ def simulate_merge_split(
     n_splits = 0
     n_clamped = 0
     clamp_excess = 0.0
-    pending = sorted(set(float(ts) for ts in sample_times))
-    si = 0
     t = 0.0
     machine = make_machine(x, y, stream)
 
@@ -599,27 +615,15 @@ def simulate_merge_split(
             x, y = tuple(sx), tuple(sy)
         t = upto
 
-    next_prop = t + stream.exponential(1.0 / lam_star) if lam_star > 0.0 else math.inf
-    window = 1
-    next_window = t0
-    while True:
-        t_sample = pending[si] if si < len(pending) else math.inf
-        t_next = min(t_sample, next_window, next_prop)
-        if t_next > horizon:
-            break
-        run_machine(t_next)
-        if t_sample <= min(next_window, next_prop):
+    for t_event, kind in clock(horizon, lam_star, stream, sample_times, window=t0):
+        run_machine(t_event)
+        if kind == SAMPLE:
             merged = states_equal(x, y)
-            events.append(
-                CoupledEvent(time=t, kind=SAMPLE_EVENT, x=x, y=y, merged=merged)
-            )
-            sample_pairs[t_sample] = (x, y)
-            si += 1
+            events.append(CoupledEvent(time=t, kind=SAMPLE, x=x, y=y, merged=merged))
+            sample_pairs[t] = (x, y)
             continue
-        if next_window <= next_prop:
+        if kind == WINDOW:
             machine = make_machine(x, y, stream)
-            window += 1
-            next_window = window * t0
             continue
         was_merged = states_equal(x, y)
         p, nu0, nu1, nu2, excess = overlap_decompose(
@@ -629,14 +633,7 @@ def simulate_merge_split(
         clamp_excess += excess
         if excess > 1e-7:
             n_clamped += 1
-        v = stream.random()
-        w = stream.random()
-        if v < p:
-            shared = _pick(nu0, w)
-            x, y = shared, shared
-        else:
-            x = _pick(nu1, w)
-            y = _pick(nu2, w)
+        x, y, _ = _maximal_draw(p, nu0, nu1, nu2, stream)
         merged = states_equal(x, y)
         if was_merged and not merged:
             n_splits += 1
@@ -645,7 +642,6 @@ def simulate_merge_split(
                 CoupledEvent(time=t, kind=PROPOSAL, x=x, y=y, merged=merged, p=p)
             )
         machine = make_machine(x, y, stream)
-        next_prop = t + stream.exponential(1.0 / lam_star)
     run_machine(horizon)
     return CoupledTrajectory(
         initial_x=tuple(x0),
@@ -758,8 +754,6 @@ def simulate_coupled_system(
     machines = [build_machine(i) for i in range(n)]
     events: list[CoupledSystemEvent] = []
     samples: dict[float, tuple] = {}
-    pending = sorted(set(float(ts) for ts in sample_times))
-    si = 0
     t = 0.0
 
     def flow_all(upto: float) -> None:
@@ -773,51 +767,32 @@ def simulate_coupled_system(
         t = upto
 
     total_rate = n * lam_star
-    next_prop = (
-        t + stream.exponential(1.0 / total_rate) if total_rate > 0.0 else math.inf
-    )
-    window = 1
-    next_window = t0
-    while True:
-        t_sample = pending[si] if si < len(pending) else math.inf
-        t_next = min(t_sample, next_window, next_prop)
-        if t_next > horizon:
-            break
-        flow_all(t_next)
-        if t_sample <= min(next_window, next_prop):
+    for t_event, kind in clock(horizon, total_rate, stream, sample_times, window=t0):
+        flow_all(t_event)
+        if kind == SAMPLE:
             snap = (tuple(xs), tuple(ys), j)
             events.append(
-                CoupledSystemEvent(time=t, kind=SAMPLE_EVENT, x=snap[0], y=snap[1], j=j)
+                CoupledSystemEvent(time=t, kind=SAMPLE, x=snap[0], y=snap[1], j=j)
             )
-            samples[t_sample] = snap
-            si += 1
+            samples[t] = snap
             continue
-        if next_window <= next_prop:
+        if kind == WINDOW:
             machines = [build_machine(i) for i in range(n)]
-            window += 1
-            next_window = window * t0
             continue
         i = int(stream.integers(n))
         x_full = tuple(xs)
         y_full = tuple(ys)
         rate_x = system.rate(i, x_full)
         rate_y = system.rate(i, y_full)
-        _check_coordinate_rate(rate_x, lam_star, i, system.name)
-        _check_coordinate_rate(rate_y, lam_star, i, system.name)
+        check_rate(rate_x, lam_star, system.name, i)
+        check_rate(rate_y, lam_star, system.name, i)
         equal_before = states_equal(xs[i], ys[i])
         p, nu0, nu1, nu2, _ = overlap_decompose(
             _mixed_atoms(system, i, x_full, rate_x),
             _mixed_atoms(system, i, y_full, rate_y),
         )
-        v = stream.random()
-        w = stream.random()
-        if v < p:
-            shared = _pick(nu0, w)
-            xs[i], ys[i] = shared, shared
-        else:
-            xs[i] = _pick(nu1, w)
-            ys[i] = _pick(nu2, w)
-        if equal_before and total_rate > 0.0 and v >= 1.0 - theta * j / total_rate:
+        xs[i], ys[i], v = _maximal_draw(p, nu0, nu1, nu2, stream)
+        if equal_before and v >= 1.0 - theta * j / total_rate:
             j += 1.0
         machines[i] = build_machine(i)
         if record_events:
@@ -826,7 +801,6 @@ def simulate_coupled_system(
                     time=t, kind=PROPOSAL, x=tuple(xs), y=tuple(ys), j=j
                 )
             )
-        next_prop = t + stream.exponential(1.0 / total_rate)
     flow_all(horizon)
     return CoupledSystemTrajectory(
         initial_x=tuple(tuple(c) for c in x0),

@@ -29,7 +29,9 @@ from .metrics import Binning, make_binning, quantize_state
 __all__ = [
     "JUMP_ACCEPTED",
     "JUMP_REJECTED",
+    "PROPOSAL",
     "SAMPLE",
+    "WINDOW",
     "EmpiricalMeasure",
     "Event",
     "MeasureFlow",
@@ -37,6 +39,8 @@ __all__ = [
     "PicardResult",
     "RateCeilingError",
     "Trajectory",
+    "check_rate",
+    "clock",
     "flow_sample",
     "picard_solve",
     "simulate_nonlinear",
@@ -49,6 +53,10 @@ State = tuple
 JUMP_ACCEPTED = "jump-accepted"
 JUMP_REJECTED = "jump-rejected"
 SAMPLE = "sample"
+
+#: Kinds of the events :func:`clock` yields, besides ``SAMPLE``.
+WINDOW = "window"
+PROPOSAL = "proposal"
 
 #: Relative slack when checking rates against their ceiling, so that rates
 #: which equal the ceiling up to float noise are not flagged.
@@ -255,11 +263,53 @@ def flow_sample(model: ModelSpec, state: State, dt: float, stream) -> State:
     return tuple(model.base_flow(tuple(state), dt, stream))
 
 
-def _check_rate(rate: float, ceiling: float, context: str) -> None:
+def check_rate(
+    rate: float, ceiling: float, name: str, coordinate: Optional[int] = None
+) -> None:
+    """Raise :class:`RateCeilingError` if ``rate`` exceeds ``ceiling``.
+
+    Thinning against a ceiling that the rate exceeds silently biases the
+    law, so every simulator checks each rate it thins.  The message names
+    ``name`` and, when given, the ``coordinate`` whose rate it is.
+    """
     if rate > ceiling * (1.0 + _CEILING_SLACK) + 1e-12:
-        raise RateCeilingError(
-            f"{context}: rate {rate} exceeds ceiling {ceiling}"
-        )
+        where = name if coordinate is None else f"{name}: coordinate {coordinate}"
+        raise RateCeilingError(f"{where}: rate {rate} exceeds ceiling {ceiling}")
+
+
+def clock(
+    horizon: float,
+    rate: float,
+    stream,
+    sample_times: Iterable[float] = (),
+    window: float = math.inf,
+):
+    """The events of a global-clock thinning run on ``[0, horizon]``.
+
+    Yields ``(t, kind)`` in time order: each distinct sample time once
+    (``SAMPLE``), each window boundary ``k * window`` for ``k >= 1``
+    (``WINDOW``), and the points of a Poisson process of intensity ``rate``
+    (``PROPOSAL``).  At equal times samples come first, then windows.  The
+    gap after a proposal is drawn from ``stream`` only when the caller asks
+    for the next event, so the draws the caller makes at a proposal come
+    before it.  With ``rate == 0`` nothing is drawn.
+    """
+    samples = iter(sorted(set(float(ts) for ts in sample_times)) + [math.inf])
+    t_sample = next(samples)
+    k = 1
+    next_window = window
+    next_prop = stream.exponential(1.0 / rate) if rate > 0.0 else math.inf
+    while min(t_sample, next_window, next_prop) <= horizon:
+        if t_sample <= min(next_window, next_prop):
+            yield t_sample, SAMPLE
+            t_sample = next(samples)
+        elif next_window <= next_prop:
+            k += 1
+            yield next_window, WINDOW
+            next_window = k * window
+        else:
+            yield next_prop, PROPOSAL
+            next_prop += stream.exponential(1.0 / rate)
 
 
 def simulate_nonlinear(
@@ -286,31 +336,21 @@ def simulate_nonlinear(
         )
     if ceiling < 0.0:
         raise ValueError("rate ceiling must be nonnegative")
-    pending = sorted(set(float(ts) for ts in sample_times))
     events: list[Event] = []
     sample_states: dict[float, State] = {}
     t = 0.0
     state = tuple(initial)
     n_accepted = n_rejected = 0
-    next_prop = t + stream.exponential(1.0 / ceiling) if ceiling > 0.0 else math.inf
-    si = 0
-    while True:
-        t_sample = pending[si] if si < len(pending) else math.inf
-        t_next = min(t_sample, next_prop)
-        if t_next > horizon:
-            break
-        if t_sample <= next_prop:
-            state = flow_sample(model, state, t_sample - t, stream)
-            t = t_sample
+    for t_event, kind in clock(horizon, ceiling, stream, sample_times):
+        state = flow_sample(model, state, t_event - t, stream)
+        t = t_event
+        if kind == SAMPLE:
             events.append(Event(time=t, kind=SAMPLE, state=state))
-            sample_states[t_sample] = state
-            si += 1
+            sample_states[t] = state
             continue
-        state = flow_sample(model, state, next_prop - t, stream)
-        t = next_prop
         measure = flow.at(t)
         rate = model.rate(state, measure)
-        _check_rate(rate, ceiling, model.name)
+        check_rate(rate, ceiling, model.name)
         if stream.random() * ceiling < rate:
             state = tuple(model.kernel(state, measure, stream.random()))
             n_accepted += 1
@@ -320,7 +360,6 @@ def simulate_nonlinear(
             n_rejected += 1
             if record_events:
                 events.append(Event(time=t, kind=JUMP_REJECTED, state=state))
-        next_prop = t + stream.exponential(1.0 / ceiling)
     state = flow_sample(model, state, horizon - t, stream)
     return Trajectory(
         initial=tuple(initial),
@@ -379,7 +418,7 @@ def simulate_nonlinear_unbounded(
                 tau = prop_t
                 measure = flow.at(prop_t)
                 rate = model.rate(cur, measure)
-                _check_rate(rate, ceiling, model.name)
+                check_rate(rate, ceiling, model.name)
                 if stream.random() * ceiling < rate:
                     cur = tuple(model.kernel(cur, measure, stream.random()))
                     n_accepted += 1

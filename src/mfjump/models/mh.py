@@ -68,13 +68,6 @@ class MhBundle:
     constants: MhConstants
 
 
-def _split_uniform(u: float) -> tuple[float, float]:
-    """Split one uniform variate into two (26/27-bit granularity)."""
-    scaled = u * float(1 << 26)
-    hi = math.floor(scaled)
-    return hi / float(1 << 26), scaled - hi
-
-
 def mh_granular(params: MhParams) -> MhBundle:
     """Build the Metropolis chain systems for the given parameters."""
     if params.dim != 1:
@@ -132,17 +125,10 @@ def mh_granular(params: MhParams) -> MhBundle:
     def residual_rate(i, config) -> float:
         return residual_ceiling
 
-    def residual_kernel_stream(i, config, stream):
+    def residual_kernel(i, config, stream):
         xi = stream.random()
         keep = (accept_prob(i, config, xi) - p_star) / (1.0 - p_star)
         if stream.random() < keep:
-            return (xi,)
-        return config[i]
-
-    def residual_kernel(i, config, u):
-        xi, v = _split_uniform(u)
-        keep = (accept_prob(i, config, xi) - p_star) / (1.0 - p_star)
-        if v < keep:
             return (xi,)
         return config[i]
 
@@ -155,7 +141,6 @@ def mh_granular(params: MhParams) -> MhBundle:
         coordinate_layout=("real",),
         coordinate_box=((0.0, 1.0),),
         name="mh-decomposed",
-        kernel_stream=residual_kernel_stream,
         base_coupler=_coordinate_refresh_coupler(refresh_rate),
     )
 
@@ -165,15 +150,9 @@ def mh_granular(params: MhParams) -> MhBundle:
     def raw_rate(i, config) -> float:
         return lam_bar
 
-    def raw_kernel_stream(i, config, stream):
+    def raw_kernel(i, config, stream):
         xi = stream.random()
         if stream.random() < accept_prob(i, config, xi):
-            return (xi,)
-        return config[i]
-
-    def raw_kernel(i, config, u):
-        xi, v = _split_uniform(u)
-        if v < accept_prob(i, config, xi):
             return (xi,)
         return config[i]
 
@@ -186,7 +165,6 @@ def mh_granular(params: MhParams) -> MhBundle:
         coordinate_layout=("real",),
         coordinate_box=((0.0, 1.0),),
         name="mh-raw",
-        kernel_stream=raw_kernel_stream,
     )
 
     base_model = ModelSpec(

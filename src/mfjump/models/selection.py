@@ -75,17 +75,9 @@ def selection_mutation(params: SelectionParams) -> SelectionBundle:
     def rate(i, config) -> float:
         return lam_star
 
-    def kernel_stream(i, config, stream):
+    def kernel(i, config, stream):
         j = int(stream.integers(n))
         if stream.random() < p_fn(config[i], config[j]):
-            return config[j]
-        return config[i]
-
-    def kernel(i, config, u):
-        scaled = u * n
-        j = min(int(scaled), n - 1)
-        frac = scaled - j
-        if frac < p_fn(config[i], config[j]):
             return config[j]
         return config[i]
 
@@ -116,7 +108,6 @@ def selection_mutation(params: SelectionParams) -> SelectionBundle:
         coordinate_box=((0.0, 1.0),),
         name="selection",
         kernel_atoms=kernel_atoms,
-        kernel_stream=kernel_stream,
         base_coupler=base_coupler,
     )
     return SelectionBundle(system=system)

@@ -15,6 +15,7 @@ import dataclasses
 import math
 from typing import Callable, Optional
 
+from ..engine import check_rate
 from ..metrics import LyapunovFn
 from ..particles import SystemSpec
 from ._profiles import smooth_abs, smooth_indicator
@@ -94,7 +95,9 @@ def zigzag(params: ZigZagParams) -> ZigZagBundle:
                 continue
             z += v * gap
             remaining -= gap
-            if stream.random() * ceiling < base_rate(z, v):
+            rate = base_rate(z, v)
+            check_rate(rate, ceiling, "zigzag base flip", i)
+            if stream.random() * ceiling < rate:
                 v = -v
         return (z, v)
 
@@ -110,7 +113,7 @@ def zigzag(params: ZigZagParams) -> ZigZagBundle:
         lam = max(0.0, v * full_gradient(i, config)) - base_rate(z, v)
         return max(0.0, lam)
 
-    def kernel(i, config, u):
+    def kernel(i, config, stream):
         z, v = config[i]
         return (z, -v)
 

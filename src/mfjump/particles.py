@@ -15,19 +15,18 @@ import math
 from typing import Callable, Optional, Sequence
 
 from .engine import (
-    _CEILING_SLACK,
     JUMP_ACCEPTED,
     JUMP_REJECTED,
     SAMPLE,
     EmpiricalMeasure,
     Event,
     ModelSpec,
-    RateCeilingError,
     Trajectory,
+    check_rate,
+    clock,
 )
 
 __all__ = [
-    "CoordinateRateError",
     "SystemSpec",
     "empirical",
     "meanfield_system",
@@ -35,10 +34,6 @@ __all__ = [
 ]
 
 State = tuple
-
-
-class CoordinateRateError(RateCeilingError):
-    """A coordinate's jump rate exceeded the system ceiling."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,17 +46,14 @@ class SystemSpec:
             base motion of coordinate ``i``.
         rate: ``(i, config) -> float`` jump rate of coordinate ``i`` given the
             full configuration.
-        kernel: ``(i, config, u) -> coord_state`` post-jump state of
-            coordinate ``i`` from one uniform variate.
+        kernel: ``(i, config, stream) -> coord_state`` post-jump state of
+            coordinate ``i``, drawing any variates it needs from ``stream``.
         rate_ceiling: Uniform bound on every coordinate rate.
         coordinate_layout: Per-component kind of one coordinate.
         coordinate_box: Per-component range of one coordinate.
         name: Human-readable system name.
         kernel_atoms: Optional ``(i, config) -> [(coord_state, w), ...]``
             atoms of the jump kernel of coordinate ``i``.
-        kernel_stream: Optional ``(i, config, stream) -> coord_state`` kernel
-            for jumps needing more than one variate; preferred over ``kernel``
-            by the simulator when present.
         base_coupler: Optional ``(i, cx, cy, stream) -> machine`` factory for
             coupled base motion of one coordinate pair (see
             :mod:`mfjump.coupling`).
@@ -76,20 +68,12 @@ class SystemSpec:
     coordinate_box: tuple
     name: str
     kernel_atoms: Optional[Callable] = None
-    kernel_stream: Optional[Callable] = None
     base_coupler: Optional[Callable] = None
 
 
 def empirical(config: Sequence[State]) -> EmpiricalMeasure:
     """Empirical measure of a configuration (uniform over coordinates)."""
     return EmpiricalMeasure.from_states(config)
-
-
-def _check_coordinate_rate(rate: float, ceiling: float, i: int, name: str) -> None:
-    if rate > ceiling * (1.0 + _CEILING_SLACK) + 1e-12:
-        raise CoordinateRateError(
-            f"{name}: coordinate {i} rate {rate} exceeds ceiling {ceiling}"
-        )
 
 
 def simulate_system(
@@ -112,8 +96,6 @@ def simulate_system(
         raise ValueError("system rate ceiling must be finite and nonnegative")
     if len(initial) != n:
         raise ValueError(f"expected {n} coordinates, got {len(initial)}")
-    total_rate = n * ceiling
-    pending = sorted(set(float(ts) for ts in sample_times))
     events: list[Event] = []
     sample_states: dict[float, tuple] = {}
     t = 0.0
@@ -127,34 +109,22 @@ def simulate_system(
         for i in range(n):
             config[i] = tuple(system.base_flow(i, config[i], dt, stream))
 
-    next_prop = (
-        t + stream.exponential(1.0 / total_rate) if total_rate > 0.0 else math.inf
-    )
-    si = 0
-    while True:
-        t_sample = pending[si] if si < len(pending) else math.inf
-        t_next = min(t_sample, next_prop)
-        if t_next > horizon:
-            break
-        if t_sample <= next_prop:
-            flow_all(t_sample - t)
-            t = t_sample
+    for t_event, kind in clock(horizon, n * ceiling, stream, sample_times):
+        if kind == SAMPLE:
+            flow_all(t_event - t)
+            t = t_event
             snapshot = tuple(config)
             events.append(Event(time=t, kind=SAMPLE, state=snapshot))
-            sample_states[t_sample] = snapshot
-            si += 1
+            sample_states[t] = snapshot
             continue
         i = int(stream.integers(n))
-        flow_all(next_prop - t)
-        t = next_prop
+        flow_all(t_event - t)
+        t = t_event
         full = tuple(config)
         rate_i = system.rate(i, full)
-        _check_coordinate_rate(rate_i, ceiling, i, system.name)
+        check_rate(rate_i, ceiling, system.name, i)
         if stream.random() * ceiling < rate_i:
-            if system.kernel_stream is not None:
-                config[i] = tuple(system.kernel_stream(i, full, stream))
-            else:
-                config[i] = tuple(system.kernel(i, full, stream.random()))
+            config[i] = tuple(system.kernel(i, full, stream))
             n_accepted += 1
             if record_events:
                 events.append(Event(time=t, kind=JUMP_ACCEPTED, state=tuple(config)))
@@ -162,7 +132,6 @@ def simulate_system(
             n_rejected += 1
             if record_events:
                 events.append(Event(time=t, kind=JUMP_REJECTED, state=full))
-        next_prop = t + stream.exponential(1.0 / total_rate)
     flow_all(horizon - t)
     return Trajectory(
         initial=initial_config,
@@ -191,8 +160,8 @@ def meanfield_system(model_or_bundle, n_particles: int) -> SystemSpec:
     def rate(i, config):
         return model.rate(config[i], empirical(config))
 
-    def kernel(i, config, u):
-        return model.kernel(config[i], empirical(config), u)
+    def kernel(i, config, stream):
+        return model.kernel(config[i], empirical(config), stream.random())
 
     kernel_atoms = None
     if model.kernel_atoms is not None:

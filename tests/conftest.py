@@ -146,7 +146,7 @@ def flip_system(
     def rate(i, state):
         return rates[i]
 
-    def kernel(i, state, u):
+    def kernel(i, state, stream):
         return (1 - state[i][0],)
 
     def kernel_atoms(i, state):

@@ -24,7 +24,7 @@ def write_config(path, payload):
     return str(path)
 
 
-def couple_config(tmp_path, replicas=64):
+def couple_config(tmp_path, replicas=64, **run_changes):
     return write_config(
         tmp_path / "couple.json",
         {
@@ -40,6 +40,7 @@ def couple_config(tmp_path, replicas=64):
                 "sample_times": [0.5, 1.0],
                 "flow1": {"type": "constant", "atom": [0.3, 1]},
                 "flow2": {"type": "constant", "atom": [-0.3, -1]},
+                **run_changes,
             },
         },
     )
@@ -514,6 +515,41 @@ def test_non_numeric_simulate_fields_fail_without_output(tmp_path, change, expec
     cfg = simulate_config(tmp_path, **change)
     out = tmp_path / "out"
     res = run_cli(["simulate", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, expected)
+
+
+@pytest.mark.parametrize(
+    "kind, change, expected",
+    [
+        (
+            "couple",
+            {"flow1": {"type": "constant", "atom": ["a", 1]}},
+            "state entry must be a finite number, got 'a'",
+        ),
+        ("couple", {"x0": ["a", 1]}, "state entry must be a finite number, got 'a'"),
+        (
+            "particles",
+            {"x0": [[0.1], [None], [0.9]]},
+            "state entry must be a finite number, got None",
+        ),
+    ],
+    ids=["couple-flow-atom", "couple-x0", "particles-coordinate"],
+)
+def test_non_numeric_state_entries_fail_without_output(tmp_path, kind, change, expected):
+    if kind == "couple":
+        cfg = couple_config(tmp_path, replicas=4, **change)
+    else:
+        cfg = write_config(
+            tmp_path / "part.json",
+            {
+                "schema": 1,
+                "kind": "particles",
+                "model": {"id": "selection", "params": {"n_particles": 3}},
+                "run": {"horizon": 1.0, "replicas": 2, "sample_times": [1.0], **change},
+            },
+        )
+    out = tmp_path / "out"
+    res = run_cli([kind, "--config", cfg, "--out", str(out)])
     assert_one_line_error(res, out, expected)
 
 

@@ -37,7 +37,7 @@ from mfjump.models import (
     selection_mutation,
     tcp,
 )
-from mfjump.particles import CoordinateRateError
+from mfjump.engine import RateCeilingError
 
 from conftest import (
     constant_flow,
@@ -376,7 +376,7 @@ def test_coupled_system_equal_starts_stay_equal(rng):
 
 def test_coupled_system_rate_violation_error_names_the_coordinate():
     system = flip_system(2, rates=(1.0, 3.0), ceiling=2.0)
-    with pytest.raises(CoordinateRateError) as err:
+    with pytest.raises(RateCeilingError) as err:
         simulate_coupled_system(
             system, ((0,), (0,)), ((0,), (1,)), 50.0, 1.0, 2.0, make_rng(5)
         )

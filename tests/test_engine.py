@@ -11,12 +11,15 @@ from scipy import stats
 from mfjump.engine import (
     JUMP_ACCEPTED,
     JUMP_REJECTED,
+    PROPOSAL,
     SAMPLE,
+    WINDOW,
     EmpiricalMeasure,
     MeasureFlow,
     ModelSpec,
     RateCeilingError,
     Trajectory,
+    clock,
     flow_sample,
     picard_solve,
     simulate_nonlinear,
@@ -118,6 +121,66 @@ def test_measure_flow_constant():
 
 # ---------------------------------------------------------------------------
 # deterministic flow maps
+
+
+class _GapStream:
+    """Stand-in stream whose exponential gaps are fixed in advance."""
+
+    def __init__(self, gaps):
+        self.gaps = list(gaps)
+        self.draws = 0
+
+    def exponential(self, scale):
+        self.draws += 1
+        return self.gaps.pop(0)
+
+
+def test_clock_orders_ties_sample_then_window_then_proposal():
+    stream = _GapStream([1.0, 0.5, 10.0])
+    events = list(clock(2.0, 1.0, stream, sample_times=(1.0, 0.5), window=1.0))
+    assert events == [
+        (0.5, SAMPLE),
+        (1.0, SAMPLE),
+        (1.0, WINDOW),
+        (1.0, PROPOSAL),
+        (1.5, PROPOSAL),
+        (2.0, WINDOW),
+    ]
+
+
+def test_clock_yields_a_repeated_sample_time_once():
+    events = list(clock(1.0, 0.0, _GapStream([]), sample_times=(0.5, 0.5, 0.5)))
+    assert events == [(0.5, SAMPLE)]
+
+
+def test_clock_windows_fall_at_exact_multiples():
+    times = [t for t, _ in clock(1.0, 0.0, _GapStream([]), window=0.1)]
+    assert times == [k * 0.1 for k in range(1, 11)]
+
+
+def test_clock_yields_nothing_past_the_horizon(rng):
+    events = list(clock(3.0, 5.0, rng, sample_times=(3.0, 3.5), window=0.7))
+    assert events and max(t for t, _ in events) <= 3.0
+    assert (3.0, SAMPLE) in events
+    assert (3.5, SAMPLE) not in events
+
+
+def test_clock_at_rate_zero_proposes_nothing_and_draws_nothing():
+    stream = _GapStream([])
+    events = list(clock(5.0, 0.0, stream, sample_times=(1.0,), window=2.0))
+    assert events == [(1.0, SAMPLE), (2.0, WINDOW), (4.0, WINDOW)]
+    assert stream.draws == 0
+
+
+def test_clock_draws_the_next_gap_only_when_resumed():
+    stream = _GapStream([0.5, 0.25, 10.0])
+    ticks = clock(5.0, 1.0, stream)
+    assert next(ticks) == (0.5, PROPOSAL)
+    assert stream.draws == 1
+    assert next(ticks) == (0.75, PROPOSAL)
+    assert stream.draws == 2
+    assert list(ticks) == []
+    assert stream.draws == 3
 
 
 def test_flow_sample_zero_duration_is_identity(rng):

@@ -102,6 +102,23 @@ CASES = {
     ),
 }
 
+#: ``particles`` runs of more systems: model id -> (params, x0, seed, sha256).
+#: The ``mh`` system's kernel reads two variates; ``zigzag``'s reads none.
+PARTICLE_CASES = {
+    "mh": (
+        {"n_sites": 3, "beta": 1.0, "lam_bar": 2.0},
+        [[0.1], [0.5], [0.9]],
+        3,
+        "3abc9a87f2aa91ae97086c66409697dbf1f272ce9fdb1e62efc44000a89a12ce",
+    ),
+    "zigzag": (
+        {"n_particles": 3},
+        [[1.0, 1], [-0.8, -1], [0.3, 1]],
+        6,
+        "8d041e7a03fa0b2668425866826f48a6a7f3e0e8919e965a1676c8bd0ee6fcf1",
+    ),
+}
+
 #: sha256 of the repr of the library mean-field run below.
 MEANFIELD_SHA256 = (
     "5ede2ffbff86f1562e5f65f72d1ba662541f3935bb0da9899e40cd831c5b812e"
@@ -112,9 +129,7 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("kind", sorted(CASES))
-def test_cli_output_bytes_are_pinned(tmp_path, kind):
-    model, run, seed, name, pinned = CASES[kind]
+def _cli_output_sha256(tmp_path, kind, model, run, seed, name) -> str:
     config = {"schema": 1, "kind": kind, "run": run}
     if model is not None:
         config["model"] = model
@@ -127,7 +142,22 @@ def test_cli_output_bytes_are_pinned(tmp_path, kind):
         catch_exceptions=False,
     )
     assert res.exit_code == 0, res.output
-    assert _sha256((out / name).read_bytes()) == pinned
+    return _sha256((out / name).read_bytes())
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_cli_output_bytes_are_pinned(tmp_path, kind):
+    model, run, seed, name, pinned = CASES[kind]
+    assert _cli_output_sha256(tmp_path, kind, model, run, seed, name) == pinned
+
+
+@pytest.mark.parametrize("model_id", sorted(PARTICLE_CASES))
+def test_particles_output_bytes_are_pinned(tmp_path, model_id):
+    params, x0, seed, pinned = PARTICLE_CASES[model_id]
+    model = {"id": model_id, "params": params}
+    run = {"x0": x0, "horizon": 1.0, "replicas": 3, "sample_times": [0.5, 1.0]}
+    sha = _cli_output_sha256(tmp_path, "particles", model, run, seed, "particles.csv")
+    assert sha == pinned
 
 
 def test_meanfield_library_run_is_pinned():

@@ -11,6 +11,7 @@ from scipy import stats
 from mfjump.engine import (
     EmpiricalMeasure,
     MeasureFlow,
+    RateCeilingError,
     flow_sample,
     picard_solve,
     simulate_nonlinear_unbounded,
@@ -385,8 +386,26 @@ def test_zigzag_kernel_flips_direction():
         )
     )
     state = ((0.4, 1), (-0.2, -1))
-    assert bundle.system.kernel(0, state, 0.5) == (0.4, -1)
-    assert bundle.system.kernel(1, state, 0.5) == (-0.2, 1)
+    stream = make_rng(0)
+    assert bundle.system.kernel(0, state, stream) == (0.4, -1)
+    assert bundle.system.kernel(1, state, stream) == (-0.2, 1)
+    assert stream.random() == make_rng(0).random()
+
+
+def test_zigzag_base_flips_check_their_ceiling():
+    bundle = zigzag(
+        ZigZagParams(
+            n_particles=1,
+            ui=lambda z: 0.5 * z * z,
+            ui_prime=lambda z: z,
+            w1=None,
+            theta_bound=0.1,
+            ui_prime_lipschitz=0.0,
+        )
+    )
+    with pytest.raises(RateCeilingError) as err:
+        bundle.system.base_flow(0, (0.5, 1), 3.0, make_rng(3))
+    assert "coordinate 0" in str(err.value)
 
 
 def test_zigzag_coordinate_lyapunov_frozen_value():

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mfjump.engine import JUMP_ACCEPTED, JUMP_REJECTED, SAMPLE
+from mfjump.engine import JUMP_ACCEPTED, JUMP_REJECTED, SAMPLE, RateCeilingError
 from mfjump.metrics import measure_tv, states_equal
 from mfjump.particles import (
-    CoordinateRateError,
     SystemSpec,
     empirical,
     meanfield_system,
@@ -87,7 +86,7 @@ def test_accepted_proposals_change_exactly_one_coordinate(rng):
 
 def test_rate_violation_error_names_the_coordinate():
     sys = flip_system(2, rates=(1.0, 3.0), ceiling=2.0)
-    with pytest.raises(CoordinateRateError) as err:
+    with pytest.raises(RateCeilingError) as err:
         simulate_system(sys, ((0,), (0,)), 50.0, make_rng(5))
     assert "coordinate 1" in str(err.value)
 
@@ -103,7 +102,7 @@ def test_single_particle_system_matches_frozen_measure_dynamics():
         def rate(i, state):
             return 1.0
 
-        def kernel(i, state, u):
+        def kernel(i, state, stream):
             return (1 - state[i][0],)
 
         return SystemSpec(
@@ -163,7 +162,7 @@ def test_exchangeable_coordinates_have_matching_laws():
             frac = sum(c[0] for c in state) / len(state)
             return 0.5 + 0.5 * frac
 
-        def kernel(i, state, u):
+        def kernel(i, state, stream):
             return (1 - state[i][0],)
 
         return SystemSpec(
