@@ -173,7 +173,10 @@ def _state(value) -> tuple:
     return tuple(value)
 
 
-def _config_states(value) -> tuple:
+def _config_states(value, name: str) -> tuple:
+    """A list of states (a configuration, or ``m0``), else a one-line error."""
+    if not isinstance(value, list):
+        raise click.ClickException(f"{name} must be a list of states, got {value!r}")
     return tuple(_state(coord) for coord in value)
 
 
@@ -240,32 +243,21 @@ def _replica_streams(seed: int, n: int) -> list:
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
-# The worker and streams of a replica pool, set in each forked worker by the
-# pool initializer.  They reach the workers through fork, not pickle, so no
-# model closure has to pickle: only chunk bounds and results are pickled.
-_POOL_TASK: tuple = ()
+def _run_chunk(connection, worker: Callable, streams: Sequence, start: int, stop: int) -> None:
+    """Run replicas ``start <= r < stop`` in a forked worker process.
 
-
-def _set_pool_task(worker: Callable, streams: Sequence) -> None:
-    global _POOL_TASK
-    _POOL_TASK = (worker, streams)
-
-
-def _run_chunk(bounds: tuple) -> tuple:
-    """Run replicas ``start <= r < stop`` of the pool task.
-
-    Returns ``(results, failure)``: the chunk stops at its first failing
-    replica and returns that exception as ``failure`` (``None`` if all ran).
+    Sends ``(results, failure)`` through ``connection``: the chunk stops at
+    its first failing replica and sends that exception as ``failure``
+    (``None`` if all ran).
     """
-    worker, streams = _POOL_TASK
-    start, stop = bounds
-    results = []
+    results, failure = [], None
     for r in range(start, stop):
         try:
             results.append(worker(r, streams[r]))
         except Exception as exc:
-            return [], exc
-    return results, None
+            results, failure = [], exc
+            break
+    connection.send((results, failure))
 
 
 def _map_replicas(worker: Callable, streams: Sequence, threads: int) -> list:
@@ -273,36 +265,52 @@ def _map_replicas(worker: Callable, streams: Sequence, threads: int) -> list:
 
     With ``threads > 1`` the replicas are split into contiguous chunks, one
     per forked worker process (serially where ``fork`` is unavailable).  The
-    chunks are gathered in order, so the list, and the first failure raised,
-    are those of the serial run.  The workers are forked because model
-    closures cannot be pickled; forking is safe because the CLI starts no
-    threads of its own.
+    chunks are read in order, so the list, and the first failure raised, are
+    those of the serial run; once a chunk fails, the later workers are
+    stopped without waiting for them.  The workers are forked because model
+    closures cannot be pickled (only results are); forking is safe because
+    the CLI starts no threads of its own.
     """
     n = len(streams)
     workers = min(threads, n)
     if workers > 1:
-        # Imported here, not at the top: they add to every start-up.
+        # Imported here, not at the top: it adds to every start-up.
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
 
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers <= 1:
         return [worker(r, stream) for r, stream in enumerate(streams)]
-    bounds = [(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
     context = multiprocessing.get_context("fork")
+    chunks = []
     results = []
-    with ProcessPoolExecutor(
-        workers, context, _set_pool_task, (worker, streams)
-    ) as pool:
-        try:
-            for chunk, failure in pool.map(_run_chunk, bounds):
-                if failure is not None:
-                    raise failure
-                results.extend(chunk)
-        except BrokenProcessPool:
-            raise click.ClickException("a replica worker process exited unexpectedly")
+    try:
+        for k in range(workers):
+            receive, send = context.Pipe(duplex=False)
+            bounds = (n * k // workers, n * (k + 1) // workers)
+            process = context.Process(
+                target=_run_chunk, args=(send, worker, streams, *bounds), daemon=True
+            )
+            process.start()
+            # Only the worker holds the sending end, so its death ends the pipe.
+            send.close()
+            chunks.append((process, receive))
+        for _, receive in chunks:
+            try:
+                chunk, failure = receive.recv()
+            except EOFError:
+                raise click.ClickException("a replica worker process exited unexpectedly")
+            if failure is not None:
+                raise failure
+            results.extend(chunk)
+    except BaseException:
+        for process, _ in chunks:
+            process.terminate()
+        raise
+    finally:
+        for process, receive in chunks:
+            process.join()
+            receive.close()
     return results
 
 
@@ -522,7 +530,7 @@ def picard(config_path, out_dir, seed, threads) -> None:
             "this model does not define a measure-driven (single-state) form"
         )
     run = cfg["run"]
-    m0_states = [_state(s) for s in _field(run, "m0")]
+    m0_states = _config_states(_field(run, "m0"), "m0")
     if not m0_states:
         raise click.ClickException("m0 must contain at least one state")
     weight = 1.0 / len(m0_states)
@@ -559,7 +567,7 @@ def particles(config_path, out_dir, seed, threads) -> None:
             "this model does not define an interacting particle system"
         )
     run = cfg["run"]
-    x0 = _config_states(_field(run, "x0"))
+    x0 = _config_states(_field(run, "x0"), "x0")
     horizon = _horizon(run)
     replicas = _replica_count(run)
     times = _sample_times(run, horizon)
@@ -602,8 +610,8 @@ def couple_particles(config_path, out_dir, seed, threads) -> None:
             f"system {system.name!r} provides no kernel atoms"
         )
     run = cfg["run"]
-    x0 = _config_states(_field(run, "x0"))
-    y0 = _config_states(_field(run, "y0"))
+    x0 = _config_states(_field(run, "x0"), "x0")
+    y0 = _config_states(_field(run, "y0"), "y0")
     horizon = _horizon(run)
     t0 = _number(_field(run, "t0"), "t0")
     replicas = _replica_count(run)

@@ -16,7 +16,6 @@ Three layers build on each other:
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 from typing import Callable, Optional, Sequence
@@ -34,7 +33,7 @@ from .engine import (
     clock,
 )
 from .metrics import dbar1, quantize_state, states_equal
-from .particles import SystemSpec
+from .particles import SystemSpec, _base_machine, _flow_machines, _SynchronizedBaseMachine
 
 __all__ = [
     "CoupledEvent",
@@ -263,10 +262,6 @@ class _TelegraphCouplerMachine:
         self._commit_side: Optional[str] = None
         self._coordinate()
 
-    @property
-    def merged(self) -> bool:
-        return self._merged
-
     def _exp(self) -> float:
         if self._c <= 0.0:
             return math.inf
@@ -308,10 +303,18 @@ class _TelegraphCouplerMachine:
         else:
             self._y = (self._y[0] + self._y[1] * dt, self._y[1])
 
-    def advance(self, dt: float) -> list:
+    def advance(self, dt: float) -> Sequence:
         """Advance by ``dt``; returns ``(offset, x, y, is_merge)`` points."""
         start = self._t
         end = start + dt
+        if self._merged and self._tx > end:
+            # No flip before ``end``: one move of the shared state.
+            move = end - start
+            if move > 0.0:
+                position, velocity = self._x
+                self._x = self._y = (position + velocity * move, velocity)
+            self._t = end
+            return ((dt, self._x, self._x, False),)
         points = []
         while True:
             t_next = min(self._tx, self._ty)
@@ -377,18 +380,17 @@ class _RefreshCouplerMachine:
             self._y = self._x
         self._next = self._t + self._gap()
 
-    @property
-    def merged(self) -> bool:
-        return self._merged
-
     def _gap(self) -> float:
         if self._rate <= 0.0:
             return math.inf
         return self._stream.exponential(1.0 / self._rate)
 
-    def advance(self, dt: float) -> list:
+    def advance(self, dt: float) -> Sequence:
         start = self._t
         end = start + dt
+        if self._next > end:
+            self._t = end
+            return ((dt, self._x, self._y, False),)
         points = []
         while self._next <= end:
             self._t = self._next
@@ -402,43 +404,6 @@ class _RefreshCouplerMachine:
         self._t = end
         points.append((dt, self._x, self._y, False))
         return points
-
-
-class _SynchronizedBaseMachine:
-    """Fallback pair evolution: both sides consume identical base-flow draws.
-
-    Used when a system provides no base coupler.  A merged pair stays merged
-    because the base flow is a deterministic function of state and draws.
-    """
-
-    def __init__(self, base_flow: Callable, index: int, x, y, stream):
-        self._base_flow = base_flow
-        self._i = index
-        self._stream = stream
-        self._x = tuple(x)
-        self._y = tuple(y)
-        self._merged = states_equal(self._x, self._y)
-        if self._merged:
-            self._y = self._x
-
-    @property
-    def merged(self) -> bool:
-        return self._merged
-
-    def advance(self, dt: float) -> list:
-        if dt > 0.0:
-            if self._merged:
-                self._x = tuple(self._base_flow(self._i, self._x, dt, self._stream))
-                self._y = self._x
-            else:
-                twin = copy.deepcopy(self._stream)
-                self._x = tuple(self._base_flow(self._i, self._x, dt, self._stream))
-                self._y = tuple(self._base_flow(self._i, self._y, dt, twin))
-        was_merged = self._merged
-        self._merged = states_equal(self._x, self._y)
-        if self._merged:
-            self._y = self._x
-        return [(dt, self._x, self._y, self._merged and not was_merged)]
 
 
 def make_telegraph_coupler(flip_rate: float) -> Callable:
@@ -745,11 +710,7 @@ def simulate_coupled_system(
     coupler_streams = stream.spawn(n)
 
     def build_machine(i: int):
-        if system.base_coupler is not None:
-            return system.base_coupler(i, xs[i], ys[i], coupler_streams[i])
-        return _SynchronizedBaseMachine(
-            system.base_flow, i, xs[i], ys[i], coupler_streams[i]
-        )
+        return _base_machine(system, i, xs[i], ys[i], coupler_streams[i])
 
     machines = [build_machine(i) for i in range(n)]
     events: list[CoupledSystemEvent] = []
@@ -758,12 +719,7 @@ def simulate_coupled_system(
 
     def flow_all(upto: float) -> None:
         nonlocal t
-        dt = upto - t
-        if dt > 0.0:
-            for i in range(n):
-                _, sx, sy, _ = machines[i].advance(dt)[-1]
-                xs[i] = tuple(sx)
-                ys[i] = tuple(sy)
+        _flow_machines(machines, upto - t, xs, ys)
         t = upto
 
     total_rate = n * lam_star

@@ -207,7 +207,9 @@ class ModelSpec:
             of the jump kernel itself.
         base_coupler: Optional ``(x, y, stream) -> machine`` factory producing
             a coupled simulator of two base motions (see
-            :mod:`mfjump.coupling`).
+            :mod:`mfjump.coupling`).  Started on the diagonal (``x == y``)
+            the machine is the base motion itself, and it drives each
+            coordinate of the model's ``meanfield_system`` in single runs.
         gap_bins: Bins per real coordinate used when comparing measure flows.
     """
 

@@ -10,6 +10,7 @@ enters.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from typing import Callable, Optional, Sequence
@@ -25,6 +26,7 @@ from .engine import (
     check_rate,
     clock,
 )
+from .metrics import states_equal
 
 __all__ = [
     "SystemSpec",
@@ -56,7 +58,9 @@ class SystemSpec:
             atoms of the jump kernel of coordinate ``i``.
         base_coupler: Optional ``(i, cx, cy, stream) -> machine`` factory for
             coupled base motion of one coordinate pair (see
-            :mod:`mfjump.coupling`).
+            :mod:`mfjump.coupling`).  Started on the diagonal (``cx == cy``)
+            the machine is the base motion of coordinate ``i``, and it drives
+            single runs of :func:`simulate_system` too.
     """
 
     n_particles: int
@@ -76,6 +80,65 @@ def empirical(config: Sequence[State]) -> EmpiricalMeasure:
     return EmpiricalMeasure.from_states(config)
 
 
+class _SynchronizedBaseMachine:
+    """Fallback pair evolution: both sides consume identical base-flow draws.
+
+    Used when a system provides no base coupler.  A merged pair stays merged
+    because the base flow is a deterministic function of state and draws, so
+    a merged machine is one ``base_flow`` call per advance.
+    """
+
+    def __init__(self, base_flow: Callable, index: int, x, y, stream):
+        self._base_flow = base_flow
+        self._i = index
+        self._stream = stream
+        self._x = tuple(x)
+        self._y = tuple(y)
+        self._merged = states_equal(self._x, self._y)
+        if self._merged:
+            self._y = self._x
+
+    def advance(self, dt: float) -> Sequence:
+        if self._merged:
+            if dt > 0.0:
+                self._x = self._y = tuple(
+                    self._base_flow(self._i, self._x, dt, self._stream)
+                )
+            return ((dt, self._x, self._y, False),)
+        if dt > 0.0:
+            twin = copy.deepcopy(self._stream)
+            self._x = tuple(self._base_flow(self._i, self._x, dt, self._stream))
+            self._y = tuple(self._base_flow(self._i, self._y, dt, twin))
+        self._merged = states_equal(self._x, self._y)
+        if self._merged:
+            self._y = self._x
+        return [(dt, self._x, self._y, self._merged)]
+
+
+def _base_machine(system: SystemSpec, i: int, cx, cy, stream):
+    """The base machine of coordinate ``i`` started at the pair ``(cx, cy)``.
+
+    It is the system's ``base_coupler``, or, where none is declared, the
+    synchronized machine over ``base_flow``.  On the diagonal it is the base
+    motion of one coordinate.
+    """
+    if system.base_coupler is not None:
+        return system.base_coupler(i, cx, cy, stream)
+    return _SynchronizedBaseMachine(system.base_flow, i, cx, cy, stream)
+
+
+def _flow_machines(machines: list, dt: float, xs: list, ys: Optional[list] = None) -> None:
+    """Advance every coordinate machine by ``dt``, storing its end state tuples."""
+    if dt <= 0.0:
+        return
+    if ys is None:
+        for i, machine in enumerate(machines):
+            xs[i] = machine.advance(dt)[-1][1]
+        return
+    for i, machine in enumerate(machines):
+        _, xs[i], ys[i], _ = machine.advance(dt)[-1]
+
+
 def simulate_system(
     system: SystemSpec,
     initial: Sequence[State],
@@ -86,9 +149,13 @@ def simulate_system(
 ) -> Trajectory:
     """Simulate an interacting system by global-clock thinning.
 
-    Events carry full configurations (tuples of coordinate states).  With
-    ``record_events=False`` only sample events are kept, while accepted and
-    rejected proposals are still counted.
+    Each coordinate moves by its base machine (:func:`_base_machine`) started
+    on the diagonal and drawing from ``stream``: the system's
+    ``base_coupler`` where one is declared, else synchronized ``base_flow``
+    calls.  An accepted jump restarts the machine of the coordinate that
+    jumped.  Events carry full configurations (tuples of coordinate states).
+    With ``record_events=False`` only sample events are kept, while accepted
+    and rejected proposals are still counted.
     """
     n = system.n_particles
     ceiling = system.rate_ceiling
@@ -101,30 +168,26 @@ def simulate_system(
     t = 0.0
     config = [tuple(c) for c in initial]
     initial_config = tuple(config)
+    machines = [_base_machine(system, i, c, c, stream) for i, c in enumerate(config)]
     n_accepted = n_rejected = 0
-
-    def flow_all(dt: float) -> None:
-        if dt <= 0.0:
-            return
-        for i in range(n):
-            config[i] = tuple(system.base_flow(i, config[i], dt, stream))
 
     for t_event, kind in clock(horizon, n * ceiling, stream, sample_times):
         if kind == SAMPLE:
-            flow_all(t_event - t)
+            _flow_machines(machines, t_event - t, config)
             t = t_event
             snapshot = tuple(config)
             events.append(Event(time=t, kind=SAMPLE, state=snapshot))
             sample_states[t] = snapshot
             continue
         i = int(stream.integers(n))
-        flow_all(t_event - t)
+        _flow_machines(machines, t_event - t, config)
         t = t_event
         full = tuple(config)
         rate_i = system.rate(i, full)
         check_rate(rate_i, ceiling, system.name, i)
         if stream.random() * ceiling < rate_i:
             config[i] = tuple(system.kernel(i, full, stream))
+            machines[i] = _base_machine(system, i, config[i], config[i], stream)
             n_accepted += 1
             if record_events:
                 events.append(Event(time=t, kind=JUMP_ACCEPTED, state=tuple(config)))
@@ -132,7 +195,7 @@ def simulate_system(
             n_rejected += 1
             if record_events:
                 events.append(Event(time=t, kind=JUMP_REJECTED, state=full))
-    flow_all(horizon - t)
+    _flow_machines(machines, horizon - t, config)
     return Trajectory(
         initial=initial_config,
         final_state=tuple(config),

@@ -18,6 +18,23 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+class CountingStream:
+    """A generator wrapper that counts the calls of each drawing method."""
+
+    def __init__(self, stream):
+        self._stream = stream
+        self.counts: dict = {}
+
+    def __getattr__(self, name):
+        method = getattr(self._stream, name)
+
+        def counted(*args, **kwargs):
+            self.counts[name] = self.counts.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
 def flip_model(rate_value: float = 2.0, ceiling: float = 2.0) -> ModelSpec:
     """Two-state flip dynamics: constant jump rate, kernel toggles the label.
 

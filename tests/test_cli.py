@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -441,6 +442,25 @@ def test_replica_failure_reports_lowest_index_at_any_threads(tmp_path, monkeypat
         assert_one_line_error(res, out, "replica 3: forced failure")
 
 
+def test_failing_chunk_stops_later_workers(tmp_path, monkeypatch):
+    original = cli.simulate_merge_split
+
+    def fail_on_replica_0_sleep_elsewhere(*args, **kwargs):
+        if args[7].bit_generator.seed_seq.spawn_key[-1] == 0:
+            raise ValueError("forced failure")
+        time.sleep(5.0)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_merge_split", fail_on_replica_0_sleep_elsewhere)
+    cfg = couple_config(tmp_path, replicas=4)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    res = run_cli(["couple", "--config", cfg, "--threads", "2", "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert_one_line_error(res, out, "replica 0: forced failure")
+    assert elapsed < 2.0
+
+
 def test_dead_worker_process_fails_without_output(tmp_path, monkeypatch):
     original = cli.simulate_merge_split
 
@@ -551,6 +571,41 @@ def test_non_numeric_state_entries_fail_without_output(tmp_path, kind, change, e
     out = tmp_path / "out"
     res = run_cli([kind, "--config", cfg, "--out", str(out)])
     assert_one_line_error(res, out, expected)
+
+
+def picard_config(tmp_path, **run_changes):
+    return write_config(
+        tmp_path / "pic.json",
+        {
+            "schema": 1,
+            "kind": "picard",
+            "model": {"id": "run-tumble", "params": {"theta": 0.1}},
+            "run": {
+                "m0": [[0.0, 1]], "horizon": 1.0, "grid_step": 0.25,
+                "n_samples": 10, "tol": 0.05, "max_iter": 4, **run_changes,
+            },
+        },
+    )
+
+
+@pytest.mark.parametrize("value", [5, "abc"], ids=["number", "string"])
+@pytest.mark.parametrize(
+    "kind, key",
+    [("particles", "x0"), ("couple-particles", "x0"), ("couple-particles", "y0"),
+     ("picard", "m0")],
+    ids=["particles-x0", "couple-particles-x0", "couple-particles-y0", "picard-m0"],
+)
+def test_non_list_configurations_fail_without_output(tmp_path, kind, key, value):
+    if kind == "picard":
+        cfg = picard_config(tmp_path, **{key: value})
+    else:
+        path = pathlib.Path(selection_config(tmp_path, kind, replicas=2))
+        payload = json.loads(path.read_text())
+        payload["run"][key] = value
+        cfg = write_config(path, payload)
+    out = tmp_path / "out"
+    res = run_cli([kind, "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, f"{key} must be a list of states, got {value!r}")
 
 
 def test_non_integer_n_samples_fails_without_output(tmp_path):

@@ -13,6 +13,7 @@ from mfjump.coupling import (
     UnsupportedCouplingError,
     coupled_base,
     estimate_doeblin_alpha,
+    make_telegraph_coupler,
     optimal_pair_sampler,
     overlap_decompose,
     simulate_coupled_system,
@@ -29,6 +30,7 @@ from mfjump.metrics import (
 )
 from mfjump.models import (
     MhParams,
+    build_model,
     RunTumbleParams,
     SelectionParams,
     TcpParams,
@@ -40,6 +42,7 @@ from mfjump.models import (
 from mfjump.engine import RateCeilingError
 
 from conftest import (
+    CountingStream,
     constant_flow,
     flip_system,
     make_rng,
@@ -220,6 +223,70 @@ def test_coupled_base_marginals_match_base_flow():
         direct_ends.append(flow_sample(model, (0.3, 1), 1.5, make_rng(210_000 + r)))
     binning = make_binning(("real", "label"), ((-3.0, 3.0), (-1.0, 1.0)), bins=8)
     assert histogram_tv(coupled_ends, direct_ends, binning) < 0.15
+
+
+def _run_tumble_diagonal():
+    model = run_tumble(RunTumbleParams(theta=0.1)).model
+    return model.base_coupler, model.base_flow, (0.0, 1), 1.0
+
+
+def _system_diagonal(system, start, total):
+    def coupler(x, y, stream):
+        return system.base_coupler(0, x, y, stream)
+
+    def flow(state, dt, stream):
+        return system.base_flow(0, state, dt, stream)
+
+    return coupler, flow, start, total
+
+
+#: Diagonal machine cases: name -> () -> (coupler, base flow, start, total time).
+DIAGONAL_CASES = {
+    "run-tumble": _run_tumble_diagonal,
+    "selection": lambda: _system_diagonal(
+        selection_mutation(SelectionParams(n_particles=4)).system, (0.9,), 1.0
+    ),
+    "mh": lambda: _system_diagonal(
+        build_model("mh", {"lam_bar": 4.0}).system, (0.9,), 2.0
+    ),
+}
+
+
+def _mean_and_se(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+    return abs(a.mean() - b.mean()), se
+
+
+@pytest.mark.parametrize("case", sorted(DIAGONAL_CASES))
+def test_diagonal_machine_in_small_steps_matches_base_flow(case):
+    coupler, base_flow, start, total = DIAGONAL_CASES[case]()
+    n, steps = 20_000, 20
+    machine_stream, flow_stream = make_rng(61_000), make_rng(62_000)
+    machine_ends = []
+    for _ in range(n):
+        machine = coupler(start, start, machine_stream)
+        for _ in range(steps):
+            _, x, y, _ = machine.advance(total / steps)[-1]
+            assert x == y  # a pair started merged stays merged
+        machine_ends.append(x)
+    flow_ends = [tuple(base_flow(start, total, flow_stream)) for _ in range(n)]
+    # The velocity flipped (telegraph) or the state was refreshed.
+    changed = [[s[-1] != start[-1] for s in ends] for ends in (machine_ends, flow_ends)]
+    positions = [[s[0] for s in ends] for ends in (machine_ends, flow_ends)]
+    for machine_side, flow_side in (changed, positions):
+        gap, se = _mean_and_se(machine_side, flow_side)
+        assert gap < 4.0 * se, (case, gap, se)
+
+
+def test_merged_telegraph_machine_draws_once_per_flip():
+    stream = CountingStream(make_rng(63_000))
+    machine = make_telegraph_coupler(1.0)((0.0, 1), (0.0, 1), stream)
+    flips = 0
+    for _ in range(1000):
+        # Every point before the last one is a flip.
+        flips += len(machine.advance(1e-3)) - 1
+    assert stream.counts == {"exponential": flips + 1}
 
 
 def test_refresh_chain_merging_probability_is_exponential():

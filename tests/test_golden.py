@@ -88,7 +88,7 @@ CASES = {
         },
         9,
         "particles.csv",
-        "258b7b731c93ff93387ba6bb83f39d91c8d87cd4985107754e649f91fa17e7f3",
+        "9a6a26e0dbf5825cb4121a4fb3e2019243251c3c6b8cf4ad4f93722ffdd26bb1",
     ),
     "couple-particles": (
         SELECTION,
@@ -109,7 +109,7 @@ PARTICLE_CASES = {
         {"n_sites": 3, "beta": 1.0, "lam_bar": 2.0},
         [[0.1], [0.5], [0.9]],
         3,
-        "3abc9a87f2aa91ae97086c66409697dbf1f272ce9fdb1e62efc44000a89a12ce",
+        "ea50026ec845588f46e57d0e54593b67e686ab1095de42901ee940797ecc232d",
     ),
     "zigzag": (
         {"n_particles": 3},
@@ -121,7 +121,7 @@ PARTICLE_CASES = {
 
 #: sha256 of the repr of the library mean-field run below.
 MEANFIELD_SHA256 = (
-    "5ede2ffbff86f1562e5f65f72d1ba662541f3935bb0da9899e40cd831c5b812e"
+    "5b92da91215a29b41a6fb50b5b708e66d6ac6ddac9f948fd391f68d97cdc2a74"
 )
 
 

@@ -21,7 +21,7 @@ from mfjump.particles import (
 from mfjump.engine import simulate_nonlinear
 from mfjump.models import run_tumble, RunTumbleParams
 
-from conftest import constant_flow, flip_model, flip_system, make_rng
+from conftest import CountingStream, constant_flow, flip_model, flip_system, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,20 @@ def test_meanfield_moment_reader_never_quantises(monkeypatch):
     initial = tuple((0.25 * k, 1 if k % 2 else -1) for k in range(8))
     traj = simulate_system(sys, initial, 2.0, make_rng(8), sample_times=(2.0,))
     assert traj.n_accepted > 0
+
+
+def test_meanfield_run_draws_per_base_event_not_per_coordinate():
+    # Each coordinate keeps its pending flip, so a run draws one exponential
+    # per machine start, proposal gap and flip: a few hundred here, where
+    # flowing every coordinate at every proposal draws thousands.
+    n = 64
+    sys = meanfield_system(run_tumble(RunTumbleParams(theta=0.5)), n)
+    initial = tuple(((k - 31.5) / 16.0, 1 if k % 2 else -1) for k in range(n))
+    stream = CountingStream(make_rng(12))
+    traj = simulate_system(sys, initial, 1.0, stream, sample_times=(0.5, 1.0))
+    proposals = traj.n_accepted + traj.n_rejected
+    assert proposals > 50
+    assert stream.counts["exponential"] < 4 * (n + proposals)
 
 
 def test_meanfield_system_size_and_ceiling():
