@@ -385,12 +385,9 @@ class _RefreshCouplerMachine:
             return math.inf
         return self._stream.exponential(1.0 / self._rate)
 
-    def advance(self, dt: float) -> Sequence:
+    def advance(self, dt: float) -> list:
         start = self._t
         end = start + dt
-        if self._next > end:
-            self._t = end
-            return ((dt, self._x, self._y, False),)
         points = []
         while self._next <= end:
             self._t = self._next

@@ -55,8 +55,8 @@ def quantize_state(state: State) -> State:
 
 
 def states_equal(x: State, y: State) -> bool:
-    """Whether two states agree up to quantisation (equal states need none)."""
-    return x == y or (len(x) == len(y) and quantize_state(x) == quantize_state(y))
+    """Whether two states agree up to quantisation."""
+    return len(x) == len(y) and quantize_state(x) == quantize_state(y)
 
 
 # ---------------------------------------------------------------------------

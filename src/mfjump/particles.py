@@ -127,13 +127,13 @@ def _base_machine(system: SystemSpec, i: int, cx, cy, stream):
     return _SynchronizedBaseMachine(system.base_flow, i, cx, cy, stream)
 
 
-def _flow_machines(machines: list, dt: float, xs: list, ys: Optional[list] = None) -> None:
-    """Advance every coordinate machine by ``dt``, storing its end state tuples."""
+def _flow_machines(machines: list, dt: float, xs: list, ys: list) -> None:
+    """Advance every coordinate machine by ``dt``, storing its end states.
+
+    A single run passes its configuration as both ``xs`` and ``ys``: on the
+    diagonal the two sides are one state.
+    """
     if dt <= 0.0:
-        return
-    if ys is None:
-        for i, machine in enumerate(machines):
-            xs[i] = machine.advance(dt)[-1][1]
         return
     for i, machine in enumerate(machines):
         _, xs[i], ys[i], _ = machine.advance(dt)[-1]
@@ -173,14 +173,14 @@ def simulate_system(
 
     for t_event, kind in clock(horizon, n * ceiling, stream, sample_times):
         if kind == SAMPLE:
-            _flow_machines(machines, t_event - t, config)
+            _flow_machines(machines, t_event - t, config, config)
             t = t_event
             snapshot = tuple(config)
             events.append(Event(time=t, kind=SAMPLE, state=snapshot))
             sample_states[t] = snapshot
             continue
         i = int(stream.integers(n))
-        _flow_machines(machines, t_event - t, config)
+        _flow_machines(machines, t_event - t, config, config)
         t = t_event
         full = tuple(config)
         rate_i = system.rate(i, full)
@@ -195,7 +195,7 @@ def simulate_system(
             n_rejected += 1
             if record_events:
                 events.append(Event(time=t, kind=JUMP_REJECTED, state=full))
-    _flow_machines(machines, horizon - t, config)
+    _flow_machines(machines, horizon - t, config, config)
     return Trajectory(
         initial=initial_config,
         final_state=tuple(config),
