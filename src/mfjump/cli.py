@@ -1,21 +1,26 @@
 """Command-line front end for simulation and coupling experiments.
 
 Every subcommand reads a single JSON config (``schema: 1``) whose ``kind``
-must match the subcommand, runs its replicas with independently seeded
-streams, and writes one CSV file with a fixed header into ``--out``.
-``--threads K`` runs the replicas of ``simulate``, ``particles``, ``couple``
-and ``couple-particles`` in up to K forked worker processes, each taking one
-contiguous block of replica indices; the other kinds run serially.  The pair
-(config, seed) determines the output byte-exactly, regardless of
-``--threads``: replica streams are pre-spawned from the seed, results are
-gathered in replica order, and a failing run reports its lowest failing
-replica.  A malformed config or a failing replica gives a one-line error and
-writes nothing.  The ``MFJUMP_LOG`` environment variable (``off``, ``info``,
-``trace``) controls logging verbosity.
+must match the subcommand and writes one CSV file with a fixed header into
+``--out``.  Every kind takes one path: load the config, build the model
+bundle (not for ``certify``), call the kind's run function from ``KINDS``,
+write the CSV.  Each state read is checked against the model's or system's
+layout, and replicas run through :meth:`_Run.replicas`.
+
+``--threads K`` runs the replicas of ``simulate``, ``particles``, ``couple``,
+``couple-particles`` and ``estimate`` in up to K forked worker processes,
+each taking one contiguous block of replica indices; ``picard`` and
+``certify`` run serially.  The pair (config, seed) determines the output
+byte-exactly, regardless of ``--threads``: replica streams are pre-spawned
+from the seed, results are gathered in replica order, and a failing run
+reports its lowest failing replica.  A malformed config or a failing replica
+gives a one-line error and writes nothing.  The ``MFJUMP_LOG`` environment
+variable (``off``, ``info``, ``trace``) controls logging verbosity.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -31,11 +36,7 @@ from .certificates import (
     nonlinear_certificate,
     particle_certificate,
 )
-from .coupling import (
-    estimate_doeblin_alpha,
-    simulate_coupled_system,
-    simulate_merge_split,
-)
+from .coupling import coupled_base, simulate_coupled_system, simulate_merge_split
 from .engine import (
     EmpiricalMeasure,
     MeasureFlow,
@@ -45,7 +46,7 @@ from .engine import (
     simulate_nonlinear_unbounded,
 )
 from .metrics import dbar1, estimate_tv_bound, estimate_vnorm_bound
-from .models import build_model
+from .models import MODEL_REGISTRY, build_model
 from .particles import simulate_system
 
 __all__ = ["main"]
@@ -75,39 +76,22 @@ def main() -> None:
     _configure_logging()
 
 
-def _common_options(fn: Callable) -> Callable:
-    fn = click.option(
-        "--threads",
-        default=1,
-        show_default=True,
-        type=click.IntRange(min=1),
-        help=(
-            "Maximum worker processes for replicas (forked; the output does "
-            "not depend on it). estimate, picard and certify ignore it."
-        ),
-    )(fn)
-    fn = click.option(
-        "--seed",
-        default=0,
-        show_default=True,
-        type=int,
-        help="Root seed for all replica streams.",
-    )(fn)
-    fn = click.option(
-        "--out",
-        "out_dir",
-        required=True,
-        type=click.Path(file_okay=False),
-        help="Directory receiving the output CSV.",
-    )(fn)
-    fn = click.option(
-        "--config",
-        "config_path",
-        required=True,
-        type=click.Path(exists=True, dir_okay=False),
-        help="JSON experiment config.",
-    )(fn)
-    return fn
+def _options() -> list:
+    """The options every kind takes."""
+    return [
+        click.Option(["--config", "config_path"], required=True,
+                     type=click.Path(exists=True, dir_okay=False),
+                     help="JSON experiment config."),
+        click.Option(["--out", "out_dir"], required=True,
+                     type=click.Path(file_okay=False),
+                     help="Directory receiving the output CSV."),
+        click.Option(["--seed"], default=0, show_default=True, type=int,
+                     help="Root seed for all replica streams."),
+        click.Option(["--threads"], default=1, show_default=True,
+                     type=click.IntRange(min=1),
+                     help="Maximum worker processes for replicas (forked; the "
+                     "output does not depend on it). picard and certify ignore it."),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -147,37 +131,20 @@ def _build_bundle(cfg: dict):
         raise click.ClickException(
             "config must contain a 'model' object with an 'id'"
         )
+    model_id = model_cfg["id"]
+    if not isinstance(model_id, str) or model_id not in MODEL_REGISTRY:
+        raise click.ClickException(f"unknown model id {model_id!r}")
     params = model_cfg.get("params", {})
     if not isinstance(params, dict):
         raise click.ClickException("model 'params' must be an object")
     try:
-        return build_model(model_cfg["id"], params)
-    except KeyError:
-        raise click.ClickException(f"unknown model id {model_cfg['id']!r}")
+        return build_model(model_id, params)
+    except KeyError as exc:
+        raise click.ClickException(
+            f"model {model_id!r} is missing parameter {exc.args[0]!r}"
+        )
     except (TypeError, ValueError) as exc:
         raise click.ClickException(f"invalid model parameters: {exc}")
-
-
-def _field(run: dict, key: str):
-    if key not in run:
-        raise click.ClickException(f"config run section is missing '{key}'")
-    return run[key]
-
-
-def _state(value) -> tuple:
-    """A state array of finite numbers; integers stay integers (labels)."""
-    if not isinstance(value, (list, tuple)):
-        raise click.ClickException(f"expected a state array, got {value!r}")
-    for entry in value:
-        _number(entry, "state entry")
-    return tuple(value)
-
-
-def _config_states(value, name: str) -> tuple:
-    """A list of states (a configuration, or ``m0``), else a one-line error."""
-    if not isinstance(value, list):
-        raise click.ClickException(f"{name} must be a list of states, got {value!r}")
-    return tuple(_state(coord) for coord in value)
 
 
 def _number(value, name: str, integer: bool = False):
@@ -192,50 +159,120 @@ def _number(value, name: str, integer: bool = False):
     return value if integer else float(value)
 
 
-def _replica_count(run: dict, minimum: int = 1) -> int:
-    replicas = _number(_field(run, "replicas"), "replicas", integer=True)
-    if replicas < minimum:
-        raise click.ClickException(f"replicas must be at least {minimum}")
-    return replicas
+#: bundle attribute -> (layout field, box field, what a bundle without it lacks)
+_PARTS = {
+    "model": ("state_layout", "state_box", "a measure-driven (single-state) form"),
+    "system": ("coordinate_layout", "coordinate_box", "an interacting particle system"),
+}
 
 
-def _horizon(run: dict) -> float:
-    horizon = _number(_field(run, "horizon"), "horizon")
-    if horizon <= 0.0:
-        raise click.ClickException("horizon must be positive")
-    return horizon
+class _Run:
+    """One run of a kind: its ``run`` fields, its model part and its replicas.
 
+    :meth:`part` picks the bundle's model or system; every state read after
+    it is checked against that part's layout.
+    """
 
-def _sample_times(run: dict, horizon: float) -> tuple:
-    times = _field(run, "sample_times")
-    if not isinstance(times, list):
-        raise click.ClickException(f"sample_times must be a list, got {times!r}")
-    times = tuple(_number(t, "sample time") for t in times)
-    for t in times:
-        if not 0.0 <= t <= horizon:
+    def __init__(self, kind: str, fields: dict, bundle, seed: int, threads: int):
+        self.kind = kind
+        self.fields = fields
+        self.bundle = bundle
+        self.seed = seed
+        self.threads = threads
+        self.name = None
+        self.layout = self.box = ()
+
+    def part(self, attr: str):
+        layout, box, form = _PARTS[attr]
+        part = getattr(self.bundle, attr, None)
+        if part is None:
+            raise click.ClickException(f"this model does not define {form}")
+        self.layout, self.box = getattr(part, layout), getattr(part, box)
+        self.name = part.name
+        return part
+
+    def field(self, key: str):
+        if key not in self.fields:
+            raise click.ClickException(f"config run section is missing '{key}'")
+        return self.fields[key]
+
+    def number(self, key: str, integer: bool = False):
+        return _number(self.field(key), key, integer)
+
+    def check_state(self, value, name: str) -> tuple:
+        """A state of the part's layout: one finite number per component,
+        and each label one of the values its box entry lists."""
+        if not isinstance(value, (list, tuple)):
+            raise click.ClickException(f"expected a state array, got {value!r}")
+        if len(value) != len(self.layout):
             raise click.ClickException(
-                f"sample time {t} lies outside [0, horizon {horizon}]"
+                f"{name} {value!r} has length {len(value)}; a {self.name} "
+                f"state has length {len(self.layout)}"
             )
-    return times
+        for entry, kind, allowed in zip(value, self.layout, self.box):
+            _number(entry, "state entry")
+            if kind == "label" and entry not in allowed:
+                raise click.ClickException(
+                    f"{name} {value!r}: label {entry!r} is not one of "
+                    f"{list(allowed)}"
+                )
+        return tuple(value)
 
+    def state(self, key: str) -> tuple:
+        return self.check_state(self.field(key), key)
 
-def _flow_from(spec, horizon: float) -> MeasureFlow:
-    if not isinstance(spec, dict) or spec.get("type") != "constant":
-        raise click.ClickException(
-            f"unsupported flow spec {spec!r}; expected "
-            '{"type": "constant", "atom": [...]}'
+    def states(self, key: str) -> tuple:
+        """A list of states (a configuration, or ``m0``)."""
+        value = self.field(key)
+        if not isinstance(value, list):
+            raise click.ClickException(f"{key} must be a list of states, got {value!r}")
+        return tuple(self.check_state(state, key) for state in value)
+
+    def replica_count(self, minimum: int = 1) -> int:
+        replicas = self.number("replicas", integer=True)
+        if replicas < minimum:
+            raise click.ClickException(f"replicas must be at least {minimum}")
+        return replicas
+
+    def horizon(self) -> float:
+        horizon = self.number("horizon")
+        if horizon <= 0.0:
+            raise click.ClickException("horizon must be positive")
+        return horizon
+
+    def sample_times(self, horizon: float) -> tuple:
+        times = self.field("sample_times")
+        if not isinstance(times, list):
+            raise click.ClickException(f"sample_times must be a list, got {times!r}")
+        times = tuple(_number(t, "sample time") for t in times)
+        for t in times:
+            if not 0.0 <= t <= horizon:
+                raise click.ClickException(
+                    f"sample time {t} lies outside [0, horizon {horizon}]"
+                )
+        return times
+
+    def flow(self, key: str, horizon: float) -> MeasureFlow:
+        spec = self.field(key)
+        if not isinstance(spec, dict) or spec.get("type") != "constant":
+            raise click.ClickException(
+                f"unsupported flow spec {spec!r}; expected "
+                '{"type": "constant", "atom": [...]}'
+            )
+        atom = self.check_state(spec.get("atom"), f"{key}.atom")
+        return MeasureFlow.constant(EmpiricalMeasure.from_states([atom]), horizon)
+
+    def replicas(self, n: int, worker: Callable) -> list:
+        """``worker(replica, stream)`` over ``n`` seeded replicas, in order."""
+        _LOG.info("%s: %d replicas on %s", self.kind, n, self.name)
+        return _map_replicas(
+            _guarded(worker), _replica_streams(self.seed, n), self.threads
         )
-    atom = _state(_field(spec, "atom"))
-    return MeasureFlow.constant(EmpiricalMeasure.from_states([atom]), horizon)
 
 
 # ---------------------------------------------------------------------------
 # Replica execution and CSV emission.
 # ---------------------------------------------------------------------------
-
-
-def _root_stream(seed: int):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def _replica_streams(seed: int, n: int) -> list:
@@ -318,6 +355,7 @@ def _guarded(worker: Callable) -> Callable:
     """Surface model contract violations with the replica index attached."""
 
     def run(replica: int, stream):
+        _LOG.debug("replica %d", replica)
         try:
             return worker(replica, stream)
         except (RateCeilingError, ValueError) as exc:
@@ -346,29 +384,14 @@ def _write_csv(out_dir: str, name: str, header: str, rows: Sequence) -> None:
     _LOG.info("wrote %s (%d rows)", directory / name, len(rows))
 
 
-def _coordinate_header(prefix: str, n_coords: int) -> str:
-    return prefix + ",".join(f"x{k}" for k in range(n_coords))
-
-
-def _se(values: np.ndarray) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(values.std(ddof=1) / math.sqrt(len(values)))
-
-
 # ---------------------------------------------------------------------------
-# Subcommands.
+# The kinds: each run function parses its fields, runs, and reduces to rows.
 # ---------------------------------------------------------------------------
 
 
-@main.command()
-@_common_options
-def certify(config_path, out_dir, seed, threads) -> None:
-    """Evaluate closed-form contraction certificates."""
-    cfg = _load_config(config_path, "certify")
-    run = cfg["run"]
-    family = _field(run, "family")
-    constants = _field(run, "constants")
+def _certify(run: _Run) -> list:
+    family = run.field("family")
+    constants = run.field("constants")
     if not isinstance(constants, dict):
         raise click.ClickException("run 'constants' must be an object")
     constants = dict(constants)
@@ -378,10 +401,7 @@ def certify(config_path, out_dir, seed, threads) -> None:
         if family == "nonlinear":
             certs = [nonlinear_certificate(c)]
         elif family == "particle":
-            certs = [
-                particle_certificate(c, corrected=False),
-                particle_certificate(c, corrected=True),
-            ]
+            certs = [particle_certificate(c, corrected=v) for v in (False, True)]
         else:
             raise click.ClickException(
                 f"unknown certificate family {family!r}; "
@@ -389,55 +409,29 @@ def certify(config_path, out_dir, seed, threads) -> None:
             )
     except (TypeError, ValueError) as exc:
         raise click.ClickException(f"invalid constants: {exc}")
-    rows = [
-        (
-            cert.beta,
-            cert.c_star,
-            cert.kappa,
-            cert.kappa_tilde,
-            bool(cert.contracts),
-            cert.variant,
-            grade,
-        )
+    return [
+        (cert.beta, cert.c_star, cert.kappa, cert.kappa_tilde,
+         bool(cert.contracts), cert.variant, grade)
         for cert in certs
     ]
-    _write_csv(out_dir, "certify.csv", CERTIFY_HEADER, rows)
 
 
-@main.command()
-@_common_options
-def couple(config_path, out_dir, seed, threads) -> None:
-    """Couple two measure-driven runs and estimate distance bounds."""
-    cfg = _load_config(config_path, "couple")
-    bundle = _build_bundle(cfg)
-    model = getattr(bundle, "model", None)
-    lyapunov = getattr(bundle, "lyapunov", None)
-    if model is None or lyapunov is None:
-        raise click.ClickException(
-            "this model does not define a measure-driven form with a "
-            "Lyapunov weight"
-        )
-    run = cfg["run"]
-    x0, y0 = _state(_field(run, "x0")), _state(_field(run, "y0"))
-    horizon = _horizon(run)
-    t0 = _number(_field(run, "t0"), "t0")
+def _couple(run: _Run) -> list:
+    model = run.part("model")
+    lyapunov = getattr(run.bundle, "lyapunov", None)
+    if lyapunov is None:
+        raise click.ClickException("this model does not define a Lyapunov weight")
+    x0, y0 = run.state("x0"), run.state("y0")
+    horizon = run.horizon()
+    t0 = run.number("t0")
     # The bound estimates need a standard error, so at least two pairs.
-    replicas = _replica_count(run, minimum=2)
-    times = _sample_times(run, horizon)
-    flow1 = _flow_from(_field(run, "flow1"), horizon)
-    flow2 = _flow_from(_field(run, "flow2"), horizon)
-    _LOG.info("couple: %d replicas on %s", replicas, model.name)
-
-    def worker(replica, stream):
-        _LOG.debug("couple replica %d", replica)
-        return simulate_merge_split(
-            model, flow1, flow2, x0, y0, horizon, t0, stream,
-            sample_times=times, record_events=False,
-        )
-
-    trajectories = _map_replicas(
-        _guarded(worker), _replica_streams(seed, replicas), threads
-    )
+    replicas = run.replica_count(minimum=2)
+    times = run.sample_times(horizon)
+    flow1, flow2 = run.flow("flow1", horizon), run.flow("flow2", horizon)
+    trajectories = run.replicas(replicas, lambda replica, stream: simulate_merge_split(
+        model, flow1, flow2, x0, y0, horizon, t0, stream,
+        sample_times=times, record_events=False,
+    ))
     rows = []
     for t in times:
         tv = estimate_tv_bound(trajectories, t)
@@ -445,218 +439,159 @@ def couple(config_path, out_dir, seed, threads) -> None:
         rows.append(
             (t, tv.point / 2.0, tv.point, tv.se, vnorm.point, vnorm.se, replicas)
         )
-    _write_csv(out_dir, "couple.csv", COUPLE_HEADER, rows)
+    return rows
 
 
-@main.command()
-@_common_options
-def simulate(config_path, out_dir, seed, threads) -> None:
-    """Simulate independent replicas of a measure-driven model."""
-    cfg = _load_config(config_path, "simulate")
-    bundle = _build_bundle(cfg)
-    model = getattr(bundle, "model", None)
-    if model is None:
-        raise click.ClickException(
-            "this model does not define a measure-driven (single-state) form"
-        )
-    run = cfg["run"]
-    x0 = _state(_field(run, "x0"))
-    horizon = _horizon(run)
-    replicas = _replica_count(run)
-    times = _sample_times(run, horizon)
-    flow = _flow_from(_field(run, "flow"), horizon)
+def _simulate(run: _Run) -> list:
+    model = run.part("model")
+    x0 = run.state("x0")
+    horizon = run.horizon()
+    replicas = run.replica_count()
+    times = run.sample_times(horizon)
+    flow = run.flow("flow", horizon)
     unbounded = math.isinf(model.rate_ceiling)
-    _LOG.info("simulate: %d replicas on %s", replicas, model.name)
-
-    def worker(replica, stream):
-        _LOG.debug("simulate replica %d", replica)
-        if unbounded:
-            return simulate_nonlinear_unbounded(
-                model, flow, x0, horizon, stream,
-                sample_times=times, record_events=False,
-            )
-        return simulate_nonlinear(
-            model, flow, x0, horizon, stream,
-            sample_times=times, record_events=False,
-        )
-
-    trajectories = _map_replicas(
-        _guarded(worker), _replica_streams(seed, replicas), threads
-    )
-    rows = []
-    for replica, trajectory in enumerate(trajectories):
-        for t in times:
-            rows.append((replica, t) + trajectory.state_at_sample(t))
-    header = _coordinate_header("replica,t,", len(model.state_layout))
-    _write_csv(out_dir, "simulate.csv", header, rows)
+    simulate = simulate_nonlinear_unbounded if unbounded else simulate_nonlinear
+    trajectories = run.replicas(replicas, lambda replica, stream: simulate(
+        model, flow, x0, horizon, stream, sample_times=times, record_events=False
+    ))
+    return [
+        (replica, t) + trajectory.state_at_sample(t)
+        for replica, trajectory in enumerate(trajectories)
+        for t in times
+    ]
 
 
-@main.command()
-@_common_options
-def estimate(config_path, out_dir, seed, threads) -> None:
-    """Estimate the one-window merge probability of the base coupling."""
-    cfg = _load_config(config_path, "estimate")
-    bundle = _build_bundle(cfg)
-    model = getattr(bundle, "model", None)
-    if model is None:
-        raise click.ClickException(
-            "this model does not define a measure-driven (single-state) form"
-        )
+def _estimate(run: _Run) -> list:
+    model = run.part("model")
     if model.base_coupler is None:
         raise click.ClickException(
             f"model {model.name!r} provides no coupled base construction"
         )
-    run = cfg["run"]
-    x0, y0 = _state(_field(run, "x0")), _state(_field(run, "y0"))
-    t0 = _number(_field(run, "t0"), "t0")
-    replicas = _replica_count(run)
-    _LOG.info("estimate: %d replicas on %s", replicas, model.name)
-    alpha_hat, alpha_se = estimate_doeblin_alpha(
-        model, lambda _stream: (x0, y0), t0, replicas, _root_stream(seed)
+    x0, y0 = run.state("x0"), run.state("y0")
+    t0 = run.number("t0")
+    replicas = run.replica_count()
+    merged = run.replicas(
+        replicas, lambda replica, stream: coupled_base(model, x0, y0, t0, stream)[2]
     )
-    rows = [(t0, alpha_hat, alpha_se, replicas)]
-    _write_csv(out_dir, "estimate.csv", "t0,alpha_hat,alpha_se,n_replicas", rows)
+    alpha = sum(merged_at is not None for merged_at in merged) / replicas
+    return [(t0, alpha, math.sqrt(alpha * (1.0 - alpha) / replicas), replicas)]
 
 
-@main.command()
-@_common_options
-def picard(config_path, out_dir, seed, threads) -> None:
-    """Solve for a self-consistent measure flow by fixed-point iteration."""
-    cfg = _load_config(config_path, "picard")
-    bundle = _build_bundle(cfg)
-    model = getattr(bundle, "model", None)
-    if model is None:
-        raise click.ClickException(
-            "this model does not define a measure-driven (single-state) form"
-        )
-    run = cfg["run"]
-    m0_states = _config_states(_field(run, "m0"), "m0")
+def _picard(run: _Run) -> list:
+    model = run.part("model")
+    m0_states = run.states("m0")
     if not m0_states:
         raise click.ClickException("m0 must contain at least one state")
     weight = 1.0 / len(m0_states)
     m0 = EmpiricalMeasure(atoms=tuple((s, weight) for s in m0_states))
-    horizon = _horizon(run)
-    grid_step = _number(_field(run, "grid_step"), "grid_step")
-    n_samples = _number(_field(run, "n_samples"), "n_samples", integer=True)
-    tol = _number(_field(run, "tol"), "tol")
-    max_iter = _number(_field(run, "max_iter"), "max_iter", integer=True)
-    _LOG.info("picard: up to %d iterations on %s", max_iter, model.name)
+    horizon = run.horizon()
+    grid_step = run.number("grid_step")
+    n_samples = run.number("n_samples", integer=True)
+    tol = run.number("tol")
+    max_iter = run.number("max_iter", integer=True)
+    _LOG.info("picard: %d samples per grid point, up to %d iterations on %s",
+              n_samples, max_iter, model.name)
     try:
         result = picard_solve(
             model, m0, horizon, grid_step, n_samples, tol, max_iter,
-            _root_stream(seed),
+            np.random.Generator(np.random.Philox(np.random.SeedSequence(run.seed))),
         )
     except (RateCeilingError, ValueError) as exc:
         raise click.ClickException(str(exc))
-    rows = [
+    return [
         (iteration + 1, gap, bool(gap <= tol))
         for iteration, gap in enumerate(result.gap_history)
     ]
-    _write_csv(out_dir, "picard.csv", "iteration,gap,converged", rows)
 
 
-@main.command()
-@_common_options
-def particles(config_path, out_dir, seed, threads) -> None:
-    """Simulate independent replicas of an interacting particle system."""
-    cfg = _load_config(config_path, "particles")
-    bundle = _build_bundle(cfg)
-    system = getattr(bundle, "system", None)
-    if system is None:
-        raise click.ClickException(
-            "this model does not define an interacting particle system"
-        )
-    run = cfg["run"]
-    x0 = _config_states(_field(run, "x0"), "x0")
-    horizon = _horizon(run)
-    replicas = _replica_count(run)
-    times = _sample_times(run, horizon)
-    _LOG.info("particles: %d replicas of %s", replicas, system.name)
-
-    def worker(replica, stream):
-        _LOG.debug("particles replica %d", replica)
-        return simulate_system(
-            system, x0, horizon, stream, sample_times=times, record_events=False
-        )
-
-    trajectories = _map_replicas(
-        _guarded(worker), _replica_streams(seed, replicas), threads
-    )
-    rows = []
-    for replica, trajectory in enumerate(trajectories):
-        for t in times:
-            config = trajectory.state_at_sample(t)
-            for index, coordinate in enumerate(config):
-                rows.append((replica, t, index) + tuple(coordinate))
-    header = _coordinate_header(
-        "replica,t,particle,", len(system.coordinate_layout)
-    )
-    _write_csv(out_dir, "particles.csv", header, rows)
+def _particles(run: _Run) -> list:
+    system = run.part("system")
+    x0 = run.states("x0")
+    horizon = run.horizon()
+    replicas = run.replica_count()
+    times = run.sample_times(horizon)
+    trajectories = run.replicas(replicas, lambda replica, stream: simulate_system(
+        system, x0, horizon, stream, sample_times=times, record_events=False
+    ))
+    return [
+        (replica, t, index) + tuple(coordinate)
+        for replica, trajectory in enumerate(trajectories)
+        for t in times
+        for index, coordinate in enumerate(trajectory.state_at_sample(t))
+    ]
 
 
-@main.command(name="couple-particles")
-@_common_options
-def couple_particles(config_path, out_dir, seed, threads) -> None:
-    """Couple two particle-system runs and track the split counter."""
-    cfg = _load_config(config_path, "couple-particles")
-    bundle = _build_bundle(cfg)
-    system = getattr(bundle, "system", None)
-    if system is None:
-        raise click.ClickException(
-            "this model does not define an interacting particle system"
-        )
+def _couple_particles(run: _Run) -> list:
+    system = run.part("system")
     if system.kernel_atoms is None:
         raise click.ClickException(
             f"system {system.name!r} provides no kernel atoms"
         )
-    run = cfg["run"]
-    x0 = _config_states(_field(run, "x0"), "x0")
-    y0 = _config_states(_field(run, "y0"), "y0")
-    horizon = _horizon(run)
-    t0 = _number(_field(run, "t0"), "t0")
-    replicas = _replica_count(run)
-    times = _sample_times(run, horizon)
-    theta = float(system.rate_ceiling)
-    if "theta" in run:
-        theta = _number(run["theta"], "theta")
-    _LOG.info("couple-particles: %d replicas of %s", replicas, system.name)
-
-    def worker(replica, stream):
-        _LOG.debug("couple-particles replica %d", replica)
-        return simulate_coupled_system(
+    x0, y0 = run.states("x0"), run.states("y0")
+    horizon = run.horizon()
+    t0 = run.number("t0")
+    replicas = run.replica_count()
+    times = run.sample_times(horizon)
+    theta = run.number("theta") if "theta" in run.fields else float(system.rate_ceiling)
+    trajectories = run.replicas(
+        replicas, lambda replica, stream: simulate_coupled_system(
             system, x0, y0, horizon, t0, theta, stream,
             sample_times=times, record_events=False,
         )
-
-    trajectories = _map_replicas(
-        _guarded(worker), _replica_streams(seed, replicas), threads
     )
     rows = []
     for t in times:
         js = np.array([trajectory.j_at(t) for trajectory in trajectories])
         dbars = np.array(
-            [
-                dbar1(trajectory.sample_at(t)[0], trajectory.sample_at(t)[1])
-                for trajectory in trajectories
-            ]
+            [dbar1(*trajectory.sample_at(t)[:2]) for trajectory in trajectories]
         )
+        j_se = float(js.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
         violations = int(np.sum(2.0 * js < dbars - 1e-9))
         rows.append(
-            (
-                t,
-                float(js.mean()),
-                _se(js),
-                float(dbars.mean()),
-                violations,
-                replicas,
-            )
+            (t, float(js.mean()), j_se, float(dbars.mean()), violations, replicas)
         )
-    _write_csv(
-        out_dir,
-        "couple_particles.csv",
+    return rows
+
+
+#: kind -> (run function, output file, header, help).  ``{coords}`` in a
+#: header stands for one column per component of the kind's states.
+KINDS = {
+    "certify": (_certify, "certify.csv", CERTIFY_HEADER,
+                "Evaluate closed-form contraction certificates."),
+    "couple": (_couple, "couple.csv", COUPLE_HEADER,
+               "Couple two measure-driven runs and estimate distance bounds."),
+    "simulate": (_simulate, "simulate.csv", "replica,t,{coords}",
+                 "Simulate independent replicas of a measure-driven model."),
+    "estimate": (_estimate, "estimate.csv", "t0,alpha_hat,alpha_se,n_replicas",
+                 "Estimate the one-window merge probability of the base coupling."),
+    "picard": (_picard, "picard.csv", "iteration,gap,converged",
+               "Solve for a self-consistent measure flow by fixed-point iteration."),
+    "particles": (_particles, "particles.csv", "replica,t,particle,{coords}",
+                  "Simulate independent replicas of an interacting particle system."),
+    "couple-particles": (
+        _couple_particles, "couple_particles.csv",
         "t,mean_J,J_se,mean_dbar1,violations,n_replicas",
-        rows,
-    )
+        "Couple two particle-system runs and track the split counter.",
+    ),
+}
+
+
+def _command(kind: str, config_path, out_dir, seed, threads) -> None:
+    """Load, build, run and write: the one path every kind takes."""
+    run_kind, name, header, _ = KINDS[kind]
+    cfg = _load_config(config_path, kind)
+    bundle = None if kind == "certify" else _build_bundle(cfg)
+    run = _Run(kind, cfg["run"], bundle, seed, threads)
+    rows = run_kind(run)
+    coords = ",".join(f"x{k}" for k in range(len(run.layout)))
+    _write_csv(out_dir, name, header.format(coords=coords), rows)
+
+
+for _kind, (_, _, _, _help) in KINDS.items():
+    main.add_command(click.Command(
+        _kind, callback=functools.partial(_command, _kind), params=_options(),
+        help=_help,
+    ))
 
 
 if __name__ == "__main__":

@@ -433,6 +433,8 @@ def coupled_base(model: ModelSpec, x, y, t0: float, stream):
         raise UnsupportedCouplingError(
             f"model {model.name!r} provides no coupled base construction"
         )
+    if t0 <= 0.0:
+        raise ValueError("window length t0 must be positive")
     x = tuple(x)
     y = tuple(y)
     machine = model.base_coupler(x, y, stream)

@@ -195,7 +195,10 @@ class ModelSpec:
         rate_ceiling: Global upper bound on ``rate`` (may be ``inf`` when a
             ``local_bound`` is supplied instead).
         state_layout: Per-component kind, ``"real"`` or ``"label"``.
-        state_box: Per-component ``(low, high)`` ranges used for binning.
+        state_box: Per-component ``(low, high)`` ranges used for binning.  A
+            label's entry lists the values it may take (binning never reads
+            it): ``(-1, 1)`` is the set {-1, +1}.  The CLI checks states
+            against it.
         name: Human-readable model name.
         local_bound: Optional ``(state, dt, measures) -> float`` ceiling valid
             along a base flight of length ``dt`` started at ``state``, where

@@ -52,7 +52,10 @@ class SystemSpec:
             coordinate ``i``, drawing any variates it needs from ``stream``.
         rate_ceiling: Uniform bound on every coordinate rate.
         coordinate_layout: Per-component kind of one coordinate.
-        coordinate_box: Per-component range of one coordinate.
+        coordinate_box: Per-component range of one coordinate.  A label's
+            entry lists the values it may take (binning never reads it):
+            ``(-1, 1)`` is the set {-1, +1}.  The CLI checks coordinates
+            against it.
         name: Human-readable system name.
         kernel_atoms: Optional ``(i, config) -> [(coord_state, w), ...]``
             atoms of the jump kernel of coordinate ``i``.

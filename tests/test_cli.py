@@ -391,9 +391,22 @@ def selection_config(tmp_path, kind, replicas):
     )
 
 
+def estimate_config(tmp_path, replicas):
+    return write_config(
+        tmp_path / "est.json",
+        {
+            "schema": 1,
+            "kind": "estimate",
+            "model": {"id": "run-tumble", "params": {"theta": 0.05}},
+            "run": {"x0": [0.1, 1], "y0": [-0.1, 1], "t0": 1.5, "replicas": replicas},
+        },
+    )
+
+
 #: kind -> (config builder taking (tmp_path, replicas), output file).
 POOL_KINDS = {
     "couple": (couple_config, "couple.csv"),
+    "estimate": (estimate_config, "estimate.csv"),
     "simulate": (lambda tmp, n: simulate_config(tmp, replicas=n), "simulate.csv"),
     "particles": (
         lambda tmp, n: selection_config(tmp, "particles", n), "particles.csv"
@@ -653,3 +666,80 @@ def test_module_entry_point_runs_a_command(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = (out / "certify.csv").read_text().splitlines()
     assert lines[0] == CERTIFY_HEADER
+
+
+@pytest.mark.parametrize(
+    "kind, key, value, expected",
+    [
+        ("couple", "x0", [0.1, 7], "x0 [0.1, 7]: label 7 is not one of [-1, 1]"),
+        ("couple", "x0", [0.1, 0], "x0 [0.1, 0]: label 0 is not one of [-1, 1]"),
+        (
+            "particles",
+            "x0",
+            [[0.1], [0.1, 5], [0.9]],
+            "x0 [0.1, 5] has length 2; a selection state has length 1",
+        ),
+        (
+            "simulate",
+            "x0",
+            [0.1],
+            "x0 [0.1] has length 1; a run-tumble state has length 2",
+        ),
+        (
+            "couple",
+            "flow2",
+            {"type": "constant", "atom": [-0.3, 2]},
+            "flow2.atom [-0.3, 2]: label 2 is not one of [-1, 1]",
+        ),
+        ("picard", "m0", [[0.0, 1], [0.5]], "m0 [0.5] has length 1"),
+    ],
+    ids=[
+        "couple-label-7", "couple-label-0", "particles-arity", "simulate-arity",
+        "couple-flow-atom-label", "picard-m0-arity",
+    ],
+)
+def test_states_off_the_model_layout_fail_without_output(
+    tmp_path, kind, key, value, expected
+):
+    if kind == "couple":
+        cfg = couple_config(tmp_path, replicas=4, **{key: value})
+    elif kind == "simulate":
+        cfg = simulate_config(tmp_path, **{key: value})
+    elif kind == "picard":
+        cfg = picard_config(tmp_path, **{key: value})
+    else:
+        path = pathlib.Path(selection_config(tmp_path, kind, replicas=2))
+        payload = json.loads(path.read_text())
+        payload["run"][key] = value
+        cfg = write_config(path, payload)
+    out = tmp_path / "out"
+    res = run_cli([kind, "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, expected)
+
+
+def test_missing_model_parameter_is_named(tmp_path):
+    cfg = write_config(
+        tmp_path / "zigzag.json",
+        {
+            "schema": 1,
+            "kind": "particles",
+            "model": {"id": "zigzag", "params": {}},
+            "run": {
+                "x0": [[1.0, 1], [-0.8, -1]], "horizon": 1.0, "replicas": 2,
+                "sample_times": [1.0],
+            },
+        },
+    )
+    out = tmp_path / "out"
+    res = run_cli(["particles", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, "model 'zigzag' is missing parameter 'n_particles'")
+
+
+def test_estimate_nonpositive_window_fails_without_output(tmp_path):
+    path = pathlib.Path(estimate_config(tmp_path, replicas=4))
+    payload = json.loads(path.read_text())
+    payload["run"]["t0"] = -1.0
+    cfg = write_config(path, payload)
+    out = tmp_path / "out"
+    res = run_cli(["estimate", "--config", cfg, "--threads", "2", "--out", str(out)])
+    assert_one_line_error(res, out, "replica 0: window length t0 must be positive")

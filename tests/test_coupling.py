@@ -289,6 +289,44 @@ def test_merged_telegraph_machine_draws_once_per_flip():
     assert stream.counts == {"exponential": flips + 1}
 
 
+#: Run-tumble's telegraph base motion, started at (0, +1) and read at time t:
+#: name -> (model, stream, t) -> state.
+TELEGRAPH_MOTIONS = {
+    "diagonal-machine": lambda model, stream, t: (
+        model.base_coupler((0.0, 1), (0.0, 1), stream).advance(t)[-1][1]
+    ),
+    "base-flow": lambda model, stream, t: model.base_flow((0.0, 1), t, stream),
+}
+
+
+def telegraph_moment_z(motion: str, seed: int, n: int = 16_000, t: float = 0.5):
+    """z-scores of the sample means of ``v_t`` and ``x_t`` against the exact
+    telegraph moments at flip rate ``c`` started at ``(0, +1)``:
+    ``E[v_t] = exp(-2ct)`` and ``E[x_t] = (1 - exp(-2ct)) / (2c)``.
+
+    At ``c = 1``, ``t = 0.5`` and ``n = 16000`` a flip rate of ``0.8c`` moves
+    ``E[v_t]`` by 0.081 (about 11 SE) and ``E[x_t]`` by 0.028 (about 12 SE).
+    """
+    params = RunTumbleParams(theta=0.1)
+    c = params.base_rate
+    model = run_tumble(params).model
+    stream = make_rng(seed)
+    ends = np.array([TELEGRAPH_MOTIONS[motion](model, stream, t) for _ in range(n)])
+    exact_v = math.exp(-2.0 * c * t)
+    exact_x = (1.0 - exact_v) / (2.0 * c)
+    return tuple(
+        (values.mean() - exact) / (values.std(ddof=1) / math.sqrt(n))
+        for values, exact in ((ends[:, 1], exact_v), (ends[:, 0], exact_x))
+    )
+
+
+@pytest.mark.parametrize("motion", sorted(TELEGRAPH_MOTIONS))
+def test_telegraph_base_motion_matches_exact_moments(motion):
+    z_v, z_x = telegraph_moment_z(motion, seed=71_000)
+    assert abs(z_v) < 4.0, (motion, z_v)
+    assert abs(z_x) < 4.0, (motion, z_x)
+
+
 def test_refresh_chain_merging_probability_is_exponential():
     params = MhParams(
         u=lambda x: math.cos(2.0 * math.pi * x),
