@@ -26,7 +26,7 @@ import logging
 import math
 import os
 import pathlib
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import click
 import numpy as np
@@ -221,11 +221,16 @@ class _Run:
     def state(self, key: str) -> tuple:
         return self.check_state(self.field(key), key)
 
-    def states(self, key: str) -> tuple:
-        """A list of states (a configuration, or ``m0``)."""
+    def states(self, key: str, count: Optional[int] = None) -> tuple:
+        """A list of states: ``m0``, or a configuration of ``count`` coordinates."""
         value = self.field(key)
         if not isinstance(value, list):
             raise click.ClickException(f"{key} must be a list of states, got {value!r}")
+        if count is not None and len(value) != count:
+            raise click.ClickException(
+                f"{key} has {len(value)} coordinates; a {self.name} configuration "
+                f"has {count}"
+            )
         return tuple(self.check_state(state, key) for state in value)
 
     def replica_count(self, minimum: int = 1) -> int:
@@ -506,7 +511,7 @@ def _picard(run: _Run) -> list:
 
 def _particles(run: _Run) -> list:
     system = run.part("system")
-    x0 = run.states("x0")
+    x0 = run.states("x0", system.n_particles)
     horizon = run.horizon()
     replicas = run.replica_count()
     times = run.sample_times(horizon)
@@ -527,12 +532,15 @@ def _couple_particles(run: _Run) -> list:
         raise click.ClickException(
             f"system {system.name!r} provides no kernel atoms"
         )
-    x0, y0 = run.states("x0"), run.states("y0")
+    x0 = run.states("x0", system.n_particles)
+    y0 = run.states("y0", system.n_particles)
     horizon = run.horizon()
     t0 = run.number("t0")
     replicas = run.replica_count()
     times = run.sample_times(horizon)
     theta = run.number("theta") if "theta" in run.fields else float(system.rate_ceiling)
+    if theta < 0.0:
+        raise click.ClickException(f"theta must be nonnegative, got {theta}")
     trajectories = run.replicas(
         replicas, lambda replica, stream: simulate_coupled_system(
             system, x0, y0, horizon, t0, theta, stream,

@@ -33,7 +33,7 @@ from .engine import (
     clock,
 )
 from .metrics import dbar1, quantize_state, states_equal
-from .particles import SystemSpec, _base_machine, _flow_machines, _SynchronizedBaseMachine
+from .particles import SystemSpec, _base_machine, _flow_machines
 
 __all__ = [
     "CoupledEvent",
@@ -45,6 +45,7 @@ __all__ = [
     "coupled_base",
     "estimate_doeblin_alpha",
     "make_refresh_coupler",
+    "make_refresh_flow",
     "make_telegraph_coupler",
     "optimal_pair_sampler",
     "overlap_decompose",
@@ -421,6 +422,17 @@ def make_refresh_coupler(rate: float) -> Callable:
     return factory
 
 
+def make_refresh_flow(rate: float) -> Callable:
+    """Base flow refreshing the state to ``Uniform[0, 1)`` at ``rate`` (>= 0)."""
+
+    def flow(state, dt, stream):
+        if rate > 0.0 and stream.random() < -math.expm1(-rate * dt):
+            return (stream.random(),)
+        return state
+
+    return flow
+
+
 def coupled_base(model: ModelSpec, x, y, t0: float, stream):
     """Run the coupled base dynamics of a model over one window.
 
@@ -520,29 +532,17 @@ def simulate_merge_split(
 
     Both sides share one proposal clock at the rate ceiling and one pair of
     jump variates per proposal: with the overlap probability of the two mixed
-    jump kernels the sides draw a common state (merging them), otherwise they
-    draw from the disjoint residuals (splitting them).  Between proposals the
-    pair follows the model's coupled base dynamics (synchronized draws when no
-    base coupler is declared), which is restarted at every proposal and at
-    every window boundary ``k * t0``.  With ``record_events=False`` only
-    sample events are kept, while splits and clamped mass are still counted.
+    jump kernels (:func:`_mixed_atoms`) the sides draw a common state (merging
+    them), otherwise they draw from the disjoint residuals (splitting them).
+    Between proposals the pair follows the model's base machine, restarted at
+    every proposal and at every window boundary ``k * t0``.  With
+    ``record_events=False`` only sample events are kept, while splits and
+    clamped mass are still counted.
     """
-    if model.mixed_kernel_atoms is None:
+    if model.kernel_atoms is None:
         raise UnsupportedCouplingError(
-            f"model {model.name!r} provides no mixed kernel atoms"
+            f"model {model.name!r} provides no kernel atoms"
         )
-    make_machine = model.base_coupler
-    if make_machine is None:
-
-        def make_machine(cx, cy, machine_stream):
-            return _SynchronizedBaseMachine(
-                lambda _i, s, dt, strm: model.base_flow(s, dt, strm),
-                0,
-                cx,
-                cy,
-                machine_stream,
-            )
-
     lam_star = model.rate_ceiling
     if math.isinf(lam_star) or lam_star < 0.0:
         raise ValueError("coupling requires a finite nonnegative rate ceiling")
@@ -557,7 +557,7 @@ def simulate_merge_split(
     n_clamped = 0
     clamp_excess = 0.0
     t = 0.0
-    machine = make_machine(x, y, stream)
+    machine = _base_machine(model, x, y, stream)
 
     def run_machine(upto: float) -> None:
         nonlocal x, y, t
@@ -587,12 +587,12 @@ def simulate_merge_split(
             sample_pairs[t] = (x, y)
             continue
         if kind == WINDOW:
-            machine = make_machine(x, y, stream)
+            machine = _base_machine(model, x, y, stream)
             continue
         was_merged = states_equal(x, y)
         p, nu0, nu1, nu2, excess = overlap_decompose(
-            model.mixed_kernel_atoms(x, flow1.at(t)),
-            model.mixed_kernel_atoms(y, flow2.at(t)),
+            _mixed_atoms(model, (x, flow1.at(t)), x),
+            _mixed_atoms(model, (y, flow2.at(t)), y),
         )
         clamp_excess += excess
         if excess > 1e-7:
@@ -605,7 +605,7 @@ def simulate_merge_split(
             events.append(
                 CoupledEvent(time=t, kind=PROPOSAL, x=x, y=y, merged=merged, p=p)
             )
-        machine = make_machine(x, y, stream)
+        machine = _base_machine(model, x, y, stream)
     run_machine(horizon)
     return CoupledTrajectory(
         initial_x=tuple(x0),
@@ -655,12 +655,15 @@ class CoupledSystemTrajectory:
         return self.samples[float(t)][2]
 
 
-def _mixed_atoms(system: SystemSpec, i: int, config: tuple, rate_i: float) -> list:
-    atoms = [
-        (tuple(s), w * rate_i / system.rate_ceiling)
-        for s, w in system.kernel_atoms(i, config)
-    ]
-    atoms.append((tuple(config[i]), 1.0 - rate_i / system.rate_ceiling))
+def _mixed_atoms(spec, at: tuple, stay, coordinate=None) -> list:
+    """Atoms of one thinned proposal from ``stay`` (Lewis & Shedler, 1979):
+    the spec's kernel atoms at ``at`` (``(state, measure)`` for a model, ``(i,
+    config)`` for a system) scaled by ``rate / ceiling``, after the rate is
+    checked against the ceiling, plus the stay-put remainder."""
+    rate, ceiling = spec.rate(*at), spec.rate_ceiling
+    check_rate(rate, ceiling, spec.name, coordinate)
+    atoms = [(s, w * rate / ceiling) for s, w in spec.kernel_atoms(*at)]
+    atoms.append((stay, 1.0 - rate / ceiling))
     return atoms
 
 
@@ -682,12 +685,13 @@ def simulate_coupled_system(
     their overlap.  The counter ``j`` starts at half the matching distance of
     the initial configurations and increments at a proposal on a merged
     coordinate whenever the accept variate exceeds ``1 - theta * j / (n *
-    rate_ceiling)``, which dominates every actual split when ``theta``
+    rate_ceiling)``, which dominates every actual split when ``theta >= 0``
     bounds the rate-and-kernel sensitivity to single-coordinate changes.
-    Between proposals each coordinate pair follows the system's coupled base
-    dynamics (or synchronized draws if none is declared), restarted at window
-    boundaries ``k * t0``.  With ``record_events=False`` only sample events
-    are kept, while ``j`` is still counted.
+    Each side's mixed kernel is :func:`_mixed_atoms` of the system's
+    ``kernel_atoms``.  Between proposals each coordinate pair follows its
+    base machine (:func:`~mfjump.particles._base_machine`), restarted at
+    window boundaries ``k * t0``.  With ``record_events=False`` only sample
+    events are kept, while ``j`` is still counted.
     """
     if system.kernel_atoms is None:
         raise UnsupportedCouplingError(
@@ -699,6 +703,8 @@ def simulate_coupled_system(
         raise ValueError("coupling requires a finite nonnegative rate ceiling")
     if t0 <= 0.0:
         raise ValueError("window length t0 must be positive")
+    if theta < 0.0:
+        raise ValueError(f"counter threshold theta must be nonnegative, got {theta}")
     if len(x0) != n or len(y0) != n:
         raise ValueError(f"expected {n} coordinates in each configuration")
 
@@ -709,21 +715,16 @@ def simulate_coupled_system(
     coupler_streams = stream.spawn(n)
 
     def build_machine(i: int):
-        return _base_machine(system, i, xs[i], ys[i], coupler_streams[i])
+        return _base_machine(system, xs[i], ys[i], coupler_streams[i])
 
     machines = [build_machine(i) for i in range(n)]
     events: list[CoupledSystemEvent] = []
     samples: dict[float, tuple] = {}
     t = 0.0
-
-    def flow_all(upto: float) -> None:
-        nonlocal t
-        _flow_machines(machines, upto - t, xs, ys)
-        t = upto
-
     total_rate = n * lam_star
     for t_event, kind in clock(horizon, total_rate, stream, sample_times, window=t0):
-        flow_all(t_event)
+        _flow_machines(machines, t_event - t, xs, ys)
+        t = t_event
         if kind == SAMPLE:
             snap = (tuple(xs), tuple(ys), j)
             events.append(
@@ -735,16 +736,10 @@ def simulate_coupled_system(
             machines = [build_machine(i) for i in range(n)]
             continue
         i = int(stream.integers(n))
-        x_full = tuple(xs)
-        y_full = tuple(ys)
-        rate_x = system.rate(i, x_full)
-        rate_y = system.rate(i, y_full)
-        check_rate(rate_x, lam_star, system.name, i)
-        check_rate(rate_y, lam_star, system.name, i)
         equal_before = states_equal(xs[i], ys[i])
         p, nu0, nu1, nu2, _ = overlap_decompose(
-            _mixed_atoms(system, i, x_full, rate_x),
-            _mixed_atoms(system, i, y_full, rate_y),
+            _mixed_atoms(system, (i, tuple(xs)), xs[i], i),
+            _mixed_atoms(system, (i, tuple(ys)), ys[i], i),
         )
         xs[i], ys[i], v = _maximal_draw(p, nu0, nu1, nu2, stream)
         if equal_before and v >= 1.0 - theta * j / total_rate:
@@ -756,7 +751,7 @@ def simulate_coupled_system(
                     time=t, kind=PROPOSAL, x=tuple(xs), y=tuple(ys), j=j
                 )
             )
-    flow_all(horizon)
+    _flow_machines(machines, horizon - t, xs, ys)
     return CoupledSystemTrajectory(
         initial_x=tuple(tuple(c) for c in x0),
         initial_y=tuple(tuple(c) for c in y0),

@@ -62,6 +62,12 @@ PROPOSAL = "proposal"
 #: which equal the ceiling up to float noise are not flagged.
 _CEILING_SLACK = 1e-9
 
+#: Longest flight thinned under one local ceiling.
+_MAX_FLIGHT = 0.1
+
+#: Bins per real coordinate when :func:`picard_solve` compares measure flows.
+_GAP_BINS = 20
+
 
 class RateCeilingError(RuntimeError):
     """A jump rate exceeded the ceiling it was promised to stay under."""
@@ -188,7 +194,8 @@ class ModelSpec:
 
     Attributes:
         base_flow: ``(state, dt, stream) -> state`` evolution between jumps;
-            deterministic models ignore ``stream``.
+            deterministic models ignore ``stream``.  A system coordinate's
+            ``base_flow`` has the same signature.
         rate: ``(state, measure) -> float`` jump intensity.
         kernel: ``(state, measure, u) -> state`` post-jump state, using the
             uniform variate ``u``.
@@ -203,17 +210,15 @@ class ModelSpec:
         local_bound: Optional ``(state, dt, measures) -> float`` ceiling valid
             along a base flight of length ``dt`` started at ``state``, where
             ``measures`` are the flow snapshots spanning the flight.
-        mixed_kernel_atoms: Optional ``(state, measure) -> [(state, w), ...]``
-            atoms of the one-proposal transition (kernel scaled by the accept
-            probability, plus the stay-put remainder).
         kernel_atoms: Optional ``(state, measure) -> [(state, w), ...]`` atoms
-            of the jump kernel itself.
+            of the jump kernel; coupled runs derive the mixed (one-proposal)
+            atoms from them.
         base_coupler: Optional ``(x, y, stream) -> machine`` factory producing
             a coupled simulator of two base motions (see
             :mod:`mfjump.coupling`).  Started on the diagonal (``x == y``)
             the machine is the base motion itself, and it drives each
             coordinate of the model's ``meanfield_system`` in single runs.
-        gap_bins: Bins per real coordinate used when comparing measure flows.
+            A system coordinate's ``base_coupler`` has the same signature.
     """
 
     base_flow: Callable
@@ -224,10 +229,8 @@ class ModelSpec:
     state_box: tuple
     name: str
     local_bound: Optional[Callable] = None
-    mixed_kernel_atoms: Optional[Callable] = None
     kernel_atoms: Optional[Callable] = None
     base_coupler: Optional[Callable] = None
-    gap_bins: int = 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -384,12 +387,11 @@ def simulate_nonlinear_unbounded(
     horizon: float,
     stream,
     sample_times: Sequence[float] = (),
-    max_flight: float = 0.1,
     record_events: bool = True,
 ) -> Trajectory:
     """Simulate with per-flight ceilings for models with unbounded rates.
 
-    Time is cut into flights of length at most ``max_flight`` (also broken at
+    Time is cut into flights of length at most ``_MAX_FLIGHT`` (also broken at
     sample times).  For each flight the model's ``local_bound`` provides a
     ceiling valid along it, proposals are thinned against that ceiling, and
     an accepted jump ends the flight so the next ceiling is computed from the
@@ -397,8 +399,6 @@ def simulate_nonlinear_unbounded(
     """
     if model.local_bound is None:
         raise ValueError("model provides no local rate bound")
-    if max_flight <= 0.0:
-        raise ValueError("max_flight must be positive")
     pending = sorted(set(float(ts) for ts in sample_times))
     events: list[Event] = []
     sample_states: dict[float, State] = {}
@@ -408,7 +408,7 @@ def simulate_nonlinear_unbounded(
     si = 0
     while t < horizon - 1e-12:
         t_sample = pending[si] if si < len(pending) else math.inf
-        flight_end = min(t + max_flight, horizon, t_sample)
+        flight_end = min(t + _MAX_FLIGHT, horizon, t_sample)
         dt = flight_end - t
         if dt > 1e-15:
             ceiling = float(model.local_bound(state, dt, flow.span(t, flight_end)))
@@ -510,7 +510,7 @@ def picard_solve(
         raise ValueError("max_iter must be at least 1")
     n_steps = int(math.floor(horizon / grid_step + 1e-9))
     grid = [k * grid_step for k in range(n_steps + 1)]
-    binning = make_binning(model.state_layout, model.state_box, model.gap_bins)
+    binning = make_binning(model.state_layout, model.state_box, _GAP_BINS)
     simulate = (
         simulate_nonlinear_unbounded
         if math.isinf(model.rate_ceiling)

@@ -16,7 +16,7 @@ import dataclasses
 import math
 from typing import Callable, Optional
 
-from ..coupling import make_refresh_coupler
+from ..coupling import make_refresh_coupler, make_refresh_flow
 from ..engine import ModelSpec
 from ..particles import SystemSpec
 
@@ -110,15 +110,8 @@ def mh_granular(params: MhParams) -> MhBundle:
     def accept_prob(i: int, config, xi: float) -> float:
         return min(1.0, math.exp(-beta * delta_energy(i, config, xi)))
 
-    def refresh_state(state, dt: float, stream):
-        if refresh_rate <= 0.0:
-            return state
-        if stream.random() < -math.expm1(-refresh_rate * dt):
-            return (stream.random(),)
-        return state
-
-    def refresh_flow(i, coord, dt, stream):
-        return refresh_state(coord, dt, stream)
+    refresh_flow = make_refresh_flow(refresh_rate)
+    refresh_coupler = make_refresh_coupler(refresh_rate)
 
     residual_ceiling = lam_bar * (1.0 - p_star)
 
@@ -141,10 +134,10 @@ def mh_granular(params: MhParams) -> MhBundle:
         coordinate_layout=("real",),
         coordinate_box=((0.0, 1.0),),
         name="mh-decomposed",
-        base_coupler=_coordinate_refresh_coupler(refresh_rate),
+        base_coupler=refresh_coupler,
     )
 
-    def raw_flow(i, coord, dt, stream):
+    def raw_flow(coord, dt, stream):
         return coord
 
     def raw_rate(i, config) -> float:
@@ -168,14 +161,14 @@ def mh_granular(params: MhParams) -> MhBundle:
     )
 
     base_model = ModelSpec(
-        base_flow=lambda state, dt, stream: refresh_state(state, dt, stream),
+        base_flow=refresh_flow,
         rate=lambda state, measure: 0.0,
         kernel=lambda state, measure, u: state,
         rate_ceiling=0.0,
         state_layout=("real",),
         state_box=((0.0, 1.0),),
         name="mh-refresh-base",
-        base_coupler=make_refresh_coupler(refresh_rate),
+        base_coupler=refresh_coupler,
     )
     return MhBundle(
         system=system,
@@ -184,12 +177,3 @@ def mh_granular(params: MhParams) -> MhBundle:
         refresh_rate=refresh_rate,
         constants=constants,
     )
-
-
-def _coordinate_refresh_coupler(rate: float):
-    factory = make_refresh_coupler(rate)
-
-    def coupler(i, cx, cy, stream):
-        return factory(cx, cy, stream)
-
-    return coupler

@@ -125,11 +125,6 @@ def run_tumble(params: RunTumbleParams) -> RunTumbleBundle:
             v = -v
             remaining -= gap
 
-    def mixed_kernel_atoms(state, measure):
-        lam = tumble_rate(state, measure)
-        w = lam / lam_star
-        return (((state[0], -state[1]), w), ((state[0], state[1]), 1.0 - w))
-
     def kernel_atoms(state, measure):
         return (((state[0], -state[1]), 1.0),)
 
@@ -141,7 +136,6 @@ def run_tumble(params: RunTumbleParams) -> RunTumbleBundle:
         state_layout=("real", "label"),
         state_box=((-8.0, 8.0), (-1, 1)),
         name="run-tumble",
-        mixed_kernel_atoms=mixed_kernel_atoms,
         kernel_atoms=kernel_atoms,
         base_coupler=make_telegraph_coupler(c),
     )

@@ -14,10 +14,9 @@ randomness).
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable, Optional
 
-from ..coupling import make_refresh_coupler
+from ..coupling import make_refresh_coupler, make_refresh_flow
 from ..particles import SystemSpec
 
 __all__ = ["SelectionBundle", "SelectionParams", "selection_mutation"]
@@ -65,13 +64,6 @@ def selection_mutation(params: SelectionParams) -> SelectionBundle:
     if p_fn is None:
         p_fn = lambda xi, xj: 0.5  # noqa: E731
 
-    def base_flow(i, coord, dt, stream):
-        if refresh_rate <= 0.0:
-            return coord
-        if stream.random() < -math.expm1(-refresh_rate * dt):
-            return (stream.random(),)
-        return coord
-
     def rate(i, config) -> float:
         return lam_star
 
@@ -83,24 +75,17 @@ def selection_mutation(params: SelectionParams) -> SelectionBundle:
 
     def kernel_atoms(i, config):
         weights: dict = {}
-        reps: dict = {}
         for j in range(n):
             p = p_fn(config[i], config[j])
             for state, w in ((config[j], p / n), (config[i], (1.0 - p) / n)):
                 if w <= 0.0:
                     continue
-                reps.setdefault(state, state)
                 weights[state] = weights.get(state, 0.0) + w
-        return tuple((reps[s], w) for s, w in weights.items())
-
-    pair_coupler = make_refresh_coupler(refresh_rate)
-
-    def base_coupler(i, coord_x, coord_y, stream):
-        return pair_coupler(coord_x, coord_y, stream)
+        return tuple(weights.items())
 
     system = SystemSpec(
         n_particles=n,
-        base_flow=base_flow,
+        base_flow=make_refresh_flow(refresh_rate),
         rate=rate,
         kernel=kernel,
         rate_ceiling=lam_star,
@@ -108,6 +93,6 @@ def selection_mutation(params: SelectionParams) -> SelectionBundle:
         coordinate_box=((0.0, 1.0),),
         name="selection",
         kernel_atoms=kernel_atoms,
-        base_coupler=base_coupler,
+        base_coupler=make_refresh_coupler(refresh_rate),
     )
     return SelectionBundle(system=system)

@@ -78,7 +78,7 @@ def zigzag(params: ZigZagParams) -> ZigZagBundle:
     def base_rate(z: float, v) -> float:
         return max(0.0, v * ui_prime(z) - theta)
 
-    def base_flow(i, coord, dt, stream):
+    def base_flow(coord, dt, stream):
         z, v = coord
         remaining = dt
         while remaining > 1e-15:
@@ -96,7 +96,7 @@ def zigzag(params: ZigZagParams) -> ZigZagBundle:
             z += v * gap
             remaining -= gap
             rate = base_rate(z, v)
-            check_rate(rate, ceiling, "zigzag base flip", i)
+            check_rate(rate, ceiling, "zigzag base flip")
             if stream.random() * ceiling < rate:
                 v = -v
         return (z, v)

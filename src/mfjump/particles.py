@@ -22,6 +22,7 @@ from .engine import (
     EmpiricalMeasure,
     Event,
     ModelSpec,
+    RateCeilingError,
     Trajectory,
     check_rate,
     clock,
@@ -44,8 +45,9 @@ class SystemSpec:
 
     Attributes:
         n_particles: Number of coordinates.
-        base_flow: ``(i, coord_state, dt, stream) -> coord_state`` independent
-            base motion of coordinate ``i``.
+        base_flow: ``(coord_state, dt, stream) -> coord_state`` base motion
+            of one coordinate, typed as ``ModelSpec.base_flow`` (coordinates
+            are exchangeable, so it takes no index).
         rate: ``(i, config) -> float`` jump rate of coordinate ``i`` given the
             full configuration.
         kernel: ``(i, config, stream) -> coord_state`` post-jump state of
@@ -58,12 +60,14 @@ class SystemSpec:
             against it.
         name: Human-readable system name.
         kernel_atoms: Optional ``(i, config) -> [(coord_state, w), ...]``
-            atoms of the jump kernel of coordinate ``i``.
-        base_coupler: Optional ``(i, cx, cy, stream) -> machine`` factory for
-            coupled base motion of one coordinate pair (see
-            :mod:`mfjump.coupling`).  Started on the diagonal (``cx == cy``)
-            the machine is the base motion of coordinate ``i``, and it drives
-            single runs of :func:`simulate_system` too.
+            atoms of the jump kernel of coordinate ``i``; coupled runs derive
+            the mixed (one-proposal) atoms from them.
+        base_coupler: Optional ``(cx, cy, stream) -> machine`` factory for
+            coupled base motion of one coordinate pair, typed as
+            ``ModelSpec.base_coupler`` (see :mod:`mfjump.coupling`).  Started
+            on the diagonal (``cx == cy``) the machine is the base motion of
+            one coordinate, and it drives single runs of
+            :func:`simulate_system` too.
     """
 
     n_particles: int
@@ -86,14 +90,13 @@ def empirical(config: Sequence[State]) -> EmpiricalMeasure:
 class _SynchronizedBaseMachine:
     """Fallback pair evolution: both sides consume identical base-flow draws.
 
-    Used when a system provides no base coupler.  A merged pair stays merged
+    Used when a spec provides no base coupler.  A merged pair stays merged
     because the base flow is a deterministic function of state and draws, so
     a merged machine is one ``base_flow`` call per advance.
     """
 
-    def __init__(self, base_flow: Callable, index: int, x, y, stream):
+    def __init__(self, base_flow: Callable, x, y, stream):
         self._base_flow = base_flow
-        self._i = index
         self._stream = stream
         self._x = tuple(x)
         self._y = tuple(y)
@@ -104,42 +107,44 @@ class _SynchronizedBaseMachine:
     def advance(self, dt: float) -> Sequence:
         if self._merged:
             if dt > 0.0:
-                self._x = self._y = tuple(
-                    self._base_flow(self._i, self._x, dt, self._stream)
-                )
+                self._x = self._y = tuple(self._base_flow(self._x, dt, self._stream))
             return ((dt, self._x, self._y, False),)
         if dt > 0.0:
             twin = copy.deepcopy(self._stream)
-            self._x = tuple(self._base_flow(self._i, self._x, dt, self._stream))
-            self._y = tuple(self._base_flow(self._i, self._y, dt, twin))
+            self._x = tuple(self._base_flow(self._x, dt, self._stream))
+            self._y = tuple(self._base_flow(self._y, dt, twin))
         self._merged = states_equal(self._x, self._y)
         if self._merged:
             self._y = self._x
         return [(dt, self._x, self._y, self._merged)]
 
 
-def _base_machine(system: SystemSpec, i: int, cx, cy, stream):
-    """The base machine of coordinate ``i`` started at the pair ``(cx, cy)``.
+def _base_machine(spec, x, y, stream):
+    """The base machine of a model or of one system coordinate at ``(x, y)``.
 
-    It is the system's ``base_coupler``, or, where none is declared, the
+    It is the spec's ``base_coupler``, or, where none is declared, the
     synchronized machine over ``base_flow``.  On the diagonal it is the base
-    motion of one coordinate.
+    motion itself.
     """
-    if system.base_coupler is not None:
-        return system.base_coupler(i, cx, cy, stream)
-    return _SynchronizedBaseMachine(system.base_flow, i, cx, cy, stream)
+    if spec.base_coupler is not None:
+        return spec.base_coupler(x, y, stream)
+    return _SynchronizedBaseMachine(spec.base_flow, x, y, stream)
 
 
 def _flow_machines(machines: list, dt: float, xs: list, ys: list) -> None:
     """Advance every coordinate machine by ``dt``, storing its end states.
 
     A single run passes its configuration as both ``xs`` and ``ys``: on the
-    diagonal the two sides are one state.
+    diagonal the two sides are one state.  A ceiling error raised by a
+    machine is re-raised naming the coordinate it moves.
     """
     if dt <= 0.0:
         return
-    for i, machine in enumerate(machines):
-        _, xs[i], ys[i], _ = machine.advance(dt)[-1]
+    try:
+        for i, machine in enumerate(machines):
+            _, xs[i], ys[i], _ = machine.advance(dt)[-1]
+    except RateCeilingError as err:
+        raise RateCeilingError(f"coordinate {i}: {err}") from err
 
 
 def simulate_system(
@@ -171,7 +176,7 @@ def simulate_system(
     t = 0.0
     config = [tuple(c) for c in initial]
     initial_config = tuple(config)
-    machines = [_base_machine(system, i, c, c, stream) for i, c in enumerate(config)]
+    machines = [_base_machine(system, c, c, stream) for c in config]
     n_accepted = n_rejected = 0
 
     for t_event, kind in clock(horizon, n * ceiling, stream, sample_times):
@@ -190,7 +195,7 @@ def simulate_system(
         check_rate(rate_i, ceiling, system.name, i)
         if stream.random() * ceiling < rate_i:
             config[i] = tuple(system.kernel(i, full, stream))
-            machines[i] = _base_machine(system, i, config[i], config[i], stream)
+            machines[i] = _base_machine(system, config[i], config[i], stream)
             n_accepted += 1
             if record_events:
                 events.append(Event(time=t, kind=JUMP_ACCEPTED, state=tuple(config)))
@@ -213,15 +218,13 @@ def simulate_system(
 def meanfield_system(model_or_bundle, n_particles: int) -> SystemSpec:
     """Lift a measure-driven model to an ``N``-coordinate interacting system.
 
-    Each coordinate follows the model's base flow; jump rates and kernels see
+    Each coordinate follows the model's base motion (its ``base_flow`` and
+    ``base_coupler``, passed through unchanged); jump rates and kernels see
     the empirical measure of the current configuration in place of the
     ambient measure.  Accepts either a :class:`~mfjump.engine.ModelSpec` or a
     model bundle exposing ``.model``.
     """
     model: ModelSpec = getattr(model_or_bundle, "model", model_or_bundle)
-
-    def base_flow(i, coord, dt, stream):
-        return model.base_flow(coord, dt, stream)
 
     def rate(i, config):
         return model.rate(config[i], empirical(config))
@@ -235,15 +238,9 @@ def meanfield_system(model_or_bundle, n_particles: int) -> SystemSpec:
         def kernel_atoms(i, config):
             return model.kernel_atoms(config[i], empirical(config))
 
-    base_coupler = None
-    if model.base_coupler is not None:
-
-        def base_coupler(i, cx, cy, stream):
-            return model.base_coupler(cx, cy, stream)
-
     return SystemSpec(
         n_particles=n_particles,
-        base_flow=base_flow,
+        base_flow=model.base_flow,
         rate=rate,
         kernel=kernel,
         rate_ceiling=model.rate_ceiling,
@@ -251,5 +248,5 @@ def meanfield_system(model_or_bundle, n_particles: int) -> SystemSpec:
         coordinate_box=model.state_box,
         name=f"{model.name}-system",
         kernel_atoms=kernel_atoms,
-        base_coupler=base_coupler,
+        base_coupler=model.base_coupler,
     )

@@ -50,16 +50,15 @@ def flip_model(rate_value: float = 2.0, ceiling: float = 2.0) -> ModelSpec:
     def kernel(state, measure, u):
         return (1 - state[0],)
 
-    def mixed_atoms(state, measure):
-        lam = min(rate_value / ceiling, 1.0)
-        return [((1 - state[0],), lam), (state, 1.0 - lam)]
+    def kernel_atoms(state, measure):
+        return [((1 - state[0],), 1.0)]
 
     return ModelSpec(
         base_flow=base_flow,
         rate=rate,
         kernel=kernel,
         rate_ceiling=ceiling,
-        mixed_kernel_atoms=mixed_atoms,
+        kernel_atoms=kernel_atoms,
         state_layout=("label",),
         state_box=((0.0, 1.0),),
         name="flip-toy",
@@ -83,16 +82,15 @@ def measure_rate_flip_model(ceiling: float = 2.0) -> ModelSpec:
     def kernel(state, measure, u):
         return (1 - state[0],)
 
-    def mixed_atoms(state, measure):
-        lam = rate(state, measure) / ceiling
-        return [((1 - state[0],), lam), (state, 1.0 - lam)]
+    def kernel_atoms(state, measure):
+        return [((1 - state[0],), 1.0)]
 
     return ModelSpec(
         base_flow=base_flow,
         rate=rate,
         kernel=kernel,
         rate_ceiling=ceiling,
-        mixed_kernel_atoms=mixed_atoms,
+        kernel_atoms=kernel_atoms,
         state_layout=("label",),
         state_box=((0.0, 1.0),),
         name="measure-rate-flip-toy",
@@ -134,16 +132,15 @@ def drift_velocity_model(jump_rate: float = 0.0, ceiling: float = 1.0) -> ModelS
     def kernel(state, measure, u):
         return (state[0], -state[1])
 
-    def mixed_atoms(state, measure):
-        lam = jump_rate / ceiling
-        return [((state[0], -state[1]), lam), (state, 1.0 - lam)]
+    def kernel_atoms(state, measure):
+        return [((state[0], -state[1]), 1.0)]
 
     return ModelSpec(
         base_flow=base_flow,
         rate=rate,
         kernel=kernel,
         rate_ceiling=ceiling,
-        mixed_kernel_atoms=mixed_atoms,
+        kernel_atoms=kernel_atoms,
         state_layout=("real", "label"),
         state_box=((-50.0, 50.0), (-1.0, 1.0)),
         name="drift-velocity-toy",
@@ -157,7 +154,7 @@ def flip_system(
     if rates is None:
         rates = tuple(ceiling for _ in range(n))
 
-    def base_flow(i, state, dt, stream):
+    def base_flow(state, dt, stream):
         return state
 
     def rate(i, state):

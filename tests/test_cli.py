@@ -743,3 +743,50 @@ def test_estimate_nonpositive_window_fails_without_output(tmp_path):
     out = tmp_path / "out"
     res = run_cli(["estimate", "--config", cfg, "--threads", "2", "--out", str(out)])
     assert_one_line_error(res, out, "replica 0: window length t0 must be positive")
+
+
+def forbid_replicas(monkeypatch):
+    def no_replicas(*args):
+        raise AssertionError("replicas ran")
+
+    monkeypatch.setattr(cli, "_map_replicas", no_replicas)
+
+
+@pytest.mark.parametrize(
+    "kind, key, states, threads",
+    [
+        ("particles", "x0", [[0.1], [0.5], [0.9], [0.3]], 2),
+        ("particles", "x0", [[0.1], [0.5]], 1),
+        ("couple-particles", "x0", [[0.1], [0.5], [0.9], [0.3]], 1),
+        ("couple-particles", "y0", [[0.1], [0.5]], 2),
+    ],
+    ids=["particles-4", "particles-2", "couple-particles-x0-4", "couple-particles-y0-2"],
+)
+def test_configuration_length_fails_before_replicas(
+    tmp_path, monkeypatch, kind, key, states, threads
+):
+    forbid_replicas(monkeypatch)
+    path = pathlib.Path(selection_config(tmp_path, kind, replicas=2))
+    payload = json.loads(path.read_text())
+    payload["run"][key] = states
+    cfg = write_config(path, payload)
+    out = tmp_path / "out"
+    res = run_cli([kind, "--config", cfg, "--threads", str(threads), "--out", str(out)])
+    assert_one_line_error(
+        res, out, f"{key} has {len(states)} coordinates; a selection configuration has 3"
+    )
+
+
+def test_couple_particles_negative_theta_fails_before_replicas(tmp_path, monkeypatch):
+    path = pathlib.Path(selection_config(tmp_path, "couple-particles", replicas=2))
+    payload = json.loads(path.read_text())
+    payload["run"]["theta"] = 0
+    res = run_cli(["couple-particles", "--config", write_config(path, payload),
+                   "--out", str(tmp_path / "zero")])
+    assert res.exit_code == 0, res.output
+    forbid_replicas(monkeypatch)
+    payload["run"]["theta"] = -1
+    cfg = write_config(path, payload)
+    out = tmp_path / "out"
+    res = run_cli(["couple-particles", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, "theta must be nonnegative, got -1.0")

@@ -40,6 +40,7 @@ from mfjump.models import (
     tcp,
 )
 from mfjump.engine import RateCeilingError
+from mfjump.particles import simulate_system
 
 from conftest import (
     CountingStream,
@@ -231,13 +232,7 @@ def _run_tumble_diagonal():
 
 
 def _system_diagonal(system, start, total):
-    def coupler(x, y, stream):
-        return system.base_coupler(0, x, y, stream)
-
-    def flow(state, dt, stream):
-        return system.base_flow(0, state, dt, stream)
-
-    return coupler, flow, start, total
+    return system.base_coupler, system.base_flow, start, total
 
 
 #: Diagonal machine cases: name -> () -> (coupler, base flow, start, total time).
@@ -388,6 +383,15 @@ def test_merge_split_records_exact_overlap_for_flat_kernels(rng):
     assert first.p == pytest.approx(1.0 - abs(1.0 - 0.5) / 2.0)
 
 
+@pytest.mark.parametrize("rates", [(3.0, 1.0), (1.0, 3.0)])
+def test_merge_split_rate_above_ceiling_names_the_model(rates):
+    model = measure_rate_flip_model(ceiling=2.0)
+    flow1, flow2 = (constant_flow((r,)) for r in rates)
+    with pytest.raises(RateCeilingError) as err:
+        simulate_merge_split(model, flow1, flow2, (0,), (0,), 10.0, 5.0, make_rng(6))
+    assert model.name in str(err.value)
+
+
 def test_merge_split_flag_transitions_are_legal(rng):
     model = measure_rate_flip_model(ceiling=2.0)
     flow1 = constant_flow((1.0,))
@@ -469,6 +473,60 @@ def selection_bundle(n):
     )
 
 
+#: Selection runs on N=16 coordinates with constant copy probability 1/2:
+#: name -> (system, x0, y0, t, stream) -> configuration means at ``t``, one
+#: per side (a single run has one side, started at ``x0``).
+SELECTION_RUNS = {
+    "single": lambda system, x0, y0, t, stream: (
+        np.mean(
+            simulate_system(
+                system, x0, t, stream, sample_times=(t,), record_events=False
+            ).state_at_sample(t)
+        ),
+    ),
+    "coupled": lambda system, x0, y0, t, stream: tuple(
+        np.mean(side)
+        for side in simulate_coupled_system(
+            system, x0, y0, t, t, system.rate_ceiling, stream,
+            sample_times=(t,), record_events=False,
+        ).sample_at(t)[:2]
+    ),
+}
+
+
+def selection_mean_z(run: str, seed: int, n: int, t: float = 1.0) -> tuple:
+    """z-scores of the configuration means of selection runs at time ``t``
+    against ``E[m_t] = 1/2 + (m_0 - 1/2) exp(-rt)``, one per side.
+
+    With a constant copy probability, copying leaves the expected mean
+    unchanged, so only the refresh at rate ``r`` moves it.  The sides start
+    at ``m_0 = 0`` and ``m_0 = 0.95``.  At ``r = 1``, ``t = 1`` and N=16 a
+    refresh rate of ``0.8r`` moves ``E[m_t]`` by 0.041 and 0.037: about 16 SE
+    for single runs at ``n = 1500`` and 12 SE for each coupled side at
+    ``n = 800``.
+    """
+    n_particles = 16
+    system = selection_bundle(n_particles).system
+    rate = 1.0  # selection_bundle's base_refresh_rate
+    starts = (0.0, 0.95)
+    x0, y0 = (tuple((m0,) for _ in range(n_particles)) for m0 in starts)
+    stream = make_rng(seed)
+    means = np.array([SELECTION_RUNS[run](system, x0, y0, t, stream) for _ in range(n)])
+    return tuple(
+        (values.mean() - (0.5 + (m0 - 0.5) * math.exp(-rate * t)))
+        / (values.std(ddof=1) / math.sqrt(n))
+        for values, m0 in zip(means.T, starts)
+    )
+
+
+@pytest.mark.parametrize(
+    "run, n", [("single", 1500), ("coupled", 800)], ids=["single", "coupled"]
+)
+def test_selection_mean_matches_exact_relaxation(run, n):
+    for z in selection_mean_z(run, seed=91_000, n=n):
+        assert abs(z) < 4.0, (run, z)
+
+
 def test_coupled_system_equal_starts_stay_equal(rng):
     bundle = selection_bundle(4)
     x0 = tuple((0.1 * (i + 1),) for i in range(4))
@@ -486,6 +544,13 @@ def test_coupled_system_rate_violation_error_names_the_coordinate():
             system, ((0,), (0,)), ((0,), (1,)), 50.0, 1.0, 2.0, make_rng(5)
         )
     assert "coordinate 1" in str(err.value)
+
+
+def test_coupled_system_rejects_negative_theta():
+    system = selection_bundle(2).system
+    x0 = ((0.1,), (0.2,))
+    with pytest.raises(ValueError, match="theta"):
+        simulate_coupled_system(system, x0, x0, 1.0, 1.0, -1.0, make_rng(7))
 
 
 def test_coupled_system_counter_setup_and_invariants():

@@ -323,7 +323,7 @@ def test_unbounded_halving_kernel_halves_flowed_state(rng):
 def test_unbounded_records_local_ceilings(rng):
     model = tcp_toy()
     traj = simulate_nonlinear_unbounded(
-        model, constant_flow((0.0,)), (1.0,), 2.0, rng, max_flight=0.1
+        model, constant_flow((0.0,)), (1.0,), 2.0, rng
     )
     proposals = [e for e in traj.events if e.kind != SAMPLE]
     assert proposals

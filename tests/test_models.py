@@ -406,7 +406,7 @@ def test_zigzag_base_flips_check_their_ceiling():
         )
     )
     with pytest.raises(RateCeilingError) as err:
-        bundle.system.base_flow(0, (0.5, 1), 3.0, make_rng(3))
+        simulate_system(bundle.system, ((0.5, 1),), 3.0, make_rng(3))
     assert "coordinate 0" in str(err.value)
 
 

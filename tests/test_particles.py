@@ -96,7 +96,7 @@ def test_single_particle_system_matches_frozen_measure_dynamics():
     flow = constant_flow((0,))
 
     def one_particle():
-        def base_flow(i, s, dt, stream):
+        def base_flow(s, dt, stream):
             return s
 
         def rate(i, state):
@@ -155,7 +155,7 @@ def test_saturated_two_particle_system_has_poisson_coordinates():
 
 def test_exchangeable_coordinates_have_matching_laws():
     def symmetric_system(n):
-        def base_flow(i, s, dt, stream):
+        def base_flow(s, dt, stream):
             return s
 
         def rate(i, state):
