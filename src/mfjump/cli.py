@@ -43,7 +43,6 @@ from .engine import (
     RateCeilingError,
     picard_solve,
     simulate_nonlinear,
-    simulate_nonlinear_unbounded,
 )
 from .metrics import dbar1, estimate_tv_bound, estimate_vnorm_bound
 from .models import MODEL_REGISTRY, build_model
@@ -137,6 +136,13 @@ def _build_bundle(cfg: dict):
     params = model_cfg.get("params", {})
     if not isinstance(params, dict):
         raise click.ClickException("model 'params' must be an object")
+    kinds = MODEL_REGISTRY[model_id][1]
+    for key, value in params.items():
+        if key not in kinds:
+            raise click.ClickException(
+                f"model {model_id!r} has no parameter {key!r}; it takes {', '.join(kinds)}"
+            )
+        _number(value, f"parameter {key!r}", integer=kinds[key] is int)
     try:
         return build_model(model_id, params)
     except KeyError as exc:
@@ -454,9 +460,7 @@ def _simulate(run: _Run) -> list:
     replicas = run.replica_count()
     times = run.sample_times(horizon)
     flow = run.flow("flow", horizon)
-    unbounded = math.isinf(model.rate_ceiling)
-    simulate = simulate_nonlinear_unbounded if unbounded else simulate_nonlinear
-    trajectories = run.replicas(replicas, lambda replica, stream: simulate(
+    trajectories = run.replicas(replicas, lambda replica, stream: simulate_nonlinear(
         model, flow, x0, horizon, stream, sample_times=times, record_events=False
     ))
     return [

@@ -9,11 +9,12 @@ The central objects are:
   state and of the ambient measure.
 
 Trajectories are produced by thinning: jump times are proposed by a Poisson
-clock at a ceiling rate and accepted with probability ``rate / ceiling``.
-:func:`simulate_nonlinear` uses one global ceiling; for models whose rate is
-unbounded, :func:`simulate_nonlinear_unbounded` uses per-flight local ceilings
-supplied by the model.  :func:`picard_solve` closes the loop, iterating the
-map "measure flow in, law of the simulated process out" to a fixed point.
+:func:`clock` at a ceiling rate and accepted with probability
+``rate / ceiling``.  :func:`simulate_nonlinear` is the one single-process
+simulator: it thins under the model's global ``rate_ceiling``, or, for a
+model with a ``local_bound`` (an unbounded rate), under one local ceiling per
+short flight.  :func:`picard_solve` closes the loop, iterating the map
+"measure flow in, law of the simulated process out" to a fixed point.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "flow_sample",
     "picard_solve",
     "simulate_nonlinear",
-    "simulate_nonlinear_unbounded",
 ]
 
 State = tuple
@@ -62,7 +62,7 @@ PROPOSAL = "proposal"
 #: which equal the ceiling up to float noise are not flagged.
 _CEILING_SLACK = 1e-9
 
-#: Longest flight thinned under one local ceiling.
+#: Longest flight thinned under one ``local_bound`` ceiling.
 _MAX_FLIGHT = 0.1
 
 #: Bins per real coordinate when :func:`picard_solve` compares measure flows.
@@ -199,8 +199,9 @@ class ModelSpec:
         rate: ``(state, measure) -> float`` jump intensity.
         kernel: ``(state, measure, u) -> state`` post-jump state, using the
             uniform variate ``u``.
-        rate_ceiling: Global upper bound on ``rate`` (may be ``inf`` when a
-            ``local_bound`` is supplied instead).
+        rate_ceiling: Global upper bound on ``rate``, the ceiling of every
+            proposal when the model has no ``local_bound``.  It may be
+            ``inf`` only when a ``local_bound`` is supplied.
         state_layout: Per-component kind, ``"real"`` or ``"label"``.
         state_box: Per-component ``(low, high)`` ranges used for binning.  A
             label's entry lists the values it may take (binning never reads
@@ -209,7 +210,9 @@ class ModelSpec:
         name: Human-readable model name.
         local_bound: Optional ``(state, dt, measures) -> float`` ceiling valid
             along a base flight of length ``dt`` started at ``state``, where
-            ``measures`` are the flow snapshots spanning the flight.
+            ``measures`` are the flow snapshots spanning the flight.  When it
+            is given, :func:`simulate_nonlinear` thins every flight under it
+            and ignores ``rate_ceiling``.
         kernel_atoms: Optional ``(state, measure) -> [(state, w), ...]`` atoms
             of the jump kernel; coupled runs derive the mixed (one-proposal)
             atoms from them.
@@ -237,8 +240,10 @@ class ModelSpec:
 class Event:
     """One recorded trajectory event.
 
-    ``ceiling`` is the proposal ceiling in force (only set by the
-    local-ceiling simulator).
+    ``ceiling`` is the ceiling a :func:`simulate_nonlinear` proposal was
+    thinned under: the flight's ``local_bound`` value when the model has one,
+    else its ``rate_ceiling``.  It is ``None`` on samples and on the events of
+    particle systems.
     """
 
     time: float
@@ -291,22 +296,25 @@ def clock(
     stream,
     sample_times: Iterable[float] = (),
     window: float = math.inf,
+    start: float = 0.0,
 ):
-    """The events of a global-clock thinning run on ``[0, horizon]``.
+    """The events of a thinning run under one ceiling on ``[start, horizon]``.
 
-    Yields ``(t, kind)`` in time order: each distinct sample time once
-    (``SAMPLE``), each window boundary ``k * window`` for ``k >= 1``
-    (``WINDOW``), and the points of a Poisson process of intensity ``rate``
-    (``PROPOSAL``).  At equal times samples come first, then windows.  The
-    gap after a proposal is drawn from ``stream`` only when the caller asks
-    for the next event, so the draws the caller makes at a proposal come
-    before it.  With ``rate == 0`` nothing is drawn.
+    Yields ``(t, kind)`` in time order: each distinct sample time up to
+    ``horizon`` once (``SAMPLE``), each window boundary ``k * window`` for
+    ``k >= 1`` (``WINDOW``), and the points after ``start`` of a Poisson
+    process of intensity ``rate`` (``PROPOSAL``).  At equal times samples
+    come first, then windows.  The gap after a proposal is drawn from
+    ``stream`` only when the caller asks for the next event, so the draws the
+    caller makes at a proposal come before it.  With ``rate == 0`` nothing is
+    drawn.  The global-clock simulators run one clock over ``[0, horizon]``;
+    :func:`simulate_nonlinear` under local ceilings runs one per flight.
     """
     samples = iter(sorted(set(float(ts) for ts in sample_times)) + [math.inf])
     t_sample = next(samples)
     k = 1
     next_window = window
-    next_prop = stream.exponential(1.0 / rate) if rate > 0.0 else math.inf
+    next_prop = start + stream.exponential(1.0 / rate) if rate > 0.0 else math.inf
     while min(t_sample, next_window, next_prop) <= horizon:
         if t_sample <= min(next_window, next_prop):
             yield t_sample, SAMPLE
@@ -329,126 +337,70 @@ def simulate_nonlinear(
     sample_times: Sequence[float] = (),
     record_events: bool = True,
 ) -> Trajectory:
-    """Simulate a jump process driven by ``flow`` via global-ceiling thinning.
+    """Simulate a jump process driven by ``flow`` by thinning.
 
-    Proposals arrive at rate ``model.rate_ceiling`` and are accepted with
-    probability ``rate / ceiling``.  Every proposal is recorded as an event
-    (accepted or rejected), and the state at each requested sample time is
-    recorded as a sample event.
+    Time is cut into flights, each thinned under one ceiling from
+    :func:`clock` (Lewis & Shedler 1979; Ogata 1981): proposals are accepted
+    with probability ``rate / ceiling``.
+
+    * A model with a ``local_bound`` flies at most ``_MAX_FLIGHT`` at a time
+      under the ceiling ``local_bound`` gives from the flight's start, and an
+      accepted jump ends the flight, so the next ceiling is taken from the
+      post-jump state.
+    * A model without one flies once over ``[0, horizon]`` under its
+      ``rate_ceiling``, which must then be finite.
+
+    Every proposal is recorded as an event (accepted or rejected) when
+    ``record_events``, and the state at each requested sample time up to
+    ``horizon`` is recorded as a sample event.
     """
-    ceiling = model.rate_ceiling
-    if math.isinf(ceiling):
-        raise ValueError(
-            "simulate_nonlinear needs a finite rate ceiling; "
-            "use simulate_nonlinear_unbounded for local ceilings"
-        )
-    if ceiling < 0.0:
-        raise ValueError("rate ceiling must be nonnegative")
+    local_bound = model.local_bound
+    pending = sample_times
     events: list[Event] = []
     sample_states: dict[float, State] = {}
     t = 0.0
     state = tuple(initial)
     n_accepted = n_rejected = 0
-    for t_event, kind in clock(horizon, ceiling, stream, sample_times):
-        state = flow_sample(model, state, t_event - t, stream)
-        t = t_event
-        if kind == SAMPLE:
-            events.append(Event(time=t, kind=SAMPLE, state=state))
-            sample_states[t] = state
-            continue
-        measure = flow.at(t)
-        rate = model.rate(state, measure)
-        check_rate(rate, ceiling, model.name)
-        if stream.random() * ceiling < rate:
-            state = tuple(model.kernel(state, measure, stream.random()))
-            n_accepted += 1
-            if record_events:
-                events.append(Event(time=t, kind=JUMP_ACCEPTED, state=state))
+    while True:
+        if local_bound is None:
+            end, ceiling = horizon, model.rate_ceiling
         else:
-            n_rejected += 1
-            if record_events:
-                events.append(Event(time=t, kind=JUMP_REJECTED, state=state))
-    state = flow_sample(model, state, horizon - t, stream)
-    return Trajectory(
-        initial=tuple(initial),
-        final_state=state,
-        horizon=horizon,
-        events=tuple(events),
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-        sample_states=sample_states,
-    )
-
-
-def simulate_nonlinear_unbounded(
-    model: ModelSpec,
-    flow: MeasureFlow,
-    initial: State,
-    horizon: float,
-    stream,
-    sample_times: Sequence[float] = (),
-    record_events: bool = True,
-) -> Trajectory:
-    """Simulate with per-flight ceilings for models with unbounded rates.
-
-    Time is cut into flights of length at most ``_MAX_FLIGHT`` (also broken at
-    sample times).  For each flight the model's ``local_bound`` provides a
-    ceiling valid along it, proposals are thinned against that ceiling, and
-    an accepted jump ends the flight so the next ceiling is computed from the
-    post-jump state.
-    """
-    if model.local_bound is None:
-        raise ValueError("model provides no local rate bound")
-    pending = sorted(set(float(ts) for ts in sample_times))
-    events: list[Event] = []
-    sample_states: dict[float, State] = {}
-    t = 0.0
-    state = tuple(initial)
-    n_accepted = n_rejected = 0
-    si = 0
-    while t < horizon - 1e-12:
-        t_sample = pending[si] if si < len(pending) else math.inf
-        flight_end = min(t + _MAX_FLIGHT, horizon, t_sample)
-        dt = flight_end - t
-        if dt > 1e-15:
-            ceiling = float(model.local_bound(state, dt, flow.span(t, flight_end)))
-            jumped = False
-            tau, cur = t, state
-            while ceiling > 0.0:
-                gap = stream.exponential(1.0 / ceiling)
-                if tau + gap >= flight_end:
-                    break
-                prop_t = tau + gap
-                cur = flow_sample(model, cur, prop_t - tau, stream)
-                tau = prop_t
-                measure = flow.at(prop_t)
-                rate = model.rate(cur, measure)
-                check_rate(rate, ceiling, model.name)
-                if stream.random() * ceiling < rate:
-                    cur = tuple(model.kernel(cur, measure, stream.random()))
-                    n_accepted += 1
-                    if record_events:
-                        events.append(
-                            Event(time=prop_t, kind=JUMP_ACCEPTED, state=cur, ceiling=ceiling)
-                        )
-                    jumped = True
-                    break
-                n_rejected += 1
-                if record_events:
-                    events.append(
-                        Event(time=prop_t, kind=JUMP_REJECTED, state=cur, ceiling=ceiling)
-                    )
-            if jumped:
-                t, state = tau, cur
+            end = min(t + _MAX_FLIGHT, horizon)
+            ceiling = float(local_bound(state, end - t, flow.span(t, end)))
+        if not 0.0 <= ceiling < math.inf:
+            raise ValueError(
+                f"{model.name}: thinning ceiling {ceiling} is not finite and "
+                "nonnegative (an unbounded rate needs a local_bound)"
+            )
+        for t_event, kind in clock(end, ceiling, stream, pending, start=t):
+            state = flow_sample(model, state, t_event - t, stream)
+            t = t_event
+            if kind == SAMPLE:
+                events.append(Event(time=t, kind=SAMPLE, state=state))
+                sample_states[t] = state
                 continue
-            state = flow_sample(model, cur, flight_end - tau, stream)
-            t = flight_end
+            measure = flow.at(t)
+            rate = model.rate(state, measure)
+            check_rate(rate, ceiling, model.name)
+            accepted = stream.random() * ceiling < rate
+            if accepted:
+                state = tuple(model.kernel(state, measure, stream.random()))
+                n_accepted += 1
+            else:
+                n_rejected += 1
+            if record_events:
+                outcome = JUMP_ACCEPTED if accepted else JUMP_REJECTED
+                events.append(Event(time=t, kind=outcome, state=state, ceiling=ceiling))
+            if accepted and local_bound is not None:
+                break
         else:
-            t = flight_end
-        while si < len(pending) and pending[si] <= t:
-            events.append(Event(time=t, kind=SAMPLE, state=state))
-            sample_states[pending[si]] = state
-            si += 1
+            state = flow_sample(model, state, end - t, stream)
+            t = end
+        if t >= horizon:
+            break
+        # The flight yielded every sample up to t (samples come first at
+        # equal times), so the next one starts after them.
+        pending = [ts for ts in pending if ts > t]
     return Trajectory(
         initial=tuple(initial),
         final_state=state,
@@ -511,11 +463,6 @@ def picard_solve(
     n_steps = int(math.floor(horizon / grid_step + 1e-9))
     grid = [k * grid_step for k in range(n_steps + 1)]
     binning = make_binning(model.state_layout, model.state_box, _GAP_BINS)
-    simulate = (
-        simulate_nonlinear_unbounded
-        if math.isinf(model.rate_ceiling)
-        else simulate_nonlinear
-    )
     init_states = [s for s, _ in m0.atoms]
     init_weights = np.array([w for _, w in m0.atoms])
     init_weights = init_weights / init_weights.sum()
@@ -531,7 +478,7 @@ def picard_solve(
                 x0 = init_states[0]
             else:
                 x0 = init_states[child.choice(len(init_states), p=init_weights)]
-            traj = simulate(
+            traj = simulate_nonlinear(
                 model, flow, x0, horizon, child,
                 sample_times=grid[1:], record_events=False,
             )

@@ -3,14 +3,15 @@
 Each model module exposes a frozen parameter dataclass and a builder that
 returns a bundle (model or system plus any companion objects such as
 Lyapunov weights or closed-form constants).  ``MODEL_REGISTRY`` maps short
-names to builders that accept a plain parameter dictionary, which is the
-entry point used by the command-line interface.
+names to builders that accept a plain parameter dictionary, and lists the
+parameters each accepts; :func:`build_model`, the entry point used by the
+command-line interface, builds from it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Mapping
+from typing import Dict, Mapping
 
 from .mh import MhBundle, MhConstants, MhParams, mh_granular
 from .run_tumble import (
@@ -47,27 +48,12 @@ __all__ = [
 ]
 
 
-def _run_tumble_from_params(params: Mapping) -> RunTumbleBundle:
-    return run_tumble(RunTumbleParams(**params))
-
-
-def _tcp_from_params(params: Mapping) -> TcpBundle:
-    return tcp(TcpParams(**params))
-
-
-def _selection_from_params(params: Mapping) -> SelectionBundle:
-    return selection_mutation(SelectionParams(**params))
-
-
 def _mh_from_params(params: Mapping) -> MhBundle:
     """Build the energy-based sampler with a cosine potential on [0, 1)."""
-    opts = dict(params)
-    beta = float(opts.pop("beta", 1.0))
-    w_amp = float(opts.pop("w_amp", 0.25))
-    lam_bar = float(opts.pop("lam_bar", 1.0))
-    n_sites = int(opts.pop("n_sites", 8))
-    if opts:
-        raise ValueError(f"unknown mh parameters: {sorted(opts)}")
+    beta = params.get("beta", 1.0)
+    w_amp = params.get("w_amp", 0.25)
+    lam_bar = params.get("lam_bar", 1.0)
+    n_sites = params.get("n_sites", 8)
 
     def u(x: float) -> float:
         return math.cos(2.0 * math.pi * x)
@@ -93,12 +79,9 @@ def _mh_from_params(params: Mapping) -> MhBundle:
 
 def _zigzag_from_params(params: Mapping) -> ZigZagBundle:
     """Build the directional-flip sampler with a quadratic well."""
-    opts = dict(params)
-    n_particles = int(opts.pop("n_particles"))
-    theta_bound = float(opts.pop("theta_bound", 0.5))
-    w_amp = float(opts.pop("w_amp", 0.25))
-    if opts:
-        raise ValueError(f"unknown zigzag parameters: {sorted(opts)}")
+    n_particles = params["n_particles"]
+    theta_bound = params.get("theta_bound", 0.5)
+    w_amp = params.get("w_amp", 0.25)
     if abs(w_amp) > theta_bound:
         raise ValueError(
             f"interaction amplitude {w_amp} exceeds theta_bound {theta_bound}"
@@ -127,19 +110,36 @@ def _zigzag_from_params(params: Mapping) -> ZigZagBundle:
     )
 
 
-MODEL_REGISTRY: Dict[str, Callable] = {
-    "run-tumble": _run_tumble_from_params,
-    "tcp": _tcp_from_params,
-    "mh": _mh_from_params,
-    "zigzag": _zigzag_from_params,
-    "selection": _selection_from_params,
+#: model id -> (builder, {parameter: int or float}).  A builder takes a
+#: dictionary of some of its listed parameters, each a number of its kind.
+MODEL_REGISTRY: Dict[str, tuple] = {
+    "run-tumble": (lambda params: run_tumble(RunTumbleParams(**params)), {
+        "theta": float, "base_rate": float, "rate_low": float,
+        "rate_high": float, "steepness": float, "r0": float,
+    }),
+    "tcp": (lambda params: tcp(TcpParams(**params)), {
+        "envelope_k": float, "envelope_rho": float,
+    }),
+    "mh": (_mh_from_params, {
+        "beta": float, "w_amp": float, "lam_bar": float, "n_sites": int,
+    }),
+    "zigzag": (_zigzag_from_params, {
+        "n_particles": int, "theta_bound": float, "w_amp": float,
+    }),
+    "selection": (lambda params: selection_mutation(SelectionParams(**params)), {
+        "n_particles": int, "lam_star": float, "base_refresh_rate": float,
+    }),
 }
 
 
 def build_model(name: str, params: Mapping):
     """Build a registered model bundle from a parameter dictionary.
 
+    The command-line interface checks a config's parameters against the
+    registry before it calls this.
+
     Raises:
-        KeyError: If ``name`` is not registered.
+        KeyError: If ``name`` is not registered, or a required parameter is
+            missing.
     """
-    return MODEL_REGISTRY[name](dict(params))
+    return MODEL_REGISTRY[name][0](dict(params))

@@ -25,7 +25,6 @@ from mfjump.engine import (
     MeasureFlow,
     picard_solve,
     simulate_nonlinear,
-    simulate_nonlinear_unbounded,
 )
 from mfjump.metrics import (
     dbar1,
@@ -450,7 +449,7 @@ def test_acceptance_10_unbounded_rate_simulation():
     flow = constant_flow((0.0,))
     finite = 0
     for r in range(1_000):
-        traj = simulate_nonlinear_unbounded(
+        traj = simulate_nonlinear(
             bundle_grow.model, flow, (0.0,), 20.0, make_rng(14_000_000 + r)
         )
         if math.isfinite(traj.final_state[0]) and traj.n_accepted < 10_000:
@@ -460,7 +459,7 @@ def test_acceptance_10_unbounded_rate_simulation():
     n = 10_000
     survived = 0
     for r in range(n):
-        traj = simulate_nonlinear_unbounded(
+        traj = simulate_nonlinear(
             bundle_lin.model, flow, (0.0,), 1.0, make_rng(15_000_000 + r)
         )
         survived += traj.n_accepted == 0

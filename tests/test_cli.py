@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -790,3 +791,60 @@ def test_couple_particles_negative_theta_fails_before_replicas(tmp_path, monkeyp
     out = tmp_path / "out"
     res = run_cli(["couple-particles", "--config", cfg, "--out", str(out)])
     assert_one_line_error(res, out, "theta must be nonnegative, got -1.0")
+
+
+@pytest.mark.parametrize("kind", ["simulate", "picard"])
+def test_tcp_runs_write_the_sample_at_the_horizon(tmp_path, kind):
+    if kind == "simulate":
+        run = {
+            "x0": [0.0], "horizon": 1.0, "replicas": 64, "sample_times": [0.5, 1.0],
+            "flow": {"type": "constant", "atom": [0.0]},
+        }
+    else:
+        run = {
+            "m0": [[0.0]], "horizon": 1.0, "grid_step": 0.5, "n_samples": 100,
+            "tol": 0.0, "max_iter": 2,
+        }
+    cfg = write_config(
+        tmp_path / "tcp.json",
+        {"schema": 1, "kind": kind, "model": {"id": "tcp", "params": {}}, "run": run},
+    )
+    out = tmp_path / "out"
+    res = run_cli([kind, "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    lines = (out / f"{kind}.csv").read_text().strip().splitlines()
+    assert len(lines) == (1 + 64 * 2 if kind == "simulate" else 1 + 2)
+
+
+@pytest.mark.parametrize(
+    "kind, model, expected",
+    [
+        ("simulate", {"id": "run-tumble", "params": {"theta": 0.1, "base_rate": math.nan}},
+         "parameter 'base_rate' must be a finite number, got nan"),
+        ("simulate", {"id": "run-tumble", "params": {"theta": "0.1"}},
+         "parameter 'theta' must be a finite number, got '0.1'"),
+        ("simulate", {"id": "run-tumble", "params": {"theta": 0.1, "base_rate": True}},
+         "parameter 'base_rate' must be a finite number, got True"),
+        ("particles", {"id": "selection", "params": {"n_particles": 2.5}},
+         "parameter 'n_particles' must be an integer, got 2.5"),
+        ("particles", {"id": "mh", "params": {"n_sites": "2"}},
+         "parameter 'n_sites' must be an integer, got '2'"),
+        ("particles", {"id": "mh", "params": {"sites": 2}},
+         "model 'mh' has no parameter 'sites'"),
+    ],
+    ids=["nan", "string", "bool", "fractional-integer", "string-integer", "unknown"],
+)
+def test_malformed_model_parameters_fail_before_replicas(
+    tmp_path, monkeypatch, kind, model, expected
+):
+    forbid_replicas(monkeypatch)
+    path = pathlib.Path(
+        simulate_config(tmp_path) if kind == "simulate"
+        else selection_config(tmp_path, kind, replicas=2)
+    )
+    payload = json.loads(path.read_text())
+    payload["model"] = model
+    cfg = write_config(path, payload)
+    out = tmp_path / "out"
+    res = run_cli([kind, "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, expected)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from mfjump.engine import (
     flow_sample,
     picard_solve,
     simulate_nonlinear,
-    simulate_nonlinear_unbounded,
 )
 from mfjump.metrics import histogram_tv, make_binning, states_equal
 
@@ -257,8 +257,9 @@ def test_rate_above_ceiling_raises():
 
 
 def test_bounded_simulation_rejects_infinite_ceiling():
+    no_bound = dataclasses.replace(tcp_toy(), local_bound=None)
     with pytest.raises(ValueError):
-        simulate_nonlinear(tcp_toy(), constant_flow((0.0,)), (0.0,), 1.0, make_rng(4))
+        simulate_nonlinear(no_bound, constant_flow((0.0,)), (0.0,), 1.0, make_rng(4))
 
 
 def test_saturated_rate_gaps_are_exponential():
@@ -304,25 +305,28 @@ def test_sampling_records_requested_times(rng):
 
 def test_unbounded_halving_kernel_halves_flowed_state(rng):
     model = tcp_toy()
-    traj = simulate_nonlinear_unbounded(
-        model, constant_flow((0.0,)), (4.0,), 5.0, rng
-    )
-    prev_t, prev_s = 0.0, traj.initial
-    saw_jump = False
-    for e in traj.events:
-        flowed = (prev_s[0] + (e.time - prev_t),)
-        if e.kind == JUMP_ACCEPTED:
-            saw_jump = True
-            assert e.state[0] == pytest.approx(flowed[0] / 2.0)
-        else:
-            assert e.state[0] == pytest.approx(flowed[0])
-        prev_t, prev_s = e.time, e.state
-    assert saw_jump
+    # The second input puts sample times inside flights.
+    for sample_times in [(), (0.05, 1.23, 2.5, 5.0)]:
+        traj = simulate_nonlinear(
+            model, constant_flow((0.0,)), (4.0,), 5.0, rng, sample_times=sample_times
+        )
+        assert set(traj.sample_states) == set(sample_times)
+        prev_t, prev_s = 0.0, traj.initial
+        saw_jump = False
+        for e in traj.events:
+            flowed = (prev_s[0] + (e.time - prev_t),)
+            if e.kind == JUMP_ACCEPTED:
+                saw_jump = True
+                assert e.state[0] == pytest.approx(flowed[0] / 2.0)
+            else:
+                assert e.state[0] == pytest.approx(flowed[0])
+            prev_t, prev_s = e.time, e.state
+        assert saw_jump
 
 
 def test_unbounded_records_local_ceilings(rng):
     model = tcp_toy()
-    traj = simulate_nonlinear_unbounded(
+    traj = simulate_nonlinear(
         model, constant_flow((0.0,)), (1.0,), 2.0, rng
     )
     proposals = [e for e in traj.events if e.kind != SAMPLE]
@@ -337,7 +341,7 @@ def test_unbounded_survival_probability_matches_hazard():
     n = 10_000
     survived = 0
     for r in range(n):
-        traj = simulate_nonlinear_unbounded(
+        traj = simulate_nonlinear(
             model, flow, (0.0,), 1.0, make_rng(31_000 + r)
         )
         if traj.n_accepted == 0:
@@ -345,6 +349,21 @@ def test_unbounded_survival_probability_matches_hazard():
     p = math.exp(-1.5)
     se = math.sqrt(p * (1.0 - p) / n)
     assert abs(survived / n - p) < 3.0 * se
+
+
+def test_accepted_jump_ends_a_local_flight():
+    # After a jump to x + 1 the rate 1 + x + 1 exceeds the flight's ceiling
+    # 1 + x + dt, so a proposal later in the same flight would raise.
+    model = dataclasses.replace(
+        tcp_toy(), kernel=lambda state, measure, u: (state[0] + 1.0,), name="tcp-up"
+    )
+    jumps = 0
+    for seed in range(200):
+        traj = simulate_nonlinear(
+            model, constant_flow((0.0,)), (0.0,), 1.0, make_rng(seed)
+        )
+        jumps += traj.n_accepted
+    assert jumps > 200
 
 
 def test_unbounded_rate_above_local_bound_raises():
@@ -363,7 +382,7 @@ def test_unbounded_rate_above_local_bound_raises():
         name="tcp-lying",
     )
     with pytest.raises(RateCeilingError):
-        simulate_nonlinear_unbounded(
+        simulate_nonlinear(
             bad, constant_flow((0.0,)), (3.0,), 5.0, make_rng(8)
         )
 

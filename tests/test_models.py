@@ -14,7 +14,7 @@ from mfjump.engine import (
     RateCeilingError,
     flow_sample,
     picard_solve,
-    simulate_nonlinear_unbounded,
+    simulate_nonlinear,
 )
 from mfjump.metrics import histogram_tv, make_binning
 from mfjump.models import (
@@ -206,11 +206,21 @@ def test_tcp_local_bound_dominates_rate_along_flight():
 def test_tcp_unbounded_marker_and_simulation():
     bundle = tcp(TcpParams())
     assert math.isinf(bundle.model.rate_ceiling)
-    traj = simulate_nonlinear_unbounded(
+    traj = simulate_nonlinear(
         bundle.model, constant_flow((0.0,)), (0.0,), 5.0, make_rng(21)
     )
     assert traj.n_accepted > 0
     assert all(e.state[0] >= 0.0 for e in traj.events)
+
+
+def test_tcp_records_the_sample_at_the_horizon():
+    model = tcp(TcpParams()).model
+    for seed in range(200):
+        traj = simulate_nonlinear(
+            model, constant_flow((0.0,)), (0.0,), 1.0, make_rng(seed),
+            sample_times=[1.0], record_events=False,
+        )
+        assert traj.state_at_sample(1.0) == traj.final_state
 
 
 # ---------------------------------------------------------------------------
