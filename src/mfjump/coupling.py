@@ -304,6 +304,17 @@ class _TelegraphCouplerMachine:
         else:
             self._y = (self._y[0] + self._y[1] * dt, self._y[1])
 
+    def next_event_in(self) -> float:
+        """Time until the next flip of either side (``inf`` at flip rate 0)."""
+        return min(self._tx, self._ty) - self._t
+
+    def drift(self) -> tuple:
+        """Velocity of each component of ``x`` until the next flip.
+
+        The position moves at the velocity label and the label stands still.
+        """
+        return (self._x[1], 0)
+
     def advance(self, dt: float) -> Sequence:
         """Advance by ``dt``; returns ``(offset, x, y, is_merge)`` points."""
         start = self._t
@@ -385,6 +396,14 @@ class _RefreshCouplerMachine:
         if self._rate <= 0.0:
             return math.inf
         return self._stream.exponential(1.0 / self._rate)
+
+    def next_event_in(self) -> float:
+        """Time until the next shared refresh (``inf`` at rate 0)."""
+        return self._next - self._t
+
+    def drift(self) -> None:
+        """``None``: both states stand still between refreshes."""
+        return None
 
     def advance(self, dt: float) -> list:
         start = self._t

@@ -6,13 +6,25 @@ motion between jumps, a global Poisson proposal clock at rate
 thinning acceptance with probability ``rate_i / rate_ceiling``.  Jump rates
 may depend on the whole configuration, which is how mean-field interaction
 enters.
+
+:func:`simulate_system` is event-driven, after the next-reaction method
+(Gibson & Bruck, J. Phys. Chem. A 104, 2000) in Anderson's form for
+time-dependent propensities (J. Chem. Phys. 127, 214107, 2007).  Each
+coordinate's base machine tells when its next base event falls and how its
+state drifts until then.  A heap of those times tells a proposal which
+machines to advance; every other coordinate is read lazily as its state at
+its last event moved by its drift, and the configuration's means come from
+running sums.  So a mean-field proposal costs ``O(log N)``, not ``O(N)``.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import dataclasses
+import heapq
 import math
+from collections import abc
 from typing import Callable, Optional, Sequence
 
 from .engine import (
@@ -49,9 +61,12 @@ class SystemSpec:
             of one coordinate, typed as ``ModelSpec.base_flow`` (coordinates
             are exchangeable, so it takes no index).
         rate: ``(i, config) -> float`` jump rate of coordinate ``i`` given the
-            full configuration.
+            full configuration.  ``config`` is a read-only sequence of
+            coordinate states, valid only during the call: keep a copy
+            (``tuple(config)``), not the sequence.
         kernel: ``(i, config, stream) -> coord_state`` post-jump state of
             coordinate ``i``, drawing any variates it needs from ``stream``.
+            ``config`` is as for ``rate``.
         rate_ceiling: Uniform bound on every coordinate rate.
         coordinate_layout: Per-component kind of one coordinate.
         coordinate_box: Per-component range of one coordinate.  A label's
@@ -83,7 +98,15 @@ class SystemSpec:
 
 
 def empirical(config: Sequence[State]) -> EmpiricalMeasure:
-    """Empirical measure of a configuration (uniform over coordinates)."""
+    """Empirical measure of a configuration (uniform over coordinates).
+
+    For the configuration :func:`simulate_system` passes to ``rate`` and
+    ``kernel`` while coordinates drift, ``mean`` reads the simulator's
+    running sums in ``O(1)``; like that configuration, such a measure is
+    valid only during the call.
+    """
+    if isinstance(config, _LiveConfig):
+        return _LiveMeasure(config)
     return EmpiricalMeasure.from_states(config)
 
 
@@ -103,6 +126,15 @@ class _SynchronizedBaseMachine:
         self._merged = states_equal(self._x, self._y)
         if self._merged:
             self._y = self._x
+
+    def next_event_in(self) -> float:
+        """``0.0``: ``base_flow`` may draw over any interval, so the machine
+        has no next event to wait for and is advanced at every step."""
+        return 0.0
+
+    def drift(self) -> None:
+        """``None``: the state changes only when the machine is advanced."""
+        return None
 
     def advance(self, dt: float) -> Sequence:
         if self._merged:
@@ -124,7 +156,11 @@ def _base_machine(spec, x, y, stream):
 
     It is the spec's ``base_coupler``, or, where none is declared, the
     synchronized machine over ``base_flow``.  On the diagonal it is the base
-    motion itself.
+    motion itself.  Besides ``advance``, a machine answers two read-only
+    questions about its ``x`` side, which :func:`simulate_system` asks:
+    ``next_event_in()``, the time until its next base event (``inf`` if
+    none, ``0.0`` if it may draw at any time), and ``drift()``, the velocity
+    of each state component until then (``None`` if the state stands still).
     """
     if spec.base_coupler is not None:
         return spec.base_coupler(x, y, stream)
@@ -134,9 +170,8 @@ def _base_machine(spec, x, y, stream):
 def _flow_machines(machines: list, dt: float, xs: list, ys: list) -> None:
     """Advance every coordinate machine by ``dt``, storing its end states.
 
-    A single run passes its configuration as both ``xs`` and ``ys``: on the
-    diagonal the two sides are one state.  A ceiling error raised by a
-    machine is re-raised naming the coordinate it moves.
+    A ceiling error raised by a machine is re-raised naming the coordinate
+    it moves.
     """
     if dt <= 0.0:
         return
@@ -145,6 +180,195 @@ def _flow_machines(machines: list, dt: float, xs: list, ys: list) -> None:
             _, xs[i], ys[i], _ = machine.advance(dt)[-1]
     except RateCeilingError as err:
         raise RateCeilingError(f"coordinate {i}: {err}") from err
+
+
+def _anchor(state, drift, since: float, k: int) -> float:
+    """Component ``k`` of ``state`` moved back by its drift to time 0."""
+    if drift is None:
+        return state[k]
+    return state[k] - drift[k] * since
+
+
+class _LiveConfig(abc.Sequence):
+    """The configuration of a running system, read at the time of its last flow.
+
+    Coordinate ``j`` is stored as its state at its last base event or jump,
+    ``since[j]``, with the drift its machine reported then.  It is read at
+    the flow time ``t`` as that state moved by its drift for ``t -
+    since[j]``; a component with no drift keeps its exact value, so labels
+    stay ints.
+
+    A machine with a clock (``next_event_in() > 0`` when it starts) sits in
+    a heap keyed by its next event time, and :meth:`flow` advances it only
+    when that time has come.  A machine that may draw at any time is
+    advanced at every flow, after the due ones, and is read as stored.
+
+    ``mean(k)`` is ``(A_k + t * B_k) / N`` with ``A_k = sum(x_jk - d_jk *
+    since[j])`` and ``B_k = sum(d_jk)``.  Each sum is built with
+    :func:`math.fsum` when first read and kept up to date at every change of
+    a coordinate.  It is rebuilt after ``N`` updates, after each sample and
+    after each flow of the machines without a clock, so float error cannot
+    build up.
+    """
+
+    def __init__(self, system: SystemSpec, initial: Sequence[State], stream):
+        n = len(initial)
+        self._system = system
+        self._stream = stream
+        self._n = n
+        self.t = 0.0
+        self._machines: list = [None] * n
+        self._states = list(initial)
+        self._since = [0.0] * n
+        self._drifts: list = [None] * n
+        self._due = [math.inf] * n
+        self._heap: list = []
+        self._clocked = [True] * n
+        self._unclocked: list[int] = []
+        self._moving = 0
+        self._sums: dict[int, list] = {}
+        self._updates = 0
+        for j in range(n):
+            self.start(j, self._states[j])
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, j: int) -> State:
+        drift = self._drifts[j]
+        if drift is None:
+            return self._states[j]
+        dt = self.t - self._since[j]
+        return tuple([x + d * dt if d else x for x, d in zip(self._states[j], drift)])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._n))
+
+    def view(self) -> Sequence[State]:
+        """What ``rate`` and ``kernel`` read: the stored states themselves
+        while no coordinate drifts, else this lazy view."""
+        return self if self._moving else self._states
+
+    def snapshot(self) -> tuple:
+        """The configuration at a sample time; the sums are rebuilt next."""
+        self._sums.clear()
+        return tuple(self.view())
+
+    def mean(self, k: int) -> float:
+        """Mean of component ``k`` over the coordinates, from the sums."""
+        sums = self._sums.get(k)
+        if sums is None:
+            if not self._sums:
+                self._updates = 0
+            parts = zip(self._states, self._drifts, self._since)
+            sums = self._sums[k] = [
+                math.fsum(_anchor(s, d, since, k) for s, d, since in parts),
+                math.fsum(d[k] for d in self._drifts if d is not None),
+            ]
+        return (sums[0] + self.t * sums[1]) / self._n
+
+    def _set(self, j: int, state: State, drift, t: float) -> None:
+        """Store coordinate ``j`` as ``state`` at ``t`` and update the sums."""
+        old_state, old_drift, old_t = self._states[j], self._drifts[j], self._since[j]
+        self._states[j] = state
+        self._drifts[j] = drift
+        self._since[j] = t
+        self._moving += (drift is not None) - (old_drift is not None)
+        sums = self._sums
+        if not sums:
+            return
+        self._updates += 1
+        if self._updates > self._n:
+            sums.clear()
+            return
+        for k, acc in sums.items():
+            acc[0] += _anchor(state, drift, t, k) - _anchor(old_state, old_drift, old_t, k)
+            acc[1] += (drift[k] if drift is not None else 0) - (
+                old_drift[k] if old_drift is not None else 0
+            )
+
+    def start(self, j: int, state: State) -> None:
+        """Start coordinate ``j``'s machine at ``state`` at the flow time."""
+        machine = _base_machine(self._system, state, state, self._stream)
+        self._machines[j] = machine
+        wait = machine.next_event_in()
+        clocked = wait > 0.0
+        if clocked != self._clocked[j]:
+            self._clocked[j] = clocked
+            if clocked:
+                self._unclocked.remove(j)
+            else:
+                # Advanced at every flow from now on, so read as stored.
+                bisect.insort(self._unclocked, j)
+                self._set(j, self[j], None, self.t)
+                self._due[j] = math.inf
+        if clocked:
+            self._set(j, state, machine.drift(), self.t)
+            self._due[j] = at = self.t + wait
+            if at < math.inf:
+                heapq.heappush(self._heap, (at, j))
+        else:
+            self._states[j] = state
+            self._sums.clear()
+
+    def flow(self, t: float) -> None:
+        """Advance to ``t`` the machines whose next event is due, in index
+        order, then every machine without a clock.
+
+        A machine that is not due draws nothing when advanced.  So where all
+        machines have clocks, or none has, these are the draws that
+        advancing every machine in index order would make, in the same
+        order.  A ceiling error raised by a machine is re-raised naming the
+        coordinate it moves.
+        """
+        heap, machines = self._heap, self._machines
+        j = -1
+        try:
+            if heap and heap[0][0] <= t:
+                due = self._due
+                popped = []
+                while heap and heap[0][0] <= t:
+                    at, j = heapq.heappop(heap)
+                    if due[j] == at:
+                        due[j] = math.inf
+                        popped.append(j)
+                popped.sort()
+                since = self._since
+                for j in popped:
+                    machine = machines[j]
+                    _, state, _, _ = machine.advance(t - since[j])[-1]
+                    self._set(j, state, machine.drift(), t)
+                    due[j] = at = t + machine.next_event_in()
+                    if at < math.inf:
+                        heapq.heappush(heap, (at, j))
+            dt = t - self.t
+            if self._unclocked and dt > 0.0:
+                states = self._states
+                for j in self._unclocked:
+                    _, states[j], _, _ = machines[j].advance(dt)[-1]
+                self._sums.clear()
+        except RateCeilingError as err:
+            raise RateCeilingError(f"coordinate {j}: {err}") from err
+        self.t = t
+
+
+class _LiveMeasure(EmpiricalMeasure):
+    """Empirical measure of a :class:`_LiveConfig` at its flow time.
+
+    ``mean`` reads the configuration's running sums; the atoms, built on
+    first read, read its states.
+    """
+
+    __slots__ = ("_live",)
+
+    def __init__(self, live: _LiveConfig):
+        self._atoms = None
+        self._states = live
+        self._mean_cache = {}
+        self._live = live
+
+    def mean(self, index: int) -> float:
+        return self._live.mean(index)
 
 
 def simulate_system(
@@ -161,9 +385,21 @@ def simulate_system(
     on the diagonal and drawing from ``stream``: the system's
     ``base_coupler`` where one is declared, else synchronized ``base_flow``
     calls.  An accepted jump restarts the machine of the coordinate that
-    jumped.  Events carry full configurations (tuples of coordinate states).
-    With ``record_events=False`` only sample events are kept, while accepted
-    and rejected proposals are still counted.
+    jumped.
+
+    The run is event-driven: at each proposal and sample only the machines
+    whose next base event has come are advanced, in coordinate order, and
+    machines that may draw at any time (the synchronized ones) are advanced
+    at every step.  A machine with no event in a step draws nothing, so the
+    draws are those of advancing every machine at every step.  ``rate`` and
+    ``kernel`` receive a read-only configuration, valid only during the
+    call, whose drifting coordinates are computed when read, and
+    :func:`empirical` of it reads running sums for ``mean``.  So a proposal
+    of a mean-field system costs ``O(log N)`` plus what its rate reads.
+
+    Events carry full configurations (tuples of coordinate states).  With
+    ``record_events=False`` only sample events are kept, while accepted and
+    rejected proposals are still counted.
     """
     n = system.n_particles
     ceiling = system.rate_ceiling
@@ -173,40 +409,35 @@ def simulate_system(
         raise ValueError(f"expected {n} coordinates, got {len(initial)}")
     events: list[Event] = []
     sample_states: dict[float, tuple] = {}
-    t = 0.0
-    config = [tuple(c) for c in initial]
-    initial_config = tuple(config)
-    machines = [_base_machine(system, c, c, stream) for c in config]
+    initial_config = tuple(tuple(c) for c in initial)
+    live = _LiveConfig(system, initial_config, stream)
     n_accepted = n_rejected = 0
 
-    for t_event, kind in clock(horizon, n * ceiling, stream, sample_times):
+    for t, kind in clock(horizon, n * ceiling, stream, sample_times):
         if kind == SAMPLE:
-            _flow_machines(machines, t_event - t, config, config)
-            t = t_event
-            snapshot = tuple(config)
+            live.flow(t)
+            snapshot = live.snapshot()
             events.append(Event(time=t, kind=SAMPLE, state=snapshot))
             sample_states[t] = snapshot
             continue
         i = int(stream.integers(n))
-        _flow_machines(machines, t_event - t, config, config)
-        t = t_event
-        full = tuple(config)
-        rate_i = system.rate(i, full)
+        live.flow(t)
+        config = live.view()
+        rate_i = system.rate(i, config)
         check_rate(rate_i, ceiling, system.name, i)
         if stream.random() * ceiling < rate_i:
-            config[i] = tuple(system.kernel(i, full, stream))
-            machines[i] = _base_machine(system, config[i], config[i], stream)
+            live.start(i, tuple(system.kernel(i, config, stream)))
             n_accepted += 1
             if record_events:
-                events.append(Event(time=t, kind=JUMP_ACCEPTED, state=tuple(config)))
+                events.append(Event(time=t, kind=JUMP_ACCEPTED, state=tuple(live.view())))
         else:
             n_rejected += 1
             if record_events:
-                events.append(Event(time=t, kind=JUMP_REJECTED, state=full))
-    _flow_machines(machines, horizon - t, config, config)
+                events.append(Event(time=t, kind=JUMP_REJECTED, state=tuple(config)))
+    live.flow(horizon)
     return Trajectory(
         initial=initial_config,
-        final_state=tuple(config),
+        final_state=tuple(live.view()),
         horizon=horizon,
         events=tuple(events),
         n_accepted=n_accepted,

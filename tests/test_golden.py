@@ -121,7 +121,7 @@ PARTICLE_CASES = {
 
 #: sha256 of the repr of the library mean-field run below.
 MEANFIELD_SHA256 = (
-    "5b92da91215a29b41a6fb50b5b708e66d6ac6ddac9f948fd391f68d97cdc2a74"
+    "8008e517930d26413c2e2ae6a3f8c251db00e53046bd988257c995c17d00842c"
 )
 
 

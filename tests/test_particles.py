@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,16 +11,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mfjump.engine import JUMP_ACCEPTED, JUMP_REJECTED, SAMPLE, RateCeilingError
+from mfjump.coupling import make_telegraph_coupler
+from mfjump.engine import (
+    JUMP_ACCEPTED,
+    JUMP_REJECTED,
+    SAMPLE,
+    Event,
+    RateCeilingError,
+    Trajectory,
+    check_rate,
+    clock,
+    simulate_nonlinear,
+)
 from mfjump.metrics import measure_tv, states_equal
 from mfjump.particles import (
     SystemSpec,
+    _SynchronizedBaseMachine,
+    _base_machine,
+    _flow_machines,
     empirical,
     meanfield_system,
     simulate_system,
 )
-from mfjump.engine import simulate_nonlinear
-from mfjump.models import run_tumble, RunTumbleParams
+from mfjump.models import build_model, run_tumble, RunTumbleParams
 
 from conftest import CountingStream, constant_flow, flip_model, flip_system, make_rng
 
@@ -252,3 +266,261 @@ def test_meanfield_system_size_and_ceiling():
     sys = meanfield_system(bundle, 4)
     assert sys.n_particles == 4
     assert sys.rate_ceiling == pytest.approx(bundle.model.rate_ceiling)
+
+
+# ---------------------------------------------------------------------------
+# the event-driven engine against the eager reference loop
+
+
+def eager_simulate_system(system, initial, horizon, stream, sample_times=(),
+                          record_events=True):
+    """Reference loop: every coordinate machine is advanced at every event.
+
+    This is ``simulate_system`` before it became event-driven, kept as the
+    draw-for-draw reference of the event queue.
+    """
+    n = system.n_particles
+    ceiling = system.rate_ceiling
+    events = []
+    sample_states = {}
+    t = 0.0
+    config = [tuple(c) for c in initial]
+    initial_config = tuple(config)
+    machines = [_base_machine(system, c, c, stream) for c in config]
+    n_accepted = n_rejected = 0
+    for t_event, kind in clock(horizon, n * ceiling, stream, sample_times):
+        if kind == SAMPLE:
+            _flow_machines(machines, t_event - t, config, config)
+            t = t_event
+            snapshot = tuple(config)
+            events.append(Event(time=t, kind=SAMPLE, state=snapshot))
+            sample_states[t] = snapshot
+            continue
+        i = int(stream.integers(n))
+        _flow_machines(machines, t_event - t, config, config)
+        t = t_event
+        full = tuple(config)
+        rate_i = system.rate(i, full)
+        check_rate(rate_i, ceiling, system.name, i)
+        if stream.random() * ceiling < rate_i:
+            config[i] = tuple(system.kernel(i, full, stream))
+            machines[i] = _base_machine(system, config[i], config[i], stream)
+            n_accepted += 1
+            if record_events:
+                events.append(Event(time=t, kind=JUMP_ACCEPTED, state=tuple(config)))
+        else:
+            n_rejected += 1
+            if record_events:
+                events.append(Event(time=t, kind=JUMP_REJECTED, state=full))
+    _flow_machines(machines, horizon - t, config, config)
+    return Trajectory(
+        initial=initial_config,
+        final_state=tuple(config),
+        horizon=horizon,
+        events=tuple(events),
+        n_accepted=n_accepted,
+        n_rejected=n_rejected,
+        sample_states=sample_states,
+    )
+
+
+def assert_configs_close(a, b, tol=1e-12):
+    """Equal labels and ints; reals within ``tol``."""
+    assert len(a) == len(b)
+    for ca, cb in zip(a, b):
+        assert len(ca) == len(cb)
+        for xa, xb in zip(ca, cb):
+            if isinstance(xa, int) or isinstance(xb, int):
+                assert xa == xb and type(xa) is type(xb)
+            else:
+                assert abs(xa - xb) <= tol, (ca, cb)
+
+
+def _meanfield_rt(n):
+    system = meanfield_system(run_tumble(RunTumbleParams(theta=0.5)), n)
+    initial = tuple((4.0 * (k + 0.5) / n - 2.0, 1 if k % 2 else -1) for k in range(n))
+    return system, initial, 2.0
+
+
+def _spread(n):
+    return tuple(((7 * k) % n / n,) for k in range(n))
+
+
+def _mh(part):
+    bundle = build_model("mh", {"n_sites": 16, "beta": 1.0, "lam_bar": 2.0})
+    return getattr(bundle, part), _spread(16), 1.0
+
+
+#: name -> () -> (system, initial configuration, horizon).
+EXACTNESS_CASES = {
+    "meanfield-rt-16": lambda: _meanfield_rt(16),
+    "meanfield-rt-64": lambda: _meanfield_rt(64),
+    "selection": lambda: (
+        build_model("selection", {"n_particles": 16, "base_refresh_rate": 2.0}).system,
+        _spread(16),
+        1.0,
+    ),
+    "mh-decomposed": lambda: _mh("system"),
+    "mh-raw": lambda: _mh("raw_system"),
+    "zigzag": lambda: (
+        build_model("zigzag", {"n_particles": 16}).system,
+        tuple(((k - 8) / 4.0, 1 if k % 3 else -1) for k in range(16)),
+        1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_CASES))
+def test_event_queue_matches_eager_loop_draw_for_draw(name):
+    system, initial, horizon = EXACTNESS_CASES[name]()
+    times = (horizon / 3.0, horizon / 2.0, horizon)
+    for seed in range(20):
+        a_stream, b_stream = make_rng(7_000 + seed), make_rng(7_000 + seed)
+        a = simulate_system(system, initial, horizon, a_stream, sample_times=times)
+        b = eager_simulate_system(system, initial, horizon, b_stream, sample_times=times)
+        assert (a.n_accepted, a.n_rejected) == (b.n_accepted, b.n_rejected)
+        assert [e.kind for e in a.events] == [e.kind for e in b.events]
+        for ea, eb in zip(a.events, b.events):
+            assert abs(ea.time - eb.time) <= 1e-12
+            assert_configs_close(ea.state, eb.state)
+        assert_configs_close(a.final_state, b.final_state)
+        assert a.initial == b.initial
+        assert a_stream.random() == b_stream.random()
+
+
+def _recording_telegraph_system(n, rate):
+    """Telegraph coordinates (flip rate 1) with a constant jump rate; the
+    kernel halves the position and flips the velocity."""
+
+    def kernel(i, config, stream):
+        x, v = config[i]
+        return (0.5 * x, -v)
+
+    return SystemSpec(
+        n_particles=n,
+        base_flow=None,
+        rate=rate,
+        kernel=kernel,
+        rate_ceiling=1.0,
+        coordinate_layout=("real", "label"),
+        coordinate_box=((-50.0, 50.0), (-1, 1)),
+        name="telegraph-constant-rate",
+        base_coupler=make_telegraph_coupler(1.0),
+    )
+
+
+def test_running_moments_and_lazy_coordinates_match_the_flowed_configuration():
+    # Each proposal of a long run checks what the rate reads: the running
+    # mean against the fsum mean of the configuration it materialises, and
+    # every coordinate against the eager loop's configuration, where all
+    # machines are flowed to the proposal time.  A constant rate keeps the
+    # two runs on the same draws.
+    n, horizon = 64, 50.0
+    seen = []
+
+    def record(i, config):
+        seen.append(tuple(config))
+        return 0.5
+
+    samples = (10.0, 20.0)
+    eager_simulate_system(
+        _recording_telegraph_system(n, record), _meanfield_rt(n)[1], horizon,
+        make_rng(31), sample_times=samples,
+    )
+    proposals = iter(seen)
+
+    def check(i, config):
+        expected = next(proposals)
+        states = tuple(config)
+        measure = empirical(config)
+        for k in (0, 1):
+            exact = math.fsum(c[k] for c in states) / n
+            assert abs(measure.mean(k) - exact) <= 1e-12
+        assert_configs_close([config[j] for j in range(n)], expected)
+        return 0.5
+
+    traj = simulate_system(
+        _recording_telegraph_system(n, check), _meanfield_rt(n)[1], horizon,
+        make_rng(31), sample_times=samples, record_events=False,
+    )
+    assert traj.n_accepted + traj.n_rejected == len(seen) > 3000
+    assert next(proposals, None) is None
+
+
+def test_meanfield_run_advances_only_due_machines():
+    # The eager loop advanced all N machines at every proposal.  Now a
+    # machine is advanced only at a base event (each drew an exponential
+    # when it was scheduled), plus at most once per proposal, sample and end.
+    n = 256
+    advances = 0
+    model = run_tumble(RunTumbleParams(theta=0.1)).model
+
+    class CountedMachine:
+        def __init__(self, machine):
+            self._machine = machine
+
+        def advance(self, dt):
+            nonlocal advances
+            advances += 1
+            return self._machine.advance(dt)
+
+        def __getattr__(self, attr):
+            return getattr(self._machine, attr)
+
+    def coupler(x, y, stream):
+        return CountedMachine(model.base_coupler(x, y, stream))
+
+    system = dataclasses.replace(meanfield_system(model, n), base_coupler=coupler)
+    _, initial, _ = _meanfield_rt(n)
+    stream = CountingStream(make_rng(17))
+    samples = (0.25, 0.5)
+    traj = simulate_system(system, initial, 0.5, stream, sample_times=samples)
+    proposals = traj.n_accepted + traj.n_rejected
+    assert proposals > 100
+    bound = stream.counts["exponential"] + proposals + n * (len(samples) + 1)
+    assert advances <= bound
+
+
+def test_machines_with_and_without_a_clock_mix():
+    # A coupler that gives a coordinate moving right a machine without a
+    # clock and one moving left a telegraph machine that never flips, so
+    # every accepted jump moves the coordinate between the heap and the
+    # machines advanced at every step.  Neither kind draws, so the run must
+    # match the eager loop, and the running mean the materialised one.
+    n = 8
+    telegraph = make_telegraph_coupler(0.0)
+
+    def move(state, dt, stream):
+        return (state[0] + state[1] * dt, state[1])
+
+    def coupler(x, y, stream):
+        if x[1] > 0:
+            return _SynchronizedBaseMachine(move, x, y, stream)
+        return telegraph(x, y, stream)
+
+    def rate(i, config):
+        exact = math.fsum(c[0] for c in tuple(config)) / n
+        assert abs(empirical(config).mean(0) - exact) <= 1e-12
+        return 0.7
+
+    def kernel(i, config, stream):
+        x, v = config[i]
+        return (x, -v)
+
+    system = SystemSpec(
+        n_particles=n, base_flow=move, rate=rate, kernel=kernel,
+        rate_ceiling=1.0, coordinate_layout=("real", "label"),
+        coordinate_box=((-50.0, 50.0), (-1, 1)), name="mixed-machines",
+        base_coupler=coupler,
+    )
+    initial = tuple((k / 4.0, 1 if k % 2 else -1) for k in range(n))
+    for seed in range(5):
+        a_stream, b_stream = make_rng(300 + seed), make_rng(300 + seed)
+        a = simulate_system(system, initial, 5.0, a_stream, sample_times=(2.5,))
+        b = eager_simulate_system(system, initial, 5.0, b_stream, sample_times=(2.5,))
+        assert a.n_accepted == b.n_accepted > 10
+        assert [e.kind for e in a.events] == [e.kind for e in b.events]
+        for ea, eb in zip(a.events, b.events):
+            assert_configs_close(ea.state, eb.state)
+        assert_configs_close(a.final_state, b.final_state)
+        assert a_stream.random() == b_stream.random()
