@@ -32,7 +32,7 @@ from .engine import (
     check_rate,
     clock,
 )
-from .metrics import dbar1, quantize_state, states_equal
+from .metrics import dbar1
 from .particles import SystemSpec, _base_machine, _flow_machines
 
 __all__ = [
@@ -65,10 +65,9 @@ class UnsupportedCouplingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _load_atoms(atoms) -> tuple[dict, dict, float]:
-    """Accumulate atom weights by quantized state; returns clamped negative mass."""
+def _load_atoms(atoms) -> tuple[dict, float]:
+    """Accumulate atom weights by state; returns clamped negative mass."""
     weights: dict = {}
-    reps: dict = {}
     total = 0.0
     clamped = 0.0
     for state, w in atoms:
@@ -78,13 +77,12 @@ def _load_atoms(atoms) -> tuple[dict, dict, float]:
                 raise ValueError(f"atom weight {w} is negative")
             clamped += -w
             w = 0.0
-        key = quantize_state(state)
-        weights[key] = weights.get(key, 0.0) + w
-        reps.setdefault(key, tuple(state))
+        state = tuple(state)
+        weights[state] = weights.get(state, 0.0) + w
         total += w
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"atom weights sum to {total}, expected 1")
-    return weights, reps, clamped
+    return weights, clamped
 
 
 def overlap_decompose(atoms1, atoms2):
@@ -94,12 +92,13 @@ def overlap_decompose(atoms1, atoms2):
     ``nu0`` the normalized overlap atoms, ``nu1``/``nu2`` the normalized
     residual atoms of each side (with disjoint supports), and ``excess`` the
     total weight clamped to keep ``p`` in ``[0, 1]`` and weights nonnegative.
-    Atom lists are sorted canonically by quantized state.
+    Atoms are merged by equal state (``==``) and sorted by state, so the
+    overlap holds only states both sides can reach and each residual only
+    states of its own side.
     """
-    w1, reps1, c1 = _load_atoms(atoms1)
-    w2, reps2, c2 = _load_atoms(atoms2)
-    reps = {**reps2, **reps1}
-    common = sorted(set(w1) & set(w2))
+    w1, c1 = _load_atoms(atoms1)
+    w2, c2 = _load_atoms(atoms2)
+    common = sorted(k for k in w1 if k in w2)
     p_raw = sum(min(w1[k], w2[k]) for k in common)
     excess = c1 + c2
     if p_raw > 1.0:
@@ -109,7 +108,7 @@ def overlap_decompose(atoms1, atoms2):
 
     if p > 0.0:
         nu0 = tuple(
-            (reps[k], min(w1[k], w2[k]) / p)
+            (k, min(w1[k], w2[k]) / p)
             for k in common
             if min(w1[k], w2[k]) > 0.0
         )
@@ -121,19 +120,19 @@ def overlap_decompose(atoms1, atoms2):
     def residual(side: dict, other: dict) -> tuple:
         raw = []
         for k in sorted(side):
-            left = side[k] - min(side[k], other.get(k, 0.0)) if k in other else side[k]
+            left = side[k] - min(side[k], other.get(k, 0.0))
             if left > 0.0:
                 raw.append((k, left))
         mass = sum(w for _, w in raw)
         if mass <= 0.0:
             return ()
-        return tuple((reps[k], w / mass) for k, w in raw)
+        return tuple((k, w / mass) for k, w in raw)
 
     return p, nu0, residual(w1, w2), residual(w2, w1), excess
 
 
 def _pick(atoms: Sequence, w: float) -> tuple:
-    """Inverse-CDF draw from canonically sorted atoms at quantile ``w``."""
+    """Inverse-CDF draw from atoms sorted by state at quantile ``w``."""
     acc = 0.0
     for state, weight in atoms:
         acc += weight
@@ -255,7 +254,7 @@ class _TelegraphCouplerMachine:
         self._x = (float(x[0]), x[1])
         self._y = (float(y[0]), y[1])
         self._t = 0.0
-        self._merged = states_equal(self._x, self._y)
+        self._merged = self._x == self._y
         if self._merged:
             self._y = self._x
         self._tx = math.inf
@@ -387,7 +386,7 @@ class _RefreshCouplerMachine:
         self._x = tuple(x)
         self._y = tuple(y)
         self._t = 0.0
-        self._merged = states_equal(self._x, self._y)
+        self._merged = self._x == self._y
         if self._merged:
             self._y = self._x
         self._next = self._t + self._gap()
@@ -471,7 +470,7 @@ def coupled_base(model: ModelSpec, x, y, t0: float, stream):
     machine = model.base_coupler(x, y, stream)
     path_x = [(0.0, x)]
     path_y = [(0.0, y)]
-    merged_at = 0.0 if states_equal(x, y) else None
+    merged_at = 0.0 if x == y else None
     for offset, sx, sy, is_merge in machine.advance(t0):
         path_x.append((offset, tuple(sx)))
         path_y.append((offset, tuple(sy)))
@@ -601,14 +600,14 @@ def simulate_merge_split(
     for t_event, kind in clock(horizon, lam_star, stream, sample_times, window=t0):
         run_machine(t_event)
         if kind == SAMPLE:
-            merged = states_equal(x, y)
+            merged = x == y
             events.append(CoupledEvent(time=t, kind=SAMPLE, x=x, y=y, merged=merged))
             sample_pairs[t] = (x, y)
             continue
         if kind == WINDOW:
             machine = _base_machine(model, x, y, stream)
             continue
-        was_merged = states_equal(x, y)
+        was_merged = x == y
         p, nu0, nu1, nu2, excess = overlap_decompose(
             _mixed_atoms(model, (x, flow1.at(t)), x),
             _mixed_atoms(model, (y, flow2.at(t)), y),
@@ -617,7 +616,7 @@ def simulate_merge_split(
         if excess > 1e-7:
             n_clamped += 1
         x, y, _ = _maximal_draw(p, nu0, nu1, nu2, stream)
-        merged = states_equal(x, y)
+        merged = x == y
         if was_merged and not merged:
             n_splits += 1
         if record_events:
@@ -755,7 +754,7 @@ def simulate_coupled_system(
             machines = [build_machine(i) for i in range(n)]
             continue
         i = int(stream.integers(n))
-        equal_before = states_equal(xs[i], ys[i])
+        equal_before = xs[i] == ys[i]
         p, nu0, nu1, nu2, _ = overlap_decompose(
             _mixed_atoms(system, (i, tuple(xs)), xs[i], i),
             _mixed_atoms(system, (i, tuple(ys)), ys[i], i),

@@ -19,13 +19,14 @@ short flight.  :func:`picard_solve` closes the loop, iterating the map
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .metrics import Binning, make_binning, quantize_state
+from .metrics import Binning, make_binning
 
 __all__ = [
     "JUMP_ACCEPTED",
@@ -81,7 +82,7 @@ class EmpiricalMeasure:
     placeholder for zero-mass residuals, is also allowed).
 
     A measure made by :meth:`from_states` only keeps the states: its atoms
-    (quantised, merged and sorted) are built on the first read of ``atoms``,
+    (one per distinct state, sorted) are built on the first read of ``atoms``,
     and until then :meth:`mean` reads the states directly.  The mean-field
     lift builds one such measure per rate and kernel call; most are never
     read, or read only through a moment.
@@ -121,12 +122,9 @@ class EmpiricalMeasure:
         # never neither.
         states = self._states
         if self._atoms is None:
-            weights: dict[State, float] = {}
-            for s in states:
-                key = quantize_state(tuple(s))
-                weights[key] = weights.get(key, 0.0) + 1.0
-            count = len(states)
-            self._atoms = tuple(sorted((s, w / count) for s, w in weights.items()))
+            counts = collections.Counter(map(tuple, states))
+            n = len(states)
+            self._atoms = tuple(sorted((s, c / n) for s, c in counts.items()))
             self._states = None
         return self._atoms
 

@@ -1,9 +1,10 @@
 """State distances, histogram comparisons, and coupled-ensemble estimators.
 
-States are flat tuples mixing real coordinates and discrete labels.  Equality
-of states is defined up to a tiny quantisation tolerance so that states
-reached through different arithmetic paths still compare equal, while any
-genuine difference (above ``1e-9`` or so) is preserved.
+States are flat tuples mixing real coordinates and discrete labels.  Two
+states are equal when the tuples are (``==``): every coupling that merges a
+pair hands both sides one state, so no tolerance is needed.  The one
+approximate comparison in the package is the telegraph coupler's merge snap
+(``coupling._MERGE_SNAP``), which then sets both sides to the same tuple.
 """
 
 from __future__ import annotations
@@ -27,36 +28,9 @@ __all__ = [
     "histogram_tv",
     "make_binning",
     "measure_tv",
-    "quantize_state",
-    "states_equal",
 ]
 
 State = tuple
-
-#: Number of decimal digits kept when quantising real coordinates.
-_QUANT_DECIMALS = 9
-
-
-def quantize_state(state: State) -> State:
-    """Round real coordinates to a fixed precision; keep labels exact.
-
-    Quantisation is idempotent and collapses float noise far below the
-    physical scales of the models, so quantised states can be used as
-    dictionary keys.
-    """
-    out = []
-    for c in state:
-        if isinstance(c, (int, np.integer)) and not isinstance(c, bool):
-            out.append(int(c))
-        else:
-            q = round(float(c), _QUANT_DECIMALS)
-            out.append(0.0 if q == 0.0 else q)  # normalise -0.0
-    return tuple(out)
-
-
-def states_equal(x: State, y: State) -> bool:
-    """Whether two states agree up to quantisation."""
-    return len(x) == len(y) and quantize_state(x) == quantize_state(y)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +60,7 @@ class LyapunovFn:
 
 def d_v(x: State, y: State, v: LyapunovFn) -> float:
     """Distance ``(V(x) + V(y)) 1{x != y}``."""
-    if states_equal(x, y):
+    if x == y:
         return 0.0
     return v(x) + v(y)
 
@@ -97,14 +71,14 @@ def d_beta(x: State, y: State, v: LyapunovFn, beta: float) -> float:
     At ``beta = 0`` this is twice the discrete distance; the ``beta`` weight
     interpolates towards the ``V``-weighted distance.
     """
-    if states_equal(x, y):
+    if x == y:
         return 0.0
     return (1.0 + beta * v(x)) + (1.0 + beta * v(y))
 
 
 def dbar1(x: Sequence[State], y: Sequence[State]) -> float:
     """Configuration distance: twice the number of mismatched coordinates."""
-    return 2.0 * sum(1 for a, b in zip(x, y) if not states_equal(a, b))
+    return 2.0 * sum(1 for a, b in zip(x, y) if a != b)
 
 
 def dbar_v(x: Sequence[State], y: Sequence[State], vis: Sequence[LyapunovFn]) -> float:
@@ -135,7 +109,7 @@ def estimate_tv_bound(runs: Iterable, t: float) -> BoundEstimate:
     Each run must expose ``pair_at(t) -> (x, y)``.
     """
     flags = np.array(
-        [0.0 if states_equal(*run.pair_at(t)) else 1.0 for run in runs]
+        [0.0 if x == y else 1.0 for x, y in (run.pair_at(t) for run in runs)]
     )
     n = len(flags)
     p = float(flags.mean())
@@ -182,7 +156,7 @@ class Binning:
                 idx = int((float(value) - lo) / width)
                 key.append(min(max(idx, 0), self.bins - 1))
             else:
-                key.append(quantize_state((value,))[0])
+                key.append(value)
         return tuple(key)
 
 
@@ -220,13 +194,9 @@ def histogram_tv(
 
 def measure_tv(m1, m2) -> float:
     """Total variation between two discrete measures exposing ``.atoms``."""
-    w1: dict = {}
+    diff: dict = {}
     for s, w in m1.atoms:
-        k = quantize_state(s)
-        w1[k] = w1.get(k, 0.0) + w
-    w2: dict = {}
+        diff[s] = diff.get(s, 0.0) + w
     for s, w in m2.atoms:
-        k = quantize_state(s)
-        w2[k] = w2.get(k, 0.0) + w
-    keys = set(w1) | set(w2)
-    return float(sum(abs(w1.get(k, 0.0) - w2.get(k, 0.0)) for k in keys))
+        diff[s] = diff.get(s, 0.0) - w
+    return float(sum(abs(v) for v in diff.values()))

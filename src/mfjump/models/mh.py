@@ -137,9 +137,6 @@ def mh_granular(params: MhParams) -> MhBundle:
         base_coupler=refresh_coupler,
     )
 
-    def raw_flow(coord, dt, stream):
-        return coord
-
     def raw_rate(i, config) -> float:
         return lam_bar
 
@@ -149,15 +146,18 @@ def mh_granular(params: MhParams) -> MhBundle:
             return (xi,)
         return config[i]
 
+    # No base motion: a refresh machine at rate 0 has no event, so a run
+    # never advances it.
     raw_system = SystemSpec(
         n_particles=n,
-        base_flow=raw_flow,
+        base_flow=make_refresh_flow(0.0),
         rate=raw_rate,
         kernel=raw_kernel,
         rate_ceiling=lam_bar,
         coordinate_layout=("real",),
         coordinate_box=((0.0, 1.0),),
         name="mh-raw",
+        base_coupler=make_refresh_coupler(0.0),
     )
 
     base_model = ModelSpec(

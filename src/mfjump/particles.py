@@ -39,7 +39,6 @@ from .engine import (
     check_rate,
     clock,
 )
-from .metrics import states_equal
 
 __all__ = [
     "SystemSpec",
@@ -123,7 +122,7 @@ class _SynchronizedBaseMachine:
         self._stream = stream
         self._x = tuple(x)
         self._y = tuple(y)
-        self._merged = states_equal(self._x, self._y)
+        self._merged = self._x == self._y
         if self._merged:
             self._y = self._x
 
@@ -145,7 +144,7 @@ class _SynchronizedBaseMachine:
             twin = copy.deepcopy(self._stream)
             self._x = tuple(self._base_flow(self._x, dt, self._stream))
             self._y = tuple(self._base_flow(self._y, dt, twin))
-        self._merged = states_equal(self._x, self._y)
+        self._merged = self._x == self._y
         if self._merged:
             self._y = self._x
         return [(dt, self._x, self._y, self._merged)]

@@ -25,7 +25,7 @@ from mfjump.engine import (
     picard_solve,
     simulate_nonlinear,
 )
-from mfjump.metrics import histogram_tv, make_binning, states_equal
+from mfjump.metrics import histogram_tv, make_binning
 
 from conftest import (
     constant_flow,
@@ -76,11 +76,13 @@ def test_empirical_measure_weights_must_sum_to_one():
 
 
 def test_empirical_measure_merges_duplicate_states():
+    # Exact duplicates merge; a state 1e-13 away is an atom of its own.
     states = [(1.0,), (1.0,), (2.0,), (1.0 + 1e-13,)]
     m = EmpiricalMeasure.from_states(states)
-    assert len(m.atoms) == 2
+    assert len(m.atoms) == 3
     weights = {s: w for s, w in m.atoms}
-    assert weights[(1.0,)] == pytest.approx(0.75)
+    assert weights[(1.0,)] == pytest.approx(0.5)
+    assert weights[(1.0 + 1e-13,)] == pytest.approx(0.25)
     assert weights[(2.0,)] == pytest.approx(0.25)
     atom_mean = sum(w * s[0] for s, w in m.atoms)
     assert m.mean(0) == pytest.approx(atom_mean, abs=1e-9)
@@ -237,7 +239,7 @@ def test_rejected_proposals_do_not_change_state(rng):
     for e in traj.events:
         flowed = model.base_flow(prev_s, e.time - prev_t, None)
         if e.kind in (JUMP_REJECTED, SAMPLE):
-            assert states_equal(e.state, flowed)
+            assert e.state == flowed
         else:
             assert e.state == (flowed[0], -flowed[1])
         prev_t, prev_s = e.time, e.state

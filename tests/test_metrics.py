@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfjump.coupling import overlap_decompose
+from mfjump.engine import EmpiricalMeasure
 from mfjump.metrics import (
     BoundEstimate,
     LyapunovFn,
@@ -20,8 +22,6 @@ from mfjump.metrics import (
     estimate_vnorm_bound,
     histogram_tv,
     make_binning,
-    quantize_state,
-    states_equal,
 )
 
 
@@ -39,23 +39,25 @@ unit_v = LyapunovFn(lambda s: 1.0, name="one")
 
 
 # ---------------------------------------------------------------------------
-# state equality and quantisation
+# state equality
 
 
-def test_states_equal_tolerates_tiny_float_noise():
-    assert states_equal((1.0, 1), (1.0 + 1e-12, 1))
-    assert not states_equal((1.0, 1), (1.0 + 1e-3, 1))
-    assert not states_equal((1.0, 1), (1.0, -1))
-
-
-def test_quantize_state_is_idempotent():
-    s = (0.1234567890123, -3)
-    assert quantize_state(quantize_state(s)) == quantize_state(s)
-
-
-@given(st.floats(-1e6, 1e6), st.integers(-3, 3))
-def test_states_equal_is_reflexive(x, k):
-    assert states_equal((x, k), (x, k))
+def test_states_a_hair_apart_stay_distinct_and_keep_each_side_marginal():
+    # Equality is exact: a state 1e-13 away from the other side's is not an
+    # overlap atom, and each residual holds its own side's state, so each
+    # side draws only from its own kernel's support.
+    x, y = (1.0,), (1.0 + 1e-13,)
+    p, nu0, nu1, nu2, excess = overlap_decompose([(x, 1.0)], [(y, 1.0)])
+    assert p == 0
+    assert nu0 == ()
+    assert nu1 == ((x, 1.0),)
+    assert nu2 == ((y, 1.0),)
+    assert excess == 0.0
+    a, b = (1.0, 1), (1.0 + 1e-12, 1)
+    assert dbar1((a, a), (a, b)) == 2.0
+    runs = [FakeCoupledRun({1.0: (a, b)}), FakeCoupledRun({1.0: (a, a)})]
+    assert estimate_tv_bound(runs, 1.0).point == 1.0
+    assert EmpiricalMeasure.from_states([a, b, a, a]).atoms == ((a, 0.75), (b, 0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,7 @@ def test_dbar1_bounds(xs, ys):
     d = dbar1(x, y)
     assert 0.0 <= d <= 2.0 * n
     assert d % 2.0 == 0.0
-    if any(not states_equal(a, b) for a, b in zip(x, y)):
+    if any(a != b for a, b in zip(x, y)):
         assert d >= 2.0
 
 

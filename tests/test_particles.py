@@ -16,6 +16,7 @@ from mfjump.engine import (
     JUMP_ACCEPTED,
     JUMP_REJECTED,
     SAMPLE,
+    EmpiricalMeasure,
     Event,
     RateCeilingError,
     Trajectory,
@@ -23,7 +24,7 @@ from mfjump.engine import (
     clock,
     simulate_nonlinear,
 )
-from mfjump.metrics import measure_tv, states_equal
+from mfjump.metrics import measure_tv
 from mfjump.particles import (
     SystemSpec,
     _SynchronizedBaseMachine,
@@ -237,10 +238,10 @@ def test_meanfield_rate_uses_configuration_barycenter():
 
 def test_meanfield_moment_reader_never_quantises(monkeypatch):
     # Run-tumble reads only the barycenter, so no atoms need building.
-    def refuse(state):
-        raise AssertionError("quantize_state called")
+    def refuse(measure):
+        raise AssertionError("EmpiricalMeasure.atoms read")
 
-    monkeypatch.setattr("mfjump.engine.quantize_state", refuse)
+    monkeypatch.setattr(EmpiricalMeasure, "atoms", property(refuse))
     sys = meanfield_system(run_tumble(RunTumbleParams(theta=0.5)), 8)
     initial = tuple((0.25 * k, 1 if k % 2 else -1) for k in range(8))
     traj = simulate_system(sys, initial, 2.0, make_rng(8), sample_times=(2.0,))
@@ -447,30 +448,36 @@ def test_running_moments_and_lazy_coordinates_match_the_flowed_configuration():
     assert next(proposals, None) is None
 
 
+class _CountedMachine:
+    """A base machine that adds each of its advances to ``advances[0]``."""
+
+    def __init__(self, machine, advances):
+        self._machine = machine
+        self._advances = advances
+
+    def advance(self, dt):
+        self._advances[0] += 1
+        return self._machine.advance(dt)
+
+    def __getattr__(self, attr):
+        return getattr(self._machine, attr)
+
+
+def _counting_system(system, advances):
+    def coupler(x, y, stream):
+        return _CountedMachine(system.base_coupler(x, y, stream), advances)
+
+    return dataclasses.replace(system, base_coupler=coupler)
+
+
 def test_meanfield_run_advances_only_due_machines():
     # The eager loop advanced all N machines at every proposal.  Now a
     # machine is advanced only at a base event (each drew an exponential
     # when it was scheduled), plus at most once per proposal, sample and end.
     n = 256
-    advances = 0
+    advances = [0]
     model = run_tumble(RunTumbleParams(theta=0.1)).model
-
-    class CountedMachine:
-        def __init__(self, machine):
-            self._machine = machine
-
-        def advance(self, dt):
-            nonlocal advances
-            advances += 1
-            return self._machine.advance(dt)
-
-        def __getattr__(self, attr):
-            return getattr(self._machine, attr)
-
-    def coupler(x, y, stream):
-        return CountedMachine(model.base_coupler(x, y, stream))
-
-    system = dataclasses.replace(meanfield_system(model, n), base_coupler=coupler)
+    system = _counting_system(meanfield_system(model, n), advances)
     _, initial, _ = _meanfield_rt(n)
     stream = CountingStream(make_rng(17))
     samples = (0.25, 0.5)
@@ -478,7 +485,20 @@ def test_meanfield_run_advances_only_due_machines():
     proposals = traj.n_accepted + traj.n_rejected
     assert proposals > 100
     bound = stream.counts["exponential"] + proposals + n * (len(samples) + 1)
-    assert advances <= bound
+    assert advances[0] <= bound
+
+
+def test_mh_raw_run_advances_no_machine():
+    # mh-raw has no base motion: each coordinate gets a refresh machine at
+    # rate 0, which has no event, so a run starts machines but advances none.
+    system, initial, _ = _mh("raw_system")
+    advances = [0]
+    traj = simulate_system(
+        _counting_system(system, advances), initial, 4.0, make_rng(23),
+        sample_times=(2.0, 4.0),
+    )
+    assert traj.n_accepted > 20
+    assert advances[0] == 0
 
 
 def test_machines_with_and_without_a_clock_mix():
