@@ -33,7 +33,7 @@ from .engine import (
     clock,
 )
 from .metrics import dbar1
-from .particles import SystemSpec, _base_machine, _flow_machines
+from .particles import SystemSpec, _base_machine, _LiveConfig
 
 __all__ = [
     "CoupledEvent",
@@ -98,37 +98,42 @@ def overlap_decompose(atoms1, atoms2):
     """
     w1, c1 = _load_atoms(atoms1)
     w2, c2 = _load_atoms(atoms2)
-    common = sorted(k for k in w1 if k in w2)
-    p_raw = sum(min(w1[k], w2[k]) for k in common)
-    excess = c1 + c2
+    p, common, nu1, nu2, over = _overlap(w1, w2)
+    nu0 = tuple((k, w / p) for k, w in common if w > 0.0) if p > 0.0 else ()
+    return p, nu0, nu1, nu2, c1 + c2 + over
+
+
+def _overlap(w1: dict, w2: dict, shared: float = 0.0) -> tuple:
+    """Maximal-coupling parts of two measures given by weights per state,
+    plus ``shared`` mass that both hold outside the two maps.
+
+    Returns ``(p, common, nu1, nu2, over)``: the overlap mass ``p`` (clamped
+    to 1, by ``over``), the unnormalized ``min(w1, w2)`` atoms sorted by
+    state, and the normalized residuals of each side, sorted by state.
+    """
+    common = [(k, min(w1[k], w2[k])) for k in sorted(k for k in w1 if k in w2)]
+    p_raw = shared + sum(w for _, w in common)
+    over = 0.0
     if p_raw > 1.0:
-        excess += p_raw - 1.0
+        over = p_raw - 1.0
         p_raw = 1.0
     p = 1.0 if 1.0 - p_raw <= 1e-12 else p_raw
-
-    if p > 0.0:
-        nu0 = tuple(
-            (k, min(w1[k], w2[k]) / p)
-            for k in common
-            if min(w1[k], w2[k]) > 0.0
-        )
-    else:
-        nu0 = ()
     if p >= 1.0:
-        return p, nu0, (), (), excess
+        return p, common, (), (), over
+    return p, common, _residual(w1, w2), _residual(w2, w1), over
 
-    def residual(side: dict, other: dict) -> tuple:
-        raw = []
-        for k in sorted(side):
-            left = side[k] - min(side[k], other.get(k, 0.0))
-            if left > 0.0:
-                raw.append((k, left))
-        mass = sum(w for _, w in raw)
-        if mass <= 0.0:
-            return ()
-        return tuple((k, w / mass) for k, w in raw)
 
-    return p, nu0, residual(w1, w2), residual(w2, w1), excess
+def _residual(side: dict, other: dict) -> tuple:
+    """``side - min(side, other)``, normalized and sorted by state."""
+    raw = []
+    for k in sorted(side):
+        left = side[k] - min(side[k], other.get(k, 0.0))
+        if left > 0.0:
+            raw.append((k, left))
+    mass = sum(w for _, w in raw)
+    if mass <= 0.0:
+        return ()
+    return tuple((k, w / mass) for k, w in raw)
 
 
 def _pick(atoms: Sequence, w: float) -> tuple:
@@ -144,12 +149,13 @@ def _pick(atoms: Sequence, w: float) -> tuple:
 def _maximal_draw(p: float, nu0, nu1, nu2, stream) -> tuple:
     """Maximal-coupling draw from the parts :func:`overlap_decompose` returns.
 
-    Returns ``(x, y, v)``; the sides share an overlap atom when ``v < p``.
+    ``nu0`` may also be a :class:`_MergedOverlap`, drawn by index.  Returns
+    ``(x, y, v)``; the sides share an overlap atom when ``v < p``.
     """
     v = stream.random()
     w = stream.random()
     if v < p:
-        shared = _pick(nu0, w)
+        shared = nu0.pick(w) if isinstance(nu0, _MergedOverlap) else _pick(nu0, w)
         return shared, shared, v
     return _pick(nu1, w), _pick(nu2, w), v
 
@@ -307,12 +313,12 @@ class _TelegraphCouplerMachine:
         """Time until the next flip of either side (``inf`` at flip rate 0)."""
         return min(self._tx, self._ty) - self._t
 
-    def drift(self) -> tuple:
-        """Velocity of each component of ``x`` until the next flip.
+    def drifts(self) -> tuple:
+        """Velocity of each component of ``x`` and of ``y`` until the next flip.
 
         The position moves at the velocity label and the label stands still.
         """
-        return (self._x[1], 0)
+        return (self._x[1], 0), (self._y[1], 0)
 
     def advance(self, dt: float) -> Sequence:
         """Advance by ``dt``; returns ``(offset, x, y, is_merge)`` points."""
@@ -400,9 +406,9 @@ class _RefreshCouplerMachine:
         """Time until the next shared refresh (``inf`` at rate 0)."""
         return self._next - self._t
 
-    def drift(self) -> None:
-        """``None``: both states stand still between refreshes."""
-        return None
+    def drifts(self) -> tuple:
+        """``(None, None)``: both states stand still between refreshes."""
+        return None, None
 
     def advance(self, dt: float) -> list:
         start = self._t
@@ -685,6 +691,87 @@ def _mixed_atoms(spec, at: tuple, stay, coordinate=None) -> list:
     return atoms
 
 
+class _MergedOverlap:
+    """The overlap part of a proposal at a merged coordinate, drawn by index.
+
+    Its mass is laid out in order: the stay atom, then a slot of mass
+    ``share`` for each matched donor (split by that donor's pair atoms), then
+    the ``common`` atoms of the mismatched donors.
+    """
+
+    __slots__ = ("stay", "stay_mass", "share", "donors", "config", "pair_atoms",
+                 "common", "p")
+
+    def __init__(self, stay, stay_mass, share, donors, config, pair_atoms, common, p):
+        self.stay, self.stay_mass, self.share = stay, stay_mass, share
+        self.donors, self.config, self.pair_atoms = donors, config, pair_atoms
+        self.common, self.p = common, p
+
+    def pick(self, w: float) -> tuple:
+        """The state at quantile ``w`` of the normalized overlap."""
+        m = w * self.p - self.stay_mass
+        if m < 0.0 or (not self.donors and not self.common):
+            return self.stay
+        k = int(m / self.share)
+        if k < len(self.donors) or not self.common:
+            k = min(k, len(self.donors) - 1)
+            donor = self.config[self.donors[k]]
+            return _pick(self.pair_atoms(self.stay, donor), m / self.share - k)
+        return _pick(self.common, m - len(self.donors) * self.share)
+
+
+def _merged_parts(system: SystemSpec, i: int, x, y, matching) -> Optional[tuple]:
+    """The parts ``(p, nu0, nu1, nu2)`` of a proposal at coordinate ``i``
+    read from the mismatched donors only, or ``None`` where that does not
+    apply.
+
+    It applies where ``i`` is merged, its two rates agree and the system
+    declares ``pair_atoms``.  Then each matched donor in ``matching`` adds
+    the same atoms to both sides, and ``min(C + A, C + B) = C + min(A, B)``
+    state by state.  So the overlap is the common part ``C`` (the stay-put
+    mass and the matched donors) plus the overlap of the mismatched donors'
+    parts ``A`` and ``B``, and the residuals are those of ``A`` and ``B``:
+    ``O(1 + K)`` for ``K`` mismatched coordinates.  ``nu0`` is a
+    :class:`_MergedOverlap`.
+    """
+    own = x[i]
+    if system.pair_atoms is None or own != y[i]:
+        return None
+    rate = system.rate(i, x)
+    if rate != system.rate(i, y):
+        return None
+    ceiling = system.rate_ceiling
+    check_rate(rate, ceiling, system.name, i)
+    share = rate / ceiling / len(x)
+    parts: tuple = ({}, {})
+    for k in matching.mismatched:
+        for side, donor in zip(parts, (x[k], y[k])):
+            for state, w in system.pair_atoms(own, donor):
+                if w > 0.0:
+                    side[state] = side.get(state, 0.0) + w * share
+    stay_mass = 1.0 - rate / ceiling
+    donors = matching.matched
+    p, common, nu1, nu2, _ = _overlap(*parts, stay_mass + len(donors) * share)
+    nu0 = _MergedOverlap(own, stay_mass, share, donors, x, system.pair_atoms, common, p)
+    return p, nu0, nu1, nu2
+
+
+def _coupled_proposal(system: SystemSpec, i: int, x, y, matching, stream) -> tuple:
+    """One coupled proposal at coordinate ``i``: the maximal coupling of the
+    two sides' mixed kernels (:func:`_mixed_atoms`), drawn by
+    :func:`_maximal_draw` from :func:`_merged_parts` where they apply, else
+    from :func:`overlap_decompose` of the full atoms.  Returns ``(x_i, y_i,
+    v)``.
+    """
+    parts = _merged_parts(system, i, x, y, matching)
+    if parts is None:
+        parts = overlap_decompose(
+            _mixed_atoms(system, (i, x), x[i], i),
+            _mixed_atoms(system, (i, y), y[i], i),
+        )[:4]
+    return _maximal_draw(*parts, stream)
+
+
 def simulate_coupled_system(
     system: SystemSpec,
     x0,
@@ -700,16 +787,32 @@ def simulate_coupled_system(
 
     Both runs share the global proposal clock, the coordinate choice, and the
     jump variates; the chosen coordinate's mixed kernels are coupled through
-    their overlap.  The counter ``j`` starts at half the matching distance of
-    the initial configurations and increments at a proposal on a merged
-    coordinate whenever the accept variate exceeds ``1 - theta * j / (n *
-    rate_ceiling)``, which dominates every actual split when ``theta >= 0``
-    bounds the rate-and-kernel sensitivity to single-coordinate changes.
-    Each side's mixed kernel is :func:`_mixed_atoms` of the system's
-    ``kernel_atoms``.  Between proposals each coordinate pair follows its
-    base machine (:func:`~mfjump.particles._base_machine`), restarted at
-    window boundaries ``k * t0``.  With ``record_events=False`` only sample
-    events are kept, while ``j`` is still counted.
+    their overlap (:func:`_coupled_proposal`).  The counter ``j`` starts at
+    half the matching distance of the initial configurations and increments
+    at a proposal on a merged coordinate whenever the accept variate exceeds
+    ``1 - theta * j / (n * rate_ceiling)``, which dominates every actual
+    split when ``theta >= 0`` bounds the rate-and-kernel sensitivity to
+    single-coordinate changes.  Each side's mixed kernel is
+    :func:`_mixed_atoms` of the system's ``kernel_atoms``.  Between
+    proposals each coordinate pair follows its base machine
+    (:func:`~mfjump.particles._base_machine`), drawing from its own stream
+    spawned from ``stream``, restarted at window boundaries ``k * t0``.
+    With ``record_events=False`` only sample events are kept, while ``j`` is
+    still counted.
+
+    The run is event-driven, as in :func:`~mfjump.particles.simulate_system`:
+    a heap of the pairs' next base events tells each event which machines
+    to advance, and ``rate`` and ``kernel_atoms`` read each side lazily,
+    with running sums for ``mean``.  A pair that draws from its own stream
+    draws the same whenever it is advanced, so the draws are those of
+    advancing every pair at every event.  So an event costs ``O(log N)``
+    for the pairs whose base event is due, plus its proposal:
+    ``O(1 + K)`` with ``K`` mismatched coordinates at a merged coordinate
+    of a system with ``pair_atoms``, else what the full decomposition of
+    ``kernel_atoms`` costs (``O(N log N)`` for selection).  A window
+    boundary restarts all ``N`` pairs, and a sample reads all ``N``.
+    Machines without a clock (synchronized ``base_flow`` pairs, as for
+    zigzag) are advanced at every event.
     """
     if system.kernel_atoms is None:
         raise UnsupportedCouplingError(
@@ -726,53 +829,45 @@ def simulate_coupled_system(
     if len(x0) != n or len(y0) != n:
         raise ValueError(f"expected {n} coordinates in each configuration")
 
-    xs = [tuple(c) for c in x0]
-    ys = [tuple(c) for c in y0]
-    j = dbar1(tuple(xs), tuple(ys)) / 2.0
+    initial_x = tuple(tuple(c) for c in x0)
+    initial_y = tuple(tuple(c) for c in y0)
+    j = dbar1(initial_x, initial_y) / 2.0
     j_initial = j
-    coupler_streams = stream.spawn(n)
-
-    def build_machine(i: int):
-        return _base_machine(system, xs[i], ys[i], coupler_streams[i])
-
-    machines = [build_machine(i) for i in range(n)]
+    live = _LiveConfig(system, initial_x, stream.spawn(n), initial_y)
     events: list[CoupledSystemEvent] = []
     samples: dict[float, tuple] = {}
-    t = 0.0
     total_rate = n * lam_star
-    for t_event, kind in clock(horizon, total_rate, stream, sample_times, window=t0):
-        _flow_machines(machines, t_event - t, xs, ys)
-        t = t_event
+    for t, kind in clock(horizon, total_rate, stream, sample_times, window=t0):
+        live.flow(t)
         if kind == SAMPLE:
-            snap = (tuple(xs), tuple(ys), j)
+            snap = (live.x.snapshot(), live.y.snapshot(), j)
             events.append(
                 CoupledSystemEvent(time=t, kind=SAMPLE, x=snap[0], y=snap[1], j=j)
             )
             samples[t] = snap
             continue
         if kind == WINDOW:
-            machines = [build_machine(i) for i in range(n)]
+            for k in range(n):
+                live.start(k, live.x[k], live.y[k])
             continue
         i = int(stream.integers(n))
-        equal_before = xs[i] == ys[i]
-        p, nu0, nu1, nu2, _ = overlap_decompose(
-            _mixed_atoms(system, (i, tuple(xs)), xs[i], i),
-            _mixed_atoms(system, (i, tuple(ys)), ys[i], i),
-        )
-        xs[i], ys[i], v = _maximal_draw(p, nu0, nu1, nu2, stream)
+        x, y = live.x.view(), live.y.view()
+        equal_before = x[i] == y[i]
+        xi, yi, v = _coupled_proposal(system, i, x, y, live.matching, stream)
         if equal_before and v >= 1.0 - theta * j / total_rate:
             j += 1.0
-        machines[i] = build_machine(i)
+        live.start(i, xi, yi)
         if record_events:
             events.append(
                 CoupledSystemEvent(
-                    time=t, kind=PROPOSAL, x=tuple(xs), y=tuple(ys), j=j
+                    time=t, kind=PROPOSAL, x=tuple(live.x.view()),
+                    y=tuple(live.y.view()), j=j,
                 )
             )
-    _flow_machines(machines, horizon - t, xs, ys)
+    live.flow(horizon)
     return CoupledSystemTrajectory(
-        initial_x=tuple(tuple(c) for c in x0),
-        initial_y=tuple(tuple(c) for c in y0),
+        initial_x=initial_x,
+        initial_y=initial_y,
         horizon=horizon,
         j_initial=j_initial,
         events=tuple(events),

@@ -6,6 +6,8 @@ donor's state with probability ``accept_prob(x_i, x_j)``, otherwise the
 coordinate keeps its state.  Because the rate is saturated, proposal and jump
 clocks coincide and the overlap of any two copies of the jump kernel is
 explicit, which makes the system a convenient stress case for coupled runs.
+The kernel is declared in pairwise form (``SystemSpec.pair_atoms``), so
+coupled runs read only the donors on which the two configurations disagree.
 The base dynamics refreshes each coordinate to ``Uniform[0, 1)`` at rate
 ``base_refresh_rate`` (rate zero leaves coordinates frozen without consuming
 randomness).
@@ -73,15 +75,9 @@ def selection_mutation(params: SelectionParams) -> SelectionBundle:
             return config[j]
         return config[i]
 
-    def kernel_atoms(i, config):
-        weights: dict = {}
-        for j in range(n):
-            p = p_fn(config[i], config[j])
-            for state, w in ((config[j], p / n), (config[i], (1.0 - p) / n)):
-                if w <= 0.0:
-                    continue
-                weights[state] = weights.get(state, 0.0) + w
-        return tuple(weights.items())
+    def pair_atoms(own, donor):
+        p = p_fn(own, donor)
+        return ((donor, p), (own, 1.0 - p))
 
     system = SystemSpec(
         n_particles=n,
@@ -92,7 +88,7 @@ def selection_mutation(params: SelectionParams) -> SelectionBundle:
         coordinate_layout=("real",),
         coordinate_box=((0.0, 1.0),),
         name="selection",
-        kernel_atoms=kernel_atoms,
         base_coupler=make_refresh_coupler(refresh_rate),
+        pair_atoms=pair_atoms,
     )
     return SelectionBundle(system=system)

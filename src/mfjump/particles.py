@@ -75,7 +75,17 @@ class SystemSpec:
         name: Human-readable system name.
         kernel_atoms: Optional ``(i, config) -> [(coord_state, w), ...]``
             atoms of the jump kernel of coordinate ``i``; coupled runs derive
-            the mixed (one-proposal) atoms from them.
+            the mixed (one-proposal) atoms from them.  Left unset where
+            ``pair_atoms`` is given: it is then derived from that field.
+        pair_atoms: Optional ``(x_i, x_j) -> [(coord_state, w), ...]``, the
+            jump kernel in mean-field pairwise form: the kernel of
+            coordinate ``i`` is ``(1/n) * sum_j pair_atoms(x_i, x_j)`` over
+            all ``n`` coordinates ``j`` (``i`` included), and each call's
+            weights sum to one.  The derived ``kernel_atoms`` adds the
+            positive weights of those atoms by state, in the order the
+            donors and their atoms come.  Coupled runs use the form to skip
+            the donors that agree on both sides
+            (:func:`~mfjump.coupling.simulate_coupled_system`).
         base_coupler: Optional ``(cx, cy, stream) -> machine`` factory for
             coupled base motion of one coordinate pair, typed as
             ``ModelSpec.base_coupler`` (see :mod:`mfjump.coupling`).  Started
@@ -94,6 +104,26 @@ class SystemSpec:
     name: str
     kernel_atoms: Optional[Callable] = None
     base_coupler: Optional[Callable] = None
+    pair_atoms: Optional[Callable] = None
+
+    def __post_init__(self) -> None:
+        if self.pair_atoms is not None and self.kernel_atoms is None:
+            object.__setattr__(self, "kernel_atoms", _pairwise_kernel_atoms(self.pair_atoms))
+
+
+def _pairwise_kernel_atoms(pair_atoms: Callable) -> Callable:
+    """``kernel_atoms`` of a system declared in pairwise form."""
+
+    def kernel_atoms(i, config):
+        n, own = len(config), config[i]
+        weights: dict = {}
+        for donor in config:
+            for state, w in pair_atoms(own, donor):
+                if w > 0.0:
+                    weights[state] = weights.get(state, 0.0) + w / n
+        return tuple(weights.items())
+
+    return kernel_atoms
 
 
 def empirical(config: Sequence[State]) -> EmpiricalMeasure:
@@ -104,7 +134,7 @@ def empirical(config: Sequence[State]) -> EmpiricalMeasure:
     running sums in ``O(1)``; like that configuration, such a measure is
     valid only during the call.
     """
-    if isinstance(config, _LiveConfig):
+    if isinstance(config, _LiveSide):
         return _LiveMeasure(config)
     return EmpiricalMeasure.from_states(config)
 
@@ -131,9 +161,9 @@ class _SynchronizedBaseMachine:
         has no next event to wait for and is advanced at every step."""
         return 0.0
 
-    def drift(self) -> None:
-        """``None``: the state changes only when the machine is advanced."""
-        return None
+    def drifts(self) -> tuple:
+        """``(None, None)``: the states change only when the machine is advanced."""
+        return None, None
 
     def advance(self, dt: float) -> Sequence:
         if self._merged:
@@ -156,29 +186,15 @@ def _base_machine(spec, x, y, stream):
     It is the spec's ``base_coupler``, or, where none is declared, the
     synchronized machine over ``base_flow``.  On the diagonal it is the base
     motion itself.  Besides ``advance``, a machine answers two read-only
-    questions about its ``x`` side, which :func:`simulate_system` asks:
-    ``next_event_in()``, the time until its next base event (``inf`` if
-    none, ``0.0`` if it may draw at any time), and ``drift()``, the velocity
-    of each state component until then (``None`` if the state stands still).
+    questions, which :class:`_LiveConfig` asks:
+    ``next_event_in()``, the time until the next base event of either side
+    (``inf`` if none, ``0.0`` if it may draw at any time), and ``drifts()``,
+    one per side, the velocity of each state component until then (``None``
+    if the state stands still, as it must for a machine without a clock).
     """
     if spec.base_coupler is not None:
         return spec.base_coupler(x, y, stream)
     return _SynchronizedBaseMachine(spec.base_flow, x, y, stream)
-
-
-def _flow_machines(machines: list, dt: float, xs: list, ys: list) -> None:
-    """Advance every coordinate machine by ``dt``, storing its end states.
-
-    A ceiling error raised by a machine is re-raised naming the coordinate
-    it moves.
-    """
-    if dt <= 0.0:
-        return
-    try:
-        for i, machine in enumerate(machines):
-            _, xs[i], ys[i], _ = machine.advance(dt)[-1]
-    except RateCeilingError as err:
-        raise RateCeilingError(f"coordinate {i}: {err}") from err
 
 
 def _anchor(state, drift, since: float, k: int) -> float:
@@ -188,8 +204,8 @@ def _anchor(state, drift, since: float, k: int) -> float:
     return state[k] - drift[k] * since
 
 
-class _LiveConfig(abc.Sequence):
-    """The configuration of a running system, read at the time of its last flow.
+class _LiveSide(abc.Sequence):
+    """One side of a running configuration, read at the time of its last flow.
 
     Coordinate ``j`` is stored as its state at its last base event or jump,
     ``since[j]``, with the drift its machine reported then.  It is read at
@@ -197,38 +213,23 @@ class _LiveConfig(abc.Sequence):
     since[j]``; a component with no drift keeps its exact value, so labels
     stay ints.
 
-    A machine with a clock (``next_event_in() > 0`` when it starts) sits in
-    a heap keyed by its next event time, and :meth:`flow` advances it only
-    when that time has come.  A machine that may draw at any time is
-    advanced at every flow, after the due ones, and is read as stored.
-
     ``mean(k)`` is ``(A_k + t * B_k) / N`` with ``A_k = sum(x_jk - d_jk *
     since[j])`` and ``B_k = sum(d_jk)``.  Each sum is built with
     :func:`math.fsum` when first read and kept up to date at every change of
-    a coordinate.  It is rebuilt after ``N`` updates, after each sample and
-    after each flow of the machines without a clock, so float error cannot
-    build up.
+    a coordinate.  It is rebuilt after ``N`` updates and after each sample,
+    so float error cannot build up.
     """
 
-    def __init__(self, system: SystemSpec, initial: Sequence[State], stream):
+    def __init__(self, initial: Sequence[State]):
         n = len(initial)
-        self._system = system
-        self._stream = stream
         self._n = n
         self.t = 0.0
-        self._machines: list = [None] * n
         self._states = list(initial)
         self._since = [0.0] * n
         self._drifts: list = [None] * n
-        self._due = [math.inf] * n
-        self._heap: list = []
-        self._clocked = [True] * n
-        self._unclocked: list[int] = []
         self._moving = 0
         self._sums: dict[int, list] = {}
         self._updates = 0
-        for j in range(n):
-            self.start(j, self._states[j])
 
     def __len__(self) -> int:
         return self._n
@@ -244,8 +245,8 @@ class _LiveConfig(abc.Sequence):
         return map(self.__getitem__, range(self._n))
 
     def view(self) -> Sequence[State]:
-        """What ``rate`` and ``kernel`` read: the stored states themselves
-        while no coordinate drifts, else this lazy view."""
+        """What ``rate``, ``kernel`` and ``kernel_atoms`` read: the stored
+        states themselves while no coordinate drifts, else this lazy view."""
         return self if self._moving else self._states
 
     def snapshot(self) -> tuple:
@@ -266,7 +267,7 @@ class _LiveConfig(abc.Sequence):
             ]
         return (sums[0] + self.t * sums[1]) / self._n
 
-    def _set(self, j: int, state: State, drift, t: float) -> None:
+    def set(self, j: int, state: State, drift, t: float) -> None:
         """Store coordinate ``j`` as ``state`` at ``t`` and update the sums."""
         old_state, old_drift, old_t = self._states[j], self._drifts[j], self._since[j]
         self._states[j] = state
@@ -286,9 +287,81 @@ class _LiveConfig(abc.Sequence):
                 old_drift[k] if old_drift is not None else 0
             )
 
-    def start(self, j: int, state: State) -> None:
-        """Start coordinate ``j``'s machine at ``state`` at the flow time."""
-        machine = _base_machine(self._system, state, state, self._stream)
+
+class _Matching:
+    """Coordinate indices split into ``matched`` (``x_j == y_j``) and
+    ``mismatched`` lists, moved between them by swap-remove in ``O(1)``.
+
+    The order of each list depends on the order of the moves, so two loops
+    that make the same moves see the same lists.
+    """
+
+    def __init__(self, n: int):
+        self.matched = list(range(n))
+        self.mismatched: list[int] = []
+        self._where = list(range(n))
+        self._is_matched = [True] * n
+
+    def assign(self, j: int, matched: bool) -> None:
+        """Put ``j`` in ``matched`` or ``mismatched``."""
+        if self._is_matched[j] == matched:
+            return
+        source, target = (
+            (self.mismatched, self.matched) if matched else (self.matched, self.mismatched)
+        )
+        last = source.pop()
+        if last != j:
+            source[self._where[j]] = last
+            self._where[last] = self._where[j]
+        self._where[j] = len(target)
+        target.append(j)
+        self._is_matched[j] = matched
+
+
+class _LiveConfig:
+    """Coordinates of a running system, each moved by one pair machine.
+
+    Coordinate ``j`` is a pair ``(x_j, y_j)`` moved by its base machine
+    (:func:`_base_machine`) drawing from ``streams[j]``.  A single run is
+    the ``x`` side of the diagonal: its machines start at ``(x_j, x_j)`` and
+    ``y`` is ``None``.  Each side is a :class:`_LiveSide`, and for a pair
+    :attr:`matching` splits the coordinates by ``x_j == y_j``.
+
+    A machine with a clock (``next_event_in() > 0`` when it starts) sits in
+    a heap keyed by the time of its next event on either side, and
+    :meth:`flow` advances it only when that time has come.  A machine that
+    may draw at any time is advanced at every flow, after the due ones, and
+    is read as stored.
+    """
+
+    def __init__(self, system: SystemSpec, x0: Sequence[State], streams, y0=None):
+        n = len(x0)
+        self._system = system
+        self._streams = streams
+        self.x = _LiveSide(x0)
+        self.y = None if y0 is None else _LiveSide(y0)
+        self.matching = None if y0 is None else _Matching(n)
+        self._machines: list = [None] * n
+        self._due = [math.inf] * n
+        self._heap: list = []
+        self._clocked = [True] * n
+        self._unclocked: list[int] = []
+        for j in range(n):
+            self.start(j, x0[j], None if y0 is None else y0[j])
+
+    def _store(self, j: int, x: State, y: State, drifts, t: float) -> None:
+        dx, dy = drifts
+        self.x.set(j, x, dx, t)
+        if self.y is not None:
+            self.y.set(j, y, dy, t)
+            self.matching.assign(j, x == y)
+
+    def start(self, j: int, x: State, y: Optional[State] = None) -> None:
+        """Start coordinate ``j``'s machine at ``(x, y)`` (``y`` defaults to
+        ``x``) at the flow time."""
+        if y is None:
+            y = x
+        machine = _base_machine(self._system, x, y, self._streams[j])
         self._machines[j] = machine
         wait = machine.next_event_in()
         clocked = wait > 0.0
@@ -299,16 +372,13 @@ class _LiveConfig(abc.Sequence):
             else:
                 # Advanced at every flow from now on, so read as stored.
                 bisect.insort(self._unclocked, j)
-                self._set(j, self[j], None, self.t)
                 self._due[j] = math.inf
+        t = self.x.t
+        self._store(j, x, y, machine.drifts(), t)
         if clocked:
-            self._set(j, state, machine.drift(), self.t)
-            self._due[j] = at = self.t + wait
+            self._due[j] = at = t + wait
             if at < math.inf:
                 heapq.heappush(self._heap, (at, j))
-        else:
-            self._states[j] = state
-            self._sums.clear()
 
     def flow(self, t: float) -> None:
         """Advance to ``t`` the machines whose next event is due, in index
@@ -332,27 +402,28 @@ class _LiveConfig(abc.Sequence):
                         due[j] = math.inf
                         popped.append(j)
                 popped.sort()
-                since = self._since
+                since = self.x._since
                 for j in popped:
                     machine = machines[j]
-                    _, state, _, _ = machine.advance(t - since[j])[-1]
-                    self._set(j, state, machine.drift(), t)
+                    _, x, y, _ = machine.advance(t - since[j])[-1]
+                    self._store(j, x, y, machine.drifts(), t)
                     due[j] = at = t + machine.next_event_in()
                     if at < math.inf:
                         heapq.heappush(heap, (at, j))
-            dt = t - self.t
+            dt = t - self.x.t
             if self._unclocked and dt > 0.0:
-                states = self._states
                 for j in self._unclocked:
-                    _, states[j], _, _ = machines[j].advance(dt)[-1]
-                self._sums.clear()
+                    _, x, y, _ = machines[j].advance(dt)[-1]
+                    self._store(j, x, y, (None, None), t)
         except RateCeilingError as err:
             raise RateCeilingError(f"coordinate {j}: {err}") from err
-        self.t = t
+        self.x.t = t
+        if self.y is not None:
+            self.y.t = t
 
 
 class _LiveMeasure(EmpiricalMeasure):
-    """Empirical measure of a :class:`_LiveConfig` at its flow time.
+    """Empirical measure of a :class:`_LiveSide` at its flow time.
 
     ``mean`` reads the configuration's running sums; the atoms, built on
     first read, read its states.
@@ -360,7 +431,7 @@ class _LiveMeasure(EmpiricalMeasure):
 
     __slots__ = ("_live",)
 
-    def __init__(self, live: _LiveConfig):
+    def __init__(self, live: _LiveSide):
         self._atoms = None
         self._states = live
         self._mean_cache = {}
@@ -409,26 +480,27 @@ def simulate_system(
     events: list[Event] = []
     sample_states: dict[float, tuple] = {}
     initial_config = tuple(tuple(c) for c in initial)
-    live = _LiveConfig(system, initial_config, stream)
+    live = _LiveConfig(system, initial_config, [stream] * n)
+    side = live.x
     n_accepted = n_rejected = 0
 
     for t, kind in clock(horizon, n * ceiling, stream, sample_times):
         if kind == SAMPLE:
             live.flow(t)
-            snapshot = live.snapshot()
+            snapshot = side.snapshot()
             events.append(Event(time=t, kind=SAMPLE, state=snapshot))
             sample_states[t] = snapshot
             continue
         i = int(stream.integers(n))
         live.flow(t)
-        config = live.view()
+        config = side.view()
         rate_i = system.rate(i, config)
         check_rate(rate_i, ceiling, system.name, i)
         if stream.random() * ceiling < rate_i:
             live.start(i, tuple(system.kernel(i, config, stream)))
             n_accepted += 1
             if record_events:
-                events.append(Event(time=t, kind=JUMP_ACCEPTED, state=tuple(live.view())))
+                events.append(Event(time=t, kind=JUMP_ACCEPTED, state=tuple(side.view())))
         else:
             n_rejected += 1
             if record_events:
@@ -436,7 +508,7 @@ def simulate_system(
     live.flow(horizon)
     return Trajectory(
         initial=initial_config,
-        final_state=tuple(live.view()),
+        final_state=tuple(side.view()),
         horizon=horizon,
         events=tuple(events),
         n_accepted=n_accepted,

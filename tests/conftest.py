@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mfjump.engine import EmpiricalMeasure, MeasureFlow, ModelSpec
+from mfjump.engine import EmpiricalMeasure, MeasureFlow, ModelSpec, RateCeilingError
 from mfjump.particles import SystemSpec
 
 
@@ -33,6 +33,33 @@ class CountingStream:
             return method(*args, **kwargs)
 
         return counted
+
+
+def advance_every_machine(machines: list, dt: float, xs: list, ys: list) -> None:
+    """Advance every coordinate machine by ``dt``, in coordinate order, storing
+    its end states: the step of the eager reference loops, which the
+    event-driven simulators must match draw for draw.  A ceiling error raised
+    by a machine is re-raised naming the coordinate it moves.
+    """
+    if dt <= 0.0:
+        return
+    try:
+        for i, machine in enumerate(machines):
+            _, xs[i], ys[i], _ = machine.advance(dt)[-1]
+    except RateCeilingError as err:
+        raise RateCeilingError(f"coordinate {i}: {err}") from err
+
+
+def assert_configs_close(a, b, tol=1e-12):
+    """Equal labels and ints; reals within ``tol``."""
+    assert len(a) == len(b)
+    for ca, cb in zip(a, b):
+        assert len(ca) == len(cb)
+        for xa, xb in zip(ca, cb):
+            if isinstance(xa, int) or isinstance(xb, int):
+                assert xa == xb and type(xa) is type(xb)
+            else:
+                assert abs(xa - xb) <= tol, (ca, cb)
 
 
 def flip_model(rate_value: float = 2.0, ceiling: float = 2.0) -> ModelSpec:

@@ -166,7 +166,7 @@ def test_acceptance_04_merge_split_marginal_fidelity():
     model = bundle.model
     flow1 = constant_flow((0.5, 1))
     flow2 = constant_flow((-0.5, -1))
-    n = 10_000
+    n = 40_000
     coupled_ends = []
     direct_ends = []
     for r in range(n):
@@ -183,7 +183,7 @@ def test_acceptance_04_merge_split_marginal_fidelity():
     report(
         "A-04 merge-split-marginal-fidelity",
         tv < 0.05,
-        f"coupled-vs-reference histogram TV={tv:.4f} (threshold 0.05, n=10^4, t=2)",
+        f"coupled-vs-reference histogram TV={tv:.4f} (threshold 0.05, n=4x10^4, t=2)",
         elapsed,
         60.0,
     )

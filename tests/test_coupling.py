@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,10 @@ from hypothesis import strategies as st
 
 from mfjump.coupling import (
     UnsupportedCouplingError,
+    _coupled_proposal,
+    _load_atoms,
+    _merged_parts,
+    _mixed_atoms,
     coupled_base,
     estimate_doeblin_alpha,
     make_telegraph_coupler,
@@ -19,7 +24,7 @@ from mfjump.coupling import (
     simulate_coupled_system,
     simulate_merge_split,
 )
-from mfjump.engine import EmpiricalMeasure, flow_sample
+from mfjump.engine import SAMPLE, WINDOW, EmpiricalMeasure, clock, flow_sample
 from mfjump.metrics import (
     LyapunovFn,
     d_v,
@@ -39,10 +44,12 @@ from mfjump.models import (
     tcp,
 )
 from mfjump.engine import RateCeilingError
-from mfjump.particles import simulate_system
+from mfjump.particles import _Matching, _base_machine, meanfield_system, simulate_system
 
 from conftest import (
     CountingStream,
+    advance_every_machine,
+    assert_configs_close,
     constant_flow,
     flip_system,
     make_rng,
@@ -612,6 +619,275 @@ def test_coupled_system_without_events_keeps_samples_and_counter():
         assert lean.j_at(2.0) == full.events[-1].j
         dropped += len(full.events) - len(lean.events)
     assert dropped > 0
+
+
+# ---------------------------------------------------------------------------
+# the sparse decomposition at merged coordinates
+
+
+def _matching_of(x, y) -> _Matching:
+    matching = _Matching(len(x))
+    for k in range(len(x)):
+        matching.assign(k, x[k] == y[k])
+    return matching
+
+
+def _merged_overlap_law(nu0) -> dict:
+    """Exact law of ``nu0.pick(w)`` for ``w ~ U[0, 1)``.
+
+    The cumulative masses of the overlap's layout (stay atom, matched
+    donors' pair atoms, common atoms) cut ``[0, 1)`` into intervals on which
+    ``pick`` is constant, so ``pick`` is read at each interval's midpoint.
+    """
+    cuts = [nu0.stay_mass]
+    for k, donor in enumerate(nu0.donors):
+        acc = nu0.stay_mass + k * nu0.share
+        for _, w in nu0.pair_atoms(nu0.stay, nu0.config[donor]):
+            acc += w * nu0.share
+            cuts.append(acc)
+    acc = nu0.stay_mass + len(nu0.donors) * nu0.share
+    for _, w in nu0.common:
+        acc += w
+        cuts.append(acc)
+    edges = sorted({0.0, 1.0} | {min(max(c / nu0.p, 0.0), 1.0) for c in cuts})
+    law: dict = {}
+    for lo, hi in zip(edges, edges[1:]):
+        if hi > lo:
+            state = nu0.pick((lo + hi) / 2.0)
+            law[state] = law.get(state, 0.0) + hi - lo
+    return law
+
+
+#: Copy probabilities of the selection systems below: constant and not.
+ACCEPT_PROBS = {
+    "constant": lambda a, b: 0.5,
+    "distance": lambda a, b: 0.2 + 0.6 * abs(a[0] - b[0]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    layout=st.sampled_from(["mixed", "all-matched", "all-mismatched"]),
+    accept=st.sampled_from(sorted(ACCEPT_PROBS)),
+    ceiling=st.sampled_from([1.0, 1.6]),
+    data=st.data(),
+)
+def test_merged_parts_match_the_full_decomposition(n, layout, accept, ceiling, data):
+    # States come from five values, so states coincide across sides
+    # (x_k == y_l for mismatched k != l) and within a side.  A ceiling above
+    # the rate 1 leaves stay-put mass.
+    values = [0.1, 0.2, 0.3, 0.4, 0.5]
+    system = dataclasses.replace(
+        selection_mutation(
+            SelectionParams(n_particles=n, accept_prob=ACCEPT_PROBS[accept])
+        ).system,
+        rate_ceiling=ceiling,
+    )
+    x = tuple((data.draw(st.sampled_from(values)),) for _ in range(n))
+    i = data.draw(st.integers(0, n - 1))
+    y = []
+    for k in range(n):
+        matched = k == i or layout == "all-matched" or (
+            layout == "mixed" and data.draw(st.booleans())
+        )
+        other = [v for v in values if (v,) != x[k]]
+        y.append(x[k] if matched else (data.draw(st.sampled_from(other)),))
+    y = tuple(y)
+
+    p, nu0, nu1, nu2 = _merged_parts(system, i, x, y, _matching_of(x, y))
+    full = overlap_decompose(
+        _mixed_atoms(system, (i, x), x[i], i), _mixed_atoms(system, (i, y), y[i], i)
+    )
+    assert abs(p - full[0]) <= 1e-12
+    law0 = _merged_overlap_law(nu0)
+    for config, residual in ((x, nu1), (y, nu2)):
+        mixed, _ = _load_atoms(_mixed_atoms(system, (i, config), config[i], i))
+        drawn = {state: p * w for state, w in law0.items()}
+        for state, w in residual:
+            drawn[state] = drawn.get(state, 0.0) + (1.0 - p) * w
+        for state in set(mixed) | set(drawn):
+            assert abs(drawn.get(state, 0.0) - mixed.get(state, 0.0)) <= 1e-12
+    assert not {s for s, _ in nu1} & {s for s, _ in nu2}
+
+
+def test_merged_parts_apply_only_to_merged_coordinates_with_equal_rates():
+    system = selection_bundle(3).system
+    x = ((0.1,), (0.5,), (0.9,))
+    y = ((0.1,), (0.4,), (0.9,))
+    matching = _matching_of(x, y)
+    assert _merged_parts(system, 0, x, y, matching) is not None
+    assert _merged_parts(system, 1, x, y, matching) is None  # not merged
+    by_side = dataclasses.replace(system, rate=lambda i, config: 0.5 + config[1][0])
+    assert _merged_parts(by_side, 0, x, y, matching) is None  # rates differ
+    flips = flip_system(3)
+    x = y = ((0,), (1,), (0,))
+    assert _merged_parts(flips, 0, x, y, _matching_of(x, y)) is None  # no pair form
+
+
+# ---------------------------------------------------------------------------
+# the event queue for pairs against the eager reference loop
+
+
+def eager_simulate_coupled_system(system, x0, y0, horizon, t0, theta, stream,
+                                  sample_times):
+    """Reference loop: every pair machine is advanced at every event.
+
+    This is ``simulate_coupled_system`` before it became event-driven, with
+    its proposal step: returns ``{t: (x, y, j)}`` at the sample times.
+    """
+    n = system.n_particles
+    xs = [tuple(c) for c in x0]
+    ys = [tuple(c) for c in y0]
+    j = dbar1(tuple(xs), tuple(ys)) / 2.0
+    streams = stream.spawn(n)
+    matching = _Matching(n)
+
+    def build(k):
+        return _base_machine(system, xs[k], ys[k], streams[k])
+
+    def match_all():
+        for k in range(n):
+            matching.assign(k, xs[k] == ys[k])
+
+    machines = [build(k) for k in range(n)]
+    match_all()
+    samples = {}
+    t = 0.0
+    total_rate = n * system.rate_ceiling
+    for t_event, kind in clock(horizon, total_rate, stream, sample_times, window=t0):
+        advance_every_machine(machines, t_event - t, xs, ys)
+        match_all()
+        t = t_event
+        if kind == SAMPLE:
+            samples[t] = (tuple(xs), tuple(ys), j)
+            continue
+        if kind == WINDOW:
+            machines = [build(k) for k in range(n)]
+            continue
+        i = int(stream.integers(n))
+        equal_before = xs[i] == ys[i]
+        xs[i], ys[i], v = _coupled_proposal(
+            system, i, tuple(xs), tuple(ys), matching, stream
+        )
+        if equal_before and v >= 1.0 - theta * j / total_rate:
+            j += 1.0
+        machines[i] = build(i)
+        matching.assign(i, xs[i] == ys[i])
+    return samples
+
+
+def _half_matched(x0, other):
+    return tuple(c if k % 2 else other(c) for k, c in enumerate(x0))
+
+
+def _coupled_selection():
+    system = build_model(
+        "selection", {"n_particles": 16, "base_refresh_rate": 2.0}
+    ).system
+    x0 = tuple(((7 * k) % 16 / 16,) for k in range(16))
+    return system, x0, _half_matched(x0, lambda c: (1.0 - c[0] / 2.0,))
+
+
+def _coupled_meanfield_rt(n):
+    system = meanfield_system(run_tumble(RunTumbleParams(theta=0.1)), n)
+    x0 = tuple((4.0 * (k + 0.5) / n - 2.0, 1 if k % 2 else -1) for k in range(n))
+    return system, x0, _half_matched(x0, lambda c: (c[0] + 0.3, -c[1]))
+
+
+def _coupled_zigzag():
+    system = build_model("zigzag", {"n_particles": 16}).system
+    x0 = tuple(((k - 8) / 4.0, 1 if k % 3 else -1) for k in range(16))
+    return system, x0, _half_matched(x0, lambda c: (c[0] / 2.0, c[1]))
+
+
+#: name -> () -> (system, x0, y0): refresh pairs that stand still, drifting
+#: telegraph pairs, and synchronized zigzag pairs, which have no clock.
+COUPLED_CASES = {
+    "selection": _coupled_selection,
+    "meanfield-rt": lambda: _coupled_meanfield_rt(16),
+    "zigzag": _coupled_zigzag,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUPLED_CASES))
+def test_pair_queue_matches_eager_loop_draw_for_draw(name):
+    system, x0, y0 = COUPLED_CASES[name]()
+    horizon, t0 = 2.0, 0.7
+    times = (0.5, 1.0, horizon)
+    theta = system.rate_ceiling
+    merged_splits = 0
+    for seed in range(20):
+        a_stream, b_stream = make_rng(8_000 + seed), make_rng(8_000 + seed)
+        a = simulate_coupled_system(
+            system, x0, y0, horizon, t0, theta, a_stream, sample_times=times,
+            record_events=False,
+        ).samples
+        b = eager_simulate_coupled_system(
+            system, x0, y0, horizon, t0, theta, b_stream, times
+        )
+        assert sorted(a) == sorted(b) == list(times)
+        for t in times:
+            assert_configs_close(a[t][0], b[t][0])
+            assert_configs_close(a[t][1], b[t][1])
+            assert a[t][2] == b[t][2]
+        merged_splits += a[horizon][2] > dbar1(x0, y0) / 2.0
+        assert a_stream.random() == b_stream.random()
+    assert merged_splits > 0  # the counter moved, so proposals hit merged pairs
+
+
+def test_coupled_meanfield_run_advances_only_due_pairs(monkeypatch):
+    # An eager loop advances all N pairs at every event, and a rate that
+    # reads a tuple of N states builds its empirical measure from them.  Now
+    # a pair is advanced only at a base event (each drew an exponential when
+    # it was scheduled), plus at most once per proposal, and all N at most
+    # once per sample, window and end; each side's mean comes from running
+    # sums.
+    n = 256
+    system = meanfield_system(run_tumble(RunTumbleParams(theta=0.1)), n)
+    base = system.base_coupler
+    advances = [0]
+    pair_streams = []
+
+    class Counted:
+        def __init__(self, machine):
+            self._machine = machine
+
+        def advance(self, dt):
+            advances[0] += 1
+            return self._machine.advance(dt)
+
+        def __getattr__(self, attr):
+            return getattr(self._machine, attr)
+
+    def coupler(x, y, stream):
+        pair_streams.append(CountingStream(stream))
+        return Counted(base(x, y, pair_streams[-1]))
+
+    built = []
+    from_states = EmpiricalMeasure.from_states.__func__
+
+    def counted_from_states(cls, states):
+        states = tuple(states)
+        built.append(len(states))
+        return from_states(cls, states)
+
+    monkeypatch.setattr(EmpiricalMeasure, "from_states", classmethod(counted_from_states))
+    _, x0, y0 = _coupled_meanfield_rt(n)
+    stream = CountingStream(make_rng(17))
+    horizon, t0, samples = 0.5, 0.25, (0.25, 0.5)
+    simulate_coupled_system(
+        dataclasses.replace(system, base_coupler=coupler), x0, y0, horizon, t0,
+        system.rate_ceiling, stream, sample_times=samples, record_events=False,
+    )
+    proposals = stream.counts["integers"]
+    assert proposals > 100
+    exponentials = stream.counts["exponential"] + sum(
+        s.counts.get("exponential", 0) for s in pair_streams
+    )
+    windows = int(horizon / t0)
+    assert advances[0] <= exponentials + proposals + n * (len(samples) + windows + 1)
+    assert [size for size in built if size >= n] == []
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,21 @@ from mfjump.particles import (
     SystemSpec,
     _SynchronizedBaseMachine,
     _base_machine,
-    _flow_machines,
     empirical,
     meanfield_system,
     simulate_system,
 )
 from mfjump.models import build_model, run_tumble, RunTumbleParams
 
-from conftest import CountingStream, constant_flow, flip_model, flip_system, make_rng
+from conftest import (
+    CountingStream,
+    advance_every_machine,
+    assert_configs_close,
+    constant_flow,
+    flip_model,
+    flip_system,
+    make_rng,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +298,14 @@ def eager_simulate_system(system, initial, horizon, stream, sample_times=(),
     n_accepted = n_rejected = 0
     for t_event, kind in clock(horizon, n * ceiling, stream, sample_times):
         if kind == SAMPLE:
-            _flow_machines(machines, t_event - t, config, config)
+            advance_every_machine(machines, t_event - t, config, config)
             t = t_event
             snapshot = tuple(config)
             events.append(Event(time=t, kind=SAMPLE, state=snapshot))
             sample_states[t] = snapshot
             continue
         i = int(stream.integers(n))
-        _flow_machines(machines, t_event - t, config, config)
+        advance_every_machine(machines, t_event - t, config, config)
         t = t_event
         full = tuple(config)
         rate_i = system.rate(i, full)
@@ -313,7 +320,7 @@ def eager_simulate_system(system, initial, horizon, stream, sample_times=(),
             n_rejected += 1
             if record_events:
                 events.append(Event(time=t, kind=JUMP_REJECTED, state=full))
-    _flow_machines(machines, horizon - t, config, config)
+    advance_every_machine(machines, horizon - t, config, config)
     return Trajectory(
         initial=initial_config,
         final_state=tuple(config),
@@ -323,18 +330,6 @@ def eager_simulate_system(system, initial, horizon, stream, sample_times=(),
         n_rejected=n_rejected,
         sample_states=sample_states,
     )
-
-
-def assert_configs_close(a, b, tol=1e-12):
-    """Equal labels and ints; reals within ``tol``."""
-    assert len(a) == len(b)
-    for ca, cb in zip(a, b):
-        assert len(ca) == len(cb)
-        for xa, xb in zip(ca, cb):
-            if isinstance(xa, int) or isinstance(xb, int):
-                assert xa == xb and type(xa) is type(xb)
-            else:
-                assert abs(xa - xb) <= tol, (ca, cb)
 
 
 def _meanfield_rt(n):
