@@ -29,11 +29,13 @@ from .engine import (
     EmpiricalMeasure,
     MeasureFlow,
     ModelSpec,
+    _base_machine,
+    check_ceiling,
     check_rate,
     clock,
 )
 from .metrics import dbar1
-from .particles import SystemSpec, _base_machine, _LiveConfig
+from .particles import SystemSpec, _LiveConfig
 
 __all__ = [
     "CoupledEvent",
@@ -45,7 +47,6 @@ __all__ = [
     "coupled_base",
     "estimate_doeblin_alpha",
     "make_refresh_coupler",
-    "make_refresh_flow",
     "make_telegraph_coupler",
     "optimal_pair_sampler",
     "overlap_decompose",
@@ -254,6 +255,8 @@ class _TelegraphCouplerMachine:
     redrawn because the exponential clock is memoryless.
     """
 
+    __slots__ = ("_c", "_stream", "_x", "_y", "_t", "_merged", "_tx", "_ty", "_commit_side")
+
     def __init__(self, x, y, flip_rate: float, stream):
         self._c = float(flip_rate)
         self._stream = stream
@@ -386,6 +389,8 @@ class _RefreshCouplerMachine:
     refresh while keeping each marginal law intact.
     """
 
+    __slots__ = ("_rate", "_stream", "_x", "_y", "_t", "_merged", "_next")
+
     def __init__(self, x, y, rate: float, stream):
         self._rate = float(rate)
         self._stream = stream
@@ -444,17 +449,6 @@ def make_refresh_coupler(rate: float) -> Callable:
         return _RefreshCouplerMachine(x, y, rate, stream)
 
     return factory
-
-
-def make_refresh_flow(rate: float) -> Callable:
-    """Base flow refreshing the state to ``Uniform[0, 1)`` at ``rate`` (>= 0)."""
-
-    def flow(state, dt, stream):
-        if rate > 0.0 and stream.random() < -math.expm1(-rate * dt):
-            return (stream.random(),)
-        return state
-
-    return flow
 
 
 def coupled_base(model: ModelSpec, x, y, t0: float, stream):
@@ -568,8 +562,7 @@ def simulate_merge_split(
             f"model {model.name!r} provides no kernel atoms"
         )
     lam_star = model.rate_ceiling
-    if math.isinf(lam_star) or lam_star < 0.0:
-        raise ValueError("coupling requires a finite nonnegative rate ceiling")
+    check_ceiling(lam_star, model.name)
     if t0 <= 0.0:
         raise ValueError("window length t0 must be positive")
 
@@ -795,8 +788,10 @@ def simulate_coupled_system(
     single-coordinate changes.  Each side's mixed kernel is
     :func:`_mixed_atoms` of the system's ``kernel_atoms``.  Between
     proposals each coordinate pair follows its base machine
-    (:func:`~mfjump.particles._base_machine`), drawing from its own stream
-    spawned from ``stream``, restarted at window boundaries ``k * t0``.
+    (:func:`~mfjump.engine._base_machine`), drawing from its own stream
+    spawned from ``stream``, restarted at window boundaries ``k * t0``.  A
+    system with a ``base_machine`` in place of a coupler moves a merged pair
+    by one single machine and an unmerged one by two on twin streams.
     With ``record_events=False`` only sample events are kept, while ``j`` is
     still counted.
 
@@ -811,8 +806,6 @@ def simulate_coupled_system(
     of a system with ``pair_atoms``, else what the full decomposition of
     ``kernel_atoms`` costs (``O(N log N)`` for selection).  A window
     boundary restarts all ``N`` pairs, and a sample reads all ``N``.
-    Machines without a clock (synchronized ``base_flow`` pairs, as for
-    zigzag) are advanced at every event.
     """
     if system.kernel_atoms is None:
         raise UnsupportedCouplingError(
@@ -820,8 +813,7 @@ def simulate_coupled_system(
         )
     n = system.n_particles
     lam_star = system.rate_ceiling
-    if math.isinf(lam_star) or lam_star < 0.0:
-        raise ValueError("coupling requires a finite nonnegative rate ceiling")
+    check_ceiling(lam_star, system.name)
     if t0 <= 0.0:
         raise ValueError("window length t0 must be positive")
     if theta < 0.0:

@@ -4,8 +4,8 @@ The central objects are:
 
 * :class:`EmpiricalMeasure` — a finitely supported probability measure.
 * :class:`MeasureFlow` — a piecewise-constant path of measures on a time grid.
-* :class:`ModelSpec` — the dynamics: deterministic-or-stochastic base flow
-  between jumps, a jump rate and a jump kernel, both functions of the current
+* :class:`ModelSpec` — the dynamics: a base motion between jumps, given as a
+  machine, and a jump rate and a jump kernel, both functions of the current
   state and of the ambient measure.
 
 Trajectories are produced by thinning: jump times are proposed by a Poisson
@@ -20,6 +20,7 @@ short flight.  :func:`picard_solve` closes the loop, iterating the map
 from __future__ import annotations
 
 import collections
+import copy
 import dataclasses
 import math
 from typing import Callable, Iterable, Optional, Sequence
@@ -34,6 +35,7 @@ __all__ = [
     "PROPOSAL",
     "SAMPLE",
     "WINDOW",
+    "DriftMachine",
     "EmpiricalMeasure",
     "Event",
     "MeasureFlow",
@@ -41,9 +43,9 @@ __all__ = [
     "PicardResult",
     "RateCeilingError",
     "Trajectory",
+    "check_ceiling",
     "check_rate",
     "clock",
-    "flow_sample",
     "picard_solve",
     "simulate_nonlinear",
 ]
@@ -191,9 +193,6 @@ class ModelSpec:
     """Dynamics of a jump process driven by an ambient measure.
 
     Attributes:
-        base_flow: ``(state, dt, stream) -> state`` evolution between jumps;
-            deterministic models ignore ``stream``.  A system coordinate's
-            ``base_flow`` has the same signature.
         rate: ``(state, measure) -> float`` jump intensity.
         kernel: ``(state, measure, u) -> state`` post-jump state, using the
             uniform variate ``u``.
@@ -214,15 +213,18 @@ class ModelSpec:
         kernel_atoms: Optional ``(state, measure) -> [(state, w), ...]`` atoms
             of the jump kernel; coupled runs derive the mixed (one-proposal)
             atoms from them.
-        base_coupler: Optional ``(x, y, stream) -> machine`` factory producing
-            a coupled simulator of two base motions (see
+        base_coupler: ``(x, y, stream) -> machine`` factory of a coupled
+            simulator of two base motions that may merge (see
             :mod:`mfjump.coupling`).  Started on the diagonal (``x == y``)
-            the machine is the base motion itself, and it drives each
-            coordinate of the model's ``meanfield_system`` in single runs.
-            A system coordinate's ``base_coupler`` has the same signature.
+            the machine is the base motion itself.
+        base_machine: ``(x, stream) -> machine`` factory of the base motion
+            of one state, for a model with no merging coupling.
+
+    The base motion is declared once, by exactly one of ``base_coupler`` and
+    ``base_machine`` (see :func:`_base_machine`); a system coordinate's two
+    fields have the same signatures.
     """
 
-    base_flow: Callable
     rate: Callable
     kernel: Callable
     rate_ceiling: float
@@ -232,6 +234,18 @@ class ModelSpec:
     local_bound: Optional[Callable] = None
     kernel_atoms: Optional[Callable] = None
     base_coupler: Optional[Callable] = None
+    base_machine: Optional[Callable] = None
+
+    def __post_init__(self) -> None:
+        _check_base_motion(self)
+
+
+def _check_base_motion(spec) -> None:
+    """Raise ``ValueError`` unless ``spec`` declares one base motion."""
+    if (spec.base_coupler is None) == (spec.base_machine is None):
+        raise ValueError(
+            f"{spec.name}: declare exactly one of base_coupler and base_machine"
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,11 +281,83 @@ class Trajectory:
         return self.sample_states[t]
 
 
-def flow_sample(model: ModelSpec, state: State, dt: float, stream) -> State:
-    """Evolve ``state`` for ``dt`` time units under the model's base flow."""
-    if dt == 0.0:
-        return tuple(state)
-    return tuple(model.base_flow(tuple(state), dt, stream))
+class DriftMachine:
+    """Single-side base machine of a state moving at a constant ``drift`` (one
+    velocity per component, or ``None`` to stand still), with no event.  A
+    component with drift 0 keeps its exact value, so labels stay ints."""
+
+    def __init__(self, state, drift: Optional[tuple] = None):
+        self._state = tuple(state)
+        self._drift = drift
+
+    def next_event_in(self) -> float:
+        return math.inf
+
+    def drift(self) -> Optional[tuple]:
+        return self._drift
+
+    def advance(self, dt: float) -> State:
+        if self._drift is not None and dt > 0.0:
+            self._state = tuple(
+                [x + d * dt if d else x for x, d in zip(self._state, self._drift)]
+            )
+        return self._state
+
+
+class _SingleMachines:
+    """A pair machine of single-side machines: one on the diagonal, where
+    ``y`` is ``x``, or one per side."""
+
+    def __init__(self, *machines):
+        self._machines = machines
+
+    def next_event_in(self) -> float:
+        return min([m.next_event_in() for m in self._machines])
+
+    def drifts(self) -> tuple:
+        return self._machines[0].drift(), self._machines[-1].drift()
+
+    def advance(self, dt: float) -> tuple:
+        states = [m.advance(dt) for m in self._machines]
+        return ((dt, states[0], states[-1], False),)
+
+
+def _base_machine(spec, x, y, stream):
+    """The base machine of a model or of one system coordinate at ``(x, y)``.
+
+    It is the one place that picks a machine:
+
+    * the spec's ``base_coupler``, if it declares one;
+    * else, on the diagonal (``x == y``), its ``base_machine`` at ``x``, which
+      is the base motion itself and draws from ``stream``;
+    * else a twin pair: one ``base_machine`` per side, the two drawing the
+      same variates from a child spawned from ``stream`` and a copy of it.
+      Each start spawns a fresh child, so neither side reuses a variate it
+      has drawn before.
+
+    A pair machine answers ``advance(dt)``, which returns ``(offset, x, y,
+    is_merge)`` points ending at ``dt``, and two read-only questions:
+    ``next_event_in()``, the time until the next base event of either side
+    (``inf`` if none), and ``drifts()``, one per side, the velocity of each
+    state component until then (``None`` if the state stands still).  A
+    single-side machine answers ``next_event_in()``, ``drift()`` for its one
+    side, and ``advance(dt)`` with the state ``dt`` later.
+    """
+    if spec.base_coupler is not None:
+        return spec.base_coupler(x, y, stream)
+    if x == y:
+        return _SingleMachines(spec.base_machine(x, stream))
+    child = stream.spawn(1)[0]
+    return _SingleMachines(
+        spec.base_machine(x, child), spec.base_machine(y, copy.deepcopy(child))
+    )
+
+
+def check_ceiling(ceiling: float, name: str) -> None:
+    """Raise ``ValueError`` unless the thinning ``ceiling`` is finite and
+    nonnegative (a NaN one fails too)."""
+    if not 0.0 <= ceiling < math.inf:
+        raise ValueError(f"{name}: rate ceiling {ceiling} is not finite and nonnegative")
 
 
 def check_rate(
@@ -281,9 +367,10 @@ def check_rate(
 
     Thinning against a ceiling that the rate exceeds silently biases the
     law, so every simulator checks each rate it thins.  The message names
-    ``name`` and, when given, the ``coordinate`` whose rate it is.
+    ``name`` and, when given, the ``coordinate`` whose rate it is.  A NaN
+    rate fails too.
     """
-    if rate > ceiling * (1.0 + _CEILING_SLACK) + 1e-12:
+    if not rate <= ceiling * (1.0 + _CEILING_SLACK) + 1e-12:
         where = name if coordinate is None else f"{name}: coordinate {coordinate}"
         raise RateCeilingError(f"{where}: rate {rate} exceeds ceiling {ceiling}")
 
@@ -348,8 +435,10 @@ def simulate_nonlinear(
     * A model without one flies once over ``[0, horizon]`` under its
       ``rate_ceiling``, which must then be finite.
 
-    Every proposal is recorded as an event (accepted or rejected) when
-    ``record_events``, and the state at each requested sample time up to
+    The state moves by the model's base machine (:func:`_base_machine` on the
+    diagonal), drawing from ``stream``; an accepted jump restarts it at the
+    post-jump state.  Every proposal is recorded as an event (accepted or
+    rejected) when ``record_events``, and the state at each requested sample time up to
     ``horizon`` is recorded as a sample event.
     """
     local_bound = model.local_bound
@@ -359,19 +448,16 @@ def simulate_nonlinear(
     t = 0.0
     state = tuple(initial)
     n_accepted = n_rejected = 0
+    machine = _base_machine(model, state, state, stream)
     while True:
         if local_bound is None:
             end, ceiling = horizon, model.rate_ceiling
         else:
             end = min(t + _MAX_FLIGHT, horizon)
             ceiling = float(local_bound(state, end - t, flow.span(t, end)))
-        if not 0.0 <= ceiling < math.inf:
-            raise ValueError(
-                f"{model.name}: thinning ceiling {ceiling} is not finite and "
-                "nonnegative (an unbounded rate needs a local_bound)"
-            )
+        check_ceiling(ceiling, model.name)
         for t_event, kind in clock(end, ceiling, stream, pending, start=t):
-            state = flow_sample(model, state, t_event - t, stream)
+            state = machine.advance(t_event - t)[-1][1]
             t = t_event
             if kind == SAMPLE:
                 events.append(Event(time=t, kind=SAMPLE, state=state))
@@ -383,6 +469,7 @@ def simulate_nonlinear(
             accepted = stream.random() * ceiling < rate
             if accepted:
                 state = tuple(model.kernel(state, measure, stream.random()))
+                machine = _base_machine(model, state, state, stream)
                 n_accepted += 1
             else:
                 n_rejected += 1
@@ -392,7 +479,7 @@ def simulate_nonlinear(
             if accepted and local_bound is not None:
                 break
         else:
-            state = flow_sample(model, state, end - t, stream)
+            state = machine.advance(end - t)[-1][1]
             t = end
         if t >= horizon:
             break

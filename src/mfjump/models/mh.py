@@ -16,7 +16,7 @@ import dataclasses
 import math
 from typing import Callable, Optional
 
-from ..coupling import make_refresh_coupler, make_refresh_flow
+from ..coupling import make_refresh_coupler
 from ..engine import ModelSpec
 from ..particles import SystemSpec
 
@@ -110,7 +110,6 @@ def mh_granular(params: MhParams) -> MhBundle:
     def accept_prob(i: int, config, xi: float) -> float:
         return min(1.0, math.exp(-beta * delta_energy(i, config, xi)))
 
-    refresh_flow = make_refresh_flow(refresh_rate)
     refresh_coupler = make_refresh_coupler(refresh_rate)
 
     residual_ceiling = lam_bar * (1.0 - p_star)
@@ -127,7 +126,6 @@ def mh_granular(params: MhParams) -> MhBundle:
 
     system = SystemSpec(
         n_particles=n,
-        base_flow=refresh_flow,
         rate=residual_rate,
         kernel=residual_kernel,
         rate_ceiling=residual_ceiling,
@@ -150,7 +148,6 @@ def mh_granular(params: MhParams) -> MhBundle:
     # never advances it.
     raw_system = SystemSpec(
         n_particles=n,
-        base_flow=make_refresh_flow(0.0),
         rate=raw_rate,
         kernel=raw_kernel,
         rate_ceiling=lam_bar,
@@ -161,7 +158,6 @@ def mh_granular(params: MhParams) -> MhBundle:
     )
 
     base_model = ModelSpec(
-        base_flow=refresh_flow,
         rate=lambda state, measure: 0.0,
         kernel=lambda state, measure, u: state,
         rate_ceiling=0.0,

@@ -114,22 +114,10 @@ def run_tumble(params: RunTumbleParams) -> RunTumbleBundle:
     def kernel(state, measure, u):
         return (state[0], -state[1])
 
-    def base_flow(state, dt, stream):
-        x, v = state
-        remaining = dt
-        while True:
-            gap = stream.exponential(1.0 / c) if c > 0.0 else math.inf
-            if gap >= remaining:
-                return (x + v * remaining, v)
-            x += v * gap
-            v = -v
-            remaining -= gap
-
     def kernel_atoms(state, measure):
         return (((state[0], -state[1]), 1.0),)
 
     model = ModelSpec(
-        base_flow=base_flow,
         rate=tumble_rate,
         kernel=kernel,
         rate_ceiling=lam_star,

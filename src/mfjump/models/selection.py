@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Optional
 
-from ..coupling import make_refresh_coupler, make_refresh_flow
+from ..coupling import make_refresh_coupler
 from ..particles import SystemSpec
 
 __all__ = ["SelectionBundle", "SelectionParams", "selection_mutation"]
@@ -81,7 +81,6 @@ def selection_mutation(params: SelectionParams) -> SelectionBundle:
 
     system = SystemSpec(
         n_particles=n,
-        base_flow=make_refresh_flow(refresh_rate),
         rate=rate,
         kernel=kernel,
         rate_ceiling=lam_star,

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..engine import ModelSpec
+from ..engine import DriftMachine, ModelSpec
 
 __all__ = ["TcpBundle", "TcpConstants", "TcpParams", "tcp"]
 
@@ -113,14 +113,10 @@ def tcp(params: TcpParams) -> TcpBundle:
             value += max(interaction(top, m) for m in measures)
         return value
 
-    def base_flow(state, dt, stream):
-        return (state[0] + dt,)
-
     def kernel(state, measure, u):
         return (state[0] / 2.0,)
 
     model = ModelSpec(
-        base_flow=base_flow,
         rate=rate,
         kernel=kernel,
         rate_ceiling=math.inf,
@@ -128,5 +124,6 @@ def tcp(params: TcpParams) -> TcpBundle:
         state_box=((0.0, 100.0),),
         name="tcp",
         local_bound=local_bound,
+        base_machine=lambda state, stream: DriftMachine(state, (1.0,)),
     )
     return TcpBundle(model=model, constants=constants)

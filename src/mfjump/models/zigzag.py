@@ -2,8 +2,9 @@
 
 Each coordinate is ``(position, direction)`` with direction labels
 ``+1``/``-1``.  The base dynamics flips at the single-site rate
-``(direction * ui'(z) - theta_bound)_+`` (simulated by local thinning along
-the linear flight); the interacting residual covers the remainder
+``(direction * ui'(z) - theta_bound)_+``, simulated by local thinning along
+the linear flight in chunks of length ``_CHUNK`` (:class:`_FlipMachine`);
+the interacting residual covers the remainder
 ``(direction * dU_i)_+`` of the full flip intensity, where ``dU_i`` adds the
 mean interaction gradient.  The residual stays within ``2 * theta_bound``
 whenever the interaction gradient is bounded by ``theta_bound``.
@@ -23,6 +24,55 @@ from ._profiles import smooth_abs, smooth_indicator
 __all__ = ["ZigZagBundle", "ZigZagParams", "zigzag"]
 
 _CHUNK = 0.5
+
+
+class _FlipMachine:
+    """Base motion of one coordinate: a linear flight whose direction flips
+    at ``base_rate(z, v)``, thinned in chunks that start at each base event
+    and last ``_CHUNK`` or until their first flip candidate.
+
+    A chunk's ceiling is ``base_rate + lip * _CHUNK`` at its start, and each
+    candidate's rate is checked against it.  The pending event is the next
+    candidate or the chunk's end.  The draws (a gap per chunk, a variate per
+    candidate) do not depend on how the flight is cut into advances.
+    """
+
+    def __init__(self, coord, stream, base_rate: Callable, lip: float):
+        self._z, self._v = float(coord[0]), coord[1]
+        self._stream = stream
+        self._base_rate = base_rate
+        self._lip = lip
+        self._t = 0.0
+        self._start_chunk()
+
+    def _start_chunk(self) -> None:
+        self._ceiling = self._base_rate(self._z, self._v) + self._lip * _CHUNK
+        gap = math.inf
+        if self._ceiling > 0.0:
+            gap = self._stream.exponential(1.0 / self._ceiling)
+        self._candidate = gap < _CHUNK
+        self._next = self._t + min(gap, _CHUNK)
+
+    def next_event_in(self) -> float:
+        return self._next - self._t
+
+    def drift(self) -> tuple:
+        return (self._v, 0)
+
+    def advance(self, dt: float) -> tuple:
+        end = self._t + dt
+        while self._next <= end:
+            self._z += self._v * (self._next - self._t)
+            self._t = self._next
+            if self._candidate:
+                rate = self._base_rate(self._z, self._v)
+                check_rate(rate, self._ceiling, "zigzag base flip")
+                if self._stream.random() * self._ceiling < rate:
+                    self._v = -self._v
+            self._start_chunk()
+        self._z += self._v * (end - self._t)
+        self._t = end
+        return (self._z, self._v)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,29 +128,6 @@ def zigzag(params: ZigZagParams) -> ZigZagBundle:
     def base_rate(z: float, v) -> float:
         return max(0.0, v * ui_prime(z) - theta)
 
-    def base_flow(coord, dt, stream):
-        z, v = coord
-        remaining = dt
-        while remaining > 1e-15:
-            chunk = min(remaining, _CHUNK)
-            ceiling = base_rate(z, v) + lip * chunk
-            if ceiling <= 0.0:
-                z += v * chunk
-                remaining -= chunk
-                continue
-            gap = stream.exponential(1.0 / ceiling)
-            if gap >= chunk:
-                z += v * chunk
-                remaining -= chunk
-                continue
-            z += v * gap
-            remaining -= gap
-            rate = base_rate(z, v)
-            check_rate(rate, ceiling, "zigzag base flip")
-            if stream.random() * ceiling < rate:
-                v = -v
-        return (z, v)
-
     def full_gradient(i: int, config) -> float:
         z = config[i][0]
         grad = ui_prime(z)
@@ -123,7 +150,6 @@ def zigzag(params: ZigZagParams) -> ZigZagBundle:
 
     system = SystemSpec(
         n_particles=n,
-        base_flow=base_flow,
         rate=residual_rate,
         kernel=kernel,
         rate_ceiling=2.0 * theta if w1 is not None else theta,
@@ -131,6 +157,7 @@ def zigzag(params: ZigZagParams) -> ZigZagBundle:
         coordinate_box=((-6.0, 6.0), (-1, 1)),
         name="zigzag",
         kernel_atoms=kernel_atoms,
+        base_machine=lambda coord, stream: _FlipMachine(coord, stream, base_rate, lip),
     )
 
     def lyapunov_value(coord) -> float:

@@ -19,8 +19,6 @@ running sums.  So a mean-field proposal costs ``O(log N)``, not ``O(N)``.
 
 from __future__ import annotations
 
-import bisect
-import copy
 import dataclasses
 import heapq
 import math
@@ -36,6 +34,9 @@ from .engine import (
     ModelSpec,
     RateCeilingError,
     Trajectory,
+    _base_machine,
+    _check_base_motion,
+    check_ceiling,
     check_rate,
     clock,
 )
@@ -56,9 +57,6 @@ class SystemSpec:
 
     Attributes:
         n_particles: Number of coordinates.
-        base_flow: ``(coord_state, dt, stream) -> coord_state`` base motion
-            of one coordinate, typed as ``ModelSpec.base_flow`` (coordinates
-            are exchangeable, so it takes no index).
         rate: ``(i, config) -> float`` jump rate of coordinate ``i`` given the
             full configuration.  ``config`` is a read-only sequence of
             coordinate states, valid only during the call: keep a copy
@@ -86,16 +84,13 @@ class SystemSpec:
             donors and their atoms come.  Coupled runs use the form to skip
             the donors that agree on both sides
             (:func:`~mfjump.coupling.simulate_coupled_system`).
-        base_coupler: Optional ``(cx, cy, stream) -> machine`` factory for
-            coupled base motion of one coordinate pair, typed as
-            ``ModelSpec.base_coupler`` (see :mod:`mfjump.coupling`).  Started
-            on the diagonal (``cx == cy``) the machine is the base motion of
-            one coordinate, and it drives single runs of
-            :func:`simulate_system` too.
+        base_coupler, base_machine: The base motion of one coordinate,
+            declared by exactly one of them, typed as in
+            :class:`~mfjump.engine.ModelSpec` (coordinates are exchangeable,
+            so neither takes an index).
     """
 
     n_particles: int
-    base_flow: Callable
     rate: Callable
     kernel: Callable
     rate_ceiling: float
@@ -105,8 +100,10 @@ class SystemSpec:
     kernel_atoms: Optional[Callable] = None
     base_coupler: Optional[Callable] = None
     pair_atoms: Optional[Callable] = None
+    base_machine: Optional[Callable] = None
 
     def __post_init__(self) -> None:
+        _check_base_motion(self)
         if self.pair_atoms is not None and self.kernel_atoms is None:
             object.__setattr__(self, "kernel_atoms", _pairwise_kernel_atoms(self.pair_atoms))
 
@@ -137,64 +134,6 @@ def empirical(config: Sequence[State]) -> EmpiricalMeasure:
     if isinstance(config, _LiveSide):
         return _LiveMeasure(config)
     return EmpiricalMeasure.from_states(config)
-
-
-class _SynchronizedBaseMachine:
-    """Fallback pair evolution: both sides consume identical base-flow draws.
-
-    Used when a spec provides no base coupler.  A merged pair stays merged
-    because the base flow is a deterministic function of state and draws, so
-    a merged machine is one ``base_flow`` call per advance.
-    """
-
-    def __init__(self, base_flow: Callable, x, y, stream):
-        self._base_flow = base_flow
-        self._stream = stream
-        self._x = tuple(x)
-        self._y = tuple(y)
-        self._merged = self._x == self._y
-        if self._merged:
-            self._y = self._x
-
-    def next_event_in(self) -> float:
-        """``0.0``: ``base_flow`` may draw over any interval, so the machine
-        has no next event to wait for and is advanced at every step."""
-        return 0.0
-
-    def drifts(self) -> tuple:
-        """``(None, None)``: the states change only when the machine is advanced."""
-        return None, None
-
-    def advance(self, dt: float) -> Sequence:
-        if self._merged:
-            if dt > 0.0:
-                self._x = self._y = tuple(self._base_flow(self._x, dt, self._stream))
-            return ((dt, self._x, self._y, False),)
-        if dt > 0.0:
-            twin = copy.deepcopy(self._stream)
-            self._x = tuple(self._base_flow(self._x, dt, self._stream))
-            self._y = tuple(self._base_flow(self._y, dt, twin))
-        self._merged = self._x == self._y
-        if self._merged:
-            self._y = self._x
-        return [(dt, self._x, self._y, self._merged)]
-
-
-def _base_machine(spec, x, y, stream):
-    """The base machine of a model or of one system coordinate at ``(x, y)``.
-
-    It is the spec's ``base_coupler``, or, where none is declared, the
-    synchronized machine over ``base_flow``.  On the diagonal it is the base
-    motion itself.  Besides ``advance``, a machine answers two read-only
-    questions, which :class:`_LiveConfig` asks:
-    ``next_event_in()``, the time until the next base event of either side
-    (``inf`` if none, ``0.0`` if it may draw at any time), and ``drifts()``,
-    one per side, the velocity of each state component until then (``None``
-    if the state stands still, as it must for a machine without a clock).
-    """
-    if spec.base_coupler is not None:
-        return spec.base_coupler(x, y, stream)
-    return _SynchronizedBaseMachine(spec.base_flow, x, y, stream)
 
 
 def _anchor(state, drift, since: float, k: int) -> float:
@@ -322,16 +261,13 @@ class _LiveConfig:
     """Coordinates of a running system, each moved by one pair machine.
 
     Coordinate ``j`` is a pair ``(x_j, y_j)`` moved by its base machine
-    (:func:`_base_machine`) drawing from ``streams[j]``.  A single run is
-    the ``x`` side of the diagonal: its machines start at ``(x_j, x_j)`` and
-    ``y`` is ``None``.  Each side is a :class:`_LiveSide`, and for a pair
-    :attr:`matching` splits the coordinates by ``x_j == y_j``.
+    (:func:`~mfjump.engine._base_machine`) drawing from ``streams[j]``.  A
+    single run is the ``x`` side of the diagonal: its machines start at
+    ``(x_j, x_j)`` and ``y`` is ``None``.  Each side is a :class:`_LiveSide`,
+    and for a pair :attr:`matching` splits the coordinates by ``x_j == y_j``.
 
-    A machine with a clock (``next_event_in() > 0`` when it starts) sits in
-    a heap keyed by the time of its next event on either side, and
-    :meth:`flow` advances it only when that time has come.  A machine that
-    may draw at any time is advanced at every flow, after the due ones, and
-    is read as stored.
+    Each machine sits in a heap keyed by the time of its next event on
+    either side, and :meth:`flow` advances it only when that time has come.
     """
 
     def __init__(self, system: SystemSpec, x0: Sequence[State], streams, y0=None):
@@ -344,77 +280,52 @@ class _LiveConfig:
         self._machines: list = [None] * n
         self._due = [math.inf] * n
         self._heap: list = []
-        self._clocked = [True] * n
-        self._unclocked: list[int] = []
         for j in range(n):
             self.start(j, x0[j], None if y0 is None else y0[j])
 
-    def _store(self, j: int, x: State, y: State, drifts, t: float) -> None:
-        dx, dy = drifts
+    def _settle(self, j: int, x: State, y: State, t: float) -> None:
+        """Store coordinate ``j`` as ``(x, y)`` at ``t`` and queue the next
+        event of its machine."""
+        machine = self._machines[j]
+        dx, dy = machine.drifts()
         self.x.set(j, x, dx, t)
         if self.y is not None:
             self.y.set(j, y, dy, t)
             self.matching.assign(j, x == y)
+        self._due[j] = at = t + machine.next_event_in()
+        if at < math.inf:
+            heapq.heappush(self._heap, (at, j))
 
     def start(self, j: int, x: State, y: Optional[State] = None) -> None:
         """Start coordinate ``j``'s machine at ``(x, y)`` (``y`` defaults to
         ``x``) at the flow time."""
         if y is None:
             y = x
-        machine = _base_machine(self._system, x, y, self._streams[j])
-        self._machines[j] = machine
-        wait = machine.next_event_in()
-        clocked = wait > 0.0
-        if clocked != self._clocked[j]:
-            self._clocked[j] = clocked
-            if clocked:
-                self._unclocked.remove(j)
-            else:
-                # Advanced at every flow from now on, so read as stored.
-                bisect.insort(self._unclocked, j)
-                self._due[j] = math.inf
-        t = self.x.t
-        self._store(j, x, y, machine.drifts(), t)
-        if clocked:
-            self._due[j] = at = t + wait
-            if at < math.inf:
-                heapq.heappush(self._heap, (at, j))
+        self._machines[j] = _base_machine(self._system, x, y, self._streams[j])
+        self._settle(j, x, y, self.x.t)
 
     def flow(self, t: float) -> None:
         """Advance to ``t`` the machines whose next event is due, in index
-        order, then every machine without a clock.
+        order.
 
-        A machine that is not due draws nothing when advanced.  So where all
-        machines have clocks, or none has, these are the draws that
-        advancing every machine in index order would make, in the same
-        order.  A ceiling error raised by a machine is re-raised naming the
-        coordinate it moves.
+        A machine that is not due draws nothing when advanced, so these are
+        the draws that advancing every machine in index order would make, in
+        the same order.  A ceiling error raised by a machine is re-raised
+        naming the coordinate it moves.
         """
-        heap, machines = self._heap, self._machines
-        j = -1
+        heap, due = self._heap, self._due
+        popped = []
+        while heap and heap[0][0] <= t:
+            at, j = heapq.heappop(heap)
+            if due[j] == at:
+                due[j] = math.inf
+                popped.append(j)
+        popped.sort()
+        since = self.x._since
         try:
-            if heap and heap[0][0] <= t:
-                due = self._due
-                popped = []
-                while heap and heap[0][0] <= t:
-                    at, j = heapq.heappop(heap)
-                    if due[j] == at:
-                        due[j] = math.inf
-                        popped.append(j)
-                popped.sort()
-                since = self.x._since
-                for j in popped:
-                    machine = machines[j]
-                    _, x, y, _ = machine.advance(t - since[j])[-1]
-                    self._store(j, x, y, machine.drifts(), t)
-                    due[j] = at = t + machine.next_event_in()
-                    if at < math.inf:
-                        heapq.heappush(heap, (at, j))
-            dt = t - self.x.t
-            if self._unclocked and dt > 0.0:
-                for j in self._unclocked:
-                    _, x, y, _ = machines[j].advance(dt)[-1]
-                    self._store(j, x, y, (None, None), t)
+            for j in popped:
+                _, x, y, _ = self._machines[j].advance(t - since[j])[-1]
+                self._settle(j, x, y, t)
         except RateCeilingError as err:
             raise RateCeilingError(f"coordinate {j}: {err}") from err
         self.x.t = t
@@ -451,17 +362,16 @@ def simulate_system(
 ) -> Trajectory:
     """Simulate an interacting system by global-clock thinning.
 
-    Each coordinate moves by its base machine (:func:`_base_machine`) started
-    on the diagonal and drawing from ``stream``: the system's
-    ``base_coupler`` where one is declared, else synchronized ``base_flow``
-    calls.  An accepted jump restarts the machine of the coordinate that
-    jumped.
+    Each coordinate moves by its base machine
+    (:func:`~mfjump.engine._base_machine`) started on the diagonal and
+    drawing from ``stream``: the system's ``base_coupler`` or its
+    ``base_machine``.  An accepted jump restarts the machine of the
+    coordinate that jumped.
 
     The run is event-driven: at each proposal and sample only the machines
-    whose next base event has come are advanced, in coordinate order, and
-    machines that may draw at any time (the synchronized ones) are advanced
-    at every step.  A machine with no event in a step draws nothing, so the
-    draws are those of advancing every machine at every step.  ``rate`` and
+    whose next base event has come are advanced, in coordinate order.  A
+    machine with no event in a step draws nothing, so the draws are those of
+    advancing every machine at every step.  ``rate`` and
     ``kernel`` receive a read-only configuration, valid only during the
     call, whose drifting coordinates are computed when read, and
     :func:`empirical` of it reads running sums for ``mean``.  So a proposal
@@ -473,8 +383,7 @@ def simulate_system(
     """
     n = system.n_particles
     ceiling = system.rate_ceiling
-    if math.isinf(ceiling) or ceiling < 0.0:
-        raise ValueError("system rate ceiling must be finite and nonnegative")
+    check_ceiling(ceiling, system.name)
     if len(initial) != n:
         raise ValueError(f"expected {n} coordinates, got {len(initial)}")
     events: list[Event] = []
@@ -520,8 +429,8 @@ def simulate_system(
 def meanfield_system(model_or_bundle, n_particles: int) -> SystemSpec:
     """Lift a measure-driven model to an ``N``-coordinate interacting system.
 
-    Each coordinate follows the model's base motion (its ``base_flow`` and
-    ``base_coupler``, passed through unchanged); jump rates and kernels see
+    Each coordinate follows the model's base motion (its ``base_coupler`` or
+    ``base_machine``, passed through unchanged); jump rates and kernels see
     the empirical measure of the current configuration in place of the
     ambient measure.  Accepts either a :class:`~mfjump.engine.ModelSpec` or a
     model bundle exposing ``.model``.
@@ -542,7 +451,6 @@ def meanfield_system(model_or_bundle, n_particles: int) -> SystemSpec:
 
     return SystemSpec(
         n_particles=n_particles,
-        base_flow=model.base_flow,
         rate=rate,
         kernel=kernel,
         rate_ceiling=model.rate_ceiling,
@@ -551,4 +459,5 @@ def meanfield_system(model_or_bundle, n_particles: int) -> SystemSpec:
         name=f"{model.name}-system",
         kernel_atoms=kernel_atoms,
         base_coupler=model.base_coupler,
+        base_machine=model.base_machine,
     )

@@ -2,14 +2,26 @@
 
 The toy models here have closed-form behaviour (constant rates, deterministic
 label flips, pure drift) so that tests can assert exact laws against them.
+The reference flows are independent descriptions of the packaged base
+motions, written as one function of ``(state, dt, stream)``, against which
+the machines are checked in law.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from mfjump.engine import EmpiricalMeasure, MeasureFlow, ModelSpec, RateCeilingError
+from mfjump.engine import (
+    DriftMachine,
+    EmpiricalMeasure,
+    MeasureFlow,
+    ModelSpec,
+    RateCeilingError,
+    check_rate,
+)
 from mfjump.particles import SystemSpec
 
 
@@ -35,6 +47,21 @@ class CountingStream:
         return counted
 
 
+class CountedMachine:
+    """A base machine that adds each of its advances to ``advances[0]``."""
+
+    def __init__(self, machine, advances):
+        self._machine = machine
+        self._advances = advances
+
+    def advance(self, dt):
+        self._advances[0] += 1
+        return self._machine.advance(dt)
+
+    def __getattr__(self, attr):
+        return getattr(self._machine, attr)
+
+
 def advance_every_machine(machines: list, dt: float, xs: list, ys: list) -> None:
     """Advance every coordinate machine by ``dt``, in coordinate order, storing
     its end states: the step of the eager reference loops, which the
@@ -48,6 +75,68 @@ def advance_every_machine(machines: list, dt: float, xs: list, ys: list) -> None
             _, xs[i], ys[i], _ = machine.advance(dt)[-1]
     except RateCeilingError as err:
         raise RateCeilingError(f"coordinate {i}: {err}") from err
+
+
+def telegraph_flow(flip_rate: float):
+    """Reference flow of the telegraph base motion: unit speed, the velocity
+    label flipping at ``flip_rate``; a fresh exponential gap at each call."""
+
+    def flow(state, dt, stream):
+        x, v = state
+        remaining = dt
+        while True:
+            gap = stream.exponential(1.0 / flip_rate) if flip_rate > 0.0 else math.inf
+            if gap >= remaining:
+                return (x + v * remaining, v)
+            x += v * gap
+            v = -v
+            remaining -= gap
+
+    return flow
+
+
+def refresh_flow(rate: float):
+    """Reference flow refreshing the state to ``Uniform[0, 1)`` at ``rate``:
+    one refresh at most per call, the last one of the interval."""
+
+    def flow(state, dt, stream):
+        if rate > 0.0 and stream.random() < -math.expm1(-rate * dt):
+            return (stream.random(),)
+        return state
+
+    return flow
+
+
+def zigzag_flow(base_rate, lip: float, chunk: float = 0.5):
+    """Reference flow of the zigzag base flips at ``base_rate(z, v)``, thinned
+    along the flight in chunks of at most ``chunk`` cut from the call's own
+    interval, under ``base_rate + lip * chunk`` at each chunk's start."""
+
+    def flow(coord, dt, stream):
+        z, v = coord
+        remaining = dt
+        while remaining > 1e-15:
+            step = min(remaining, chunk)
+            ceiling = base_rate(z, v) + lip * step
+            gap = stream.exponential(1.0 / ceiling) if ceiling > 0.0 else math.inf
+            if gap >= step:
+                z += v * step
+                remaining -= step
+                continue
+            z += v * gap
+            remaining -= gap
+            rate = base_rate(z, v)
+            check_rate(rate, ceiling, "zigzag base flip")
+            if stream.random() * ceiling < rate:
+                v = -v
+        return (z, v)
+
+    return flow
+
+
+def frozen_machine(state, stream):
+    """Base machine of a state that stands still."""
+    return DriftMachine(state)
 
 
 def assert_configs_close(a, b, tol=1e-12):
@@ -68,9 +157,6 @@ def flip_model(rate_value: float = 2.0, ceiling: float = 2.0) -> ModelSpec:
     State is ``(k,)`` with ``k`` in {0, 1}; the base dynamics are frozen.
     """
 
-    def base_flow(state, dt, stream):
-        return state
-
     def rate(state, measure):
         return rate_value
 
@@ -81,7 +167,6 @@ def flip_model(rate_value: float = 2.0, ceiling: float = 2.0) -> ModelSpec:
         return [((1 - state[0],), 1.0)]
 
     return ModelSpec(
-        base_flow=base_flow,
         rate=rate,
         kernel=kernel,
         rate_ceiling=ceiling,
@@ -89,6 +174,7 @@ def flip_model(rate_value: float = 2.0, ceiling: float = 2.0) -> ModelSpec:
         state_layout=("label",),
         state_box=((0.0, 1.0),),
         name="flip-toy",
+        base_machine=frozen_machine,
     )
 
 
@@ -100,9 +186,6 @@ def measure_rate_flip_model(ceiling: float = 2.0) -> ModelSpec:
     the same dynamics running at different constant rates.
     """
 
-    def base_flow(state, dt, stream):
-        return state
-
     def rate(state, measure):
         return measure.expect(lambda s: s[0])
 
@@ -113,7 +196,6 @@ def measure_rate_flip_model(ceiling: float = 2.0) -> ModelSpec:
         return [((1 - state[0],), 1.0)]
 
     return ModelSpec(
-        base_flow=base_flow,
         rate=rate,
         kernel=kernel,
         rate_ceiling=ceiling,
@@ -121,14 +203,12 @@ def measure_rate_flip_model(ceiling: float = 2.0) -> ModelSpec:
         state_layout=("label",),
         state_box=((0.0, 1.0),),
         name="measure-rate-flip-toy",
+        base_machine=frozen_machine,
     )
 
 
 def drift_model(speed: float = 1.0, ceiling: float = 1.0) -> ModelSpec:
     """Deterministic drift at constant speed with jump rate zero."""
-
-    def base_flow(state, dt, stream):
-        return (state[0] + speed * dt,)
 
     def rate(state, measure):
         return 0.0
@@ -137,21 +217,18 @@ def drift_model(speed: float = 1.0, ceiling: float = 1.0) -> ModelSpec:
         return state
 
     return ModelSpec(
-        base_flow=base_flow,
         rate=rate,
         kernel=kernel,
         rate_ceiling=ceiling,
         state_layout=("real",),
         state_box=((-50.0, 50.0),),
         name="drift-toy",
+        base_machine=lambda state, stream: DriftMachine(state, (speed,)),
     )
 
 
 def drift_velocity_model(jump_rate: float = 0.0, ceiling: float = 1.0) -> ModelSpec:
     """State ``(x, v)`` moving at velocity ``v``; optional constant-rate flips."""
-
-    def base_flow(state, dt, stream):
-        return (state[0] + state[1] * dt, state[1])
 
     def rate(state, measure):
         return jump_rate
@@ -163,7 +240,6 @@ def drift_velocity_model(jump_rate: float = 0.0, ceiling: float = 1.0) -> ModelS
         return [((state[0], -state[1]), 1.0)]
 
     return ModelSpec(
-        base_flow=base_flow,
         rate=rate,
         kernel=kernel,
         rate_ceiling=ceiling,
@@ -171,6 +247,7 @@ def drift_velocity_model(jump_rate: float = 0.0, ceiling: float = 1.0) -> ModelS
         state_layout=("real", "label"),
         state_box=((-50.0, 50.0), (-1.0, 1.0)),
         name="drift-velocity-toy",
+        base_machine=lambda state, stream: DriftMachine(state, (state[1], 0)),
     )
 
 
@@ -180,9 +257,6 @@ def flip_system(
     """N-coordinate system of label flips with per-coordinate constant rates."""
     if rates is None:
         rates = tuple(ceiling for _ in range(n))
-
-    def base_flow(state, dt, stream):
-        return state
 
     def rate(i, state):
         return rates[i]
@@ -195,7 +269,6 @@ def flip_system(
 
     return SystemSpec(
         n_particles=n,
-        base_flow=base_flow,
         rate=rate,
         kernel=kernel,
         rate_ceiling=ceiling,
@@ -203,6 +276,7 @@ def flip_system(
         coordinate_layout=("label",),
         coordinate_box=((0.0, 1.0),),
         name="flip-system-toy",
+        base_machine=frozen_machine,
     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+import copy
 import dataclasses
 import math
 
@@ -24,7 +26,14 @@ from mfjump.coupling import (
     simulate_coupled_system,
     simulate_merge_split,
 )
-from mfjump.engine import SAMPLE, WINDOW, EmpiricalMeasure, clock, flow_sample
+from mfjump.engine import (
+    SAMPLE,
+    WINDOW,
+    EmpiricalMeasure,
+    _base_machine,
+    clock,
+    simulate_nonlinear,
+)
 from mfjump.metrics import (
     LyapunovFn,
     d_v,
@@ -44,16 +53,21 @@ from mfjump.models import (
     tcp,
 )
 from mfjump.engine import RateCeilingError
-from mfjump.particles import _Matching, _base_machine, meanfield_system, simulate_system
+from mfjump.particles import _Matching, meanfield_system, simulate_system
 
 from conftest import (
+    CountedMachine,
     CountingStream,
     advance_every_machine,
     assert_configs_close,
     constant_flow,
+    flip_model,
     flip_system,
     make_rng,
     measure_rate_flip_model,
+    refresh_flow,
+    telegraph_flow,
+    zigzag_flow,
 )
 
 
@@ -219,37 +233,45 @@ def test_coupled_base_positive_meeting_probability_on_compact():
 
 
 def test_coupled_base_marginals_match_base_flow():
-    bundle = run_tumble(RunTumbleParams(theta=0.1))
-    model = bundle.model
+    params = RunTumbleParams(theta=0.1)
+    model = run_tumble(params).model
+    flow = telegraph_flow(params.base_rate)
     n = 4000
     coupled_ends = []
     direct_ends = []
     for r in range(n):
         px, _, _ = coupled_base(model, (0.3, 1), (-0.4, -1), 1.5, make_rng(110_000 + r))
         coupled_ends.append(px[-1][1])
-        direct_ends.append(flow_sample(model, (0.3, 1), 1.5, make_rng(210_000 + r)))
+        direct_ends.append(flow((0.3, 1), 1.5, make_rng(210_000 + r)))
     binning = make_binning(("real", "label"), ((-3.0, 3.0), (-1.0, 1.0)), bins=8)
     assert histogram_tv(coupled_ends, direct_ends, binning) < 0.15
 
 
 def _run_tumble_diagonal():
-    model = run_tumble(RunTumbleParams(theta=0.1)).model
-    return model.base_coupler, model.base_flow, (0.0, 1), 1.0
+    params = RunTumbleParams(theta=0.1)
+    return run_tumble(params).model, telegraph_flow(params.base_rate), (0.0, 1), 1.0
 
 
-def _system_diagonal(system, start, total):
-    return system.base_coupler, system.base_flow, start, total
+def _zigzag_diagonal():
+    # Without interaction the base flips run at (v z - 0.5)_+ (theta_bound 0.5).
+    system = build_model("zigzag", {"n_particles": 1, "w_amp": 0.0}).system
+    flow = zigzag_flow(lambda z, v: max(0.0, v * z - 0.5), lip=1.0)
+    return system, flow, (1.5, 1), 2.0
 
 
-#: Diagonal machine cases: name -> () -> (coupler, base flow, start, total time).
+#: Diagonal machine cases: name -> () -> (spec, reference flow, start, total
+#: time).
 DIAGONAL_CASES = {
     "run-tumble": _run_tumble_diagonal,
-    "selection": lambda: _system_diagonal(
-        selection_mutation(SelectionParams(n_particles=4)).system, (0.9,), 1.0
+    "selection": lambda: (
+        selection_mutation(SelectionParams(n_particles=4)).system,
+        refresh_flow(1.0), (0.9,), 1.0,
     ),
-    "mh": lambda: _system_diagonal(
-        build_model("mh", {"lam_bar": 4.0}).system, (0.9,), 2.0
+    "mh": lambda: (
+        build_model("mh", {"lam_bar": 4.0}).system,
+        refresh_flow(build_model("mh", {"lam_bar": 4.0}).refresh_rate), (0.9,), 2.0,
     ),
+    "zigzag": _zigzag_diagonal,
 }
 
 
@@ -261,18 +283,18 @@ def _mean_and_se(a, b):
 
 @pytest.mark.parametrize("case", sorted(DIAGONAL_CASES))
 def test_diagonal_machine_in_small_steps_matches_base_flow(case):
-    coupler, base_flow, start, total = DIAGONAL_CASES[case]()
+    spec, base_flow, start, total = DIAGONAL_CASES[case]()
     n, steps = 20_000, 20
     machine_stream, flow_stream = make_rng(61_000), make_rng(62_000)
     machine_ends = []
     for _ in range(n):
-        machine = coupler(start, start, machine_stream)
+        machine = _base_machine(spec, start, start, machine_stream)
         for _ in range(steps):
             _, x, y, _ = machine.advance(total / steps)[-1]
             assert x == y  # a pair started merged stays merged
         machine_ends.append(x)
     flow_ends = [tuple(base_flow(start, total, flow_stream)) for _ in range(n)]
-    # The velocity flipped (telegraph) or the state was refreshed.
+    # The velocity flipped (telegraph, zigzag) or the state was refreshed.
     changed = [[s[-1] != start[-1] for s in ends] for ends in (machine_ends, flow_ends)]
     positions = [[s[0] for s in ends] for ends in (machine_ends, flow_ends)]
     for machine_side, flow_side in (changed, positions):
@@ -296,7 +318,7 @@ TELEGRAPH_MOTIONS = {
     "diagonal-machine": lambda model, stream, t: (
         model.base_coupler((0.0, 1), (0.0, 1), stream).advance(t)[-1][1]
     ),
-    "base-flow": lambda model, stream, t: model.base_flow((0.0, 1), t, stream),
+    "base-flow": lambda model, stream, t: telegraph_flow(1.0)((0.0, 1), t, stream),
 }
 
 
@@ -888,6 +910,106 @@ def test_coupled_meanfield_run_advances_only_due_pairs(monkeypatch):
     windows = int(horizon / t0)
     assert advances[0] <= exponentials + proposals + n * (len(samples) + windows + 1)
     assert [size for size in built if size >= n] == []
+
+
+class _StreamOps(CountingStream):
+    """A :class:`CountingStream` that also counts the children it spawns and
+    the deep copies made of it, and hands out streams sharing its counts."""
+
+    def __init__(self, stream, counts):
+        super().__init__(stream)
+        self.counts = counts
+
+    def spawn(self, n):
+        self.counts["spawned"] += n
+        return [_StreamOps(child, self.counts) for child in self._stream.spawn(n)]
+
+    def __deepcopy__(self, memo):
+        self.counts["copied"] += 1
+        return _StreamOps(copy.deepcopy(self._stream), self.counts)
+
+
+def test_coupled_zigzag_copies_streams_per_start_and_advances_due_pairs():
+    # Zigzag declares a single-side machine, so an unmerged pair is a twin
+    # pair: one child spawned from its stream and one copy of it per start,
+    # two machines.  A merged pair is one machine and copies nothing.  Each
+    # advance of a pair is due to an event of one side, and each event
+    # follows the exponential its chunk drew.
+    system, x0, y0 = _coupled_zigzag()
+    n = system.n_particles
+    base = system.base_machine
+    starts, advances = [0], [0]
+
+    def machine(c, stream):
+        starts[0] += 1
+        return CountedMachine(base(c, stream), advances)
+
+    counts = collections.Counter()
+    copies = 0
+    for seed in range(20):
+        counts.clear()
+        starts[0] = advances[0] = 0
+        simulate_coupled_system(
+            dataclasses.replace(system, base_machine=machine), x0, y0, 2.0, 0.7,
+            system.rate_ceiling, _StreamOps(make_rng(8_000 + seed), counts),
+            sample_times=(0.5, 1.0, 2.0), record_events=False,
+        )
+        # Beyond the N pair streams the run spawns once.
+        assert counts["spawned"] - n + counts["copied"] <= starts[0]
+        assert advances[0] <= 2 * counts["exponential"]
+        copies += counts["copied"]
+    assert copies > 0
+
+
+def test_twin_pair_side_in_small_steps_matches_a_single_machine():
+    # The y side of an unmerged twin pair, advanced in 200 steps, against a
+    # single machine advanced once: mean z, share of v = +1 and mean z^2.
+    system = build_model("zigzag", {"n_particles": 1, "w_amp": 0.0}).system
+    x, y = (1.5, 1), (-0.5, -1)
+    n, steps, total = 3000, 200, 2.0
+    pair_stream, single_stream = make_rng(64_000), make_rng(65_000)
+    pair_ends, single_ends = [], []
+    for _ in range(n):
+        pair = _base_machine(system, x, y, pair_stream)
+        for _ in range(steps):
+            _, _, end, _ = pair.advance(total / steps)[-1]
+        pair_ends.append(end)
+        single_ends.append(system.base_machine(y, single_stream).advance(total))
+    for stat in (lambda c: c[0], lambda c: c[1] > 0, lambda c: c[0] ** 2):
+        gap, se = _mean_and_se([stat(c) for c in pair_ends], [stat(c) for c in single_ends])
+        assert gap < 4.0 * se, (gap, se)
+
+
+#: Simulator name -> ceiling -> run; each runs a flip toy under ``ceiling``.
+CEILING_RUNS = {
+    "simulate_nonlinear": lambda c: simulate_nonlinear(
+        flip_model(1.0, c), constant_flow((0,)), (0,), 5.0, make_rng(1)
+    ),
+    "simulate_nonlinear-local-bound": lambda c: simulate_nonlinear(
+        dataclasses.replace(
+            flip_model(1.0, math.inf), local_bound=lambda state, dt, measures: c
+        ),
+        constant_flow((0,)), (0,), 5.0, make_rng(1),
+    ),
+    "simulate_system": lambda c: simulate_system(
+        flip_system(3, rates=(1.0, 1.0, 1.0), ceiling=c), ((0,),) * 3, 5.0, make_rng(1)
+    ),
+    "simulate_merge_split": lambda c: simulate_merge_split(
+        flip_model(1.0, c), constant_flow((0,)), constant_flow((0,)), (0,), (1,),
+        5.0, 1.0, make_rng(1),
+    ),
+    "simulate_coupled_system": lambda c: simulate_coupled_system(
+        flip_system(3, rates=(1.0, 1.0, 1.0), ceiling=c), ((0,),) * 3,
+        ((1,),) * 3, 5.0, 1.0, 1.0, make_rng(1),
+    ),
+}
+
+
+@pytest.mark.parametrize("ceiling", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("simulator", sorted(CEILING_RUNS))
+def test_every_simulator_rejects_a_ceiling_that_is_not_finite(simulator, ceiling):
+    with pytest.raises(ValueError, match="is not finite and nonnegative"):
+        CEILING_RUNS[simulator](ceiling)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ from mfjump.engine import (
     PROPOSAL,
     SAMPLE,
     WINDOW,
+    DriftMachine,
     EmpiricalMeasure,
     MeasureFlow,
     ModelSpec,
     RateCeilingError,
     Trajectory,
+    check_rate,
     clock,
-    flow_sample,
     picard_solve,
     simulate_nonlinear,
 )
@@ -39,9 +40,6 @@ from conftest import (
 def tcp_toy():
     """Additive drift with position-dependent rate and a halving kernel."""
 
-    def base_flow(state, dt, stream):
-        return (state[0] + dt,)
-
     def rate(state, measure):
         return 1.0 + state[0]
 
@@ -52,7 +50,6 @@ def tcp_toy():
         return 1.0 + state[0] + dt
 
     return ModelSpec(
-        base_flow=base_flow,
         rate=rate,
         kernel=kernel,
         rate_ceiling=math.inf,
@@ -60,6 +57,7 @@ def tcp_toy():
         state_layout=("real",),
         state_box=((0.0, 100.0),),
         name="tcp-toy",
+        base_machine=lambda state, stream: DriftMachine(state, (1.0,)),
     )
 
 
@@ -185,18 +183,55 @@ def test_clock_draws_the_next_gap_only_when_resumed():
     assert stream.draws == 3
 
 
-def test_flow_sample_zero_duration_is_identity(rng):
-    model = drift_velocity_model()
-    assert flow_sample(model, (1.0, 1), 0.0, rng) == (1.0, 1)
+def test_drift_machine_zero_duration_is_identity(rng):
+    machine = drift_velocity_model().base_machine((1.0, 1), rng)
+    assert machine.advance(0.0) == (1.0, 1)
 
 
-def test_flow_sample_drift_with_velocity(rng):
-    model = drift_velocity_model()
-    assert flow_sample(model, (1.0, 1), 0.5, rng) == pytest.approx((1.5, 1))
+def test_drift_machine_drift_with_velocity(rng):
+    machine = drift_velocity_model().base_machine((1.0, 1), rng)
+    assert machine.next_event_in() == math.inf
+    assert machine.drift() == (1, 0)
+    end = machine.advance(0.5)
+    assert end == pytest.approx((1.5, 1))
+    assert type(end[1]) is int  # a label with no drift keeps its exact value
 
 
-def test_flow_sample_additive_drift(rng):
-    assert flow_sample(tcp_toy(), (2.0,), 1.0, rng) == pytest.approx((3.0,))
+def test_drift_machine_additive_drift(rng):
+    machine = tcp_toy().base_machine((2.0,), rng)
+    assert machine.advance(0.25) == pytest.approx((2.25,))
+    assert machine.advance(0.75) == pytest.approx((3.0,))
+    assert rng.random() == make_rng(20260818).random()  # it drew nothing
+
+
+def test_frozen_drift_machine_stands_still(rng):
+    machine = DriftMachine((1,))
+    assert machine.drift() is None
+    assert machine.advance(2.0) == (1,)
+
+
+def _toy_fields():
+    model = drift_model()
+    return {
+        "rate": model.rate, "kernel": model.kernel, "rate_ceiling": 1.0,
+        "state_layout": ("real",), "state_box": ((-50.0, 50.0),), "name": "toy",
+    }
+
+
+@pytest.mark.parametrize("motion", ["neither", "both"])
+def test_spec_declares_exactly_one_base_motion(motion):
+    fields = _toy_fields()
+    if motion == "both":
+        fields["base_machine"] = drift_model().base_machine
+        fields["base_coupler"] = lambda x, y, stream: None
+    with pytest.raises(ValueError, match="exactly one of base_coupler and base_machine"):
+        ModelSpec(**fields)
+
+
+def test_nan_rate_fails_the_ceiling_check():
+    with pytest.raises(RateCeilingError):
+        check_rate(math.nan, 1.0, "toy")
+    check_rate(1.0, 1.0, "toy")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +272,7 @@ def test_rejected_proposals_do_not_change_state(rng):
     traj = simulate_nonlinear(model, constant_flow((0.0,)), (0.0, 1), 10.0, rng)
     prev_t, prev_s = 0.0, traj.initial
     for e in traj.events:
-        flowed = model.base_flow(prev_s, e.time - prev_t, None)
+        flowed = (prev_s[0] + prev_s[1] * (e.time - prev_t), prev_s[1])
         if e.kind in (JUMP_REJECTED, SAMPLE):
             assert e.state == flowed
         else:
@@ -374,7 +409,6 @@ def test_unbounded_rate_above_local_bound_raises():
 
     model = tcp_toy()
     bad = ModelSpec(
-        base_flow=model.base_flow,
         rate=model.rate,
         kernel=model.kernel,
         rate_ceiling=math.inf,
@@ -382,6 +416,7 @@ def test_unbounded_rate_above_local_bound_raises():
         state_layout=("real",),
         state_box=((0.0, 100.0),),
         name="tcp-lying",
+        base_machine=model.base_machine,
     )
     with pytest.raises(RateCeilingError):
         simulate_nonlinear(

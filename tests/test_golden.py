@@ -61,7 +61,7 @@ CASES = {
         },
         1,
         "simulate.csv",
-        "c083a9726b88f0870f8240f767b04d8915a028e82b93cbdbcfba13209f4a64d5",
+        "9d56931fa71504b63cffd49102eb610186765828d5bf49aa9d83e96a4a3bdedf",
     ),
     "estimate": (
         RUN_TUMBLE,
@@ -78,7 +78,7 @@ CASES = {
         },
         5,
         "picard.csv",
-        "1d14a196ab162f6b5cd9bf18a6e9c5bd1428473d6d35ada81fee234f7bf30f8d",
+        "800da3aef312af777ccb594ed6ef4c4ee2d93c7ac37beb9c790ded5a5a1767db",
     ),
     "particles": (
         SELECTION,
@@ -115,7 +115,7 @@ PARTICLE_CASES = {
         {"n_particles": 3},
         [[1.0, 1], [-0.8, -1], [0.3, 1]],
         6,
-        "8d041e7a03fa0b2668425866826f48a6a7f3e0e8919e965a1676c8bd0ee6fcf1",
+        "9609e95592a4c2f54f6cbf90578691f826fb4bff5ab26636fbc8a7728907449a",
     ),
 }
 

@@ -12,7 +12,7 @@ from mfjump.engine import (
     EmpiricalMeasure,
     MeasureFlow,
     RateCeilingError,
-    flow_sample,
+    _base_machine,
     picard_solve,
     simulate_nonlinear,
 )
@@ -110,19 +110,57 @@ def test_run_tumble_kernel_flips_velocity(rng):
     assert bundle.model.kernel((0.7, -1), m, 0.9) == (0.7, 1)
 
 
+def _base_motion(model, state, dt, stream):
+    """The state ``dt`` after ``state`` under the model's base machine."""
+    return _base_machine(model, state, state, stream).advance(dt)[-1][1]
+
+
 def test_run_tumble_base_flow_is_telegraph(rng):
     bundle = run_tumble(RunTumbleParams(theta=0.1))
-    end = flow_sample(bundle.model, (0.0, 1), 0.25, rng)
+    end = _base_motion(bundle.model, (0.0, 1), 0.25, rng)
     assert abs(end[0]) <= 0.25 + 1e-12
     assert end[1] in (-1, 1)
     n = 4000
     flips = 0
     for r in range(n):
-        e = flow_sample(bundle.model, (0.0, 1), 0.5, make_rng(500_000 + r))
+        e = _base_motion(bundle.model, (0.0, 1), 0.5, make_rng(500_000 + r))
         flips += e[1] == -1
     # Telegraph at unit rate: P(odd flip count by 0.5) = (1 - e^{-1}) / 2.
     p = 0.5 * (1.0 - math.exp(-1.0))
     assert abs(flips / n - p) < 3.0 * math.sqrt(p * (1 - p) / n)
+
+
+def run_tumble_stationary_z(seed: int, horizon: float = 40_000.0, batches: int = 40):
+    """Sample mean of ``|x|`` over one single run-tumble run at theta = 0,
+    sampled every 2 time units, as a z-score against the exact stationary
+    law, with its SE from ``batches`` batch means.
+
+    At theta = 0 the total flip rate at ``v * x = s`` is ``a + (b - a) *
+    expit(k s)``, so the velocity-balanced stationary density is ``p(x) ∝
+    cosh(k x / 2) ** (-2 (b - a) / k)`` with equal velocity weights.  For
+    the default parameters ``E|x|`` is 0.6203, and a tumble rate scaled by
+    0.8 moves it to about 0.74 (12 SE or more at this length).
+    """
+    params = RunTumbleParams(theta=0.0)
+    a, b, k = params.rate_low, params.rate_high, params.steepness
+    xs = np.linspace(-40.0, 40.0, 400_001)
+    density = np.exp(-2.0 * (b - a) / k * np.logaddexp(k * xs / 2.0, -k * xs / 2.0))
+    exact = float((np.abs(xs) * density).sum() / density.sum())
+    model = run_tumble(params).model
+    times = [2.0 * (j + 1) for j in range(int(horizon / 2.0))]
+    traj = simulate_nonlinear(
+        model, constant_flow((0.0, 1)), (0.0, 1), horizon, make_rng(seed),
+        sample_times=times, record_events=False,
+    )
+    values = np.array([abs(traj.state_at_sample(t)[0]) for t in times])
+    batch_means = values.reshape(batches, -1).mean(axis=1)
+    se = batch_means.std(ddof=1) / math.sqrt(batches)
+    return (values.mean() - exact) / se
+
+
+def test_run_tumble_single_run_matches_the_exact_stationary_law():
+    z = run_tumble_stationary_z(seed=45_000)
+    assert abs(z) < 4.0, z
 
 
 def test_run_tumble_picard_gap_decreases_to_noise_floor():
@@ -167,7 +205,7 @@ def test_run_tumble_lyapunov_moment_stays_below_equilibrium_bound():
 def test_tcp_flow_and_kernel():
     bundle = tcp(TcpParams())
     m = EmpiricalMeasure.from_states([(0.0,)])
-    assert flow_sample(bundle.model, (2.0,), 1.0, make_rng(1)) == pytest.approx((3.0,))
+    assert _base_motion(bundle.model, (2.0,), 1.0, make_rng(1)) == pytest.approx((3.0,))
     assert bundle.model.kernel((4.0,), m, 0.5) == pytest.approx((2.0,))
 
 
@@ -433,6 +471,41 @@ def test_zigzag_coordinate_lyapunov_frozen_value():
     assert bundle.coordinate_lyapunov((0.0, 1)) == pytest.approx(
         1.926038125031612, rel=1e-12
     )
+
+
+def zigzag_invariant_z(seed: int, n: int = 64, horizon: float = 1000.0):
+    """z-scores of a long non-interacting zigzag run (quadratic well, w_amp
+    0) against its invariant law, ``N(0, 1)`` times a uniform direction
+    (Bierkens, Fearnhead & Roberts, Ann. Statist. 47, 2019): the total flip
+    rate is then ``(v z)_+``, split into base flips and residual jumps.
+
+    The coordinates are independent, so each one's time average over unit
+    spaced samples after a burn-in of 20 is one draw, and the SE is taken
+    across the ``n`` of them.  Returns the z-scores of mean z, mean z^2 and
+    the share of ``v = +1``.  Base flips scaled by 0.8 move mean z^2 to
+    about 1.14 (12 SE or more at this size).
+    """
+    system = build_model("zigzag", {"n_particles": n, "w_amp": 0.0}).system
+    initial = tuple((4.0 * (k + 0.5) / n - 2.0, 1 if k % 2 else -1) for k in range(n))
+    times = [20.0 + j for j in range(int(horizon) - 19)]
+    traj = simulate_system(
+        system, initial, horizon, make_rng(seed), sample_times=times,
+        record_events=False,
+    )
+    configs = np.array([traj.state_at_sample(t) for t in times], dtype=float)
+    z, v = configs[:, :, 0], configs[:, :, 1]
+    scores = []
+    for per_coordinate, exact in (
+        (z.mean(axis=0), 0.0), ((z**2).mean(axis=0), 1.0), ((v > 0).mean(axis=0), 0.5)
+    ):
+        se = per_coordinate.std(ddof=1) / math.sqrt(n)
+        scores.append((per_coordinate.mean() - exact) / se)
+    return scores
+
+
+def test_zigzag_without_interaction_has_the_canonical_invariant_law():
+    for score in zigzag_invariant_z(seed=46_000):
+        assert abs(score) < 4.0, score
 
 
 def test_zigzag_independent_coordinates_without_interaction():

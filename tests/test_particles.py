@@ -16,10 +16,12 @@ from mfjump.engine import (
     JUMP_ACCEPTED,
     JUMP_REJECTED,
     SAMPLE,
+    DriftMachine,
     EmpiricalMeasure,
     Event,
     RateCeilingError,
     Trajectory,
+    _base_machine,
     check_rate,
     clock,
     simulate_nonlinear,
@@ -27,8 +29,6 @@ from mfjump.engine import (
 from mfjump.metrics import measure_tv
 from mfjump.particles import (
     SystemSpec,
-    _SynchronizedBaseMachine,
-    _base_machine,
     empirical,
     meanfield_system,
     simulate_system,
@@ -36,12 +36,14 @@ from mfjump.particles import (
 from mfjump.models import build_model, run_tumble, RunTumbleParams
 
 from conftest import (
+    CountedMachine,
     CountingStream,
     advance_every_machine,
     assert_configs_close,
     constant_flow,
     flip_model,
     flip_system,
+    frozen_machine,
     make_rng,
 )
 
@@ -118,9 +120,6 @@ def test_single_particle_system_matches_frozen_measure_dynamics():
     flow = constant_flow((0,))
 
     def one_particle():
-        def base_flow(s, dt, stream):
-            return s
-
         def rate(i, state):
             return 1.0
 
@@ -129,13 +128,13 @@ def test_single_particle_system_matches_frozen_measure_dynamics():
 
         return SystemSpec(
             n_particles=1,
-            base_flow=base_flow,
             rate=rate,
             kernel=kernel,
             rate_ceiling=2.0,
             coordinate_layout=("label",),
             coordinate_box=((0.0, 1.0),),
             name="one-flip",
+            base_machine=frozen_machine,
         )
 
     sys = one_particle()
@@ -177,9 +176,6 @@ def test_saturated_two_particle_system_has_poisson_coordinates():
 
 def test_exchangeable_coordinates_have_matching_laws():
     def symmetric_system(n):
-        def base_flow(s, dt, stream):
-            return s
-
         def rate(i, state):
             frac = sum(c[0] for c in state) / len(state)
             return 0.5 + 0.5 * frac
@@ -189,13 +185,13 @@ def test_exchangeable_coordinates_have_matching_laws():
 
         return SystemSpec(
             n_particles=n,
-            base_flow=base_flow,
             rate=rate,
             kernel=kernel,
             rate_ceiling=1.0,
             coordinate_layout=("label",),
             coordinate_box=((0.0, 1.0),),
             name="symmetric-flips",
+            base_machine=frozen_machine,
         )
 
     sys = symmetric_system(3)
@@ -394,7 +390,6 @@ def _recording_telegraph_system(n, rate):
 
     return SystemSpec(
         n_particles=n,
-        base_flow=None,
         rate=rate,
         kernel=kernel,
         rate_ceiling=1.0,
@@ -443,24 +438,9 @@ def test_running_moments_and_lazy_coordinates_match_the_flowed_configuration():
     assert next(proposals, None) is None
 
 
-class _CountedMachine:
-    """A base machine that adds each of its advances to ``advances[0]``."""
-
-    def __init__(self, machine, advances):
-        self._machine = machine
-        self._advances = advances
-
-    def advance(self, dt):
-        self._advances[0] += 1
-        return self._machine.advance(dt)
-
-    def __getattr__(self, attr):
-        return getattr(self._machine, attr)
-
-
 def _counting_system(system, advances):
     def coupler(x, y, stream):
-        return _CountedMachine(system.base_coupler(x, y, stream), advances)
+        return CountedMachine(system.base_coupler(x, y, stream), advances)
 
     return dataclasses.replace(system, base_coupler=coupler)
 
@@ -483,6 +463,28 @@ def test_meanfield_run_advances_only_due_machines():
     assert advances[0] <= bound
 
 
+def test_zigzag_run_advances_per_proposal_do_not_grow_with_n():
+    # Each coordinate's flip machine has a clock, so a proposal advances
+    # only the machines whose chunk ended or whose flip candidate came: about
+    # two per proposal at any N, where advancing every machine costs N.
+    per_proposal = []
+    for n in (64, 256):
+        advances = [0]
+        system = build_model("zigzag", {"n_particles": n}).system
+        base = system.base_machine
+        counted = dataclasses.replace(
+            system, base_machine=lambda c, stream: CountedMachine(base(c, stream), advances)
+        )
+        initial = tuple((4.0 * (k + 0.5) / n - 2.0, 1 if k % 2 else -1) for k in range(n))
+        traj = simulate_system(
+            counted, initial, 2.0, make_rng(5), sample_times=(1.0, 2.0),
+            record_events=False,
+        )
+        per_proposal.append(advances[0] / (traj.n_accepted + traj.n_rejected))
+    assert per_proposal[0] < 4.0
+    assert per_proposal[1] <= 1.25 * per_proposal[0], per_proposal
+
+
 def test_mh_raw_run_advances_no_machine():
     # mh-raw has no base motion: each coordinate gets a refresh machine at
     # rate 0, which has no event, so a run starts machines but advances none.
@@ -497,20 +499,17 @@ def test_mh_raw_run_advances_no_machine():
 
 
 def test_machines_with_and_without_a_clock_mix():
-    # A coupler that gives a coordinate moving right a machine without a
-    # clock and one moving left a telegraph machine that never flips, so
-    # every accepted jump moves the coordinate between the heap and the
-    # machines advanced at every step.  Neither kind draws, so the run must
-    # match the eager loop, and the running mean the materialised one.
+    # A coupler that gives a coordinate moving right a drift machine, which
+    # has no event and is never advanced, and one moving left a telegraph
+    # machine, so every accepted jump moves the coordinate into or out of
+    # the heap.  The run must match the eager loop draw for draw, and the
+    # running mean the materialised one.
     n = 8
-    telegraph = make_telegraph_coupler(0.0)
-
-    def move(state, dt, stream):
-        return (state[0] + state[1] * dt, state[1])
+    telegraph = make_telegraph_coupler(1.0)
 
     def coupler(x, y, stream):
         if x[1] > 0:
-            return _SynchronizedBaseMachine(move, x, y, stream)
+            return _base_machine(drifting, x, y, stream)
         return telegraph(x, y, stream)
 
     def rate(i, config):
@@ -522,12 +521,15 @@ def test_machines_with_and_without_a_clock_mix():
         x, v = config[i]
         return (x, -v)
 
-    system = SystemSpec(
-        n_particles=n, base_flow=move, rate=rate, kernel=kernel,
+    fields = dict(
+        n_particles=n, rate=rate, kernel=kernel,
         rate_ceiling=1.0, coordinate_layout=("real", "label"),
         coordinate_box=((-50.0, 50.0), (-1, 1)), name="mixed-machines",
-        base_coupler=coupler,
     )
+    drifting = SystemSpec(
+        **fields, base_machine=lambda c, stream: DriftMachine(c, (c[1], 0))
+    )
+    system = SystemSpec(**fields, base_coupler=coupler)
     initial = tuple((k / 4.0, 1 if k % 2 else -1) for k in range(n))
     for seed in range(5):
         a_stream, b_stream = make_rng(300 + seed), make_rng(300 + seed)
