@@ -263,7 +263,7 @@ class _Run:
                 )
         return times
 
-    def flow(self, key: str, horizon: float) -> MeasureFlow:
+    def flow(self, key: str) -> MeasureFlow:
         spec = self.field(key)
         if not isinstance(spec, dict) or spec.get("type") != "constant":
             raise click.ClickException(
@@ -271,7 +271,7 @@ class _Run:
                 '{"type": "constant", "atom": [...]}'
             )
         atom = self.check_state(spec.get("atom"), f"{key}.atom")
-        return MeasureFlow.constant(EmpiricalMeasure.from_states([atom]), horizon)
+        return MeasureFlow.constant(EmpiricalMeasure.from_states([atom]))
 
     def replicas(self, n: int, worker: Callable) -> list:
         """``worker(replica, stream)`` over ``n`` seeded replicas, in order."""
@@ -438,7 +438,7 @@ def _couple(run: _Run) -> list:
     # The bound estimates need a standard error, so at least two pairs.
     replicas = run.replica_count(minimum=2)
     times = run.sample_times(horizon)
-    flow1, flow2 = run.flow("flow1", horizon), run.flow("flow2", horizon)
+    flow1, flow2 = run.flow("flow1"), run.flow("flow2")
     trajectories = run.replicas(replicas, lambda replica, stream: simulate_merge_split(
         model, flow1, flow2, x0, y0, horizon, t0, stream,
         sample_times=times, record_events=False,
@@ -459,7 +459,7 @@ def _simulate(run: _Run) -> list:
     horizon = run.horizon()
     replicas = run.replica_count()
     times = run.sample_times(horizon)
-    flow = run.flow("flow", horizon)
+    flow = run.flow("flow")
     trajectories = run.replicas(replicas, lambda replica, stream: simulate_nonlinear(
         model, flow, x0, horizon, stream, sample_times=times, record_events=False
     ))

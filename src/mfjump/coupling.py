@@ -20,8 +20,6 @@ import dataclasses
 import math
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .engine import (
     PROPOSAL,
     SAMPLE,
@@ -30,6 +28,7 @@ from .engine import (
     MeasureFlow,
     ModelSpec,
     _base_machine,
+    _pick,
     check_ceiling,
     check_rate,
     clock,
@@ -137,16 +136,6 @@ def _residual(side: dict, other: dict) -> tuple:
     return tuple((k, w / mass) for k, w in raw)
 
 
-def _pick(atoms: Sequence, w: float) -> tuple:
-    """Inverse-CDF draw from atoms sorted by state at quantile ``w``."""
-    acc = 0.0
-    for state, weight in atoms:
-        acc += weight
-        if w < acc:
-            return tuple(state)
-    return tuple(atoms[-1][0])
-
-
 def _maximal_draw(p: float, nu0, nu1, nu2, stream) -> tuple:
     """Maximal-coupling draw from the parts :func:`overlap_decompose` returns.
 
@@ -167,20 +156,14 @@ class PairSampler:
 
     With probability ``p`` both sides draw the same atom from the overlap
     ``nu0``; otherwise each side draws from its residual (``nu1``/``nu2``),
-    sharing the inverse-CDF quantile.  ``x_support``/``y_support`` list the
-    states indexed by :meth:`sample_many`, overlap atoms first, so a merged
-    draw is any index below ``len(nu0.atoms)``.
+    sharing the inverse-CDF quantile.  :meth:`sample` is the draw
+    :func:`_maximal_draw` that the coupled simulators make.
     """
 
     p: float
     nu0: EmpiricalMeasure
     nu1: EmpiricalMeasure
     nu2: EmpiricalMeasure
-    x_support: tuple
-    y_support: tuple
-    _cum0: np.ndarray
-    _cum1: np.ndarray
-    _cum2: np.ndarray
 
     def sample(self, stream) -> tuple:
         """One coupled draw; returns ``(x_state, y_state, merged)``."""
@@ -188,36 +171,6 @@ class PairSampler:
             self.p, self.nu0.atoms, self.nu1.atoms, self.nu2.atoms, stream
         )
         return x, y, v < self.p
-
-    def sample_many(self, size: int, stream):
-        """Vectorized coupled draws; returns index arrays into the supports.
-
-        Returns ``(x_idx, y_idx, merged)`` with ``x_support[x_idx[k]]`` the
-        k-th draw of the first marginal.
-        """
-        v = stream.random(size)
-        w = stream.random(size)
-        merged = v < self.p
-        n0 = len(self.nu0.atoms)
-        x_idx = np.empty(size, dtype=np.int64)
-        y_idx = np.empty(size, dtype=np.int64)
-        shared = np.searchsorted(self._cum0, w[merged], side="right")
-        x_idx[merged] = shared
-        y_idx[merged] = shared
-        rest = ~merged
-        x_idx[rest] = n0 + np.searchsorted(self._cum1, w[rest], side="right")
-        y_idx[rest] = n0 + np.searchsorted(self._cum2, w[rest], side="right")
-        n_x = len(self.x_support)
-        n_y = len(self.y_support)
-        np.clip(x_idx, 0, max(n_x - 1, 0), out=x_idx)
-        np.clip(y_idx, 0, max(n_y - 1, 0), out=y_idx)
-        return x_idx, y_idx, merged
-
-
-def _cumulative(atoms) -> np.ndarray:
-    if not atoms:
-        return np.zeros(0)
-    return np.cumsum([w for _, w in atoms])
 
 
 def optimal_pair_sampler(measure1, measure2) -> PairSampler:
@@ -228,11 +181,6 @@ def optimal_pair_sampler(measure1, measure2) -> PairSampler:
         nu0=EmpiricalMeasure(atoms=nu0),
         nu1=EmpiricalMeasure(atoms=nu1),
         nu2=EmpiricalMeasure(atoms=nu2),
-        x_support=tuple(s for s, _ in nu0) + tuple(s for s, _ in nu1),
-        y_support=tuple(s for s, _ in nu0) + tuple(s for s, _ in nu2),
-        _cum0=_cumulative(nu0),
-        _cum1=_cumulative(nu1),
-        _cum2=_cumulative(nu2),
     )
 
 

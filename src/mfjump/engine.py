@@ -166,7 +166,6 @@ class MeasureFlow:
 
     grid_step: float
     snapshots: tuple
-    horizon: Optional[float] = None
 
     def _index(self, t: float) -> int:
         if math.isinf(self.grid_step):
@@ -183,9 +182,9 @@ class MeasureFlow:
         return self.snapshots[self._index(t0) : self._index(t1) + 1]
 
     @classmethod
-    def constant(cls, measure: EmpiricalMeasure, horizon: float) -> "MeasureFlow":
+    def constant(cls, measure: EmpiricalMeasure) -> "MeasureFlow":
         """Flow frozen at a single measure."""
-        return cls(grid_step=math.inf, snapshots=(measure,), horizon=horizon)
+        return cls(grid_step=math.inf, snapshots=(measure,))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,8 +193,9 @@ class ModelSpec:
 
     Attributes:
         rate: ``(state, measure) -> float`` jump intensity.
-        kernel: ``(state, measure, u) -> state`` post-jump state, using the
-            uniform variate ``u``.
+        kernel: ``(state, measure, stream) -> state`` sampler of the
+            post-jump state, drawing any variates it needs from ``stream``;
+            for a jump law with no finite atom list.
         rate_ceiling: Global upper bound on ``rate``, the ceiling of every
             proposal when the model has no ``local_bound``.  It may be
             ``inf`` only when a ``local_bound`` is supplied.
@@ -210,9 +210,11 @@ class ModelSpec:
             ``measures`` are the flow snapshots spanning the flight.  When it
             is given, :func:`simulate_nonlinear` thins every flight under it
             and ignores ``rate_ceiling``.
-        kernel_atoms: Optional ``(state, measure) -> [(state, w), ...]`` atoms
-            of the jump kernel; coupled runs derive the mixed (one-proposal)
-            atoms from them.
+        kernel_atoms: ``(state, measure) -> [(state, w), ...]`` atoms of the
+            jump kernel, with weights summing to one.  A single run draws
+            from them by one uniform variate (inverse CDF in the order
+            given); coupled runs derive the mixed (one-proposal) atoms from
+            them.
         base_coupler: ``(x, y, stream) -> machine`` factory of a coupled
             simulator of two base motions that may merge (see
             :mod:`mfjump.coupling`).  Started on the diagonal (``x == y``)
@@ -220,17 +222,20 @@ class ModelSpec:
         base_machine: ``(x, stream) -> machine`` factory of the base motion
             of one state, for a model with no merging coupling.
 
-    The base motion is declared once, by exactly one of ``base_coupler`` and
-    ``base_machine`` (see :func:`_base_machine`); a system coordinate's two
-    fields have the same signatures.
+    The jump law is declared once, by exactly one of ``kernel`` and
+    ``kernel_atoms``, and the base motion once, by exactly one of
+    ``base_coupler`` and ``base_machine`` (see :func:`_base_machine`); a
+    system coordinate's fields take ``(i, config)`` in place of ``(state,
+    measure)``.  Construction stores the one jump sampler that every
+    simulator calls, typed as ``kernel``, as ``jump`` (not a field).
     """
 
     rate: Callable
-    kernel: Callable
     rate_ceiling: float
     state_layout: tuple
     state_box: tuple
     name: str
+    kernel: Optional[Callable] = None
     local_bound: Optional[Callable] = None
     kernel_atoms: Optional[Callable] = None
     base_coupler: Optional[Callable] = None
@@ -238,6 +243,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         _check_base_motion(self)
+        object.__setattr__(self, "jump", _jump_sampler(self, self.kernel_atoms))
 
 
 def _check_base_motion(spec) -> None:
@@ -246,6 +252,31 @@ def _check_base_motion(spec) -> None:
         raise ValueError(
             f"{spec.name}: declare exactly one of base_coupler and base_machine"
         )
+
+
+def _jump_sampler(spec, atoms: Optional[Callable], names: str = "kernel_atoms") -> Callable:
+    """The spec's ``kernel``, else a sampler that picks from ``atoms`` (the
+    jump law's atom form, declared as ``names``) by one uniform variate.
+    Raises ``ValueError`` unless exactly one of the two is declared."""
+    if (spec.kernel is None) == (atoms is None):
+        raise ValueError(f"{spec.name}: declare exactly one of kernel and {names}")
+    if spec.kernel is not None:
+        return spec.kernel
+
+    def jump(a, b, stream):
+        return _pick(atoms(a, b), stream.random())
+
+    return jump
+
+
+def _pick(atoms: Sequence, w: float) -> tuple:
+    """Inverse-CDF draw from ``atoms`` in the order given, at quantile ``w``."""
+    acc = 0.0
+    for state, weight in atoms:
+        acc += weight
+        if w < acc:
+            return tuple(state)
+    return tuple(atoms[-1][0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -468,7 +499,7 @@ def simulate_nonlinear(
             check_rate(rate, ceiling, model.name)
             accepted = stream.random() * ceiling < rate
             if accepted:
-                state = tuple(model.kernel(state, measure, stream.random()))
+                state = tuple(model.jump(state, measure, stream))
                 machine = _base_machine(model, state, state, stream)
                 n_accepted += 1
             else:
@@ -552,7 +583,7 @@ def picard_solve(
     init_weights = np.array([w for _, w in m0.atoms])
     init_weights = init_weights / init_weights.sum()
     snapshots = tuple(m0 for _ in grid)
-    flow = MeasureFlow(grid_step=grid_step, snapshots=snapshots, horizon=horizon)
+    flow = MeasureFlow(grid_step=grid_step, snapshots=snapshots)
     gap_history: list[float] = []
     converged = False
     for _ in range(max_iter):
@@ -577,7 +608,7 @@ def picard_solve(
         )
         gap_history.append(gap)
         snapshots = new_snapshots
-        flow = MeasureFlow(grid_step=grid_step, snapshots=snapshots, horizon=horizon)
+        flow = MeasureFlow(grid_step=grid_step, snapshots=snapshots)
         if gap <= tol:
             converged = True
             break

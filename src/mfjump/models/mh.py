@@ -159,7 +159,7 @@ def mh_granular(params: MhParams) -> MhBundle:
 
     base_model = ModelSpec(
         rate=lambda state, measure: 0.0,
-        kernel=lambda state, measure, u: state,
+        kernel=lambda state, measure, stream: state,
         rate_ceiling=0.0,
         state_layout=("real",),
         state_box=((0.0, 1.0),),

@@ -111,15 +111,11 @@ def run_tumble(params: RunTumbleParams) -> RunTumbleBundle:
             return 0.0
         return min(lam, lam_star)
 
-    def kernel(state, measure, u):
-        return (state[0], -state[1])
-
     def kernel_atoms(state, measure):
         return (((state[0], -state[1]), 1.0),)
 
     model = ModelSpec(
         rate=tumble_rate,
-        kernel=kernel,
         rate_ceiling=lam_star,
         state_layout=("real", "label"),
         state_box=((-8.0, 8.0), (-1, 1)),

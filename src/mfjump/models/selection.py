@@ -69,12 +69,6 @@ def selection_mutation(params: SelectionParams) -> SelectionBundle:
     def rate(i, config) -> float:
         return lam_star
 
-    def kernel(i, config, stream):
-        j = int(stream.integers(n))
-        if stream.random() < p_fn(config[i], config[j]):
-            return config[j]
-        return config[i]
-
     def pair_atoms(own, donor):
         p = p_fn(own, donor)
         return ((donor, p), (own, 1.0 - p))
@@ -82,7 +76,6 @@ def selection_mutation(params: SelectionParams) -> SelectionBundle:
     system = SystemSpec(
         n_particles=n,
         rate=rate,
-        kernel=kernel,
         rate_ceiling=lam_star,
         coordinate_layout=("real",),
         coordinate_box=((0.0, 1.0),),

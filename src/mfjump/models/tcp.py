@@ -113,7 +113,7 @@ def tcp(params: TcpParams) -> TcpBundle:
             value += max(interaction(top, m) for m in measures)
         return value
 
-    def kernel(state, measure, u):
+    def kernel(state, measure, stream):
         return (state[0] / 2.0,)
 
     model = ModelSpec(

@@ -140,10 +140,6 @@ def zigzag(params: ZigZagParams) -> ZigZagBundle:
         lam = max(0.0, v * full_gradient(i, config)) - base_rate(z, v)
         return max(0.0, lam)
 
-    def kernel(i, config, stream):
-        z, v = config[i]
-        return (z, -v)
-
     def kernel_atoms(i, config):
         z, v = config[i]
         return (((z, -v), 1.0),)
@@ -151,7 +147,6 @@ def zigzag(params: ZigZagParams) -> ZigZagBundle:
     system = SystemSpec(
         n_particles=n,
         rate=residual_rate,
-        kernel=kernel,
         rate_ceiling=2.0 * theta if w1 is not None else theta,
         coordinate_layout=("real", "label"),
         coordinate_box=((-6.0, 6.0), (-1, 1)),

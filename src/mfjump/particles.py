@@ -36,6 +36,8 @@ from .engine import (
     Trajectory,
     _base_machine,
     _check_base_motion,
+    _jump_sampler,
+    _pick,
     check_ceiling,
     check_rate,
     clock,
@@ -61,8 +63,9 @@ class SystemSpec:
             full configuration.  ``config`` is a read-only sequence of
             coordinate states, valid only during the call: keep a copy
             (``tuple(config)``), not the sequence.
-        kernel: ``(i, config, stream) -> coord_state`` post-jump state of
-            coordinate ``i``, drawing any variates it needs from ``stream``.
+        kernel: ``(i, config, stream) -> coord_state`` sampler of the
+            post-jump state of coordinate ``i``, drawing any variates it
+            needs from ``stream``; for a jump law with no finite atom list.
             ``config`` is as for ``rate``.
         rate_ceiling: Uniform bound on every coordinate rate.
         coordinate_layout: Per-component kind of one coordinate.
@@ -71,32 +74,37 @@ class SystemSpec:
             ``(-1, 1)`` is the set {-1, +1}.  The CLI checks coordinates
             against it.
         name: Human-readable system name.
-        kernel_atoms: Optional ``(i, config) -> [(coord_state, w), ...]``
-            atoms of the jump kernel of coordinate ``i``; coupled runs derive
-            the mixed (one-proposal) atoms from them.  Left unset where
-            ``pair_atoms`` is given: it is then derived from that field.
-        pair_atoms: Optional ``(x_i, x_j) -> [(coord_state, w), ...]``, the
+        kernel_atoms: ``(i, config) -> [(coord_state, w), ...]`` atoms of
+            the jump kernel of coordinate ``i``, used as a model's.  Left
+            unset where ``pair_atoms`` is given: it is then derived from
+            that field.
+        pair_atoms: ``(x_i, x_j) -> [(coord_state, w), ...]``, the
             jump kernel in mean-field pairwise form: the kernel of
             coordinate ``i`` is ``(1/n) * sum_j pair_atoms(x_i, x_j)`` over
             all ``n`` coordinates ``j`` (``i`` included), and each call's
             weights sum to one.  The derived ``kernel_atoms`` adds the
             positive weights of those atoms by state, in the order the
-            donors and their atoms come.  Coupled runs use the form to skip
+            donors and their atoms come.  A single run draws a uniform donor
+            ``j``, then one of its atoms.  Coupled runs use the form to skip
             the donors that agree on both sides
             (:func:`~mfjump.coupling.simulate_coupled_system`).
         base_coupler, base_machine: The base motion of one coordinate,
             declared by exactly one of them, typed as in
             :class:`~mfjump.engine.ModelSpec` (coordinates are exchangeable,
             so neither takes an index).
+
+    The jump law is declared once, by exactly one of ``kernel`` and
+    ``kernel_atoms`` or ``pair_atoms``; construction stores its one sampler
+    as ``jump``, as for :class:`~mfjump.engine.ModelSpec`.
     """
 
     n_particles: int
     rate: Callable
-    kernel: Callable
     rate_ceiling: float
     coordinate_layout: tuple
     coordinate_box: tuple
     name: str
+    kernel: Optional[Callable] = None
     kernel_atoms: Optional[Callable] = None
     base_coupler: Optional[Callable] = None
     pair_atoms: Optional[Callable] = None
@@ -104,8 +112,13 @@ class SystemSpec:
 
     def __post_init__(self) -> None:
         _check_base_motion(self)
-        if self.pair_atoms is not None and self.kernel_atoms is None:
-            object.__setattr__(self, "kernel_atoms", _pairwise_kernel_atoms(self.pair_atoms))
+        pair_atoms = self.pair_atoms
+        if pair_atoms is not None and self.kernel_atoms is None:
+            object.__setattr__(self, "kernel_atoms", _pairwise_kernel_atoms(pair_atoms))
+        jump = _jump_sampler(self, self.kernel_atoms, "kernel_atoms or pair_atoms")
+        if pair_atoms is not None:
+            jump = _pairwise_jump(pair_atoms)
+        object.__setattr__(self, "jump", jump)
 
 
 def _pairwise_kernel_atoms(pair_atoms: Callable) -> Callable:
@@ -121,6 +134,17 @@ def _pairwise_kernel_atoms(pair_atoms: Callable) -> Callable:
         return tuple(weights.items())
 
     return kernel_atoms
+
+
+def _pairwise_jump(pair_atoms: Callable) -> Callable:
+    """Jump sampler of a system declared in pairwise form: a uniform donor,
+    then one of its pair atoms by one uniform variate."""
+
+    def jump(i, config, stream):
+        donor = config[int(stream.integers(len(config)))]
+        return _pick(pair_atoms(config[i], donor), stream.random())
+
+    return jump
 
 
 def empirical(config: Sequence[State]) -> EmpiricalMeasure:
@@ -371,9 +395,8 @@ def simulate_system(
     The run is event-driven: at each proposal and sample only the machines
     whose next base event has come are advanced, in coordinate order.  A
     machine with no event in a step draws nothing, so the draws are those of
-    advancing every machine at every step.  ``rate`` and
-    ``kernel`` receive a read-only configuration, valid only during the
-    call, whose drifting coordinates are computed when read, and
+    advancing every machine at every step.  ``rate`` and the jump sampler
+    receive a read-only configuration, valid only during the call, whose drifting coordinates are computed when read, and
     :func:`empirical` of it reads running sums for ``mean``.  So a proposal
     of a mean-field system costs ``O(log N)`` plus what its rate reads.
 
@@ -406,7 +429,7 @@ def simulate_system(
         rate_i = system.rate(i, config)
         check_rate(rate_i, ceiling, system.name, i)
         if stream.random() * ceiling < rate_i:
-            live.start(i, tuple(system.kernel(i, config, stream)))
+            live.start(i, tuple(system.jump(i, config, stream)))
             n_accepted += 1
             if record_events:
                 events.append(Event(time=t, kind=JUMP_ACCEPTED, state=tuple(side.view())))
@@ -432,32 +455,29 @@ def meanfield_system(model_or_bundle, n_particles: int) -> SystemSpec:
     Each coordinate follows the model's base motion (its ``base_coupler`` or
     ``base_machine``, passed through unchanged); jump rates and kernels see
     the empirical measure of the current configuration in place of the
-    ambient measure.  Accepts either a :class:`~mfjump.engine.ModelSpec` or a
-    model bundle exposing ``.model``.
+    ambient measure, and the jump law keeps the form the model declares.
+    Accepts either a :class:`~mfjump.engine.ModelSpec` or a model bundle
+    exposing ``.model``.
     """
     model: ModelSpec = getattr(model_or_bundle, "model", model_or_bundle)
 
     def rate(i, config):
         return model.rate(config[i], empirical(config))
 
-    def kernel(i, config, stream):
-        return model.kernel(config[i], empirical(config), stream.random())
-
-    kernel_atoms = None
-    if model.kernel_atoms is not None:
-
-        def kernel_atoms(i, config):
-            return model.kernel_atoms(config[i], empirical(config))
+    def lift(fn):
+        if fn is None:
+            return None
+        return lambda i, config, *rest: fn(config[i], empirical(config), *rest)
 
     return SystemSpec(
         n_particles=n_particles,
         rate=rate,
-        kernel=kernel,
+        kernel=lift(model.kernel),
         rate_ceiling=model.rate_ceiling,
         coordinate_layout=model.state_layout,
         coordinate_box=model.state_box,
         name=f"{model.name}-system",
-        kernel_atoms=kernel_atoms,
+        kernel_atoms=lift(model.kernel_atoms),
         base_coupler=model.base_coupler,
         base_machine=model.base_machine,
     )

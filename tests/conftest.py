@@ -160,15 +160,11 @@ def flip_model(rate_value: float = 2.0, ceiling: float = 2.0) -> ModelSpec:
     def rate(state, measure):
         return rate_value
 
-    def kernel(state, measure, u):
-        return (1 - state[0],)
-
     def kernel_atoms(state, measure):
         return [((1 - state[0],), 1.0)]
 
     return ModelSpec(
         rate=rate,
-        kernel=kernel,
         rate_ceiling=ceiling,
         kernel_atoms=kernel_atoms,
         state_layout=("label",),
@@ -189,15 +185,11 @@ def measure_rate_flip_model(ceiling: float = 2.0) -> ModelSpec:
     def rate(state, measure):
         return measure.expect(lambda s: s[0])
 
-    def kernel(state, measure, u):
-        return (1 - state[0],)
-
     def kernel_atoms(state, measure):
         return [((1 - state[0],), 1.0)]
 
     return ModelSpec(
         rate=rate,
-        kernel=kernel,
         rate_ceiling=ceiling,
         kernel_atoms=kernel_atoms,
         state_layout=("label",),
@@ -213,7 +205,7 @@ def drift_model(speed: float = 1.0, ceiling: float = 1.0) -> ModelSpec:
     def rate(state, measure):
         return 0.0
 
-    def kernel(state, measure, u):
+    def kernel(state, measure, stream):
         return state
 
     return ModelSpec(
@@ -233,15 +225,11 @@ def drift_velocity_model(jump_rate: float = 0.0, ceiling: float = 1.0) -> ModelS
     def rate(state, measure):
         return jump_rate
 
-    def kernel(state, measure, u):
-        return (state[0], -state[1])
-
     def kernel_atoms(state, measure):
         return [((state[0], -state[1]), 1.0)]
 
     return ModelSpec(
         rate=rate,
-        kernel=kernel,
         rate_ceiling=ceiling,
         kernel_atoms=kernel_atoms,
         state_layout=("real", "label"),
@@ -261,16 +249,12 @@ def flip_system(
     def rate(i, state):
         return rates[i]
 
-    def kernel(i, state, stream):
-        return (1 - state[i][0],)
-
     def kernel_atoms(i, state):
         return [((1 - state[i][0],), 1.0)]
 
     return SystemSpec(
         n_particles=n,
         rate=rate,
-        kernel=kernel,
         rate_ceiling=ceiling,
         kernel_atoms=kernel_atoms,
         coordinate_layout=("label",),
@@ -285,6 +269,20 @@ def rng():
     return make_rng(20260818)
 
 
-def constant_flow(atom_state, horizon: float = 100.0) -> MeasureFlow:
+def constant_flow(atom_state) -> MeasureFlow:
     """Flow frozen at a single-atom measure."""
-    return MeasureFlow.constant(EmpiricalMeasure.from_states([atom_state]), horizon)
+    return MeasureFlow.constant(EmpiricalMeasure.from_states([atom_state]))
+
+
+def selection_reference_kernel(n: int, accept_prob):
+    """Selection's jump sampler as written by hand before it was derived
+    from ``pair_atoms``: a uniform donor ``j``, copied with probability
+    ``accept_prob(x_i, x_j)``."""
+
+    def kernel(i, config, stream):
+        j = int(stream.integers(n))
+        if stream.random() < accept_prob(config[i], config[j]):
+            return config[j]
+        return config[i]
+
+    return kernel

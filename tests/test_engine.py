@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 
@@ -29,6 +30,7 @@ from mfjump.engine import (
 from mfjump.metrics import histogram_tv, make_binning
 
 from conftest import (
+    CountingStream,
     constant_flow,
     drift_model,
     drift_velocity_model,
@@ -43,7 +45,7 @@ def tcp_toy():
     def rate(state, measure):
         return 1.0 + state[0]
 
-    def kernel(state, measure, u):
+    def kernel(state, measure, stream):
         return (state[0] / 2.0,)
 
     def local_bound(state, dt, measures):
@@ -228,6 +230,34 @@ def test_spec_declares_exactly_one_base_motion(motion):
         ModelSpec(**fields)
 
 
+@pytest.mark.parametrize("law", ["neither", "both"])
+def test_spec_declares_exactly_one_jump_law(law):
+    fields = dict(_toy_fields(), base_machine=drift_model().base_machine)
+    if law == "neither":
+        del fields["kernel"]
+    else:
+        fields["kernel_atoms"] = lambda state, measure: [(state, 1.0)]
+    with pytest.raises(ValueError) as err:
+        ModelSpec(**fields)
+    assert str(err.value) == "toy: declare exactly one of kernel and kernel_atoms"
+
+
+def test_atom_sampler_draws_each_atom_at_its_weight():
+    weights = {(0,): 0.2, (1,): 0.5, (2,): 0.3}
+    model = dataclasses.replace(
+        drift_model(), kernel=None, kernel_atoms=lambda state, measure: list(weights.items())
+    )
+    measure = EmpiricalMeasure.from_states([(0.0,)])
+    stream = CountingStream(make_rng(11))
+    n = 20_000
+    counts = collections.Counter(model.jump((5.0,), measure, stream) for _ in range(n))
+    assert stream.counts == {"random": n}  # one variate per jump
+    assert set(counts) == set(weights)
+    for state, w in weights.items():
+        se = math.sqrt(w * (1.0 - w) / n)
+        assert abs(counts[state] / n - w) < 4.0 * se
+
+
 def test_nan_rate_fails_the_ceiling_check():
     with pytest.raises(RateCeilingError):
         check_rate(math.nan, 1.0, "toy")
@@ -392,7 +422,7 @@ def test_accepted_jump_ends_a_local_flight():
     # After a jump to x + 1 the rate 1 + x + 1 exceeds the flight's ceiling
     # 1 + x + dt, so a proposal later in the same flight would raise.
     model = dataclasses.replace(
-        tcp_toy(), kernel=lambda state, measure, u: (state[0] + 1.0,), name="tcp-up"
+        tcp_toy(), kernel=lambda state, measure, stream: (state[0] + 1.0,), name="tcp-up"
     )
     jumps = 0
     for seed in range(200):

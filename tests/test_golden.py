@@ -103,7 +103,8 @@ CASES = {
 }
 
 #: ``particles`` runs of more systems: model id -> (params, x0, seed, sha256).
-#: The ``mh`` system's kernel reads two variates; ``zigzag``'s reads none.
+#: The ``mh`` system's kernel reads two variates; ``zigzag``'s atom sampler
+#: reads one per accepted jump.
 PARTICLE_CASES = {
     "mh": (
         {"n_sites": 3, "beta": 1.0, "lam_bar": 2.0},
@@ -115,7 +116,7 @@ PARTICLE_CASES = {
         {"n_particles": 3},
         [[1.0, 1], [-0.8, -1], [0.3, 1]],
         6,
-        "9609e95592a4c2f54f6cbf90578691f826fb4bff5ab26636fbc8a7728907449a",
+        "1287d422e6305ab7ea6380ea3a88184fbabf129a6188e7178b3c8b7f8370888a",
     ),
 }
 

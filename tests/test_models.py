@@ -106,8 +106,9 @@ def test_run_tumble_rate_formula_through_barycenter():
 def test_run_tumble_kernel_flips_velocity(rng):
     bundle = run_tumble(RunTumbleParams(theta=0.1))
     m = EmpiricalMeasure.from_states([(0.0, 1)])
-    assert bundle.model.kernel((0.7, 1), m, 0.3) == (0.7, -1)
-    assert bundle.model.kernel((0.7, -1), m, 0.9) == (0.7, 1)
+    assert bundle.model.kernel is None
+    assert bundle.model.kernel_atoms((0.7, 1), m) == (((0.7, -1), 1.0),)
+    assert bundle.model.kernel_atoms((0.7, -1), m) == (((0.7, 1), 1.0),)
 
 
 def _base_motion(model, state, dt, stream):
@@ -206,7 +207,9 @@ def test_tcp_flow_and_kernel():
     bundle = tcp(TcpParams())
     m = EmpiricalMeasure.from_states([(0.0,)])
     assert _base_motion(bundle.model, (2.0,), 1.0, make_rng(1)) == pytest.approx((3.0,))
-    assert bundle.model.kernel((4.0,), m, 0.5) == pytest.approx((2.0,))
+    stream = make_rng(2)
+    assert bundle.model.kernel((4.0,), m, stream) == pytest.approx((2.0,))
+    assert stream.random() == make_rng(2).random()  # it drew nothing
 
 
 def test_tcp_frozen_compact_constant():
@@ -436,10 +439,9 @@ def test_zigzag_kernel_flips_direction():
         )
     )
     state = ((0.4, 1), (-0.2, -1))
-    stream = make_rng(0)
-    assert bundle.system.kernel(0, state, stream) == (0.4, -1)
-    assert bundle.system.kernel(1, state, stream) == (-0.2, 1)
-    assert stream.random() == make_rng(0).random()
+    assert bundle.system.kernel is None
+    assert bundle.system.kernel_atoms(0, state) == (((0.4, -1), 1.0),)
+    assert bundle.system.kernel_atoms(1, state) == (((-0.2, 1), 1.0),)
 
 
 def test_zigzag_base_flips_check_their_ceiling():
