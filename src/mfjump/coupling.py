@@ -80,9 +80,15 @@ def _load_atoms(atoms) -> tuple[dict, float]:
         state = tuple(state)
         weights[state] = weights.get(state, 0.0) + w
         total += w
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"atom weights sum to {total}, expected 1")
+    _check_mass(total)
     return weights, clamped
+
+
+def _check_mass(total: float) -> None:
+    """Raise ``ValueError`` unless the atom weights ``total`` is 1 within
+    1e-6 (a NaN total fails)."""
+    if not abs(total - 1.0) <= 1e-6:
+        raise ValueError(f"atom weights sum to {total}, expected 1")
 
 
 def overlap_decompose(atoms1, atoms2):
@@ -96,31 +102,50 @@ def overlap_decompose(atoms1, atoms2):
     overlap holds only states both sides can reach and each residual only
     states of its own side.
     """
+    parts, excess = _decompose(atoms1, atoms2)
+    return (parts.p, parts.overlap(), *parts.residuals(), excess)
+
+
+def _decompose(atoms1, atoms2) -> tuple:
+    """The :class:`_Overlap` of two atom lists and the mass clamped to build it."""
     w1, c1 = _load_atoms(atoms1)
     w2, c2 = _load_atoms(atoms2)
-    p, common, nu1, nu2, over = _overlap(w1, w2)
-    nu0 = tuple((k, w / p) for k, w in common if w > 0.0) if p > 0.0 else ()
-    return p, nu0, nu1, nu2, c1 + c2 + over
+    parts = _Overlap(w1, w2)
+    return parts, c1 + c2 + parts.over
 
 
-def _overlap(w1: dict, w2: dict, shared: float = 0.0) -> tuple:
+class _Overlap:
     """Maximal-coupling parts of two measures given by weights per state,
     plus ``shared`` mass that both hold outside the two maps.
 
-    Returns ``(p, common, nu1, nu2, over)``: the overlap mass ``p`` (clamped
-    to 1, by ``over``), the unnormalized ``min(w1, w2)`` atoms sorted by
-    state, and the normalized residuals of each side, sorted by state.
+    ``p`` is the overlap mass (clamped to 1, by ``over``) and ``common`` the
+    unnormalized ``min(w1, w2)`` atoms sorted by state.  The normalized
+    overlap and the residuals are built only when read.
     """
-    common = [(k, min(w1[k], w2[k])) for k in sorted(k for k in w1 if k in w2)]
-    p_raw = shared + sum(w for _, w in common)
-    over = 0.0
-    if p_raw > 1.0:
-        over = p_raw - 1.0
-        p_raw = 1.0
-    p = 1.0 if 1.0 - p_raw <= 1e-12 else p_raw
-    if p >= 1.0:
-        return p, common, (), (), over
-    return p, common, _residual(w1, w2), _residual(w2, w1), over
+
+    __slots__ = ("w1", "w2", "p", "common", "over")
+
+    def __init__(self, w1: dict, w2: dict, shared: float = 0.0):
+        self.w1, self.w2 = w1, w2
+        self.common = [(k, min(w1[k], w2[k])) for k in sorted(k for k in w1 if k in w2)]
+        p_raw = shared + sum(w for _, w in self.common)
+        self.over = max(p_raw - 1.0, 0.0)
+        self.p = 1.0 if 1.0 - p_raw <= 1e-12 else p_raw
+
+    def overlap(self) -> tuple:
+        """The normalized overlap atoms ``nu0``."""
+        p = self.p
+        return tuple((k, w / p) for k, w in self.common if w > 0.0) if p > 0.0 else ()
+
+    def pick(self, w: float) -> tuple:
+        """The state at quantile ``w`` of the normalized overlap."""
+        return _pick(self.overlap(), w)
+
+    def residuals(self) -> tuple:
+        """The normalized residuals ``(nu1, nu2)``, disjoint and sorted by state."""
+        if self.p >= 1.0:
+            return (), ()
+        return _residual(self.w1, self.w2), _residual(self.w2, self.w1)
 
 
 def _residual(side: dict, other: dict) -> tuple:
@@ -136,17 +161,17 @@ def _residual(side: dict, other: dict) -> tuple:
     return tuple((k, w / mass) for k, w in raw)
 
 
-def _maximal_draw(p: float, nu0, nu1, nu2, stream) -> tuple:
-    """Maximal-coupling draw from the parts :func:`overlap_decompose` returns.
-
-    ``nu0`` may also be a :class:`_MergedOverlap`, drawn by index.  Returns
-    ``(x, y, v)``; the sides share an overlap atom when ``v < p``.
-    """
+def _maximal_draw(parts, stream) -> tuple:
+    """Maximal-coupling draw from ``parts`` (an :class:`_Overlap` or a
+    :class:`PairSampler`): with ``v < p`` both sides take the overlap's state
+    at quantile ``w``, else each takes its residual's, read only then.
+    Returns ``(x, y, v)``."""
     v = stream.random()
     w = stream.random()
-    if v < p:
-        shared = nu0.pick(w) if isinstance(nu0, _MergedOverlap) else _pick(nu0, w)
+    if v < parts.p:
+        shared = parts.pick(w)
         return shared, shared, v
+    nu1, nu2 = parts.residuals()
     return _pick(nu1, w), _pick(nu2, w), v
 
 
@@ -165,11 +190,17 @@ class PairSampler:
     nu1: EmpiricalMeasure
     nu2: EmpiricalMeasure
 
+    def pick(self, w: float) -> tuple:
+        """The state at quantile ``w`` of the overlap ``nu0``."""
+        return _pick(self.nu0.atoms, w)
+
+    def residuals(self) -> tuple:
+        """The residual atoms ``(nu1, nu2)``."""
+        return self.nu1.atoms, self.nu2.atoms
+
     def sample(self, stream) -> tuple:
         """One coupled draw; returns ``(x_state, y_state, merged)``."""
-        x, y, v = _maximal_draw(
-            self.p, self.nu0.atoms, self.nu1.atoms, self.nu2.atoms, stream
-        )
+        x, y, v = _maximal_draw(self, stream)
         return x, y, v < self.p
 
 
@@ -555,20 +586,20 @@ def simulate_merge_split(
             machine = _base_machine(model, x, y, stream)
             continue
         was_merged = x == y
-        p, nu0, nu1, nu2, excess = overlap_decompose(
+        parts, excess = _decompose(
             _mixed_atoms(model, (x, flow1.at(t)), x),
             _mixed_atoms(model, (y, flow2.at(t)), y),
         )
         clamp_excess += excess
         if excess > 1e-7:
             n_clamped += 1
-        x, y, _ = _maximal_draw(p, nu0, nu1, nu2, stream)
+        x, y, _ = _maximal_draw(parts, stream)
         merged = x == y
         if was_merged and not merged:
             n_splits += 1
         if record_events:
             events.append(
-                CoupledEvent(time=t, kind=PROPOSAL, x=x, y=y, merged=merged, p=p)
+                CoupledEvent(time=t, kind=PROPOSAL, x=x, y=y, merged=merged, p=parts.p)
             )
         machine = _base_machine(model, x, y, stream)
     run_machine(horizon)
@@ -632,21 +663,22 @@ def _mixed_atoms(spec, at: tuple, stay, coordinate=None) -> list:
     return atoms
 
 
-class _MergedOverlap:
-    """The overlap part of a proposal at a merged coordinate, drawn by index.
+class _MergedOverlap(_Overlap):
+    """The parts of a proposal at a merged coordinate; the overlap is drawn
+    by index.
 
-    Its mass is laid out in order: the stay atom, then a slot of mass
-    ``share`` for each matched donor (split by that donor's pair atoms), then
-    the ``common`` atoms of the mismatched donors.
+    The overlap's mass is laid out in order: the stay atom, then a slot of
+    mass ``share`` for each matched donor (split by that donor's pair
+    atoms, whose mass :meth:`pick` checks), then the ``common`` atoms of the
+    mismatched donors.
     """
 
-    __slots__ = ("stay", "stay_mass", "share", "donors", "config", "pair_atoms",
-                 "common", "p")
+    __slots__ = ("stay", "stay_mass", "share", "donors", "config", "pair_atoms")
 
-    def __init__(self, stay, stay_mass, share, donors, config, pair_atoms, common, p):
+    def __init__(self, w1, w2, shared, stay, stay_mass, share, donors, config, pair_atoms):
+        super().__init__(w1, w2, shared)
         self.stay, self.stay_mass, self.share = stay, stay_mass, share
         self.donors, self.config, self.pair_atoms = donors, config, pair_atoms
-        self.common, self.p = common, p
 
     def pick(self, w: float) -> tuple:
         """The state at quantile ``w`` of the normalized overlap."""
@@ -656,15 +688,29 @@ class _MergedOverlap:
         k = int(m / self.share)
         if k < len(self.donors) or not self.common:
             k = min(k, len(self.donors) - 1)
-            donor = self.config[self.donors[k]]
-            return _pick(self.pair_atoms(self.stay, donor), m / self.share - k)
+            atoms = self.pair_atoms(self.stay, self.config[self.donors[k]])
+            _check_mass(sum(weight for _, weight in atoms))
+            return _pick(atoms, m / self.share - k)
         return _pick(self.common, m - len(self.donors) * self.share)
 
 
-def _merged_parts(system: SystemSpec, i: int, x, y, matching) -> Optional[tuple]:
-    """The parts ``(p, nu0, nu1, nu2)`` of a proposal at coordinate ``i``
-    read from the mismatched donors only, or ``None`` where that does not
-    apply.
+def _pair_weights(pair_atoms: Callable, own, donors, share: float, mass: float) -> dict:
+    """``share`` times the positive pair atoms of ``own`` with each donor
+    state in ``donors``, added up by state.  Raises ``ValueError`` unless
+    they and the ``mass`` held outside them sum to 1 within 1e-6."""
+    weights: dict = {}
+    get = weights.get
+    for donor in donors:
+        for state, w in pair_atoms(own, donor):
+            if w > 0.0:
+                weights[state] = get(state, 0.0) + w * share
+    _check_mass(mass + sum(weights.values()))
+    return weights
+
+
+def _merged_parts(system: SystemSpec, i: int, x, y, matching) -> Optional[_MergedOverlap]:
+    """The parts of a proposal at coordinate ``i`` read from the mismatched
+    donors only, or ``None`` where that does not apply.
 
     It applies where ``i`` is merged, its two rates agree and the system
     declares ``pair_atoms``.  Then each matched donor in ``matching`` adds
@@ -672,8 +718,8 @@ def _merged_parts(system: SystemSpec, i: int, x, y, matching) -> Optional[tuple]
     state by state.  So the overlap is the common part ``C`` (the stay-put
     mass and the matched donors) plus the overlap of the mismatched donors'
     parts ``A`` and ``B``, and the residuals are those of ``A`` and ``B``:
-    ``O(1 + K)`` for ``K`` mismatched coordinates.  ``nu0`` is a
-    :class:`_MergedOverlap`.
+    ``O(1 + K)`` pair-atom calls for ``K`` mismatched coordinates, plus a
+    sort of ``A`` and ``B`` when the residuals are drawn.
     """
     own = x[i]
     if system.pair_atoms is None or own != y[i]:
@@ -684,33 +730,43 @@ def _merged_parts(system: SystemSpec, i: int, x, y, matching) -> Optional[tuple]
     ceiling = system.rate_ceiling
     check_rate(rate, ceiling, system.name, i)
     share = rate / ceiling / len(x)
-    parts: tuple = ({}, {})
-    for k in matching.mismatched:
-        for side, donor in zip(parts, (x[k], y[k])):
-            for state, w in system.pair_atoms(own, donor):
-                if w > 0.0:
-                    side[state] = side.get(state, 0.0) + w * share
     stay_mass = 1.0 - rate / ceiling
-    donors = matching.matched
-    p, common, nu1, nu2, _ = _overlap(*parts, stay_mass + len(donors) * share)
-    nu0 = _MergedOverlap(own, stay_mass, share, donors, x, system.pair_atoms, common, p)
-    return p, nu0, nu1, nu2
+    shared = stay_mass + len(matching.matched) * share
+    w1, w2 = (
+        _pair_weights(system.pair_atoms, own, (c[k] for k in matching.mismatched), share,
+                      shared)
+        for c in (x, y)
+    )
+    return _MergedOverlap(w1, w2, shared, own, stay_mass, share, matching.matched, x,
+                          system.pair_atoms)
 
 
-def _coupled_proposal(system: SystemSpec, i: int, x, y, matching, stream) -> tuple:
-    """One coupled proposal at coordinate ``i``: the maximal coupling of the
-    two sides' mixed kernels (:func:`_mixed_atoms`), drawn by
-    :func:`_maximal_draw` from :func:`_merged_parts` where they apply, else
-    from :func:`overlap_decompose` of the full atoms.  Returns ``(x_i, y_i,
-    v)``.
+def _mixed_weights(system: SystemSpec, i: int, config) -> dict:
+    """Weights by state of one side's mixed kernel at coordinate ``i``
+    (:func:`_mixed_atoms`).  For a system with ``pair_atoms`` they are built
+    in one pass over the ``N`` donors, each pair atom weighted ``w * rate /
+    ceiling / N``, plus the stay-put mass."""
+    if system.pair_atoms is None:
+        return _load_atoms(_mixed_atoms(system, (i, config), config[i], i))[0]
+    rate, ceiling = system.rate(i, config), system.rate_ceiling
+    check_rate(rate, ceiling, system.name, i)
+    own, stay = config[i], 1.0 - rate / ceiling
+    weights = _pair_weights(system.pair_atoms, own, config, rate / ceiling / len(config), stay)
+    weights[own] = weights.get(own, 0.0) + stay
+    return weights
+
+
+def _proposal_parts(system: SystemSpec, i: int, x, y, matching) -> _Overlap:
+    """The parts of a coupled proposal at coordinate ``i``: the maximal
+    coupling of the two sides' mixed kernels (:func:`_mixed_atoms`), from
+    :func:`_merged_parts` where they apply, else the :class:`_Overlap` of
+    the two sides' :func:`_mixed_weights`.  :func:`_maximal_draw` draws from
+    them and builds the residuals only when it reads them.
     """
     parts = _merged_parts(system, i, x, y, matching)
     if parts is None:
-        parts = overlap_decompose(
-            _mixed_atoms(system, (i, x), x[i], i),
-            _mixed_atoms(system, (i, y), y[i], i),
-        )[:4]
-    return _maximal_draw(*parts, stream)
+        parts = _Overlap(_mixed_weights(system, i, x), _mixed_weights(system, i, y))
+    return parts
 
 
 def simulate_coupled_system(
@@ -728,13 +784,13 @@ def simulate_coupled_system(
 
     Both runs share the global proposal clock, the coordinate choice, and the
     jump variates; the chosen coordinate's mixed kernels are coupled through
-    their overlap (:func:`_coupled_proposal`).  The counter ``j`` starts at
+    their overlap (:func:`_proposal_parts`).  The counter ``j`` starts at
     half the matching distance of the initial configurations and increments
     at a proposal on a merged coordinate whenever the accept variate exceeds
     ``1 - theta * j / (n * rate_ceiling)``, which dominates every actual
     split when ``theta >= 0`` bounds the rate-and-kernel sensitivity to
     single-coordinate changes.  Each side's mixed kernel is
-    :func:`_mixed_atoms` of the system's ``kernel_atoms``.  Between
+    :func:`_mixed_atoms` of the system's jump atoms.  Between
     proposals each coordinate pair follows its base machine
     (:func:`~mfjump.engine._base_machine`), drawing from its own stream
     spawned from ``stream``, restarted at window boundaries ``k * t0``.  A
@@ -745,15 +801,17 @@ def simulate_coupled_system(
 
     The run is event-driven, as in :func:`~mfjump.particles.simulate_system`:
     a heap of the pairs' next base events tells each event which machines
-    to advance, and ``rate`` and ``kernel_atoms`` read each side lazily,
+    to advance, and ``rate`` and the jump atoms read each side lazily,
     with running sums for ``mean``.  A pair that draws from its own stream
     draws the same whenever it is advanced, so the draws are those of
     advancing every pair at every event.  So an event costs ``O(log N)``
-    for the pairs whose base event is due, plus its proposal:
-    ``O(1 + K)`` with ``K`` mismatched coordinates at a merged coordinate
-    of a system with ``pair_atoms``, else what the full decomposition of
-    ``kernel_atoms`` costs (``O(N log N)`` for selection).  A window
-    boundary restarts all ``N`` pairs, and a sample reads all ``N``.
+    for the pairs whose base event is due, plus its proposal.  For a
+    system with ``pair_atoms`` that is ``O(1 + K)`` pair-atom calls with
+    ``K`` mismatched coordinates at a merged coordinate whose two rates
+    agree, else about ``N`` calls per side; the residuals, which need a
+    sort, are built only at a proposal that draws them.  Other systems
+    decompose ``kernel_atoms``.  A window boundary restarts all ``N``
+    pairs, and a sample reads all ``N``.
     """
     if system.kernel_atoms is None:
         raise UnsupportedCouplingError(
@@ -793,7 +851,7 @@ def simulate_coupled_system(
         i = int(stream.integers(n))
         x, y = live.x.view(), live.y.view()
         equal_before = x[i] == y[i]
-        xi, yi, v = _coupled_proposal(system, i, x, y, live.matching, stream)
+        xi, yi, v = _maximal_draw(_proposal_parts(system, i, x, y, live.matching), stream)
         if equal_before and v >= 1.0 - theta * j / total_rate:
             j += 1.0
         live.start(i, xi, yi)

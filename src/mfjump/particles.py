@@ -85,9 +85,9 @@ class SystemSpec:
             weights sum to one.  The derived ``kernel_atoms`` adds the
             positive weights of those atoms by state, in the order the
             donors and their atoms come.  A single run draws a uniform donor
-            ``j``, then one of its atoms.  Coupled runs use the form to skip
-            the donors that agree on both sides
-            (:func:`~mfjump.coupling.simulate_coupled_system`).
+            ``j``, then one of its atoms.  Coupled runs read the form
+            directly, and at a merged coordinate skip the donors that agree
+            on both sides (:func:`~mfjump.coupling.simulate_coupled_system`).
         base_coupler, base_machine: The base motion of one coordinate,
             declared by exactly one of them, typed as in
             :class:`~mfjump.engine.ModelSpec` (coordinates are exchangeable,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -515,6 +516,42 @@ def test_couple_particles_without_kernel_atoms_fails_before_replicas(
         ["couple-particles", "--config", cfg, "--threads", "2", "--out", str(out)]
     )
     assert_one_line_error(res, out, "system 'mh-decomposed' provides no kernel atoms")
+
+
+@pytest.mark.parametrize("y0", [[[0.1], [0.2], [0.3], [0.4]],
+                                [[0.1], [0.95], [0.3], [0.85]]],
+                         ids=["equal", "mismatched"])
+def test_couple_particles_with_short_pair_atoms_fails_without_output(
+    tmp_path, monkeypatch, y0
+):
+    # Pair atoms that sum to 0.8 fail at the first proposal from either
+    # start; a merged start reads them only when it draws a matched donor.
+    build_model = cli.build_model
+
+    def short_pair_atoms(*args):
+        bundle = build_model(*args)
+        system = dataclasses.replace(
+            bundle.system, kernel_atoms=None,
+            pair_atoms=lambda own, donor: ((donor, 0.4), (own, 0.4)),
+        )
+        return dataclasses.replace(bundle, system=system)
+
+    monkeypatch.setattr(cli, "build_model", short_pair_atoms)
+    cfg = write_config(
+        tmp_path / "cp.json",
+        {
+            "schema": 1,
+            "kind": "couple-particles",
+            "model": {"id": "selection", "params": {"n_particles": 4}},
+            "run": {
+                "x0": [[0.1], [0.2], [0.3], [0.4]], "y0": y0, "horizon": 1.0,
+                "t0": 0.5, "replicas": 2, "sample_times": [1.0],
+            },
+        },
+    )
+    out = tmp_path / "out"
+    res = run_cli(["couple-particles", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, "replica 0: atom weights sum to")
 
 
 def test_estimate_without_base_coupler_fails(tmp_path):

@@ -12,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfjump import coupling
 from mfjump.coupling import (
     UnsupportedCouplingError,
-    _coupled_proposal,
     _load_atoms,
+    _maximal_draw,
     _merged_parts,
+    _MergedOverlap,
     _mixed_atoms,
+    _proposal_parts,
     coupled_base,
     estimate_doeblin_alpha,
     make_telegraph_coupler,
@@ -31,6 +34,7 @@ from mfjump.engine import (
     WINDOW,
     EmpiricalMeasure,
     _base_machine,
+    _pick,
     clock,
     simulate_nonlinear,
 )
@@ -178,10 +182,10 @@ def test_overlap_decompose_tracks_tiny_clamp_excess():
 
 
 def test_overlap_decompose_rejects_badly_normalised_input():
-    a = (((0.0,), 0.6), ((1.0,), 0.41))
     b = (((0.0,), 0.5), ((1.0,), 0.5))
-    with pytest.raises(ValueError):
-        overlap_decompose(a, b)
+    for a in ((((0.0,), 0.6), ((1.0,), 0.41)), (((0.0,), math.nan),)):
+        with pytest.raises(ValueError, match="atom weights sum to"):
+            overlap_decompose(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -687,42 +691,62 @@ ACCEPT_PROBS = {
 }
 
 
+#: Rates of the selection systems below: saturated, and one that reads the
+#: configuration, so the two sides' rates differ where their means do.
+RATES = {
+    "saturated": None,
+    "by-side": lambda i, config: 0.5 + sum(c[0] for c in config) / len(config),
+}
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(1, 7),
     layout=st.sampled_from(["mixed", "all-matched", "all-mismatched"]),
+    own=st.sampled_from(["merged", "mismatched"]),
     accept=st.sampled_from(sorted(ACCEPT_PROBS)),
+    rate=st.sampled_from(sorted(RATES)),
     ceiling=st.sampled_from([1.0, 1.6]),
     data=st.data(),
 )
-def test_merged_parts_match_the_full_decomposition(n, layout, accept, ceiling, data):
-    # States come from five values, so states coincide across sides
-    # (x_k == y_l for mismatched k != l) and within a side.  A ceiling above
-    # the rate 1 leaves stay-put mass.
+def test_merged_parts_match_the_full_decomposition(
+    n, layout, own, accept, rate, ceiling, data
+):
+    # The parts a coupled proposal draws from (the sparse ones at a merged
+    # coordinate whose rates agree, else one pairwise pass per side) against
+    # overlap_decompose of the full mixed atoms.  States come from five
+    # values, so states coincide across sides (x_k == y_l for mismatched k
+    # != l) and within a side.  A ceiling above the rate leaves stay-put
+    # mass, and n runs over sizes that are not powers of two.
     values = [0.1, 0.2, 0.3, 0.4, 0.5]
+    system = selection_mutation(
+        SelectionParams(n_particles=n, accept_prob=ACCEPT_PROBS[accept])
+    ).system
     system = dataclasses.replace(
-        selection_mutation(
-            SelectionParams(n_particles=n, accept_prob=ACCEPT_PROBS[accept])
-        ).system,
-        rate_ceiling=ceiling,
+        system, rate=RATES[rate] or system.rate, rate_ceiling=ceiling
     )
     x = tuple((data.draw(st.sampled_from(values)),) for _ in range(n))
     i = data.draw(st.integers(0, n - 1))
     y = []
     for k in range(n):
-        matched = k == i or layout == "all-matched" or (
-            layout == "mixed" and data.draw(st.booleans())
-        )
+        matched = (k == i and own == "merged") or (k != i and (
+            layout == "all-matched" or (layout == "mixed" and data.draw(st.booleans()))
+        ))
         other = [v for v in values if (v,) != x[k]]
         y.append(x[k] if matched else (data.draw(st.sampled_from(other)),))
     y = tuple(y)
 
-    p, nu0, nu1, nu2 = _merged_parts(system, i, x, y, _matching_of(x, y))
+    parts = _proposal_parts(system, i, x, y, _matching_of(x, y))
+    p = parts.p
+    nu1, nu2 = parts.residuals()
     full = overlap_decompose(
         _mixed_atoms(system, (i, x), x[i], i), _mixed_atoms(system, (i, y), y[i], i)
     )
     assert abs(p - full[0]) <= 1e-12
-    law0 = _merged_overlap_law(nu0)
+    if isinstance(parts, _MergedOverlap):
+        law0 = _merged_overlap_law(parts)
+    else:
+        law0 = dict(parts.overlap())
     for config, residual in ((x, nu1), (y, nu2)):
         mixed, _ = _load_atoms(_mixed_atoms(system, (i, config), config[i], i))
         drawn = {state: p * w for state, w in law0.items()}
@@ -789,8 +813,8 @@ def eager_simulate_coupled_system(system, x0, y0, horizon, t0, theta, stream,
             continue
         i = int(stream.integers(n))
         equal_before = xs[i] == ys[i]
-        xs[i], ys[i], v = _coupled_proposal(
-            system, i, tuple(xs), tuple(ys), matching, stream
+        xs[i], ys[i], v = _maximal_draw(
+            _proposal_parts(system, i, tuple(xs), tuple(ys), matching), stream
         )
         if equal_before and v >= 1.0 - theta * j / total_rate:
             j += 1.0
@@ -910,6 +934,123 @@ def test_coupled_meanfield_run_advances_only_due_pairs(monkeypatch):
     windows = int(horizon / t0)
     assert advances[0] <= exponentials + proposals + n * (len(samples) + windows + 1)
     assert [size for size in built if size >= n] == []
+
+
+def _couple_sel_layout(seed, n=256):
+    """Selection on the benchmark's ``couple-sel`` layout: ``n`` uniform
+    coordinates, a random half of them matched."""
+    rng = np.random.default_rng(seed)
+    system = build_model("selection", {"n_particles": n}).system
+    x0 = tuple((float(v),) for v in rng.random(n))
+    matched = set(rng.permutation(n)[: n // 2].tolist())
+    y0 = tuple(c if k in matched else (float(rng.random()),) for k, c in enumerate(x0))
+    return system, x0, y0
+
+
+class _EagerParts:
+    """Parts with both residuals built before the draw."""
+
+    def __init__(self, p, pick, nu1, nu2):
+        self.p, self.pick, self._residuals = p, pick, (nu1, nu2)
+
+    def residuals(self):
+        return self._residuals
+
+
+def _eager_parts(system, i, x, y, matching):
+    """A proposal's parts as built before the pairwise pass and the
+    residuals on demand: the sparse parts at a merged coordinate whose rates
+    agree, else ``overlap_decompose`` of the full mixed atoms, and both
+    residuals at every proposal."""
+    parts = _merged_parts(system, i, x, y, matching)
+    if parts is not None:
+        return _EagerParts(parts.p, parts.pick, *parts.residuals())
+    p, nu0, nu1, nu2, _ = overlap_decompose(
+        _mixed_atoms(system, (i, x), x[i], i), _mixed_atoms(system, (i, y), y[i], i)
+    )
+    return _EagerParts(p, lambda w: _pick(nu0, w), nu1, nu2)
+
+
+def test_pairwise_pass_matches_the_full_decomposition_draw_for_draw(monkeypatch):
+    horizon, times = 1.0, (0.5, 1.0)
+    runs = {}
+    for build in (_proposal_parts, _eager_parts):
+        monkeypatch.setattr(coupling, "_proposal_parts", build)
+        for seed in range(10):
+            system, x0, y0 = _couple_sel_layout(seed)
+            stream = make_rng(21_000 + seed)
+            traj = simulate_coupled_system(
+                system, x0, y0, horizon, 1.0, system.rate_ceiling, stream,
+                sample_times=times, record_events=False,
+            )
+            runs.setdefault(seed, []).append(
+                repr((sorted(traj.samples.items()), stream.random()))
+            )
+    for seed, (lazy, eager) in runs.items():
+        assert lazy == eager, seed
+
+
+def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
+    # Each side's weights come from one pass over the pair atoms, never from
+    # kernel_atoms or overlap_decompose, and a draw builds the two residuals
+    # only when v >= p.  Before, every proposal with p < 1 built both.
+    system, x0, y0 = _couple_sel_layout(3)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def draw(parts, stream):
+        x, y, v = _maximal_draw(parts, stream)
+        calls["proposals"] += 1
+        calls["residuals drawn"] += v >= parts.p
+        calls["p < 1"] += parts.p < 1.0
+        return x, y, v
+
+    system = dataclasses.replace(
+        system, kernel_atoms=counted("kernel_atoms", system.kernel_atoms)
+    )
+    monkeypatch.setattr(
+        coupling, "overlap_decompose", counted("overlap_decompose", overlap_decompose)
+    )
+    monkeypatch.setattr(coupling, "_residual", counted("_residual", coupling._residual))
+    monkeypatch.setattr(coupling, "_maximal_draw", draw)
+    simulate_coupled_system(
+        system, x0, y0, 1.0, 1.0, system.rate_ceiling, make_rng(31),
+        sample_times=(1.0,), record_events=False,
+    )
+    assert calls["proposals"] > 100
+    assert calls["kernel_atoms"] == calls["overlap_decompose"] == 0
+    assert calls["_residual"] <= 2 * calls["residuals drawn"]
+    assert calls["residuals drawn"] < calls["p < 1"]
+
+
+def _short_pair_atoms(own, donor):
+    return ((donor, 0.4), (own, 0.4))
+
+
+@pytest.mark.parametrize("start", ["equal", "mismatched"])
+def test_pair_atoms_mass_is_checked_on_every_path(start):
+    # The pair atoms sum to 0.8.  From equal starts every proposal draws the
+    # overlap from a matched donor's atoms; from mismatched ones the sparse
+    # and the full pass read the mismatched donors'.
+    system = dataclasses.replace(
+        selection_bundle(4).system, pair_atoms=_short_pair_atoms, kernel_atoms=None
+    )
+    x0 = ((0.1,), (0.2,), (0.3,), (0.4,))
+    y0 = x0 if start == "equal" else ((0.1,), (0.95,), (0.3,), (0.85,))
+    short = "atom weights sum to .*, expected 1"
+    for seed in range(5):
+        with pytest.raises(ValueError, match=short):
+            simulate_coupled_system(system, x0, y0, 2.0, 1.0, 1.0, make_rng(seed))
+    if start == "mismatched":
+        for i in range(4):  # merged at 0 and 2, mismatched at 1 and 3
+            with pytest.raises(ValueError, match=short):
+                _proposal_parts(system, i, x0, y0, _matching_of(x0, y0))
 
 
 class _StreamOps(CountingStream):
