@@ -24,6 +24,23 @@ __all__ = [
 ]
 
 
+def _capped(fn):
+    """``fn``, reading ``inf`` where its float result overflows.  Every
+    exponential and power here goes through it, so a certificate whose
+    exponent overflows reports ``kappa_tilde = inf`` and does not contract."""
+
+    def capped(*args):
+        try:
+            return fn(*args)
+        except OverflowError:
+            return math.inf
+
+    return capped
+
+
+_exp, _pow = _capped(math.exp), _capped(pow)
+
+
 @dataclasses.dataclass(frozen=True)
 class AssumptionConstants:
     """Model constants entering the contraction certificates.
@@ -121,7 +138,7 @@ class RateCertificate:
     def vnorm_bound(self, t: float, m0v: float, n: int | None = None) -> float:
         """Weighted-norm bound at time ``t`` from initial moment ``m0v``."""
         c = self.constants
-        decay = self.kappa_tilde ** (t / c.t0 - 1.0)
+        decay = _pow(self.kappa_tilde, t / c.t0 - 1.0)
         if self.kind == "nonlinear":
             return self.prefactor() * decay * m0v
         return self.prefactor(n, m0v) * decay
@@ -135,8 +152,8 @@ def tv_rate(theta: float, t0: float, alpha: float, lambda_star: float, t: float)
     ``exp(theta t0)`` covers the partial window in progress.
     """
     windows = math.floor(t / t0 + 1e-9)
-    base = math.exp(theta * t0) - alpha * math.exp(-lambda_star * t0)
-    return math.exp(theta * t0) * base**windows
+    base = _exp(theta * t0) - alpha * _exp(-lambda_star * t0)
+    return _exp(theta * t0) * _pow(base, windows)
 
 
 def particle_tv_rate(
@@ -157,7 +174,7 @@ def lyapunov_decay_bound(c: AssumptionConstants, t: float, m0v: float) -> float:
     The moment relaxes exponentially at rate ``rho (1 - eta)`` towards the
     equilibrium level ``M / (1 - eta)``.
     """
-    decay = math.exp(-c.rho * (1.0 - c.eta) * t)
+    decay = _exp(-c.rho * (1.0 - c.eta) * t)
     return decay * m0v + (1.0 - decay) * c.M / (1.0 - c.eta)
 
 
@@ -165,12 +182,12 @@ def nonlinear_certificate(c: AssumptionConstants) -> RateCertificate:
     """Contraction certificate for the coupling of two measure flows."""
     s = c.M / (1.0 - c.eta) + 1.0
     if c.alpha > 0.0:
-        beta = 2.0 * (1.0 - math.exp(-c.rho * c.t0)) * math.exp(c.lambda_star * c.t0) / c.alpha * s
+        beta = 2.0 * (1.0 - _exp(-c.rho * c.t0)) * _exp(c.lambda_star * c.t0) / c.alpha * s
     else:
         beta = math.inf
     kappa = max(
-        (1.0 + math.exp(-c.rho * c.t0)) / 2.0,
-        1.0 - (c.alpha / 2.0) * math.exp(-c.lambda_star * c.t0),
+        (1.0 + _exp(-c.rho * c.t0)) / 2.0,
+        1.0 - (c.alpha / 2.0) * _exp(-c.lambda_star * c.t0),
     )
     if c.theta == 0.0:
         c_star = 0.0
@@ -179,10 +196,10 @@ def nonlinear_certificate(c: AssumptionConstants) -> RateCertificate:
             c.theta
             * (2.0 * (1.0 + beta) * c.gamma_star * s)
             / ((c.rho + c.theta * c.gamma_star) * s)
-            * math.exp((c.rho_star + c.lambda_star * (c.gamma_star - 1.0)) * c.t0)
-            * (math.exp((c.rho + c.theta * c.gamma_star) * s * c.t0) - 1.0)
+            * _exp((c.rho_star + c.lambda_star * (c.gamma_star - 1.0)) * c.t0)
+            * (_exp((c.rho + c.theta * c.gamma_star) * s * c.t0) - 1.0)
         )
-    kappa_tilde = max(math.exp(-c.rho * (1.0 - c.eta) * c.t0), kappa + c_star)
+    kappa_tilde = max(_exp(-c.rho * (1.0 - c.eta) * c.t0), kappa + c_star)
     return RateCertificate(
         kind="nonlinear",
         variant="literal",
@@ -212,25 +229,25 @@ def particle_certificate(c: AssumptionConstants, corrected: bool = False) -> Rat
             4.0
             * (1.0 + c.eta)
             * c.M
-            * math.exp(c.lambda_star * c.t0)
+            * _exp(c.lambda_star * c.t0)
             / (c.alpha * (1.0 - c.eta) ** 2)
-            * (1.0 - math.exp(-half_rate))
+            * (1.0 - _exp(-half_rate))
         )
     else:
         beta = math.inf
     kappa = max(
-        (1.0 + math.exp(-half_rate)) / 2.0,
-        1.0 - (c.alpha / 2.0) * math.exp(-c.lambda_star * c.t0),
+        (1.0 + _exp(-half_rate)) / 2.0,
+        1.0 - (c.alpha / 2.0) * _exp(-c.lambda_star * c.t0),
     )
     if c.theta == 0.0:
         penalty = 0.0
     else:
         if corrected:
-            growth = math.exp((c.rho_star + c.lambda_star * (c.gamma_star - 1.0)) * c.t0)
+            growth = _exp((c.rho_star + c.lambda_star * (c.gamma_star - 1.0)) * c.t0)
         else:
-            growth = math.exp(c.rho_star + c.lambda_star * (c.gamma_star - 1.0) * c.t0)
+            growth = _exp(c.rho_star + c.lambda_star * (c.gamma_star - 1.0) * c.t0)
         penalty = (
-            (math.exp(c.theta * c.t0) - 1.0)
+            (_exp(c.theta * c.t0) - 1.0)
             * (c.gamma_star + 1.0)
             * growth
             * (1.0 + c.eta)

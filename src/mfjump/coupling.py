@@ -24,24 +24,23 @@ from .engine import (
     PROPOSAL,
     SAMPLE,
     WINDOW,
-    EmpiricalMeasure,
     MeasureFlow,
     ModelSpec,
     _base_machine,
+    _check_mass,
     _pick,
     check_ceiling,
     check_rate,
     clock,
 )
 from .metrics import dbar1
-from .particles import SystemSpec, _LiveConfig
+from .particles import SystemSpec, _LiveConfig, _pair_weights
 
 __all__ = [
     "CoupledEvent",
     "CoupledSystemEvent",
     "CoupledSystemTrajectory",
     "CoupledTrajectory",
-    "PairSampler",
     "UnsupportedCouplingError",
     "coupled_base",
     "estimate_doeblin_alpha",
@@ -84,13 +83,6 @@ def _load_atoms(atoms) -> tuple[dict, float]:
     return weights, clamped
 
 
-def _check_mass(total: float) -> None:
-    """Raise ``ValueError`` unless the atom weights ``total`` is 1 within
-    1e-6 (a NaN total fails)."""
-    if not abs(total - 1.0) <= 1e-6:
-        raise ValueError(f"atom weights sum to {total}, expected 1")
-
-
 def overlap_decompose(atoms1, atoms2):
     """Split two atom lists into overlap and residual parts.
 
@@ -114,16 +106,24 @@ def _decompose(atoms1, atoms2) -> tuple:
     return parts, c1 + c2 + parts.over
 
 
+def optimal_pair_sampler(measure1, measure2) -> _Overlap:
+    """The maximal coupling of two discrete measures (each exposing
+    ``.atoms``), ready for repeated :meth:`~_Overlap.draw` calls."""
+    return _decompose(measure1.atoms, measure2.atoms)[0]
+
+
 class _Overlap:
-    """Maximal-coupling parts of two measures given by weights per state,
+    """The maximal coupling of two measures given by weights per state,
     plus ``shared`` mass that both hold outside the two maps.
 
     ``p`` is the overlap mass (clamped to 1, by ``over``) and ``common`` the
     unnormalized ``min(w1, w2)`` atoms sorted by state.  The normalized
-    overlap and the residuals are built only when read.
+    overlap and the residuals are built once, when first read, so repeated
+    draws sort nothing again, and :meth:`draw` reads the residuals only when
+    it needs them.
     """
 
-    __slots__ = ("w1", "w2", "p", "common", "over")
+    __slots__ = ("w1", "w2", "p", "common", "over", "_nu0", "_residuals")
 
     def __init__(self, w1: dict, w2: dict, shared: float = 0.0):
         self.w1, self.w2 = w1, w2
@@ -131,11 +131,14 @@ class _Overlap:
         p_raw = shared + sum(w for _, w in self.common)
         self.over = max(p_raw - 1.0, 0.0)
         self.p = 1.0 if 1.0 - p_raw <= 1e-12 else p_raw
+        self._nu0 = self._residuals = None
 
     def overlap(self) -> tuple:
         """The normalized overlap atoms ``nu0``."""
-        p = self.p
-        return tuple((k, w / p) for k, w in self.common if w > 0.0) if p > 0.0 else ()
+        if self._nu0 is None:
+            p = self.p
+            self._nu0 = tuple((k, w / p) for k, w in self.common if w > 0.0) if p > 0.0 else ()
+        return self._nu0
 
     def pick(self, w: float) -> tuple:
         """The state at quantile ``w`` of the normalized overlap."""
@@ -143,9 +146,24 @@ class _Overlap:
 
     def residuals(self) -> tuple:
         """The normalized residuals ``(nu1, nu2)``, disjoint and sorted by state."""
-        if self.p >= 1.0:
-            return (), ()
-        return _residual(self.w1, self.w2), _residual(self.w2, self.w1)
+        if self._residuals is None:
+            self._residuals = (
+                ((), ()) if self.p >= 1.0
+                else (_residual(self.w1, self.w2), _residual(self.w2, self.w1))
+            )
+        return self._residuals
+
+    def draw(self, stream) -> tuple:
+        """The maximal-coupling draw: with ``v < p`` both sides take the
+        overlap's state at quantile ``w``, else each takes its residual's.
+        Returns ``(x, y, v)``; the sides merge exactly when ``v < p``."""
+        v = stream.random()
+        w = stream.random()
+        if v < self.p:
+            shared = self.pick(w)
+            return shared, shared, v
+        nu1, nu2 = self.residuals()
+        return _pick(nu1, w), _pick(nu2, w), v
 
 
 def _residual(side: dict, other: dict) -> tuple:
@@ -159,60 +177,6 @@ def _residual(side: dict, other: dict) -> tuple:
     if mass <= 0.0:
         return ()
     return tuple((k, w / mass) for k, w in raw)
-
-
-def _maximal_draw(parts, stream) -> tuple:
-    """Maximal-coupling draw from ``parts`` (an :class:`_Overlap` or a
-    :class:`PairSampler`): with ``v < p`` both sides take the overlap's state
-    at quantile ``w``, else each takes its residual's, read only then.
-    Returns ``(x, y, v)``."""
-    v = stream.random()
-    w = stream.random()
-    if v < parts.p:
-        shared = parts.pick(w)
-        return shared, shared, v
-    nu1, nu2 = parts.residuals()
-    return _pick(nu1, w), _pick(nu2, w), v
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class PairSampler:
-    """Maximal coupling of two discrete measures, ready for repeated draws.
-
-    With probability ``p`` both sides draw the same atom from the overlap
-    ``nu0``; otherwise each side draws from its residual (``nu1``/``nu2``),
-    sharing the inverse-CDF quantile.  :meth:`sample` is the draw
-    :func:`_maximal_draw` that the coupled simulators make.
-    """
-
-    p: float
-    nu0: EmpiricalMeasure
-    nu1: EmpiricalMeasure
-    nu2: EmpiricalMeasure
-
-    def pick(self, w: float) -> tuple:
-        """The state at quantile ``w`` of the overlap ``nu0``."""
-        return _pick(self.nu0.atoms, w)
-
-    def residuals(self) -> tuple:
-        """The residual atoms ``(nu1, nu2)``."""
-        return self.nu1.atoms, self.nu2.atoms
-
-    def sample(self, stream) -> tuple:
-        """One coupled draw; returns ``(x_state, y_state, merged)``."""
-        x, y, v = _maximal_draw(self, stream)
-        return x, y, v < self.p
-
-
-def optimal_pair_sampler(measure1, measure2) -> PairSampler:
-    """Build the maximal coupling of two discrete measures."""
-    p, nu0, nu1, nu2, _ = overlap_decompose(measure1.atoms, measure2.atoms)
-    return PairSampler(
-        p=p,
-        nu0=EmpiricalMeasure(atoms=nu0),
-        nu1=EmpiricalMeasure(atoms=nu1),
-        nu2=EmpiricalMeasure(atoms=nu2),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +557,7 @@ def simulate_merge_split(
         clamp_excess += excess
         if excess > 1e-7:
             n_clamped += 1
-        x, y, _ = _maximal_draw(parts, stream)
+        x, y, _ = parts.draw(stream)
         merged = x == y
         if was_merged and not merged:
             n_splits += 1
@@ -651,34 +615,59 @@ class CoupledSystemTrajectory:
         return self.samples[float(t)][2]
 
 
-def _mixed_atoms(spec, at: tuple, stay, coordinate=None) -> list:
-    """Atoms of one thinned proposal from ``stay`` (Lewis & Shedler, 1979):
-    the spec's kernel atoms at ``at`` (``(state, measure)`` for a model, ``(i,
-    config)`` for a system) scaled by ``rate / ceiling``, after the rate is
-    checked against the ceiling, plus the stay-put remainder."""
+def _thinning(spec, at: tuple, coordinate=None) -> tuple:
+    """``(rate, rate / ceiling)`` of one proposal at ``at`` (``(state,
+    measure)`` for a model, ``(i, config)`` for a system): the rate, checked
+    against the ceiling, and its thinning share, the chance that the
+    proposal is a jump."""
     rate, ceiling = spec.rate(*at), spec.rate_ceiling
     check_rate(rate, ceiling, spec.name, coordinate)
-    atoms = [(s, w * rate / ceiling) for s, w in spec.kernel_atoms(*at)]
-    atoms.append((stay, 1.0 - rate / ceiling))
+    return rate, rate / ceiling
+
+
+def _mixed_atoms(spec, at: tuple, stay, coordinate=None) -> list:
+    """Atoms of one thinned proposal from ``stay`` (Lewis & Shedler, 1979):
+    the spec's kernel atoms at ``at`` scaled by the thinning share
+    (:func:`_thinning`), plus the stay-put remainder."""
+    rate, share = _thinning(spec, at, coordinate)
+    # ``w * rate / ceiling`` rounds unlike ``w * share``; outputs are pinned to it.
+    atoms = [(s, w * rate / spec.rate_ceiling) for s, w in spec.kernel_atoms(*at)]
+    atoms.append((stay, 1.0 - share))
     return atoms
 
 
 class _MergedOverlap(_Overlap):
-    """The parts of a proposal at a merged coordinate; the overlap is drawn
-    by index.
+    """The parts of a proposal at a merged coordinate ``i`` whose two rates
+    agree, with thinning share ``share``, read from the mismatched donors
+    only; the overlap is drawn by index.
 
-    The overlap's mass is laid out in order: the stay atom, then a slot of
-    mass ``share`` for each matched donor (split by that donor's pair
-    atoms, whose mass :meth:`pick` checks), then the ``common`` atoms of the
-    mismatched donors.
+    Each matched donor in ``matching`` adds the same pair atoms to both
+    sides, and ``min(C + A, C + B) = C + min(A, B)`` state by state.  So the
+    overlap is the common part ``C`` (the stay-put mass and the matched
+    donors) plus the overlap of the mismatched donors' parts ``A`` and
+    ``B``, and the residuals are those of ``A`` and ``B``: ``O(1 + K)``
+    pair-atom calls for ``K`` mismatched coordinates, plus a sort of ``A``
+    and ``B`` when the residuals are drawn.  The overlap's mass is laid out
+    in order: the stay atom, then a slot of mass ``share / N`` for each
+    matched donor (split by that donor's pair atoms, whose mass
+    :meth:`pick` checks), then the ``common`` atoms of the mismatched
+    donors.
     """
 
     __slots__ = ("stay", "stay_mass", "share", "donors", "config", "pair_atoms")
 
-    def __init__(self, w1, w2, shared, stay, stay_mass, share, donors, config, pair_atoms):
+    def __init__(self, system: SystemSpec, i: int, x, y, matching, share: float):
+        self.stay, self.config, self.pair_atoms = x[i], x, system.pair_atoms
+        self.donors = matching.matched
+        self.share = share / len(x)
+        self.stay_mass = 1.0 - share
+        shared = self.stay_mass + len(self.donors) * self.share
+        w1, w2 = (
+            _pair_weights(self.pair_atoms, self.stay, (c[k] for k in matching.mismatched),
+                          self.share, shared)
+            for c in (x, y)
+        )
         super().__init__(w1, w2, shared)
-        self.stay, self.stay_mass, self.share = stay, stay_mass, share
-        self.donors, self.config, self.pair_atoms = donors, config, pair_atoms
 
     def pick(self, w: float) -> tuple:
         """The state at quantile ``w`` of the normalized overlap."""
@@ -694,79 +683,38 @@ class _MergedOverlap(_Overlap):
         return _pick(self.common, m - len(self.donors) * self.share)
 
 
-def _pair_weights(pair_atoms: Callable, own, donors, share: float, mass: float) -> dict:
-    """``share`` times the positive pair atoms of ``own`` with each donor
-    state in ``donors``, added up by state.  Raises ``ValueError`` unless
-    they and the ``mass`` held outside them sum to 1 within 1e-6."""
-    weights: dict = {}
-    get = weights.get
-    for donor in donors:
-        for state, w in pair_atoms(own, donor):
-            if w > 0.0:
-                weights[state] = get(state, 0.0) + w * share
-    _check_mass(mass + sum(weights.values()))
-    return weights
-
-
-def _merged_parts(system: SystemSpec, i: int, x, y, matching) -> Optional[_MergedOverlap]:
-    """The parts of a proposal at coordinate ``i`` read from the mismatched
-    donors only, or ``None`` where that does not apply.
-
-    It applies where ``i`` is merged, its two rates agree and the system
-    declares ``pair_atoms``.  Then each matched donor in ``matching`` adds
-    the same atoms to both sides, and ``min(C + A, C + B) = C + min(A, B)``
-    state by state.  So the overlap is the common part ``C`` (the stay-put
-    mass and the matched donors) plus the overlap of the mismatched donors'
-    parts ``A`` and ``B``, and the residuals are those of ``A`` and ``B``:
-    ``O(1 + K)`` pair-atom calls for ``K`` mismatched coordinates, plus a
-    sort of ``A`` and ``B`` when the residuals are drawn.
-    """
-    own = x[i]
-    if system.pair_atoms is None or own != y[i]:
-        return None
-    rate = system.rate(i, x)
-    if rate != system.rate(i, y):
-        return None
-    ceiling = system.rate_ceiling
-    check_rate(rate, ceiling, system.name, i)
-    share = rate / ceiling / len(x)
-    stay_mass = 1.0 - rate / ceiling
-    shared = stay_mass + len(matching.matched) * share
-    w1, w2 = (
-        _pair_weights(system.pair_atoms, own, (c[k] for k in matching.mismatched), share,
-                      shared)
-        for c in (x, y)
-    )
-    return _MergedOverlap(w1, w2, shared, own, stay_mass, share, matching.matched, x,
-                          system.pair_atoms)
-
-
-def _mixed_weights(system: SystemSpec, i: int, config) -> dict:
+def _pairwise_mixed_weights(system: SystemSpec, i: int, config, share: float) -> dict:
     """Weights by state of one side's mixed kernel at coordinate ``i``
-    (:func:`_mixed_atoms`).  For a system with ``pair_atoms`` they are built
-    in one pass over the ``N`` donors, each pair atom weighted ``w * rate /
-    ceiling / N``, plus the stay-put mass."""
-    if system.pair_atoms is None:
-        return _load_atoms(_mixed_atoms(system, (i, config), config[i], i))[0]
-    rate, ceiling = system.rate(i, config), system.rate_ceiling
-    check_rate(rate, ceiling, system.name, i)
-    own, stay = config[i], 1.0 - rate / ceiling
-    weights = _pair_weights(system.pair_atoms, own, config, rate / ceiling / len(config), stay)
+    (:func:`_mixed_atoms`) for a system with ``pair_atoms``, built in one
+    pass over the ``N`` donors: each pair atom weighted ``w * share / N``,
+    plus the stay-put mass."""
+    own, stay = config[i], 1.0 - share
+    weights = _pair_weights(system.pair_atoms, own, config, share / len(config), stay)
     weights[own] = weights.get(own, 0.0) + stay
     return weights
 
 
 def _proposal_parts(system: SystemSpec, i: int, x, y, matching) -> _Overlap:
     """The parts of a coupled proposal at coordinate ``i``: the maximal
-    coupling of the two sides' mixed kernels (:func:`_mixed_atoms`), from
-    :func:`_merged_parts` where they apply, else the :class:`_Overlap` of
-    the two sides' :func:`_mixed_weights`.  :func:`_maximal_draw` draws from
-    them and builds the residuals only when it reads them.
+    coupling of the two sides' mixed kernels (:func:`_mixed_atoms`).
+
+    For a system with ``pair_atoms`` each side's rate is read once: where
+    ``i`` is merged and the two rates agree the parts are a
+    :class:`_MergedOverlap`, else the :class:`_Overlap` of the two sides'
+    :func:`_pairwise_mixed_weights`.  Other systems decompose their kernel
+    atoms.  :meth:`_Overlap.draw` draws from the parts and builds the
+    residuals only when it reads them.
     """
-    parts = _merged_parts(system, i, x, y, matching)
-    if parts is None:
-        parts = _Overlap(_mixed_weights(system, i, x), _mixed_weights(system, i, y))
-    return parts
+    if system.pair_atoms is None:
+        return _Overlap(*(_load_atoms(_mixed_atoms(system, (i, c), c[i], i))[0] for c in (x, y)))
+    rate_x, share_x = _thinning(system, (i, x), i)
+    rate_y, share_y = _thinning(system, (i, y), i)
+    if x[i] == y[i] and rate_x == rate_y:
+        return _MergedOverlap(system, i, x, y, matching, share_x)
+    return _Overlap(
+        _pairwise_mixed_weights(system, i, x, share_x),
+        _pairwise_mixed_weights(system, i, y, share_y),
+    )
 
 
 def simulate_coupled_system(
@@ -805,12 +753,8 @@ def simulate_coupled_system(
     with running sums for ``mean``.  A pair that draws from its own stream
     draws the same whenever it is advanced, so the draws are those of
     advancing every pair at every event.  So an event costs ``O(log N)``
-    for the pairs whose base event is due, plus its proposal.  For a
-    system with ``pair_atoms`` that is ``O(1 + K)`` pair-atom calls with
-    ``K`` mismatched coordinates at a merged coordinate whose two rates
-    agree, else about ``N`` calls per side; the residuals, which need a
-    sort, are built only at a proposal that draws them.  Other systems
-    decompose ``kernel_atoms``.  A window boundary restarts all ``N``
+    for the pairs whose base event is due, plus its proposal
+    (:func:`_proposal_parts`).  A window boundary restarts all ``N``
     pairs, and a sample reads all ``N``.
     """
     if system.kernel_atoms is None:
@@ -851,7 +795,7 @@ def simulate_coupled_system(
         i = int(stream.integers(n))
         x, y = live.x.view(), live.y.view()
         equal_before = x[i] == y[i]
-        xi, yi, v = _maximal_draw(_proposal_parts(system, i, x, y, live.matching), stream)
+        xi, yi, v = _proposal_parts(system, i, x, y, live.matching).draw(stream)
         if equal_before and v >= 1.0 - theta * j / total_rate:
             j += 1.0
         live.start(i, xi, yi)

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .metrics import Binning, make_binning
+from .metrics import discrete_tv, make_binning
 
 __all__ = [
     "JUMP_ACCEPTED",
@@ -76,6 +76,13 @@ class RateCeilingError(RuntimeError):
     """A jump rate exceeded the ceiling it was promised to stay under."""
 
 
+def _check_mass(total: float) -> None:
+    """Raise ``ValueError`` unless the atom weights ``total`` is 1 within
+    1e-6 (a NaN total fails)."""
+    if not abs(total - 1.0) <= 1e-6:
+        raise ValueError(f"atom weights sum to {total}, expected 1")
+
+
 class EmpiricalMeasure:
     """A probability measure supported on finitely many states.
 
@@ -95,9 +102,7 @@ class EmpiricalMeasure:
     def __init__(self, atoms: Iterable[tuple[State, float]]):
         atoms = tuple((tuple(s), float(w)) for s, w in atoms)
         if atoms:
-            total = sum(w for _, w in atoms)
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"atom weights sum to {total}, expected 1")
+            _check_mass(sum(w for _, w in atoms))
             if any(w < -1e-12 for _, w in atoms):
                 raise ValueError("atom weights must be nonnegative")
         self._atoms = atoms
@@ -528,18 +533,6 @@ def simulate_nonlinear(
     )
 
 
-def _binned_tv(m1: EmpiricalMeasure, m2: EmpiricalMeasure, binning: Binning) -> float:
-    """Total variation between two measures after binning their atoms."""
-    cells: dict = {}
-    for s, w in m1.atoms:
-        k = binning.cell(s)
-        cells[k] = cells.get(k, 0.0) + w
-    for s, w in m2.atoms:
-        k = binning.cell(s)
-        cells[k] = cells.get(k, 0.0) - w
-    return float(sum(abs(v) for v in cells.values()))
-
-
 @dataclasses.dataclass(frozen=True)
 class PicardResult:
     """Outcome of the fixed-point iteration over measure flows."""
@@ -604,7 +597,7 @@ def picard_solve(
             EmpiricalMeasure.from_states(states) for states in per_grid
         )
         gap = max(
-            _binned_tv(a, b, binning) for a, b in zip(new_snapshots, snapshots)
+            discrete_tv(a.atoms, b.atoms, binning) for a, b in zip(new_snapshots, snapshots)
         )
         gap_history.append(gap)
         snapshots = new_snapshots

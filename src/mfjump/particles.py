@@ -36,6 +36,7 @@ from .engine import (
     Trajectory,
     _base_machine,
     _check_base_motion,
+    _check_mass,
     _jump_sampler,
     _pick,
     check_ceiling,
@@ -83,8 +84,8 @@ class SystemSpec:
             coordinate ``i`` is ``(1/n) * sum_j pair_atoms(x_i, x_j)`` over
             all ``n`` coordinates ``j`` (``i`` included), and each call's
             weights sum to one.  The derived ``kernel_atoms`` adds the
-            positive weights of those atoms by state, in the order the
-            donors and their atoms come.  A single run draws a uniform donor
+            positive weights of those atoms by state (:func:`_pair_weights`,
+            which checks their mass).  A single run draws a uniform donor
             ``j``, then one of its atoms.  Coupled runs read the form
             directly, and at a merged coordinate skip the donors that agree
             on both sides (:func:`~mfjump.coupling.simulate_coupled_system`).
@@ -121,17 +122,26 @@ class SystemSpec:
         object.__setattr__(self, "jump", jump)
 
 
+def _pair_weights(pair_atoms: Callable, own, donors, share: float, mass: float = 0.0) -> dict:
+    """``share`` times the positive pair atoms of ``own`` with each donor
+    state in ``donors``, added up by state in the order they come.  Raises
+    ``ValueError`` unless they and the ``mass`` held outside them sum to 1
+    within 1e-6."""
+    weights: dict = {}
+    get = weights.get
+    for donor in donors:
+        for state, w in pair_atoms(own, donor):
+            if w > 0.0:
+                weights[state] = get(state, 0.0) + w * share
+    _check_mass(mass + sum(weights.values()))
+    return weights
+
+
 def _pairwise_kernel_atoms(pair_atoms: Callable) -> Callable:
     """``kernel_atoms`` of a system declared in pairwise form."""
 
     def kernel_atoms(i, config):
-        n, own = len(config), config[i]
-        weights: dict = {}
-        for donor in config:
-            for state, w in pair_atoms(own, donor):
-                if w > 0.0:
-                    weights[state] = weights.get(state, 0.0) + w / n
-        return tuple(weights.items())
+        return tuple(_pair_weights(pair_atoms, config[i], config, 1.0 / len(config)).items())
 
     return kernel_atoms
 

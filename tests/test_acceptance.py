@@ -102,7 +102,7 @@ def test_acceptance_02_pair_sampler_matches_exact_expected_distance():
         exact = sum(abs(w1[s] - w2[s]) * v_table[s] for s in states)
         ps = optimal_pair_sampler(m1, m2)
         stream = make_rng(3_000 + trial)
-        draws = (ps.sample(stream) for _ in range(100_000))
+        draws = (ps.draw(stream) for _ in range(100_000))
         dv = np.array([v_table[x] + v_table[y] if x != y else 0.0 for x, y, _ in draws])
         err = abs(dv.mean() - exact)
         se = dv.std(ddof=1) / math.sqrt(len(dv)) if dv.std() > 0 else 1e-9

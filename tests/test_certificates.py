@@ -94,6 +94,13 @@ def test_tv_rate_without_merging_never_contracts():
     assert tv_rate(theta=0.0, t0=1.0, alpha=0.0, lambda_star=1.0, t=7.0) == 1.0
 
 
+def test_tv_rate_reads_inf_where_it_overflows():
+    # exp(theta * t0) overflows, and so does a base above 1 to many windows.
+    assert tv_rate(10.0, 100.0, 0.5, 1.0, 1000.0) == math.inf
+    assert tv_rate(0.5, 1.0, 0.0, 1.0, 2000.0) == math.inf
+    assert particle_tv_rate(4, 10.0, 100.0, 0.5, 1.0, 1000.0) == (math.inf, math.inf)
+
+
 def test_particle_tv_rate_scales_by_system_size():
     total, single = particle_tv_rate(3, theta=0.0, t0=1.0, alpha=0.5, lambda_star=1.0, t=3.0)
     assert single == pytest.approx(0.543458917124313, abs=1e-12)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -123,6 +124,35 @@ def test_certify_particle_reports_both_variants(tmp_path):
     grades = {ln.split(",")[6] for ln in lines[1:]}
     assert grades == {"empirical"}
     assert {ln.split(",")[4] for ln in lines[1:]} == {"false"}
+
+
+#: Valid constants whose certificate exponents overflow a float: run-tumble's
+#: drift constants with interaction, at the window where each family's
+#: exponent passes about 709.
+OVERFLOW_CONSTANTS = {
+    "lambda_star": 2.0, "theta": 0.01, "rho": 0.1, "rho_star": 4.57, "eta": 0.99,
+    "M": 211.6, "gamma_star": 2.0, "alpha": 0.85,
+}
+
+
+@pytest.mark.parametrize("family, t0", [("nonlinear", 1.0), ("particle", 300.0)])
+def test_certify_reports_an_overflowing_certificate_as_not_contracting(
+    tmp_path, family, t0
+):
+    constants = dict(OVERFLOW_CONSTANTS, t0=t0)
+    cfg = write_config(
+        tmp_path / "certify.json",
+        {"schema": 1, "kind": "certify", "run": {"family": family, "constants": constants}},
+    )
+    out = tmp_path / "out"
+    res = run_cli(["certify", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert "Traceback" not in res.output
+    assert sorted(p.name for p in out.iterdir()) == ["certify.csv"]
+    rows = list(csv.DictReader((out / "certify.csv").open()))
+    assert len(rows) == (1 if family == "nonlinear" else 2)
+    assert {row["contracts"] for row in rows} == {"false"}
+    assert float(rows[-1]["kappa_tilde"]) == math.inf
 
 
 def test_couple_csv_and_reproducibility(tmp_path):

@@ -16,8 +16,6 @@ from mfjump import coupling
 from mfjump.coupling import (
     UnsupportedCouplingError,
     _load_atoms,
-    _maximal_draw,
-    _merged_parts,
     _MergedOverlap,
     _mixed_atoms,
     _proposal_parts,
@@ -88,8 +86,8 @@ def test_pair_sampler_identical_measures_always_merge(rng):
     ps = optimal_pair_sampler(m, m)
     assert ps.p == pytest.approx(1.0)
     for _ in range(20):
-        x, y, merged = ps.sample(rng)
-        assert merged and x == y
+        x, y, v = ps.draw(rng)
+        assert v < ps.p and x == y
 
 
 def test_pair_sampler_disjoint_measures_never_merge(rng):
@@ -98,8 +96,8 @@ def test_pair_sampler_disjoint_measures_never_merge(rng):
         EmpiricalMeasure.from_states([(1.0,)]),
     )
     assert ps.p == 0.0
-    x, y, merged = ps.sample(rng)
-    assert not merged and x == (0.0,) and y == (1.0,)
+    x, y, v = ps.draw(rng)
+    assert v >= ps.p and x == (0.0,) and y == (1.0,)
 
 
 def test_pair_sampler_overlap_example():
@@ -118,7 +116,7 @@ def test_pair_sampler_expected_distance_matches_exact_value():
     n = 100_000
     total = 0.0
     for _ in range(n):
-        x, y, _ = ps.sample(stream)
+        x, y, _ = ps.draw(stream)
         total += d_v(x, y, v)
     mc = total / n
     exact = 0.5  # |m1 - m2| applied to V = 1 on {0}, {1}: 0.25 + 0.25
@@ -130,8 +128,9 @@ def test_pair_sampler_residuals_are_disjoint():
     m1 = two_point(0.0, 0.5, 1.0, 0.5)
     m2 = two_point(0.0, 0.25, 1.0, 0.75)
     ps = optimal_pair_sampler(m1, m2)
-    support1 = {s for s, w in ps.nu1.atoms if w > 0}
-    support2 = {s for s, w in ps.nu2.atoms if w > 0}
+    nu1, nu2 = ps.residuals()
+    support1 = {s for s, w in nu1 if w > 0}
+    support2 = {s for s, w in nu2 if w > 0}
     assert support1.isdisjoint(support2)
 
 
@@ -146,11 +145,11 @@ def test_pair_sampler_reconstructs_marginals(w1, w2):
     m1 = EmpiricalMeasure(atoms=tuple(((float(i),), float(w)) for i, w in enumerate(a1)))
     m2 = EmpiricalMeasure(atoms=tuple(((float(i),), float(w)) for i, w in enumerate(a2)))
     ps = optimal_pair_sampler(m1, m2)
-    for m, nu_res in ((m1, ps.nu1), (m2, ps.nu2)):
+    for m, nu_res in zip((m1, m2), ps.residuals()):
         rebuilt = {}
-        for s, w in ps.nu0.atoms:
+        for s, w in ps.overlap():
             rebuilt[s] = rebuilt.get(s, 0.0) + ps.p * w
-        for s, w in nu_res.atoms:
+        for s, w in nu_res:
             rebuilt[s] = rebuilt.get(s, 0.0) + (1.0 - ps.p) * w
         for s, w in m.atoms:
             assert rebuilt.get(s, 0.0) == pytest.approx(w, abs=1e-9)
@@ -163,7 +162,7 @@ def test_pair_sampler_marginal_frequencies(rng):
     n = 40_000
     x_zero = y_zero = 0
     for _ in range(n):
-        x, y, _ = ps.sample(rng)
+        x, y, _ = ps.draw(rng)
         x_zero += x == (0.0,)
         y_zero += y == (0.0,)
     assert abs(x_zero / n - 0.5) < 3.0 * math.sqrt(0.25 / n)
@@ -758,17 +757,20 @@ def test_merged_parts_match_the_full_decomposition(
 
 
 def test_merged_parts_apply_only_to_merged_coordinates_with_equal_rates():
+    def merged(system, i, x, y):
+        parts = _proposal_parts(system, i, x, y, _matching_of(x, y))
+        return isinstance(parts, _MergedOverlap)
+
     system = selection_bundle(3).system
     x = ((0.1,), (0.5,), (0.9,))
     y = ((0.1,), (0.4,), (0.9,))
-    matching = _matching_of(x, y)
-    assert _merged_parts(system, 0, x, y, matching) is not None
-    assert _merged_parts(system, 1, x, y, matching) is None  # not merged
+    assert merged(system, 0, x, y)
+    assert not merged(system, 1, x, y)  # not merged
     by_side = dataclasses.replace(system, rate=lambda i, config: 0.5 + config[1][0])
-    assert _merged_parts(by_side, 0, x, y, matching) is None  # rates differ
+    assert not merged(by_side, 0, x, y)  # rates differ
     flips = flip_system(3)
     x = y = ((0,), (1,), (0,))
-    assert _merged_parts(flips, 0, x, y, _matching_of(x, y)) is None  # no pair form
+    assert not merged(flips, 0, x, y)  # no pair form
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +815,8 @@ def eager_simulate_coupled_system(system, x0, y0, horizon, t0, theta, stream,
             continue
         i = int(stream.integers(n))
         equal_before = xs[i] == ys[i]
-        xs[i], ys[i], v = _maximal_draw(
-            _proposal_parts(system, i, tuple(xs), tuple(ys), matching), stream
-        )
+        parts = _proposal_parts(system, i, tuple(xs), tuple(ys), matching)
+        xs[i], ys[i], v = parts.draw(stream)
         if equal_before and v >= 1.0 - theta * j / total_rate:
             j += 1.0
         machines[i] = build(i)
@@ -948,7 +949,10 @@ def _couple_sel_layout(seed, n=256):
 
 
 class _EagerParts:
-    """Parts with both residuals built before the draw."""
+    """Parts with both residuals built before the draw, drawn by the one
+    maximal-coupling draw."""
+
+    draw = coupling._Overlap.draw
 
     def __init__(self, p, pick, nu1, nu2):
         self.p, self.pick, self._residuals = p, pick, (nu1, nu2)
@@ -962,8 +966,8 @@ def _eager_parts(system, i, x, y, matching):
     residuals on demand: the sparse parts at a merged coordinate whose rates
     agree, else ``overlap_decompose`` of the full mixed atoms, and both
     residuals at every proposal."""
-    parts = _merged_parts(system, i, x, y, matching)
-    if parts is not None:
+    parts = _proposal_parts(system, i, x, y, matching)
+    if isinstance(parts, _MergedOverlap):
         return _EagerParts(parts.p, parts.pick, *parts.residuals())
     p, nu0, nu1, nu2, _ = overlap_decompose(
         _mixed_atoms(system, (i, x), x[i], i), _mixed_atoms(system, (i, y), y[i], i)
@@ -1004,8 +1008,10 @@ def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
 
         return wrapper
 
+    maximal_draw = coupling._Overlap.draw
+
     def draw(parts, stream):
-        x, y, v = _maximal_draw(parts, stream)
+        x, y, v = maximal_draw(parts, stream)
         calls["proposals"] += 1
         calls["residuals drawn"] += v >= parts.p
         calls["p < 1"] += parts.p < 1.0
@@ -1018,7 +1024,7 @@ def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
         coupling, "overlap_decompose", counted("overlap_decompose", overlap_decompose)
     )
     monkeypatch.setattr(coupling, "_residual", counted("_residual", coupling._residual))
-    monkeypatch.setattr(coupling, "_maximal_draw", draw)
+    monkeypatch.setattr(coupling._Overlap, "draw", draw)
     simulate_coupled_system(
         system, x0, y0, 1.0, 1.0, system.rate_ceiling, make_rng(31),
         sample_times=(1.0,), record_events=False,
@@ -1051,6 +1057,22 @@ def test_pair_atoms_mass_is_checked_on_every_path(start):
         for i in range(4):  # merged at 0 and 2, mismatched at 1 and 3
             with pytest.raises(ValueError, match=short):
                 _proposal_parts(system, i, x0, y0, _matching_of(x0, y0))
+
+
+@pytest.mark.parametrize("start", ["equal", "mismatched"])
+def test_pairwise_rate_above_the_ceiling_fails_naming_the_coordinate(start):
+    # From equal starts every proposal takes the merged path; from starts
+    # that differ at every coordinate, the one pairwise pass per side.
+    system = dataclasses.replace(selection_bundle(4).system, rate=lambda i, config: 1.5)
+    x0 = ((0.1,), (0.2,), (0.3,), (0.4,))
+    y0 = x0 if start == "equal" else ((0.6,), (0.7,), (0.8,), (0.9,))
+    over = r"selection: coordinate {}: rate 1.5 exceeds ceiling 1.0"
+    for seed in range(3):
+        with pytest.raises(RateCeilingError, match=over.format(r"\d")):
+            simulate_coupled_system(system, x0, y0, 2.0, 1.0, 1.0, make_rng(seed))
+    for i in range(4):
+        with pytest.raises(RateCeilingError, match=over.format(i)):
+            _proposal_parts(system, i, x0, y0, _matching_of(x0, y0))
 
 
 class _StreamOps(CountingStream):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mfjump.coupling import overlap_decompose
 from mfjump.engine import (
     JUMP_ACCEPTED,
     JUMP_REJECTED,
@@ -73,6 +74,14 @@ def test_empirical_measure_weights_must_sum_to_one():
         EmpiricalMeasure(atoms=(((0.0,), 0.5), ((1.0,), 0.6)))
     with pytest.raises(ValueError):
         EmpiricalMeasure(atoms=(((0.0,), -0.5), ((1.0,), 1.5)))
+
+
+def test_empirical_measure_rejects_a_nan_weight_as_overlap_decompose_does():
+    atoms = [((0.0,), math.nan), ((1.0,), 1.0)]
+    with pytest.raises(ValueError, match="atom weights sum to nan, expected 1"):
+        EmpiricalMeasure(atoms=atoms)
+    with pytest.raises(ValueError, match="atom weights sum to nan, expected 1"):
+        overlap_decompose(atoms, [((0.0,), 1.0)])
 
 
 def test_empirical_measure_merges_duplicate_states():
