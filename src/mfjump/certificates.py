@@ -41,6 +41,12 @@ def _capped(fn):
 _exp, _pow = _capped(math.exp), _capped(pow)
 
 
+def _unbounded(x: float) -> float:
+    """``x``, or ``inf`` where it is NaN: a product of an overflowed factor
+    and one that rounded to 0 reads as the overflow, as in :func:`_capped`."""
+    return math.inf if math.isnan(x) else x
+
+
 @dataclasses.dataclass(frozen=True)
 class AssumptionConstants:
     """Model constants entering the contraction certificates.
@@ -136,7 +142,10 @@ class RateCertificate:
         return 2.0 * n * (self.beta + 1.5 + (1.0 + m0v) * c.M / (1.0 - c.eta))
 
     def vnorm_bound(self, t: float, m0v: float, n: int | None = None) -> float:
-        """Weighted-norm bound at time ``t`` from initial moment ``m0v``."""
+        """Weighted-norm bound at time ``t`` from initial moment ``m0v``;
+        ``inf`` when ``kappa_tilde`` is, since such a bound does not contract."""
+        if self.kappa_tilde == math.inf:
+            return math.inf
         c = self.constants
         decay = _pow(self.kappa_tilde, t / c.t0 - 1.0)
         if self.kind == "nonlinear":
@@ -182,7 +191,9 @@ def nonlinear_certificate(c: AssumptionConstants) -> RateCertificate:
     """Contraction certificate for the coupling of two measure flows."""
     s = c.M / (1.0 - c.eta) + 1.0
     if c.alpha > 0.0:
-        beta = 2.0 * (1.0 - _exp(-c.rho * c.t0)) * _exp(c.lambda_star * c.t0) / c.alpha * s
+        beta = _unbounded(
+            2.0 * (1.0 - _exp(-c.rho * c.t0)) * _exp(c.lambda_star * c.t0) / c.alpha * s
+        )
     else:
         beta = math.inf
     kappa = max(
@@ -192,7 +203,7 @@ def nonlinear_certificate(c: AssumptionConstants) -> RateCertificate:
     if c.theta == 0.0:
         c_star = 0.0
     else:
-        c_star = (
+        c_star = _unbounded(
             c.theta
             * (2.0 * (1.0 + beta) * c.gamma_star * s)
             / ((c.rho + c.theta * c.gamma_star) * s)
@@ -225,7 +236,7 @@ def particle_certificate(c: AssumptionConstants, corrected: bool = False) -> Rat
         raise ValueError("the particle certificate requires eta >= 1/2")
     half_rate = 0.5 * c.rho * (1.0 - c.eta) * c.t0
     if c.alpha > 0.0:
-        beta = (
+        beta = _unbounded(
             4.0
             * (1.0 + c.eta)
             * c.M
@@ -246,7 +257,7 @@ def particle_certificate(c: AssumptionConstants, corrected: bool = False) -> Rat
             growth = _exp((c.rho_star + c.lambda_star * (c.gamma_star - 1.0)) * c.t0)
         else:
             growth = _exp(c.rho_star + c.lambda_star * (c.gamma_star - 1.0) * c.t0)
-        penalty = (
+        penalty = _unbounded(
             (_exp(c.theta * c.t0) - 1.0)
             * (c.gamma_star + 1.0)
             * growth

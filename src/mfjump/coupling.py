@@ -29,7 +29,6 @@ from .engine import (
     _base_machine,
     _check_mass,
     _pick,
-    check_ceiling,
     check_rate,
     clock,
 )
@@ -496,25 +495,20 @@ def simulate_merge_split(
     jump kernels (:func:`_mixed_atoms`) the sides draw a common state (merging
     them), otherwise they draw from the disjoint residuals (splitting them).
     Between proposals the pair follows the model's base machine, restarted at
-    every proposal and at every window boundary ``k * t0``.  With
-    ``record_events=False`` only sample events are kept, while splits and
-    clamped mass are still counted.
+    every proposal and at every window boundary ``k * t0``.  The pair at
+    each sample time is recorded in ``sample_pairs``.  With
+    ``record_events=False`` no event is kept, while splits and clamped mass
+    are still counted.
     """
     if model.kernel_atoms is None:
         raise UnsupportedCouplingError(
             f"model {model.name!r} provides no kernel atoms"
         )
-    lam_star = model.rate_ceiling
-    check_ceiling(lam_star, model.name)
-    if t0 <= 0.0:
-        raise ValueError("window length t0 must be positive")
-
-    x = tuple(x0)
-    y = tuple(y0)
+    ticks = clock(horizon, model.rate_ceiling, stream, sample_times, window=t0, name=model.name)
+    x, y = tuple(x0), tuple(y0)
     events: list[CoupledEvent] = []
     sample_pairs: dict[float, tuple] = {}
-    n_splits = 0
-    n_clamped = 0
+    n_splits = n_clamped = 0
     clamp_excess = 0.0
     t = 0.0
     machine = _base_machine(model, x, y, stream)
@@ -524,26 +518,18 @@ def simulate_merge_split(
         dt = upto - t
         if dt > 0.0:
             points = machine.advance(dt)
-            for offset, sx, sy, is_merge in points:
-                if is_merge and record_events:
-                    events.append(
-                        CoupledEvent(
-                            time=t + offset,
-                            kind=MERGE,
-                            x=tuple(sx),
-                            y=tuple(sy),
-                            merged=True,
-                        )
-                    )
+            if record_events:
+                events.extend(
+                    CoupledEvent(t + offset, MERGE, tuple(sx), tuple(sy), merged=True)
+                    for offset, sx, sy, is_merge in points if is_merge
+                )
             _, sx, sy, _ = points[-1]
             x, y = tuple(sx), tuple(sy)
         t = upto
 
-    for t_event, kind in clock(horizon, lam_star, stream, sample_times, window=t0):
+    for t_event, kind in ticks:
         run_machine(t_event)
         if kind == SAMPLE:
-            merged = x == y
-            events.append(CoupledEvent(time=t, kind=SAMPLE, x=x, y=y, merged=merged))
             sample_pairs[t] = (x, y)
             continue
         if kind == WINDOW:
@@ -743,9 +729,10 @@ def simulate_coupled_system(
     (:func:`~mfjump.engine._base_machine`), drawing from its own stream
     spawned from ``stream``, restarted at window boundaries ``k * t0``.  A
     system with a ``base_machine`` in place of a coupler moves a merged pair
-    by one single machine and an unmerged one by two on twin streams.
-    With ``record_events=False`` only sample events are kept, while ``j`` is
-    still counted.
+    by one single machine and an unmerged one by two on twin streams.  The
+    configurations and ``j`` at each sample time are recorded in
+    ``samples``.  With ``record_events=False`` no event is kept, while ``j``
+    is still counted.
 
     The run is event-driven, as in :func:`~mfjump.particles.simulate_system`:
     a heap of the pairs' next base events tells each event which machines
@@ -762,31 +749,23 @@ def simulate_coupled_system(
             f"system {system.name!r} provides no kernel atoms"
         )
     n = system.n_particles
-    lam_star = system.rate_ceiling
-    check_ceiling(lam_star, system.name)
-    if t0 <= 0.0:
-        raise ValueError("window length t0 must be positive")
     if theta < 0.0:
         raise ValueError(f"counter threshold theta must be nonnegative, got {theta}")
     if len(x0) != n or len(y0) != n:
         raise ValueError(f"expected {n} coordinates in each configuration")
+    total_rate = n * system.rate_ceiling
+    ticks = clock(horizon, total_rate, stream, sample_times, window=t0, name=system.name)
 
     initial_x = tuple(tuple(c) for c in x0)
     initial_y = tuple(tuple(c) for c in y0)
-    j = dbar1(initial_x, initial_y) / 2.0
-    j_initial = j
+    j = j_initial = dbar1(initial_x, initial_y) / 2.0
     live = _LiveConfig(system, initial_x, stream.spawn(n), initial_y)
     events: list[CoupledSystemEvent] = []
     samples: dict[float, tuple] = {}
-    total_rate = n * lam_star
-    for t, kind in clock(horizon, total_rate, stream, sample_times, window=t0):
+    for t, kind in ticks:
         live.flow(t)
         if kind == SAMPLE:
-            snap = (live.x.snapshot(), live.y.snapshot(), j)
-            events.append(
-                CoupledSystemEvent(time=t, kind=SAMPLE, x=snap[0], y=snap[1], j=j)
-            )
-            samples[t] = snap
+            samples[t] = (live.x.snapshot(), live.y.snapshot(), j)
             continue
         if kind == WINDOW:
             for k in range(n):
@@ -800,12 +779,8 @@ def simulate_coupled_system(
             j += 1.0
         live.start(i, xi, yi)
         if record_events:
-            events.append(
-                CoupledSystemEvent(
-                    time=t, kind=PROPOSAL, x=tuple(live.x.view()),
-                    y=tuple(live.y.view()), j=j,
-                )
-            )
+            x, y = tuple(live.x.view()), tuple(live.y.view())
+            events.append(CoupledSystemEvent(time=t, kind=PROPOSAL, x=x, y=y, j=j))
     live.flow(horizon)
     return CoupledSystemTrajectory(
         initial_x=initial_x,

@@ -43,11 +43,11 @@ __all__ = [
     "PicardResult",
     "RateCeilingError",
     "Trajectory",
-    "check_ceiling",
     "check_rate",
     "clock",
     "picard_solve",
     "simulate_nonlinear",
+    "thin",
 ]
 
 State = tuple
@@ -55,9 +55,9 @@ State = tuple
 #: Event kinds recorded on trajectories.
 JUMP_ACCEPTED = "jump-accepted"
 JUMP_REJECTED = "jump-rejected"
-SAMPLE = "sample"
 
-#: Kinds of the events :func:`clock` yields, besides ``SAMPLE``.
+#: Kinds of the events :func:`clock` yields.
+SAMPLE = "sample"
 WINDOW = "window"
 PROPOSAL = "proposal"
 
@@ -290,8 +290,8 @@ class Event:
 
     ``ceiling`` is the ceiling a :func:`simulate_nonlinear` proposal was
     thinned under: the flight's ``local_bound`` value when the model has one,
-    else its ``rate_ceiling``.  It is ``None`` on samples and on the events of
-    particle systems.
+    else its ``rate_ceiling``.  It is ``None`` on the events of particle
+    systems.
     """
 
     time: float
@@ -302,7 +302,7 @@ class Event:
 
 @dataclasses.dataclass
 class Trajectory:
-    """A simulated path: initial state, events, and terminal state."""
+    """A simulated path: initial state, events, samples and terminal state."""
 
     initial: State
     final_state: State
@@ -389,13 +389,6 @@ def _base_machine(spec, x, y, stream):
     )
 
 
-def check_ceiling(ceiling: float, name: str) -> None:
-    """Raise ``ValueError`` unless the thinning ``ceiling`` is finite and
-    nonnegative (a NaN one fails too)."""
-    if not 0.0 <= ceiling < math.inf:
-        raise ValueError(f"{name}: rate ceiling {ceiling} is not finite and nonnegative")
-
-
 def check_rate(
     rate: float, ceiling: float, name: str, coordinate: Optional[int] = None
 ) -> None:
@@ -411,6 +404,19 @@ def check_rate(
         raise RateCeilingError(f"{where}: rate {rate} exceeds ceiling {ceiling}")
 
 
+def thin(
+    rate: float, ceiling: float, stream, name: str, coordinate: Optional[int] = None
+) -> bool:
+    """Whether a proposal at ``rate`` thinned under ``ceiling`` is a jump.
+
+    The rate is checked against the ceiling (:func:`check_rate`), then
+    accepted with probability ``rate / ceiling`` by one uniform from
+    ``stream`` (Lewis & Shedler 1979).
+    """
+    check_rate(rate, ceiling, name, coordinate)
+    return stream.random() * ceiling < rate
+
+
 def clock(
     horizon: float,
     rate: float,
@@ -418,6 +424,7 @@ def clock(
     sample_times: Iterable[float] = (),
     window: float = math.inf,
     start: float = 0.0,
+    name: str = "clock",
 ):
     """The events of a thinning run under one ceiling on ``[start, horizon]``.
 
@@ -428,10 +435,27 @@ def clock(
     come first, then windows.  The gap after a proposal is drawn from
     ``stream`` only when the caller asks for the next event, so the draws the
     caller makes at a proposal come before it.  With ``rate == 0`` nothing is
-    drawn.  The global-clock simulators run one clock over ``[0, horizon]``;
-    :func:`simulate_nonlinear` under local ceilings runs one per flight.
+    drawn.  :func:`simulate_nonlinear` under local ceilings runs one clock
+    per flight, every other simulator one over ``[0, horizon]``.
+
+    It refuses, by a ``ValueError`` naming the run ``name``, a ``rate`` that
+    is not finite and nonnegative, a ``window`` that is not positive and a
+    sample time that is NaN or before ``start``.
     """
-    samples = iter(sorted(set(float(ts) for ts in sample_times)) + [math.inf])
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"{name}: proposal rate {rate} is not finite and nonnegative")
+    if not window > 0.0:
+        raise ValueError(f"{name}: window {window} is not positive")
+    times = [float(ts) for ts in sample_times]
+    for ts in times:
+        if not ts >= start:
+            raise ValueError(f"{name}: sample time {ts} is NaN or before the start {start}")
+    return _ticks(horizon, rate, stream, sorted(set(times)), window, start)
+
+
+def _ticks(horizon, rate, stream, sample_times, window, start):
+    """The events of :func:`clock`, from sorted distinct ``sample_times``."""
+    samples = iter(sample_times + [math.inf])
     t_sample = next(samples)
     k = 1
     next_window = window
@@ -474,8 +498,9 @@ def simulate_nonlinear(
     The state moves by the model's base machine (:func:`_base_machine` on the
     diagonal), drawing from ``stream``; an accepted jump restarts it at the
     post-jump state.  Every proposal is recorded as an event (accepted or
-    rejected) when ``record_events``, and the state at each requested sample time up to
-    ``horizon`` is recorded as a sample event.
+    rejected) when ``record_events``; with ``record_events=False`` no event
+    is kept.  The state at each sample time up to ``horizon`` is recorded in
+    ``sample_states``.
     """
     local_bound = model.local_bound
     pending = sample_times
@@ -491,18 +516,14 @@ def simulate_nonlinear(
         else:
             end = min(t + _MAX_FLIGHT, horizon)
             ceiling = float(local_bound(state, end - t, flow.span(t, end)))
-        check_ceiling(ceiling, model.name)
-        for t_event, kind in clock(end, ceiling, stream, pending, start=t):
+        for t_event, kind in clock(end, ceiling, stream, pending, start=t, name=model.name):
             state = machine.advance(t_event - t)[-1][1]
             t = t_event
             if kind == SAMPLE:
-                events.append(Event(time=t, kind=SAMPLE, state=state))
                 sample_states[t] = state
                 continue
             measure = flow.at(t)
-            rate = model.rate(state, measure)
-            check_rate(rate, ceiling, model.name)
-            accepted = stream.random() * ceiling < rate
+            accepted = thin(model.rate(state, measure), ceiling, stream, model.name)
             if accepted:
                 state = tuple(model.jump(state, measure, stream))
                 machine = _base_machine(model, state, state, stream)

@@ -35,7 +35,6 @@ class MhParams:
         n_sites: Number of sites.
         osc_u: Oscillation (max minus min) of ``u``.
         osc_w: Oscillation of ``w``; must be 0 when ``w`` is ``None``.
-        dim: Site dimension; only 1 is supported.
     """
 
     u: Callable
@@ -45,7 +44,6 @@ class MhParams:
     n_sites: int
     osc_u: float
     osc_w: float
-    dim: int = 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,8 +68,6 @@ class MhBundle:
 
 def mh_granular(params: MhParams) -> MhBundle:
     """Build the Metropolis chain systems for the given parameters."""
-    if params.dim != 1:
-        raise ValueError(f"only one-dimensional sites are supported, got dim={params.dim}")
     beta = float(params.beta)
     lam_bar = float(params.lam_bar)
     n = int(params.n_sites)

@@ -16,7 +16,7 @@ import dataclasses
 import math
 from typing import Callable, Optional
 
-from ..engine import check_rate
+from ..engine import thin
 from ..metrics import LyapunovFn
 from ..particles import SystemSpec
 from ._profiles import smooth_abs, smooth_indicator
@@ -66,8 +66,7 @@ class _FlipMachine:
             self._t = self._next
             if self._candidate:
                 rate = self._base_rate(self._z, self._v)
-                check_rate(rate, self._ceiling, "zigzag base flip")
-                if self._stream.random() * self._ceiling < rate:
+                if thin(rate, self._ceiling, self._stream, "zigzag base flip"):
                     self._v = -self._v
             self._start_chunk()
         self._z += self._v * (end - self._t)

@@ -39,9 +39,8 @@ from .engine import (
     _check_mass,
     _jump_sampler,
     _pick,
-    check_ceiling,
-    check_rate,
     clock,
+    thin,
 )
 
 __all__ = [
@@ -406,19 +405,21 @@ def simulate_system(
     whose next base event has come are advanced, in coordinate order.  A
     machine with no event in a step draws nothing, so the draws are those of
     advancing every machine at every step.  ``rate`` and the jump sampler
-    receive a read-only configuration, valid only during the call, whose drifting coordinates are computed when read, and
-    :func:`empirical` of it reads running sums for ``mean``.  So a proposal
-    of a mean-field system costs ``O(log N)`` plus what its rate reads.
+    receive a read-only configuration, valid only during the call, whose
+    drifting coordinates are computed when read, and :func:`empirical` of it
+    reads running sums for ``mean``.  So a proposal of a mean-field system
+    costs ``O(log N)`` plus what its rate reads.
 
-    Events carry full configurations (tuples of coordinate states).  With
-    ``record_events=False`` only sample events are kept, while accepted and
+    Events carry full configurations (tuples of coordinate states), and the
+    configuration at each sample time is recorded in ``sample_states``.
+    With ``record_events=False`` no event is kept, while accepted and
     rejected proposals are still counted.
     """
     n = system.n_particles
     ceiling = system.rate_ceiling
-    check_ceiling(ceiling, system.name)
     if len(initial) != n:
         raise ValueError(f"expected {n} coordinates, got {len(initial)}")
+    ticks = clock(horizon, n * ceiling, stream, sample_times, name=system.name)
     events: list[Event] = []
     sample_states: dict[float, tuple] = {}
     initial_config = tuple(tuple(c) for c in initial)
@@ -426,19 +427,15 @@ def simulate_system(
     side = live.x
     n_accepted = n_rejected = 0
 
-    for t, kind in clock(horizon, n * ceiling, stream, sample_times):
+    for t, kind in ticks:
         if kind == SAMPLE:
             live.flow(t)
-            snapshot = side.snapshot()
-            events.append(Event(time=t, kind=SAMPLE, state=snapshot))
-            sample_states[t] = snapshot
+            sample_states[t] = side.snapshot()
             continue
         i = int(stream.integers(n))
         live.flow(t)
         config = side.view()
-        rate_i = system.rate(i, config)
-        check_rate(rate_i, ceiling, system.name, i)
-        if stream.random() * ceiling < rate_i:
+        if thin(system.rate(i, config), ceiling, stream, system.name, i):
             live.start(i, tuple(system.jump(i, config, stream)))
             n_accepted += 1
             if record_events:

@@ -182,6 +182,20 @@ def test_nonlinear_vnorm_bound_formula():
     assert cert.vnorm_bound(t, m0v) == pytest.approx(expected)
 
 
+def test_vnorm_bound_of_a_certificate_that_does_not_contract_reads_inf():
+    # The ROADMAP snapshot's run-tumble constants: the exponent overflows,
+    # so kappa_tilde is inf, and before the first window the decay factor
+    # inf ** (t / t0 - 1) would read 0.
+    c = AssumptionConstants(
+        lambda_star=2.0, theta=0.01, rho=0.1, rho_star=4.57, eta=0.99, M=211.6,
+        gamma_star=2.0, alpha=0.85, t0=1.0,
+    )
+    cert = nonlinear_certificate(c)
+    assert cert.kappa_tilde == math.inf
+    for t in (0.5, 1.0, 2.0):
+        assert cert.vnorm_bound(t, 1.0) == math.inf
+
+
 def test_lyapunov_decay_bound_formula():
     t, m0v = 2.0, 5.0
     decay = math.exp(-NL.rho * (1.0 - NL.eta) * t)

@@ -21,6 +21,7 @@ from mfjump.cli import main
 
 COUPLE_HEADER = "t,p_unequal,tv_bound,tv_se,vnorm_bound,vnorm_se,n_replicas"
 CERTIFY_HEADER = "beta,c_star,kappa,kappa_tilde,contracts,variant,estimate_grade"
+FLOAT_COLUMNS = ("beta", "c_star", "kappa", "kappa_tilde")
 
 
 def write_config(path, payload):
@@ -134,12 +135,26 @@ OVERFLOW_CONSTANTS = {
     "M": 211.6, "gamma_star": 2.0, "alpha": 0.85,
 }
 
+#: Valid constants where ``1 - exp(-rho t0)`` rounds to 0 while
+#: ``exp(lambda_star t0)`` overflows, so ``beta`` is a product ``0 * inf``.
+NAN_PRODUCT_CONSTANTS = {
+    "lambda_star": 800.0, "theta": 0.01, "rho": 1e-20, "rho_star": 1.0, "eta": 0.5,
+    "M": 2.0, "gamma_star": 2.0, "alpha": 0.5, "t0": 1.0,
+}
 
-@pytest.mark.parametrize("family, t0", [("nonlinear", 1.0), ("particle", 300.0)])
+
+@pytest.mark.parametrize(
+    "family, constants",
+    [
+        pytest.param("nonlinear", dict(OVERFLOW_CONSTANTS, t0=1.0), id="nonlinear-1.0"),
+        pytest.param("particle", dict(OVERFLOW_CONSTANTS, t0=300.0), id="particle-300.0"),
+        pytest.param("nonlinear", NAN_PRODUCT_CONSTANTS, id="nonlinear-nan-product"),
+        pytest.param("particle", NAN_PRODUCT_CONSTANTS, id="particle-nan-product"),
+    ],
+)
 def test_certify_reports_an_overflowing_certificate_as_not_contracting(
-    tmp_path, family, t0
+    tmp_path, family, constants
 ):
-    constants = dict(OVERFLOW_CONSTANTS, t0=t0)
     cfg = write_config(
         tmp_path / "certify.json",
         {"schema": 1, "kind": "certify", "run": {"family": family, "constants": constants}},
@@ -153,6 +168,7 @@ def test_certify_reports_an_overflowing_certificate_as_not_contracting(
     assert len(rows) == (1 if family == "nonlinear" else 2)
     assert {row["contracts"] for row in rows} == {"false"}
     assert float(rows[-1]["kappa_tilde"]) == math.inf
+    assert not any(math.isnan(float(row[k])) for row in rows for k in FLOAT_COLUMNS), rows
 
 
 def test_couple_csv_and_reproducibility(tmp_path):

@@ -27,8 +27,10 @@ from mfjump.engine import (
     clock,
     picard_solve,
     simulate_nonlinear,
+    thin,
 )
 from mfjump.metrics import histogram_tv, make_binning
+from mfjump.models import RunTumbleParams, run_tumble
 
 from conftest import (
     CountingStream,
@@ -192,6 +194,68 @@ def test_clock_draws_the_next_gap_only_when_resumed():
     assert stream.draws == 2
     assert list(ticks) == []
     assert stream.draws == 3
+
+
+#: Sample-time lists with a time the clock cannot take, first, in the
+#: middle or last (sorting with a NaN is undefined, so each must be seen).
+BAD_SAMPLE_TIMES = {
+    "negative-first": (-0.5, 0.5),
+    "negative-last": (0.5, 1.0, -0.5),
+    "nan-first": (math.nan, 0.5, 1.0),
+    "nan-middle": (0.5, math.nan, 1.0),
+    "nan-last": (0.5, 1.0, math.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SAMPLE_TIMES))
+def test_clock_refuses_a_sample_time_that_is_nan_or_before_its_start(name):
+    with pytest.raises(ValueError, match=r"^toy: sample time (nan|-0\.5) is NaN or before"):
+        clock(2.0, 1.0, _GapStream([]), sample_times=BAD_SAMPLE_TIMES[name], name="toy")
+
+
+def test_clock_refuses_a_sample_time_before_a_later_start():
+    with pytest.raises(ValueError, match="sample time 0.5 is NaN or before the start 1.0"):
+        clock(2.0, 1.0, _GapStream([]), sample_times=(1.5, 0.5), start=1.0)
+    assert list(clock(2.0, 0.0, _GapStream([]), sample_times=(1.0,), start=1.0)) == [
+        (1.0, SAMPLE)
+    ]
+
+
+@pytest.mark.parametrize("times", [(-0.5, 0.5), (0.5, math.nan, 3.0)])
+def test_simulate_nonlinear_refuses_sample_times_it_cannot_take(times):
+    # At a negative sample time the run-tumble state used to move backwards
+    # and then on again, so the state at 0.5 was wrong; a NaN one ended the
+    # proposals early.
+    model = run_tumble(RunTumbleParams(theta=0.5)).model
+    with pytest.raises(ValueError, match=f"^{model.name}: sample time"):
+        simulate_nonlinear(
+            model, constant_flow((0.0, 1)), (0.0, 1), 5.0, make_rng(1), sample_times=times
+        )
+
+
+@pytest.mark.parametrize("window", [0.0, -1.0, math.nan])
+def test_clock_refuses_a_window_that_is_not_positive(window):
+    # A window of 0 would yield a boundary at t = 0 forever.
+    with pytest.raises(ValueError, match=r"^toy: window .* is not positive"):
+        clock(2.0, 1.0, _GapStream([]), window=window, name="toy")
+
+
+def test_clock_refuses_a_proposal_rate_that_overflowed():
+    # Two coordinates under the ceiling 1e308 propose at rate inf: the clock
+    # would propose at t = 0 forever.
+    n, ceiling = 2, 1e308
+    with pytest.raises(ValueError, match="^toy: proposal rate inf is not finite and nonnegative"):
+        clock(1.0, n * ceiling, _GapStream([]), name="toy")
+
+
+def test_thin_checks_the_rate_then_accepts_by_one_uniform():
+    stream = CountingStream(make_rng(3))
+    accepted = sum(thin(0.5, 2.0, stream, "toy") for _ in range(4000))
+    assert stream.counts == {"random": 4000}
+    assert abs(accepted / 4000 - 0.25) < 4.0 * math.sqrt(0.25 * 0.75 / 4000)
+    with pytest.raises(RateCeilingError, match="^toy: coordinate 3: rate 3.0 exceeds ceiling 2.0"):
+        thin(3.0, 2.0, stream, "toy", 3)
+    assert stream.counts == {"random": 4000}
 
 
 def test_drift_machine_zero_duration_is_identity(rng):

@@ -122,7 +122,7 @@ PARTICLE_CASES = {
 
 #: sha256 of the repr of the library mean-field run below.
 MEANFIELD_SHA256 = (
-    "8008e517930d26413c2e2ae6a3f8c251db00e53046bd988257c995c17d00842c"
+    "6426b7a2a74f72814c809aae2a3e096ccf421f27e39a7380b82475df3fddc2fe"
 )
 
 

@@ -294,14 +294,6 @@ def test_mh_frozen_constants():
     assert bundle.refresh_rate == pytest.approx(c.p_star)
 
 
-def test_mh_rejects_unsupported_dimension():
-    params = mh_params()
-    import dataclasses
-
-    with pytest.raises(ValueError):
-        mh_granular(dataclasses.replace(params, dim=2))
-
-
 def test_mh_system_rates_split_refresh_and_residual():
     bundle = mh_granular(mh_params())
     sys = bundle.system
