@@ -504,11 +504,15 @@ def simulate_merge_split(
         raise UnsupportedCouplingError(
             f"model {model.name!r} provides no kernel atoms"
         )
-    ticks = clock(horizon, model.rate_ceiling, stream, sample_times, window=t0, name=model.name)
-    x, y = tuple(x0), tuple(y0)
+    lam_star = model.rate_ceiling
+    ticks = clock(horizon, lam_star, stream, sample_times, window=t0, name=model.name)
+
+    x = tuple(x0)
+    y = tuple(y0)
     events: list[CoupledEvent] = []
     sample_pairs: dict[float, tuple] = {}
-    n_splits = n_clamped = 0
+    n_splits = 0
+    n_clamped = 0
     clamp_excess = 0.0
     t = 0.0
     machine = _base_machine(model, x, y, stream)
@@ -518,11 +522,17 @@ def simulate_merge_split(
         dt = upto - t
         if dt > 0.0:
             points = machine.advance(dt)
-            if record_events:
-                events.extend(
-                    CoupledEvent(t + offset, MERGE, tuple(sx), tuple(sy), merged=True)
-                    for offset, sx, sy, is_merge in points if is_merge
-                )
+            for offset, sx, sy, is_merge in points:
+                if is_merge and record_events:
+                    events.append(
+                        CoupledEvent(
+                            time=t + offset,
+                            kind=MERGE,
+                            x=tuple(sx),
+                            y=tuple(sy),
+                            merged=True,
+                        )
+                    )
             _, sx, sy, _ = points[-1]
             x, y = tuple(sx), tuple(sy)
         t = upto
@@ -749,16 +759,18 @@ def simulate_coupled_system(
             f"system {system.name!r} provides no kernel atoms"
         )
     n = system.n_particles
+    lam_star = system.rate_ceiling
     if theta < 0.0:
         raise ValueError(f"counter threshold theta must be nonnegative, got {theta}")
     if len(x0) != n or len(y0) != n:
         raise ValueError(f"expected {n} coordinates in each configuration")
-    total_rate = n * system.rate_ceiling
+    total_rate = n * lam_star
     ticks = clock(horizon, total_rate, stream, sample_times, window=t0, name=system.name)
 
     initial_x = tuple(tuple(c) for c in x0)
     initial_y = tuple(tuple(c) for c in y0)
-    j = j_initial = dbar1(initial_x, initial_y) / 2.0
+    j = dbar1(initial_x, initial_y) / 2.0
+    j_initial = j
     live = _LiveConfig(system, initial_x, stream.spawn(n), initial_y)
     events: list[CoupledSystemEvent] = []
     samples: dict[float, tuple] = {}
@@ -779,8 +791,12 @@ def simulate_coupled_system(
             j += 1.0
         live.start(i, xi, yi)
         if record_events:
-            x, y = tuple(live.x.view()), tuple(live.y.view())
-            events.append(CoupledSystemEvent(time=t, kind=PROPOSAL, x=x, y=y, j=j))
+            events.append(
+                CoupledSystemEvent(
+                    time=t, kind=PROPOSAL, x=tuple(live.x.view()),
+                    y=tuple(live.y.view()), j=j,
+                )
+            )
     live.flow(horizon)
     return CoupledSystemTrajectory(
         initial_x=initial_x,

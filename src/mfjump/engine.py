@@ -424,7 +424,8 @@ def clock(
     sample_times: Iterable[float] = (),
     window: float = math.inf,
     start: float = 0.0,
-    name: str = "clock",
+    *,
+    name: str,
 ):
     """The events of a thinning run under one ceiling on ``[start, horizon]``.
 

@@ -803,7 +803,7 @@ def eager_simulate_coupled_system(system, x0, y0, horizon, t0, theta, stream,
     samples = {}
     t = 0.0
     total_rate = n * system.rate_ceiling
-    for t_event, kind in clock(horizon, total_rate, stream, sample_times, window=t0):
+    for t_event, kind in clock(horizon, total_rate, stream, sample_times, window=t0, name=system.name):
         advance_every_machine(machines, t_event - t, xs, ys)
         match_all()
         t = t_event

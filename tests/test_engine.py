@@ -150,7 +150,7 @@ class _GapStream:
 
 def test_clock_orders_ties_sample_then_window_then_proposal():
     stream = _GapStream([1.0, 0.5, 10.0])
-    events = list(clock(2.0, 1.0, stream, sample_times=(1.0, 0.5), window=1.0))
+    events = list(clock(2.0, 1.0, stream, sample_times=(1.0, 0.5), window=1.0, name="toy"))
     assert events == [
         (0.5, SAMPLE),
         (1.0, SAMPLE),
@@ -162,17 +162,17 @@ def test_clock_orders_ties_sample_then_window_then_proposal():
 
 
 def test_clock_yields_a_repeated_sample_time_once():
-    events = list(clock(1.0, 0.0, _GapStream([]), sample_times=(0.5, 0.5, 0.5)))
+    events = list(clock(1.0, 0.0, _GapStream([]), sample_times=(0.5, 0.5, 0.5), name="toy"))
     assert events == [(0.5, SAMPLE)]
 
 
 def test_clock_windows_fall_at_exact_multiples():
-    times = [t for t, _ in clock(1.0, 0.0, _GapStream([]), window=0.1)]
+    times = [t for t, _ in clock(1.0, 0.0, _GapStream([]), window=0.1, name="toy")]
     assert times == [k * 0.1 for k in range(1, 11)]
 
 
 def test_clock_yields_nothing_past_the_horizon(rng):
-    events = list(clock(3.0, 5.0, rng, sample_times=(3.0, 3.5), window=0.7))
+    events = list(clock(3.0, 5.0, rng, sample_times=(3.0, 3.5), window=0.7, name="toy"))
     assert events and max(t for t, _ in events) <= 3.0
     assert (3.0, SAMPLE) in events
     assert (3.5, SAMPLE) not in events
@@ -180,14 +180,14 @@ def test_clock_yields_nothing_past_the_horizon(rng):
 
 def test_clock_at_rate_zero_proposes_nothing_and_draws_nothing():
     stream = _GapStream([])
-    events = list(clock(5.0, 0.0, stream, sample_times=(1.0,), window=2.0))
+    events = list(clock(5.0, 0.0, stream, sample_times=(1.0,), window=2.0, name="toy"))
     assert events == [(1.0, SAMPLE), (2.0, WINDOW), (4.0, WINDOW)]
     assert stream.draws == 0
 
 
 def test_clock_draws_the_next_gap_only_when_resumed():
     stream = _GapStream([0.5, 0.25, 10.0])
-    ticks = clock(5.0, 1.0, stream)
+    ticks = clock(5.0, 1.0, stream, name="toy")
     assert next(ticks) == (0.5, PROPOSAL)
     assert stream.draws == 1
     assert next(ticks) == (0.75, PROPOSAL)
@@ -215,8 +215,8 @@ def test_clock_refuses_a_sample_time_that_is_nan_or_before_its_start(name):
 
 def test_clock_refuses_a_sample_time_before_a_later_start():
     with pytest.raises(ValueError, match="sample time 0.5 is NaN or before the start 1.0"):
-        clock(2.0, 1.0, _GapStream([]), sample_times=(1.5, 0.5), start=1.0)
-    assert list(clock(2.0, 0.0, _GapStream([]), sample_times=(1.0,), start=1.0)) == [
+        clock(2.0, 1.0, _GapStream([]), sample_times=(1.5, 0.5), start=1.0, name="toy")
+    assert list(clock(2.0, 0.0, _GapStream([]), sample_times=(1.0,), start=1.0, name="toy")) == [
         (1.0, SAMPLE)
     ]
 
@@ -356,7 +356,7 @@ def test_every_proposal_is_recorded(rng):
     kinds = {e.kind for e in traj.events}
     assert JUMP_ACCEPTED in kinds and JUMP_REJECTED in kinds
     n_prop = traj.n_accepted + traj.n_rejected
-    assert n_prop == sum(1 for e in traj.events if e.kind != SAMPLE)
+    assert n_prop == len(traj.events)
     assert n_prop > 40  # ceiling-2 clock over 50 time units
 
 
@@ -367,6 +367,7 @@ def test_event_times_strictly_increase(rng):
     )
     times = [e.time for e in traj.events]
     assert all(b > a for a, b in zip(times, times[1:]))
+    assert set(traj.sample_states) == {5.0, 10.0}
     assert traj.horizon == 20.0
 
 
@@ -376,7 +377,7 @@ def test_rejected_proposals_do_not_change_state(rng):
     prev_t, prev_s = 0.0, traj.initial
     for e in traj.events:
         flowed = (prev_s[0] + prev_s[1] * (e.time - prev_t), prev_s[1])
-        if e.kind in (JUMP_REJECTED, SAMPLE):
+        if e.kind == JUMP_REJECTED:
             assert e.state == flowed
         else:
             assert e.state == (flowed[0], -flowed[1])
@@ -462,6 +463,12 @@ def test_unbounded_halving_kernel_halves_flowed_state(rng):
                 assert e.state[0] == pytest.approx(flowed[0])
             prev_t, prev_s = e.time, e.state
         assert saw_jump
+        # A sample comes before a proposal at the same time, so it is the
+        # state flowed from the last event strictly before it.
+        for ts, state in traj.sample_states.items():
+            before = [e for e in traj.events if e.time < ts]
+            last_t, last_s = (before[-1].time, before[-1].state) if before else (0.0, traj.initial)
+            assert state[0] == pytest.approx(last_s[0] + (ts - last_t))
 
 
 def test_unbounded_records_local_ceilings(rng):
@@ -469,9 +476,8 @@ def test_unbounded_records_local_ceilings(rng):
     traj = simulate_nonlinear(
         model, constant_flow((0.0,)), (1.0,), 2.0, rng
     )
-    proposals = [e for e in traj.events if e.kind != SAMPLE]
-    assert proposals
-    for e in proposals:
+    assert traj.events
+    for e in traj.events:
         assert e.ceiling is not None and e.ceiling > 0.0
 
 

@@ -344,7 +344,7 @@ def eager_simulate_system(system, initial, horizon, stream, sample_times=(),
     initial_config = tuple(config)
     machines = [_base_machine(system, c, c, stream) for c in config]
     n_accepted = n_rejected = 0
-    for t_event, kind in clock(horizon, n * ceiling, stream, sample_times):
+    for t_event, kind in clock(horizon, n * ceiling, stream, sample_times, name=system.name):
         if kind == SAMPLE:
             advance_every_machine(machines, t_event - t, config, config)
             t = t_event
