@@ -36,7 +36,12 @@ from .certificates import (
     nonlinear_certificate,
     particle_certificate,
 )
-from .coupling import coupled_base, simulate_coupled_system, simulate_merge_split
+from .coupling import (
+    _provides_atoms,
+    coupled_base,
+    simulate_coupled_system,
+    simulate_merge_split,
+)
 from .engine import (
     EmpiricalMeasure,
     MeasureFlow,
@@ -287,6 +292,8 @@ class _Run:
 
 
 def _replica_streams(seed: int, n: int) -> list:
+    """One stream per replica, spawned from ``seed``, so that no byte
+    written depends on ``--threads``."""
     children = np.random.SeedSequence(seed).spawn(n)
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
@@ -532,7 +539,7 @@ def _particles(run: _Run) -> list:
 
 def _couple_particles(run: _Run) -> list:
     system = run.part("system")
-    if system.kernel_atoms is None:
+    if not _provides_atoms(system):
         raise click.ClickException(
             f"system {system.name!r} provides no kernel atoms"
         )

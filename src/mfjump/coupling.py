@@ -405,7 +405,7 @@ def coupled_base(model: ModelSpec, x, y, t0: float, stream):
         raise UnsupportedCouplingError(
             f"model {model.name!r} provides no coupled base construction"
         )
-    if t0 <= 0.0:
+    if not 0.0 < t0 < math.inf:
         raise ValueError("window length t0 must be positive")
     x = tuple(x)
     y = tuple(y)
@@ -430,9 +430,9 @@ def estimate_doeblin_alpha(model: ModelSpec, pair_source: Callable, t0: float, n
     if n < 1:
         raise ValueError("need at least one replica")
     hits = 0
-    for child in stream.spawn(n):
-        x0, y0 = pair_source(child)
-        _, _, merged_at = coupled_base(model, x0, y0, t0, child)
+    for _ in range(n):
+        x0, y0 = pair_source(stream)
+        _, _, merged_at = coupled_base(model, x0, y0, t0, stream)
         hits += merged_at is not None
     alpha_hat = hits / n
     se = math.sqrt(alpha_hat * (1.0 - alpha_hat) / n)
@@ -500,7 +500,7 @@ def simulate_merge_split(
     ``record_events=False`` no event is kept, while splits and clamped mass
     are still counted.
     """
-    if model.kernel_atoms is None:
+    if not _provides_atoms(model):
         raise UnsupportedCouplingError(
             f"model {model.name!r} provides no kernel atoms"
         )
@@ -609,6 +609,14 @@ class CoupledSystemTrajectory:
     def j_at(self, t: float) -> float:
         """Split-counter value recorded at sample time ``t``."""
         return self.samples[float(t)][2]
+
+
+def _provides_atoms(spec) -> bool:
+    """Whether ``spec`` declares its jump law by atoms (``kernel_atoms``, or a
+    system's ``pair_atoms``), which the coupled simulators read.  A spec
+    declares exactly one jump law, so these are the specs with no
+    ``kernel``."""
+    return spec.kernel is None
 
 
 def _thinning(spec, at: tuple, coordinate=None) -> tuple:
@@ -736,10 +744,10 @@ def simulate_coupled_system(
     single-coordinate changes.  Each side's mixed kernel is
     :func:`_mixed_atoms` of the system's jump atoms.  Between
     proposals each coordinate pair follows its base machine
-    (:func:`~mfjump.engine._base_machine`), drawing from its own stream
-    spawned from ``stream``, restarted at window boundaries ``k * t0``.  A
-    system with a ``base_machine`` in place of a coupler moves a merged pair
-    by one single machine and an unmerged one by two on twin streams.  The
+    (:func:`~mfjump.engine._base_machine`), drawing from ``stream``,
+    restarted at window boundaries ``k * t0``.  A system with a
+    ``base_machine`` in place of a coupler moves a merged pair by one
+    single machine and an unmerged one by two on twin streams.  The
     configurations and ``j`` at each sample time are recorded in
     ``samples``.  With ``record_events=False`` no event is kept, while ``j``
     is still counted.
@@ -747,20 +755,20 @@ def simulate_coupled_system(
     The run is event-driven, as in :func:`~mfjump.particles.simulate_system`:
     a heap of the pairs' next base events tells each event which machines
     to advance, and ``rate`` and the jump atoms read each side lazily,
-    with running sums for ``mean``.  A pair that draws from its own stream
-    draws the same whenever it is advanced, so the draws are those of
-    advancing every pair at every event.  So an event costs ``O(log N)``
-    for the pairs whose base event is due, plus its proposal
-    (:func:`_proposal_parts`).  A window boundary restarts all ``N``
-    pairs, and a sample reads all ``N``.
+    with running sums for ``mean``.  A pair that is not due draws nothing
+    when advanced, and the due pairs advance in index order, so the draws
+    are those of advancing every pair at every event.  So an event costs
+    ``O(log N)`` for the pairs whose base event is due, plus its proposal
+    (:func:`_proposal_parts`).  A window boundary restarts all ``N`` pairs,
+    and a sample reads all ``N``.
     """
-    if system.kernel_atoms is None:
+    if not _provides_atoms(system):
         raise UnsupportedCouplingError(
             f"system {system.name!r} provides no kernel atoms"
         )
     n = system.n_particles
     lam_star = system.rate_ceiling
-    if theta < 0.0:
+    if not theta >= 0.0:
         raise ValueError(f"counter threshold theta must be nonnegative, got {theta}")
     if len(x0) != n or len(y0) != n:
         raise ValueError(f"expected {n} coordinates in each configuration")
@@ -771,7 +779,7 @@ def simulate_coupled_system(
     initial_y = tuple(tuple(c) for c in y0)
     j = dbar1(initial_x, initial_y) / 2.0
     j_initial = j
-    live = _LiveConfig(system, initial_x, stream.spawn(n), initial_y)
+    live = _LiveConfig(system, initial_x, stream, initial_y)
     events: list[CoupledSystemEvent] = []
     samples: dict[float, tuple] = {}
     for t, kind in ticks:

@@ -25,8 +25,6 @@ import dataclasses
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .metrics import discrete_tv, make_binning
 
 __all__ = [
@@ -248,7 +246,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         _check_base_motion(self)
-        object.__setattr__(self, "jump", _jump_sampler(self, self.kernel_atoms))
+        object.__setattr__(self, "jump", _jump_sampler(self, {"kernel_atoms": _atoms_jump}))
 
 
 def _check_base_motion(spec) -> None:
@@ -259,14 +257,25 @@ def _check_base_motion(spec) -> None:
         )
 
 
-def _jump_sampler(spec, atoms: Optional[Callable], names: str = "kernel_atoms") -> Callable:
-    """The spec's ``kernel``, else a sampler that picks from ``atoms`` (the
-    jump law's atom form, declared as ``names``) by one uniform variate.
-    Raises ``ValueError`` unless exactly one of the two is declared."""
-    if (spec.kernel is None) == (atoms is None):
-        raise ValueError(f"{spec.name}: declare exactly one of kernel and {names}")
-    if spec.kernel is not None:
-        return spec.kernel
+def _jump_sampler(spec, samplers: dict) -> Callable:
+    """The one jump sampler of ``spec``, which declares its jump law by
+    exactly one of ``kernel`` and the atom forms named in ``samplers``: the
+    ``kernel`` itself, else ``samplers[form]`` of the declared form.  Raises
+    ``ValueError`` unless exactly one is declared."""
+    forms = ["kernel", *samplers]
+    declared = [form for form in forms if getattr(spec, form) is not None]
+    if len(declared) != 1:
+        raise ValueError(
+            f"{spec.name}: declare exactly one of {', '.join(forms[:-1])} and {forms[-1]}"
+        )
+    (form,) = declared
+    law = getattr(spec, form)
+    return law if form == "kernel" else samplers[form](law)
+
+
+def _atoms_jump(atoms: Callable) -> Callable:
+    """Jump sampler of a law declared by ``kernel_atoms``: one of its atoms,
+    picked by one uniform variate."""
 
     def jump(a, b, stream):
         return _pick(atoms(a, b), stream.random())
@@ -366,10 +375,10 @@ def _base_machine(spec, x, y, stream):
     * the spec's ``base_coupler``, if it declares one;
     * else, on the diagonal (``x == y``), its ``base_machine`` at ``x``, which
       is the base motion itself and draws from ``stream``;
-    * else a twin pair: one ``base_machine`` per side, the two drawing the
-      same variates from a child spawned from ``stream`` and a copy of it.
-      Each start spawns a fresh child, so neither side reuses a variate it
-      has drawn before.
+    * else a twin pair: one ``base_machine`` per side, both reading the
+      variates of a child spawned from ``stream`` (and of a copy of it),
+      since one stream cannot hand a variate out twice.  Each start spawns a
+      fresh child, so neither side reuses a variate it has drawn before.
 
     A pair machine answers ``advance(dt)``, which returns ``(offset, x, y,
     is_merge)`` points ending at ``dt``, and two read-only questions:
@@ -429,10 +438,10 @@ def clock(
 ):
     """The events of a thinning run under one ceiling on ``[start, horizon]``.
 
-    Yields ``(t, kind)`` in time order: each distinct sample time up to
-    ``horizon`` once (``SAMPLE``), each window boundary ``k * window`` for
-    ``k >= 1`` (``WINDOW``), and the points after ``start`` of a Poisson
-    process of intensity ``rate`` (``PROPOSAL``).  At equal times samples
+    Yields ``(t, kind)`` in time order: each distinct sample time once
+    (``SAMPLE``), each window boundary ``k * window`` for ``k >= 1``
+    (``WINDOW``), and the points after ``start`` of a Poisson process of
+    intensity ``rate`` (``PROPOSAL``).  At equal times samples
     come first, then windows.  The gap after a proposal is drawn from
     ``stream`` only when the caller asks for the next event, so the draws the
     caller makes at a proposal come before it.  With ``rate == 0`` nothing is
@@ -440,18 +449,35 @@ def clock(
     per flight, every other simulator one over ``[0, horizon]``.
 
     It refuses, by a ``ValueError`` naming the run ``name``, a ``rate`` that
-    is not finite and nonnegative, a ``window`` that is not positive and a
-    sample time that is NaN or before ``start``.
+    is not finite and nonnegative, a ``window`` that is not positive, and
+    the run times :func:`_run_times` refuses.
     """
     if not 0.0 <= rate < math.inf:
         raise ValueError(f"{name}: proposal rate {rate} is not finite and nonnegative")
     if not window > 0.0:
         raise ValueError(f"{name}: window {window} is not positive")
+    times = _run_times(horizon, sample_times, name, start)
+    return _ticks(horizon, rate, stream, times, window, start)
+
+
+def _run_times(
+    horizon: float, sample_times: Iterable[float], name: str, start: float = 0.0
+) -> list:
+    """The sorted distinct sample times of a run on ``[start, horizon]``.
+
+    Refuses, by a ``ValueError`` naming the run ``name``, a ``horizon`` that
+    is NaN, infinite or before ``start`` (negative, for a run from 0), and a
+    sample time that is NaN, before ``start`` or past ``horizon``.
+    """
+    if not start <= horizon < math.inf:
+        raise ValueError(f"{name}: horizon {horizon} is NaN, infinite or before the start {start}")
     times = [float(ts) for ts in sample_times]
     for ts in times:
         if not ts >= start:
             raise ValueError(f"{name}: sample time {ts} is NaN or before the start {start}")
-    return _ticks(horizon, rate, stream, sorted(set(times)), window, start)
+        if ts > horizon:
+            raise ValueError(f"{name}: sample time {ts} is past the horizon {horizon}")
+    return sorted(set(times))
 
 
 def _ticks(horizon, rate, stream, sample_times, window, start):
@@ -500,11 +526,13 @@ def simulate_nonlinear(
     diagonal), drawing from ``stream``; an accepted jump restarts it at the
     post-jump state.  Every proposal is recorded as an event (accepted or
     rejected) when ``record_events``; with ``record_events=False`` no event
-    is kept.  The state at each sample time up to ``horizon`` is recorded in
-    ``sample_states``.
+    is kept.  The state at each sample time is recorded in
+    ``sample_states``.  The horizon and the sample times are checked at the
+    call (:func:`_run_times`), and each flight's clock is given only the
+    sample times inside it.
     """
     local_bound = model.local_bound
-    pending = sample_times
+    pending = _run_times(horizon, sample_times, model.name)
     events: list[Event] = []
     sample_states: dict[float, State] = {}
     t = 0.0
@@ -517,7 +545,8 @@ def simulate_nonlinear(
         else:
             end = min(t + _MAX_FLIGHT, horizon)
             ceiling = float(local_bound(state, end - t, flow.span(t, end)))
-        for t_event, kind in clock(end, ceiling, stream, pending, start=t, name=model.name):
+        inside = [ts for ts in pending if ts <= end]
+        for t_event, kind in clock(end, ceiling, stream, inside, start=t, name=model.name):
             state = machine.advance(t_event - t)[-1][1]
             t = t_event
             if kind == SAMPLE:
@@ -583,34 +612,30 @@ def picard_solve(
     their states on the time grid into empirical snapshots, and measures the
     binned total-variation gap to the previous flow (the maximum over grid
     points).  Iteration stops when the gap drops to ``tol`` or after
-    ``max_iter`` rounds.
+    ``max_iter`` rounds.  A trajectory starts from a draw of ``m0`` by one
+    uniform (none when ``m0`` is a point).  The grid is ``k * grid_step`` up
+    to ``horizon``, with a last point that rounds past it taken at ``horizon``.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100 for usable snapshots")
-    if grid_step <= 0.0 or horizon <= 0.0:
+    if not (grid_step > 0.0 and horizon > 0.0):
         raise ValueError("horizon and grid_step must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n_steps = int(math.floor(horizon / grid_step + 1e-9))
-    grid = [k * grid_step for k in range(n_steps + 1)]
+    grid = [min(k * grid_step, horizon) for k in range(n_steps + 1)]
     binning = make_binning(model.state_layout, model.state_box, _GAP_BINS)
-    init_states = [s for s, _ in m0.atoms]
-    init_weights = np.array([w for _, w in m0.atoms])
-    init_weights = init_weights / init_weights.sum()
+    point = m0.point()
     snapshots = tuple(m0 for _ in grid)
     flow = MeasureFlow(grid_step=grid_step, snapshots=snapshots)
     gap_history: list[float] = []
     converged = False
     for _ in range(max_iter):
-        children = stream.spawn(n_samples)
         per_grid: list[list[State]] = [[] for _ in grid[1:]]
-        for child in children:
-            if len(init_states) == 1:
-                x0 = init_states[0]
-            else:
-                x0 = init_states[child.choice(len(init_states), p=init_weights)]
+        for _ in range(n_samples):
+            x0 = point if point is not None else _pick(m0.atoms, stream.random())
             traj = simulate_nonlinear(
-                model, flow, x0, horizon, child,
+                model, flow, x0, horizon, stream,
                 sample_times=grid[1:], record_events=False,
             )
             for k, tg in enumerate(grid[1:]):

@@ -35,6 +35,7 @@ from .engine import (
     RateCeilingError,
     Trajectory,
     _base_machine,
+    _atoms_jump,
     _check_base_motion,
     _check_mass,
     _jump_sampler,
@@ -75,26 +76,23 @@ class SystemSpec:
             against it.
         name: Human-readable system name.
         kernel_atoms: ``(i, config) -> [(coord_state, w), ...]`` atoms of
-            the jump kernel of coordinate ``i``, used as a model's.  Left
-            unset where ``pair_atoms`` is given: it is then derived from
-            that field.
+            the jump kernel of coordinate ``i``, used as a model's.
         pair_atoms: ``(x_i, x_j) -> [(coord_state, w), ...]``, the
             jump kernel in mean-field pairwise form: the kernel of
             coordinate ``i`` is ``(1/n) * sum_j pair_atoms(x_i, x_j)`` over
             all ``n`` coordinates ``j`` (``i`` included), and each call's
-            weights sum to one.  The derived ``kernel_atoms`` adds the
-            positive weights of those atoms by state (:func:`_pair_weights`,
-            which checks their mass).  A single run draws a uniform donor
-            ``j``, then one of its atoms.  Coupled runs read the form
-            directly, and at a merged coordinate skip the donors that agree
-            on both sides (:func:`~mfjump.coupling.simulate_coupled_system`).
+            weights sum to one.  A single run draws a uniform donor ``j``,
+            then one of its atoms.  Coupled runs add the positive weights of
+            those atoms by state (:func:`_pair_weights`, which checks their
+            mass), and at a merged coordinate skip the donors that agree on
+            both sides (:func:`~mfjump.coupling.simulate_coupled_system`).
         base_coupler, base_machine: The base motion of one coordinate,
             declared by exactly one of them, typed as in
             :class:`~mfjump.engine.ModelSpec` (coordinates are exchangeable,
             so neither takes an index).
 
-    The jump law is declared once, by exactly one of ``kernel`` and
-    ``kernel_atoms`` or ``pair_atoms``; construction stores its one sampler
+    The jump law is declared once, by exactly one of ``kernel``,
+    ``kernel_atoms`` and ``pair_atoms``; construction stores its one sampler
     as ``jump``, as for :class:`~mfjump.engine.ModelSpec`.
     """
 
@@ -112,13 +110,8 @@ class SystemSpec:
 
     def __post_init__(self) -> None:
         _check_base_motion(self)
-        pair_atoms = self.pair_atoms
-        if pair_atoms is not None and self.kernel_atoms is None:
-            object.__setattr__(self, "kernel_atoms", _pairwise_kernel_atoms(pair_atoms))
-        jump = _jump_sampler(self, self.kernel_atoms, "kernel_atoms or pair_atoms")
-        if pair_atoms is not None:
-            jump = _pairwise_jump(pair_atoms)
-        object.__setattr__(self, "jump", jump)
+        samplers = {"kernel_atoms": _atoms_jump, "pair_atoms": _pairwise_jump}
+        object.__setattr__(self, "jump", _jump_sampler(self, samplers))
 
 
 def _pair_weights(pair_atoms: Callable, own, donors, share: float, mass: float = 0.0) -> dict:
@@ -134,15 +127,6 @@ def _pair_weights(pair_atoms: Callable, own, donors, share: float, mass: float =
                 weights[state] = get(state, 0.0) + w * share
     _check_mass(mass + sum(weights.values()))
     return weights
-
-
-def _pairwise_kernel_atoms(pair_atoms: Callable) -> Callable:
-    """``kernel_atoms`` of a system declared in pairwise form."""
-
-    def kernel_atoms(i, config):
-        return tuple(_pair_weights(pair_atoms, config[i], config, 1.0 / len(config)).items())
-
-    return kernel_atoms
 
 
 def _pairwise_jump(pair_atoms: Callable) -> Callable:
@@ -217,7 +201,7 @@ class _LiveSide(abc.Sequence):
         return map(self.__getitem__, range(self._n))
 
     def view(self) -> Sequence[State]:
-        """What ``rate``, ``kernel`` and ``kernel_atoms`` read: the stored
+        """What ``rate`` and the jump law read: the stored
         states themselves while no coordinate drifts, else this lazy view."""
         return self if self._moving else self._states
 
@@ -294,19 +278,20 @@ class _LiveConfig:
     """Coordinates of a running system, each moved by one pair machine.
 
     Coordinate ``j`` is a pair ``(x_j, y_j)`` moved by its base machine
-    (:func:`~mfjump.engine._base_machine`) drawing from ``streams[j]``.  A
-    single run is the ``x`` side of the diagonal: its machines start at
-    ``(x_j, x_j)`` and ``y`` is ``None``.  Each side is a :class:`_LiveSide`,
-    and for a pair :attr:`matching` splits the coordinates by ``x_j == y_j``.
+    (:func:`~mfjump.engine._base_machine`) drawing from the run's one
+    ``stream``.  A single run is the ``x`` side of the diagonal: its
+    machines start at ``(x_j, x_j)`` and ``y`` is ``None``.  Each side is a
+    :class:`_LiveSide`, and for a pair :attr:`matching` splits the
+    coordinates by ``x_j == y_j``.
 
     Each machine sits in a heap keyed by the time of its next event on
     either side, and :meth:`flow` advances it only when that time has come.
     """
 
-    def __init__(self, system: SystemSpec, x0: Sequence[State], streams, y0=None):
+    def __init__(self, system: SystemSpec, x0: Sequence[State], stream, y0=None):
         n = len(x0)
         self._system = system
-        self._streams = streams
+        self._stream = stream
         self.x = _LiveSide(x0)
         self.y = None if y0 is None else _LiveSide(y0)
         self.matching = None if y0 is None else _Matching(n)
@@ -334,7 +319,7 @@ class _LiveConfig:
         ``x``) at the flow time."""
         if y is None:
             y = x
-        self._machines[j] = _base_machine(self._system, x, y, self._streams[j])
+        self._machines[j] = _base_machine(self._system, x, y, self._stream)
         self._settle(j, x, y, self.x.t)
 
     def flow(self, t: float) -> None:
@@ -423,7 +408,7 @@ def simulate_system(
     events: list[Event] = []
     sample_states: dict[float, tuple] = {}
     initial_config = tuple(tuple(c) for c in initial)
-    live = _LiveConfig(system, initial_config, [stream] * n)
+    live = _LiveConfig(system, initial_config, stream)
     side = live.x
     n_accepted = n_rejected = 0
 

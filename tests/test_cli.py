@@ -308,6 +308,32 @@ def test_picard_outputs_iteration_gaps(tmp_path):
     assert lines[-1].split(",")[2] in ("true", "false")
 
 
+@pytest.mark.parametrize("max_iter", [1, 3])
+def test_picard_grid_point_that_rounds_past_the_horizon(tmp_path, max_iter):
+    # 3 * 0.1 reads 0.30000000000000004, past the horizon 0.3: the last grid
+    # point was never sampled, and the run ended in a KeyError traceback.
+    cfg = write_config(
+        tmp_path / "pic.json",
+        {
+            "schema": 1,
+            "kind": "picard",
+            "model": {"id": "run-tumble", "params": {"theta": 0.1}},
+            "run": {
+                "m0": [[0.0, 1]], "horizon": 0.3, "grid_step": 0.1,
+                "n_samples": 100, "tol": 0.0, "max_iter": max_iter,
+            },
+        },
+    )
+    out = tmp_path / "out"
+    res = run_cli(["picard", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    lines = (out / "picard.csv").read_text().strip().splitlines()
+    assert lines[0] == "iteration,gap,converged"
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        str(k) for k in range(1, max_iter + 1)
+    ]
+
+
 def test_particles_csv_layout(tmp_path):
     cfg = write_config(
         tmp_path / "part.json",
@@ -577,8 +603,7 @@ def test_couple_particles_with_short_pair_atoms_fails_without_output(
     def short_pair_atoms(*args):
         bundle = build_model(*args)
         system = dataclasses.replace(
-            bundle.system, kernel_atoms=None,
-            pair_atoms=lambda own, donor: ((donor, 0.4), (own, 0.4)),
+            bundle.system, pair_atoms=lambda own, donor: ((donor, 0.4), (own, 0.4)),
         )
         return dataclasses.replace(bundle, system=system)
 

@@ -55,7 +55,13 @@ from mfjump.models import (
     tcp,
 )
 from mfjump.engine import RateCeilingError
-from mfjump.particles import _Matching, meanfield_system, simulate_system
+from mfjump.particles import (
+    SystemSpec,
+    _Matching,
+    _pair_weights,
+    meanfield_system,
+    simulate_system,
+)
 
 from conftest import (
     CountedMachine,
@@ -683,6 +689,19 @@ def _merged_overlap_law(nu0) -> dict:
     return law
 
 
+def _full_mixed_atoms(system, i, config) -> list:
+    """The mixed atoms (:func:`_mixed_atoms`) of coordinate ``i`` of a
+    system with ``pair_atoms``, read from its whole kernel: the pair atoms
+    of all ``N`` donors added up by :func:`_pair_weights`."""
+
+    def kernel_atoms(i, config):
+        weights = _pair_weights(system.pair_atoms, config[i], config, 1.0 / len(config))
+        return tuple(weights.items())
+
+    by_atoms = dataclasses.replace(system, pair_atoms=None, kernel_atoms=kernel_atoms)
+    return _mixed_atoms(by_atoms, (i, config), config[i], i)
+
+
 #: Copy probabilities of the selection systems below: constant and not.
 ACCEPT_PROBS = {
     "constant": lambda a, b: 0.5,
@@ -738,16 +757,14 @@ def test_merged_parts_match_the_full_decomposition(
     parts = _proposal_parts(system, i, x, y, _matching_of(x, y))
     p = parts.p
     nu1, nu2 = parts.residuals()
-    full = overlap_decompose(
-        _mixed_atoms(system, (i, x), x[i], i), _mixed_atoms(system, (i, y), y[i], i)
-    )
+    full = overlap_decompose(_full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y))
     assert abs(p - full[0]) <= 1e-12
     if isinstance(parts, _MergedOverlap):
         law0 = _merged_overlap_law(parts)
     else:
         law0 = dict(parts.overlap())
     for config, residual in ((x, nu1), (y, nu2)):
-        mixed, _ = _load_atoms(_mixed_atoms(system, (i, config), config[i], i))
+        mixed, _ = _load_atoms(_full_mixed_atoms(system, i, config))
         drawn = {state: p * w for state, w in law0.items()}
         for state, w in residual:
             drawn[state] = drawn.get(state, 0.0) + (1.0 - p) * w
@@ -788,11 +805,10 @@ def eager_simulate_coupled_system(system, x0, y0, horizon, t0, theta, stream,
     xs = [tuple(c) for c in x0]
     ys = [tuple(c) for c in y0]
     j = dbar1(tuple(xs), tuple(ys)) / 2.0
-    streams = stream.spawn(n)
     matching = _Matching(n)
 
     def build(k):
-        return _base_machine(system, xs[k], ys[k], streams[k])
+        return _base_machine(system, xs[k], ys[k], stream)
 
     def match_all():
         for k in range(n):
@@ -883,6 +899,59 @@ def test_pair_queue_matches_eager_loop_draw_for_draw(name):
     assert merged_splits > 0  # the counter moved, so proposals hit merged pairs
 
 
+def _one_coordinate_system(model, measure) -> SystemSpec:
+    """``model`` as a system of one coordinate whose rate and atoms read the
+    fixed ``measure``."""
+    return SystemSpec(
+        n_particles=1,
+        rate=lambda i, config: model.rate(config[i], measure),
+        rate_ceiling=model.rate_ceiling,
+        coordinate_layout=model.state_layout,
+        coordinate_box=model.state_box,
+        name=model.name,
+        kernel_atoms=lambda i, config: model.kernel_atoms(config[i], measure),
+        base_coupler=model.base_coupler,
+    )
+
+
+def test_one_coordinate_coupled_system_is_merge_split_draw_for_draw():
+    # Every machine draws from the run's stream, so a coupled system of one
+    # coordinate reads what simulate_merge_split reads under the constant
+    # flow of its measure: stream.integers(1) draws nothing, and the pair
+    # machine restarts at the same proposals and window boundaries.  Its
+    # lazily read side may differ from the machine's state in the last bits.
+    # Sample times fall inside windows and on their boundaries.
+    model = run_tumble(RunTumbleParams(theta=0.5)).model
+    flow = constant_flow((0.3, 1))
+    system = _one_coordinate_system(model, flow.at(0.0))
+    horizon, t0 = 3.0, 0.5
+    times = (0.3, 0.5, 1.0, 1.7, 2.5, 3.0)
+    starts = (((0.2, 1), (-0.2, 1)), ((0.0, 1), (0.1, -1)), ((0.4, -1), (0.4, -1)))
+    merged = collections.Counter()
+    for seed in range(240):
+        x0, y0 = starts[seed % len(starts)]
+        a_stream, b_stream = make_rng(30_000 + seed), make_rng(30_000 + seed)
+        a = simulate_coupled_system(
+            system, (x0,), (y0,), horizon, t0, model.rate_ceiling, a_stream,
+            sample_times=times, record_events=False,
+        ).samples
+        b = simulate_merge_split(
+            model, flow, flow, x0, y0, horizon, t0, b_stream,
+            sample_times=times, record_events=False,
+        ).sample_pairs
+        assert sorted(a) == sorted(b) == list(times)
+        for t in times:
+            (ax,), (ay,), _ = a[t]
+            bx, by = b[t]
+            assert (ax == ay) == (bx == by)
+            merged[bx == by] += 1
+            for lazy, machine in ((ax, bx), (ay, by)):
+                assert lazy[1] == machine[1]
+                assert abs(lazy[0] - machine[0]) <= 1e-12
+        assert a_stream.random() == b_stream.random()
+    assert min(merged.values()) > 100  # both merged and unmerged pairs were compared
+
+
 def test_coupled_meanfield_run_advances_only_due_pairs(monkeypatch):
     # An eager loop advances all N pairs at every event, and a rate that
     # reads a tuple of N states builds its empirical measure from them.  Now
@@ -894,7 +963,6 @@ def test_coupled_meanfield_run_advances_only_due_pairs(monkeypatch):
     system = meanfield_system(run_tumble(RunTumbleParams(theta=0.1)), n)
     base = system.base_coupler
     advances = [0]
-    pair_streams = []
 
     class Counted:
         def __init__(self, machine):
@@ -908,8 +976,7 @@ def test_coupled_meanfield_run_advances_only_due_pairs(monkeypatch):
             return getattr(self._machine, attr)
 
     def coupler(x, y, stream):
-        pair_streams.append(CountingStream(stream))
-        return Counted(base(x, y, pair_streams[-1]))
+        return Counted(base(x, y, stream))
 
     built = []
     from_states = EmpiricalMeasure.from_states.__func__
@@ -927,11 +994,10 @@ def test_coupled_meanfield_run_advances_only_due_pairs(monkeypatch):
         dataclasses.replace(system, base_coupler=coupler), x0, y0, horizon, t0,
         system.rate_ceiling, stream, sample_times=samples, record_events=False,
     )
+    # The pairs draw from the run's stream, so it counts their exponentials.
     proposals = stream.counts["integers"]
     assert proposals > 100
-    exponentials = stream.counts["exponential"] + sum(
-        s.counts.get("exponential", 0) for s in pair_streams
-    )
+    exponentials = stream.counts["exponential"]
     windows = int(horizon / t0)
     assert advances[0] <= exponentials + proposals + n * (len(samples) + windows + 1)
     assert [size for size in built if size >= n] == []
@@ -970,7 +1036,7 @@ def _eager_parts(system, i, x, y, matching):
     if isinstance(parts, _MergedOverlap):
         return _EagerParts(parts.p, parts.pick, *parts.residuals())
     p, nu0, nu1, nu2, _ = overlap_decompose(
-        _mixed_atoms(system, (i, x), x[i], i), _mixed_atoms(system, (i, y), y[i], i)
+        _full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y)
     )
     return _EagerParts(p, lambda w: _pick(nu0, w), nu1, nu2)
 
@@ -996,8 +1062,9 @@ def test_pairwise_pass_matches_the_full_decomposition_draw_for_draw(monkeypatch)
 
 def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
     # Each side's weights come from one pass over the pair atoms, never from
-    # kernel_atoms or overlap_decompose, and a draw builds the two residuals
-    # only when v >= p.  Before, every proposal with p < 1 built both.
+    # overlap_decompose (a pairwise system has no kernel_atoms), and a draw
+    # builds the two residuals only when v >= p.  Before, every proposal
+    # with p < 1 built both.
     system, x0, y0 = _couple_sel_layout(3)
     calls = collections.Counter()
 
@@ -1017,9 +1084,6 @@ def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
         calls["p < 1"] += parts.p < 1.0
         return x, y, v
 
-    system = dataclasses.replace(
-        system, kernel_atoms=counted("kernel_atoms", system.kernel_atoms)
-    )
     monkeypatch.setattr(
         coupling, "overlap_decompose", counted("overlap_decompose", overlap_decompose)
     )
@@ -1030,7 +1094,8 @@ def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
         sample_times=(1.0,), record_events=False,
     )
     assert calls["proposals"] > 100
-    assert calls["kernel_atoms"] == calls["overlap_decompose"] == 0
+    assert system.kernel_atoms is None
+    assert calls["overlap_decompose"] == 0
     assert calls["_residual"] <= 2 * calls["residuals drawn"]
     assert calls["residuals drawn"] < calls["p < 1"]
 
@@ -1045,7 +1110,7 @@ def test_pair_atoms_mass_is_checked_on_every_path(start):
     # overlap from a matched donor's atoms; from mismatched ones the sparse
     # and the full pass read the mismatched donors'.
     system = dataclasses.replace(
-        selection_bundle(4).system, pair_atoms=_short_pair_atoms, kernel_atoms=None
+        selection_bundle(4).system, pair_atoms=_short_pair_atoms
     )
     x0 = ((0.1,), (0.2,), (0.3,), (0.4,))
     y0 = x0 if start == "equal" else ((0.1,), (0.95,), (0.3,), (0.85,))
@@ -1094,12 +1159,11 @@ class _StreamOps(CountingStream):
 
 def test_coupled_zigzag_copies_streams_per_start_and_advances_due_pairs():
     # Zigzag declares a single-side machine, so an unmerged pair is a twin
-    # pair: one child spawned from its stream and one copy of it per start,
-    # two machines.  A merged pair is one machine and copies nothing.  Each
-    # advance of a pair is due to an event of one side, and each event
+    # pair: one child spawned from the run's stream and one copy of it per
+    # start, two machines.  A merged pair is one machine and copies nothing.
+    # Each advance of a pair is due to an event of one side, and each event
     # follows the exponential its chunk drew.
     system, x0, y0 = _coupled_zigzag()
-    n = system.n_particles
     base = system.base_machine
     starts, advances = [0], [0]
 
@@ -1117,8 +1181,8 @@ def test_coupled_zigzag_copies_streams_per_start_and_advances_due_pairs():
             system.rate_ceiling, _StreamOps(make_rng(8_000 + seed), counts),
             sample_times=(0.5, 1.0, 2.0), record_events=False,
         )
-        # Beyond the N pair streams the run spawns once.
-        assert counts["spawned"] - n + counts["copied"] <= starts[0]
+        # The run spawns only the twin pairs' children.
+        assert counts["spawned"] + counts["copied"] <= starts[0]
         assert advances[0] <= 2 * counts["exponential"]
         copies += counts["copied"]
     assert copies > 0
@@ -1173,6 +1237,77 @@ CEILING_RUNS = {
 def test_every_simulator_rejects_a_ceiling_that_is_not_finite(simulator, ceiling):
     with pytest.raises(ValueError, match="is not finite and nonnegative"):
         CEILING_RUNS[simulator](ceiling)
+
+
+class _NoDraws:
+    """A stream that fails on any draw (or spawn): a run refused at the call
+    reads nothing from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the run read {name} from its stream")
+
+
+#: Simulator name -> (horizon, sample_times) -> run of the flip toy of
+#: CEILING_RUNS under a valid ceiling, on a stream that fails on any draw.
+TIME_RUNS = {
+    "simulate_nonlinear": lambda h, times: simulate_nonlinear(
+        flip_model(1.0, 2.0), constant_flow((0,)), (0,), h, _NoDraws(), sample_times=times
+    ),
+    "simulate_nonlinear-local-bound": lambda h, times: simulate_nonlinear(
+        dataclasses.replace(
+            flip_model(1.0, math.inf), local_bound=lambda state, dt, measures: 2.0
+        ),
+        constant_flow((0,)), (0,), h, _NoDraws(), sample_times=times,
+    ),
+    "simulate_system": lambda h, times: simulate_system(
+        flip_system(3, rates=(1.0, 1.0, 1.0)), ((0,),) * 3, h, _NoDraws(), sample_times=times
+    ),
+    "simulate_merge_split": lambda h, times: simulate_merge_split(
+        flip_model(1.0, 2.0), constant_flow((0,)), constant_flow((0,)), (0,), (1,),
+        h, 1.0, _NoDraws(), sample_times=times,
+    ),
+    "simulate_coupled_system": lambda h, times: simulate_coupled_system(
+        flip_system(3, rates=(1.0, 1.0, 1.0)), ((0,),) * 3,
+        ((1,),) * 3, h, 1.0, 1.0, _NoDraws(), sample_times=times,
+    ),
+}
+
+#: Bad run times -> (horizon, sample_times, the refusal after the run's name).
+BAD_RUN_TIMES = {
+    "horizon-nan": (math.nan, (), "horizon nan is NaN, infinite or before the start 0.0"),
+    "horizon-inf": (math.inf, (), "horizon inf is NaN, infinite or before the start 0.0"),
+    "horizon-negative": (-1.0, (), "horizon -1.0 is NaN, infinite or before the start 0.0"),
+    "sample-past-horizon": (5.0, (1.0, 5.5), "sample time 5.5 is past the horizon 5.0"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_RUN_TIMES))
+@pytest.mark.parametrize("simulator", sorted(TIME_RUNS))
+def test_every_simulator_refuses_bad_run_times_before_drawing(simulator, bad):
+    # Before, a NaN horizon never returned under a local bound, a negative
+    # one moved drifting coordinates backwards, and a sample time past the
+    # horizon was dropped from the samples.
+    horizon, times, refusal = BAD_RUN_TIMES[bad]
+    name = "flip-system-toy" if "system" in simulator else "flip-toy"
+    with pytest.raises(ValueError) as err:
+        TIME_RUNS[simulator](horizon, times)
+    assert str(err.value) == f"{name}: {refusal}"
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf])
+def test_coupled_base_refuses_a_window_that_is_not_finite(t0):
+    # Before, the NaN or infinite window never returned.
+    model = run_tumble(RunTumbleParams(theta=0.1)).model
+    with pytest.raises(ValueError, match="^window length t0 must be positive$"):
+        coupled_base(model, (0.1, 1), (-0.1, 1), t0, _NoDraws())
+
+
+def test_coupled_system_refuses_a_nan_theta():
+    # Before, a NaN threshold never moved the counter.
+    system = selection_bundle(8).system
+    x0 = tuple(((k + 0.5) / 8,) for k in range(8))
+    with pytest.raises(ValueError, match="^counter threshold theta must be nonnegative, got nan$"):
+        simulate_coupled_system(system, x0, x0, 1.0, 0.5, math.nan, _NoDraws())
 
 
 @pytest.mark.parametrize("t0", [0.0, -1.0])

@@ -172,10 +172,17 @@ def test_clock_windows_fall_at_exact_multiples():
 
 
 def test_clock_yields_nothing_past_the_horizon(rng):
-    events = list(clock(3.0, 5.0, rng, sample_times=(3.0, 3.5), window=0.7, name="toy"))
+    events = list(clock(3.0, 5.0, rng, sample_times=(3.0,), window=0.7, name="toy"))
     assert events and max(t for t, _ in events) <= 3.0
     assert (3.0, SAMPLE) in events
-    assert (3.5, SAMPLE) not in events
+
+
+def test_clock_refuses_a_sample_time_past_the_horizon_and_a_horizon_before_the_start():
+    # Such a sample used to be dropped, so the run returned no state for it.
+    with pytest.raises(ValueError, match="^toy: sample time 3.5 is past the horizon 3.0$"):
+        clock(3.0, 5.0, _GapStream([]), sample_times=(3.0, 3.5), name="toy")
+    with pytest.raises(ValueError, match="^toy: horizon 0.5 is NaN, infinite or before the start 1.0$"):
+        clock(0.5, 5.0, _GapStream([]), start=1.0, name="toy")
 
 
 def test_clock_at_rate_zero_proposes_nothing_and_draws_nothing():

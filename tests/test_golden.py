@@ -78,7 +78,7 @@ CASES = {
         },
         5,
         "picard.csv",
-        "800da3aef312af777ccb594ed6ef4c4ee2d93c7ac37beb9c790ded5a5a1767db",
+        "f3481f44395912f17659d289dc05d22f9bcde0be547eda1dff209d9388ce5bf0",
     ),
     "particles": (
         SELECTION,
@@ -98,7 +98,7 @@ CASES = {
         },
         4,
         "couple_particles.csv",
-        "5428565fce3293ae924d4806bb17abc4e042761c85ef78bfa08d4c1a543855d8",
+        "86db3cafa97e77d2dfd86e19d68257848a8ae0a1a6446c2d234d7fbf50a89e0c",
     ),
 }
 

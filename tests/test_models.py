@@ -31,7 +31,7 @@ from mfjump.models import (
     tcp,
     zigzag,
 )
-from mfjump.particles import empirical, meanfield_system, simulate_system
+from mfjump.particles import _pair_weights, empirical, meanfield_system, simulate_system
 
 from conftest import constant_flow, make_rng
 
@@ -542,6 +542,12 @@ def test_selection_rate_is_saturated():
     assert bundle.system.rate_ceiling == pytest.approx(1.5)
 
 
+def _selection_kernel(system, i, config) -> dict:
+    """The jump kernel of coordinate ``i`` of a selection system, read from
+    its pair form: the pair atoms of all ``N`` donors, added up by state."""
+    return _pair_weights(system.pair_atoms, config[i], config, 1.0 / len(config))
+
+
 def test_selection_kernel_atoms_exact():
     bundle = selection_mutation(
         SelectionParams(
@@ -550,7 +556,7 @@ def test_selection_kernel_atoms_exact():
         )
     )
     state = ((0.1,), (0.5,), (0.9,))
-    atoms = dict(bundle.system.kernel_atoms(0, state))
+    atoms = _selection_kernel(bundle.system, 0, state)
     assert atoms[(0.1,)] == pytest.approx(2.0 / 3.0)
     assert atoms[(0.5,)] == pytest.approx(1.0 / 6.0)
     assert atoms[(0.9,)] == pytest.approx(1.0 / 6.0)
@@ -574,8 +580,8 @@ def test_selection_kernel_tv_lipschitz_in_configuration():
         for i in range(4):
             if x[i] != z[i]:
                 continue
-            ax = dict(sys.kernel_atoms(i, x))
-            az = dict(sys.kernel_atoms(i, z))
+            ax = _selection_kernel(sys, i, x)
+            az = _selection_kernel(sys, i, z)
             keys = set(ax) | set(az)
             tv = sum(abs(ax.get(k, 0.0) - az.get(k, 0.0)) for k in keys)
             mismatches = sum(1 for a, b in zip(x, z) if a != b)

@@ -283,7 +283,9 @@ def test_meanfield_system_size_and_ceiling():
 # the jump law and its one sampler
 
 
-@pytest.mark.parametrize("law", ["neither", "both", "pair_atoms and kernel"])
+@pytest.mark.parametrize(
+    "law", ["neither", "both", "pair_atoms and kernel", "pair_atoms and kernel_atoms"]
+)
 def test_system_declares_exactly_one_jump_law(law):
     fields = dict(
         n_particles=2, rate=lambda i, config: 1.0, rate_ceiling=1.0,
@@ -295,10 +297,15 @@ def test_system_declares_exactly_one_jump_law(law):
         fields.update(kernel=flip, kernel_atoms=lambda i, config: [((1 - config[i][0],), 1.0)])
     elif law == "pair_atoms and kernel":
         fields.update(kernel=flip, pair_atoms=lambda own, donor: [(donor, 1.0)])
+    elif law == "pair_atoms and kernel_atoms":
+        fields.update(
+            kernel_atoms=lambda i, config: [((1 - config[i][0],), 1.0)],
+            pair_atoms=lambda own, donor: [(donor, 1.0)],
+        )
     with pytest.raises(ValueError) as err:
         SystemSpec(**fields)
     assert str(err.value) == (
-        "toy-system: declare exactly one of kernel and kernel_atoms or pair_atoms"
+        "toy-system: declare exactly one of kernel, kernel_atoms and pair_atoms"
     )
 
 
@@ -313,10 +320,10 @@ def test_selection_pair_sampler_matches_the_hand_written_kernel():
         for i in range(n):
             assert system.jump(i, config, a_stream) == reference(i, config, b_stream)
         assert a_stream.random() == b_stream.random()
-    # A rebuilt spec that carries the derived kernel_atoms keeps the pairwise
-    # sampler, and whole runs match one under the hand-written kernel.
-    rebuilt = dataclasses.replace(system, kernel_atoms=system.kernel_atoms)
-    by_hand = dataclasses.replace(system, kernel=reference, pair_atoms=None, kernel_atoms=None)
+    # A rebuilt spec keeps the pairwise sampler, and whole runs match one
+    # under the hand-written kernel.
+    rebuilt = dataclasses.replace(system)
+    by_hand = dataclasses.replace(system, kernel=reference, pair_atoms=None)
     for seed in range(3):
         a = simulate_system(rebuilt, config, 2.0, make_rng(600 + seed))
         b = simulate_system(by_hand, config, 2.0, make_rng(600 + seed))
