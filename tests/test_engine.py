@@ -590,6 +590,16 @@ def test_picard_requires_minimum_sample_size():
         )
 
 
+@pytest.mark.parametrize("horizon, grid_step", [(math.nan, 0.5), (1.0, math.nan)])
+def test_picard_refuses_a_nan_horizon_or_grid_step(horizon, grid_step):
+    m0 = EmpiricalMeasure.from_states([(0.0,)])
+    with pytest.raises(ValueError, match="^horizon and grid_step must be positive$"):
+        picard_solve(
+            drift_model(), m0, horizon=horizon, grid_step=grid_step, n_samples=100,
+            tol=1e-3, max_iter=2, stream=make_rng(14),
+        )
+
+
 def test_picard_grid_refinement_stays_within_noise():
     model = flip_model(rate_value=1.0, ceiling=2.0)
     m0 = EmpiricalMeasure.from_states([(0,)])
