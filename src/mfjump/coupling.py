@@ -116,32 +116,36 @@ class _Overlap:
     plus ``shared`` mass that both hold outside the two maps.
 
     ``p`` is the overlap mass (clamped to 1, by ``over``) and ``common`` the
-    unnormalized ``min(w1, w2)`` atoms sorted by state.  The normalized
-    overlap and the residuals are built once, when first read, so repeated
-    draws sort nothing again, and :meth:`draw` reads the residuals only when
-    it needs them.
+    positive ``min(w1, w2)`` atoms sorted by state.  The overlap's mass is
+    laid out in order, the ``shared`` mass first and then ``common``, and
+    :meth:`draw` takes the merged state at the position of its merge
+    uniform.  The normalized overlap and the residuals are built once, when
+    first read, so repeated draws sort nothing again, and :meth:`draw` reads
+    the residuals only when it needs them.
     """
 
-    __slots__ = ("w1", "w2", "p", "common", "over", "_nu0", "_residuals")
+    __slots__ = ("w1", "w2", "shared", "p", "common", "over", "_nu0", "_residuals")
 
     def __init__(self, w1: dict, w2: dict, shared: float = 0.0):
-        self.w1, self.w2 = w1, w2
-        self.common = [(k, min(w1[k], w2[k])) for k in sorted(k for k in w1 if k in w2)]
+        self.w1, self.w2, self.shared = w1, w2, shared
+        common = ((k, min(w1[k], w2[k])) for k in sorted(k for k in w1 if k in w2))
+        self.common = [(k, w) for k, w in common if w > 0.0]
         p_raw = shared + sum(w for _, w in self.common)
         self.over = max(p_raw - 1.0, 0.0)
         self.p = 1.0 if 1.0 - p_raw <= 1e-12 else p_raw
         self._nu0 = self._residuals = None
 
     def overlap(self) -> tuple:
-        """The normalized overlap atoms ``nu0``."""
+        """The normalized ``common`` atoms ``nu0``."""
         if self._nu0 is None:
             p = self.p
-            self._nu0 = tuple((k, w / p) for k, w in self.common if w > 0.0) if p > 0.0 else ()
+            self._nu0 = tuple((k, w / p) for k, w in self.common) if p > 0.0 else ()
         return self._nu0
 
-    def pick(self, w: float) -> tuple:
-        """The state at quantile ``w`` of the normalized overlap."""
-        return _pick(self.overlap(), w)
+    def pick(self, v: float) -> Optional[tuple]:
+        """The merged state at position ``v`` of the overlap's mass, or
+        ``None`` when ``v >= p`` and the sides split."""
+        return _pick(self.common, v - self.shared) if v < self.p else None
 
     def residuals(self) -> tuple:
         """The normalized residuals ``(nu1, nu2)``, disjoint and sorted by state."""
@@ -153,14 +157,17 @@ class _Overlap:
         return self._residuals
 
     def draw(self, stream) -> tuple:
-        """The maximal-coupling draw: with ``v < p`` both sides take the
-        overlap's state at quantile ``w``, else each takes its residual's.
-        Returns ``(x, y, v)``; the sides merge exactly when ``v < p``."""
+        """The maximal-coupling draw by two uniforms ``v`` and ``w``: with
+        ``v < p`` both sides take the overlap's state at position ``v``
+        (:meth:`pick`), else each takes its residual's at quantile ``w``.
+        Given ``v < p``, ``v / p`` is uniform, so the merged state follows
+        the normalized overlap.  Returns ``(x, y, v)``; the sides merge
+        exactly when ``v < p``."""
         v = stream.random()
         w = stream.random()
-        if v < self.p:
-            shared = self.pick(w)
-            return shared, shared, v
+        merged = self.pick(v)
+        if merged is not None:
+            return merged, merged, v
         nu1, nu2 = self.residuals()
         return _pick(nu1, w), _pick(nu2, w), v
 
@@ -642,49 +649,57 @@ def _mixed_atoms(spec, at: tuple, stay, coordinate=None) -> list:
 
 class _MergedOverlap(_Overlap):
     """The parts of a proposal at a merged coordinate ``i`` whose two rates
-    agree, with thinning share ``share``, read from the mismatched donors
-    only; the overlap is drawn by index.
+    agree, with thinning share ``share``, which read a donor only where the
+    draw lands on it.
 
     Each matched donor in ``matching`` adds the same pair atoms to both
     sides, and ``min(C + A, C + B) = C + min(A, B)`` state by state.  So the
-    overlap is the common part ``C`` (the stay-put mass and the matched
+    overlap is the ``shared`` part ``C`` (the stay-put mass and the matched
     donors) plus the overlap of the mismatched donors' parts ``A`` and
-    ``B``, and the residuals are those of ``A`` and ``B``: ``O(1 + K)``
-    pair-atom calls for ``K`` mismatched coordinates, plus a sort of ``A``
-    and ``B`` when the residuals are drawn.  The overlap's mass is laid out
-    in order: the stay atom, then a slot of mass ``share / N`` for each
-    matched donor (split by that donor's pair atoms, whose mass
-    :meth:`pick` checks), then the ``common`` atoms of the mismatched
-    donors.
+    ``B``, and the residuals are those of ``A`` and ``B``.  The overlap's
+    mass is laid out in order: the stay atom, then a slot of mass
+    ``share / N`` for each matched donor (split by that donor's pair atoms,
+    whose mass :meth:`pick` checks), then the ``common`` atoms of ``A`` and
+    ``B``.  A merge uniform below ``shared`` reads at most one matched
+    donor; ``A`` and ``B`` (``w1``, ``w2``, ``common``, ``p`` and the
+    residuals) are built from the ``K`` mismatched donors, one pass per
+    side, only when first read.
     """
 
-    __slots__ = ("stay", "stay_mass", "share", "donors", "config", "pair_atoms")
+    __slots__ = ("stay", "stay_mass", "share", "donors", "mismatched", "x", "y", "pair_atoms")
 
     def __init__(self, system: SystemSpec, i: int, x, y, matching, share: float):
-        self.stay, self.config, self.pair_atoms = x[i], x, system.pair_atoms
-        self.donors = matching.matched
+        self.stay, self.x, self.y, self.pair_atoms = x[i], x, y, system.pair_atoms
+        self.donors, self.mismatched = matching.matched, matching.mismatched
         self.share = share / len(x)
         self.stay_mass = 1.0 - share
-        shared = self.stay_mass + len(self.donors) * self.share
-        w1, w2 = (
-            _pair_weights(self.pair_atoms, self.stay, (c[k] for k in matching.mismatched),
-                          self.share, shared)
-            for c in (x, y)
-        )
-        super().__init__(w1, w2, shared)
+        self.shared = self.stay_mass + len(self.donors) * self.share
 
-    def pick(self, w: float) -> tuple:
-        """The state at quantile ``w`` of the normalized overlap."""
-        m = w * self.p - self.stay_mass
-        if m < 0.0 or (not self.donors and not self.common):
+    def __getattr__(self, name: str):
+        # Called only for a slot not yet set: build the mismatched donors' parts.
+        if name not in _Overlap.__slots__:
+            raise AttributeError(name)
+        w1, w2 = (
+            _pair_weights(self.pair_atoms, self.stay, (c[k] for k in self.mismatched),
+                          self.share, self.shared)
+            for c in (self.x, self.y)
+        )
+        _Overlap.__init__(self, w1, w2, self.shared)
+        return getattr(self, name)
+
+    def pick(self, v: float) -> Optional[tuple]:
+        """The merged state at position ``v`` of the overlap's mass, or
+        ``None`` when ``v >= p`` and the sides split."""
+        if v < self.stay_mass:
             return self.stay
-        k = int(m / self.share)
-        if k < len(self.donors) or not self.common:
-            k = min(k, len(self.donors) - 1)
-            atoms = self.pair_atoms(self.stay, self.config[self.donors[k]])
-            _check_mass(sum(weight for _, weight in atoms))
-            return _pick(atoms, m / self.share - k)
-        return _pick(self.common, m - len(self.donors) * self.share)
+        if v >= self.shared and (v >= self.p or self.common):
+            return super().pick(v)
+        # A matched donor's slot (the last one when rounding puts ``v`` past them).
+        m = (v - self.stay_mass) / self.share
+        k = min(int(m), len(self.donors) - 1)
+        atoms = self.pair_atoms(self.stay, self.x[self.donors[k]])
+        _check_mass(sum(weight for _, weight in atoms))
+        return _pick(atoms, m - k)
 
 
 def _pairwise_mixed_weights(system: SystemSpec, i: int, config, share: float) -> dict:
@@ -707,7 +722,9 @@ def _proposal_parts(system: SystemSpec, i: int, x, y, matching) -> _Overlap:
     :class:`_MergedOverlap`, else the :class:`_Overlap` of the two sides'
     :func:`_pairwise_mixed_weights`.  Other systems decompose their kernel
     atoms.  :meth:`_Overlap.draw` draws from the parts and builds the
-    residuals only when it reads them.
+    residuals only when it reads them, and a :class:`_MergedOverlap` reads
+    the mismatched donors only when its merge uniform lands past the
+    matched ones.
     """
     if system.pair_atoms is None:
         return _Overlap(*(_load_atoms(_mixed_atoms(system, (i, c), c[i], i))[0] for c in (x, y)))

@@ -615,14 +615,22 @@ def picard_solve(
     ``max_iter`` rounds.  A trajectory starts from a draw of ``m0`` by one
     uniform (none when ``m0`` is a point).  The grid is ``k * grid_step`` up
     to ``horizon``, with a last point that rounds past it taken at ``horizon``.
+    A horizon that :func:`_run_times` refuses, or a ``grid_step`` that leaves
+    no grid point after 0, raises ``ValueError``.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100 for usable snapshots")
     if not (grid_step > 0.0 and horizon > 0.0):
         raise ValueError("horizon and grid_step must be positive")
+    _run_times(horizon, (), model.name)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n_steps = int(math.floor(horizon / grid_step + 1e-9))
+    if n_steps < 1:
+        raise ValueError(
+            f"{model.name}: grid_step {grid_step} leaves no grid point after 0 "
+            f"within the horizon {horizon}"
+        )
     grid = [min(k * grid_step, horizon) for k in range(n_steps + 1)]
     binning = make_binning(model.state_layout, model.state_box, _GAP_BINS)
     point = m0.point()

@@ -84,8 +84,10 @@ class SystemSpec:
             weights sum to one.  A single run draws a uniform donor ``j``,
             then one of its atoms.  Coupled runs add the positive weights of
             those atoms by state (:func:`_pair_weights`, which checks their
-            mass), and at a merged coordinate skip the donors that agree on
-            both sides (:func:`~mfjump.coupling.simulate_coupled_system`).
+            mass).  At a merged coordinate they read the donors that agree
+            on both sides only one at a time, the one whose slot the merge
+            uniform lands in, and the others only when it lands past them
+            (:func:`~mfjump.coupling.simulate_coupled_system`).
         base_coupler, base_machine: The base motion of one coordinate,
             declared by exactly one of them, typed as in
             :class:`~mfjump.engine.ModelSpec` (coordinates are exchangeable,

@@ -748,6 +748,16 @@ def test_non_integer_n_samples_fails_without_output(tmp_path):
     assert_one_line_error(res, out, "n_samples must be an integer, got 'many'")
 
 
+def test_picard_grid_step_past_the_horizon_fails_without_output(tmp_path):
+    cfg = picard_config(tmp_path, grid_step=2.0, n_samples=100)
+    out = tmp_path / "out"
+    res = run_cli(["picard", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(
+        res, out,
+        "run-tumble: grid_step 2.0 leaves no grid point after 0 within the horizon 1.0",
+    )
+
+
 def test_module_entry_point_runs_a_command(tmp_path):
     cfg = write_config(
         tmp_path / "certify.json",

@@ -664,28 +664,28 @@ def _matching_of(x, y) -> _Matching:
 
 
 def _merged_overlap_law(nu0) -> dict:
-    """Exact law of ``nu0.pick(w)`` for ``w ~ U[0, 1)``.
+    """Exact law of ``nu0.pick(v)`` for ``v ~ U[0, p)``.
 
     The cumulative masses of the overlap's layout (stay atom, matched
-    donors' pair atoms, common atoms) cut ``[0, 1)`` into intervals on which
+    donors' pair atoms, common atoms) cut ``[0, p)`` into intervals on which
     ``pick`` is constant, so ``pick`` is read at each interval's midpoint.
     """
     cuts = [nu0.stay_mass]
     for k, donor in enumerate(nu0.donors):
         acc = nu0.stay_mass + k * nu0.share
-        for _, w in nu0.pair_atoms(nu0.stay, nu0.config[donor]):
+        for _, w in nu0.pair_atoms(nu0.stay, nu0.x[donor]):
             acc += w * nu0.share
             cuts.append(acc)
-    acc = nu0.stay_mass + len(nu0.donors) * nu0.share
+    acc = nu0.shared
     for _, w in nu0.common:
         acc += w
         cuts.append(acc)
-    edges = sorted({0.0, 1.0} | {min(max(c / nu0.p, 0.0), 1.0) for c in cuts})
+    edges = sorted({0.0, nu0.p} | {min(max(c, 0.0), nu0.p) for c in cuts})
     law: dict = {}
     for lo, hi in zip(edges, edges[1:]):
         if hi > lo:
             state = nu0.pick((lo + hi) / 2.0)
-            law[state] = law.get(state, 0.0) + hi - lo
+            law[state] = law.get(state, 0.0) + (hi - lo) / nu0.p
     return law
 
 
@@ -788,6 +788,82 @@ def test_merged_parts_apply_only_to_merged_coordinates_with_equal_rates():
     flips = flip_system(3)
     x = y = ((0,), (1,), (0,))
     assert not merged(flips, 0, x, y)  # no pair form
+
+
+class _FixedUniforms:
+    """A stream whose ``random()`` returns the given uniforms in turn."""
+
+    def __init__(self, *uniforms):
+        self._uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self._uniforms)
+
+
+def test_merged_draw_follows_the_full_maximal_coupling():
+    # A merged coordinate with mismatched donors whose states coincide
+    # across sides (x_3 == y_4, x_4 == y_3), so the mismatched donors'
+    # overlap carries mass, and a ceiling above the rate, so there is a stay
+    # atom.  Each draw builds fresh parts, as a coupled run does.
+    system = selection_mutation(
+        SelectionParams(n_particles=6, accept_prob=ACCEPT_PROBS["distance"])
+    ).system
+    system = dataclasses.replace(system, rate_ceiling=1.6)
+    x = ((0.1,), (0.3,), (0.5,), (0.2,), (0.4,), (0.5,))
+    y = ((0.1,), (0.3,), (0.5,), (0.4,), (0.2,), (0.1,))
+    i = 0
+    matching = _matching_of(x, y)
+    parts = _proposal_parts(system, i, x, y, matching)
+    assert isinstance(parts, _MergedOverlap)
+    p, nu0, *_ = overlap_decompose(
+        _full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y)
+    )
+    assert parts.stay_mass > 0.0 and p - parts.shared > 0.05
+    n = 40_000
+    stream = make_rng(41)
+    merged, sides = collections.Counter(), (collections.Counter(), collections.Counter())
+    for _ in range(n):
+        xi, yi, v = _proposal_parts(system, i, x, y, matching).draw(stream)
+        assert (xi == yi) == (v < p)
+        if xi == yi:
+            merged[xi] += 1
+        sides[0][xi] += 1
+        sides[1][yi] += 1
+
+    def assert_close(count, q):
+        assert abs(count / n - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n) + 1e-12
+
+    assert_close(sum(merged.values()), p)
+    law0 = dict(nu0)
+    for state in set(law0) | set(merged):
+        assert_close(merged[state], p * law0.get(state, 0.0))
+    for config, counts in zip((x, y), sides):
+        mixed, _ = _load_atoms(_full_mixed_atoms(system, i, config))
+        for state in set(mixed) | set(counts):
+            assert_close(counts[state], mixed.get(state, 0.0))
+
+
+def test_merged_draw_below_the_matched_mass_reads_one_donor():
+    # At the saturated rate there is no stay atom and each of the 6 matched
+    # donors holds a slot of mass 1/8, so a merge uniform of 0.1 lands in
+    # the first slot and the draw reads that donor's pair atoms only.
+    # Building the mismatched donors' parts would read both of them on each
+    # side.
+    base = selection_bundle(8).system
+    calls = [0]
+
+    def counted(own, donor):
+        calls[0] += 1
+        return base.pair_atoms(own, donor)
+
+    system = dataclasses.replace(base, pair_atoms=counted)
+    x = tuple(((k + 0.5) / 8,) for k in range(8))
+    y = tuple((1.0 - c[0] / 2.0,) if k in (3, 6) else c for k, c in enumerate(x))
+    parts = _proposal_parts(system, 0, x, y, _matching_of(x, y))
+    assert isinstance(parts, _MergedOverlap)
+    xi, yi, v = parts.draw(_FixedUniforms(0.1, 0.5))
+    assert (xi, yi, v) == (x[0], x[0], 0.1)
+    assert calls[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1016,12 +1092,16 @@ def _couple_sel_layout(seed, n=256):
 
 class _EagerParts:
     """Parts with both residuals built before the draw, drawn by the one
-    maximal-coupling draw."""
+    maximal-coupling draw: ``merged(v)`` is the merged state at position
+    ``v < p`` of the overlap's mass."""
 
     draw = coupling._Overlap.draw
 
-    def __init__(self, p, pick, nu1, nu2):
-        self.p, self.pick, self._residuals = p, pick, (nu1, nu2)
+    def __init__(self, p, merged, nu1, nu2):
+        self.p, self._merged, self._residuals = p, merged, (nu1, nu2)
+
+    def pick(self, v):
+        return self._merged(v) if v < self.p else None
 
     def residuals(self):
         return self._residuals
@@ -1030,15 +1110,16 @@ class _EagerParts:
 def _eager_parts(system, i, x, y, matching):
     """A proposal's parts as built before the pairwise pass and the
     residuals on demand: the sparse parts at a merged coordinate whose rates
-    agree, else ``overlap_decompose`` of the full mixed atoms, and both
-    residuals at every proposal."""
+    agree, with the mismatched donors' parts built before the draw, else
+    ``overlap_decompose`` of the full mixed atoms, whose normalized overlap
+    is read at quantile ``v / p``, and both residuals at every proposal."""
     parts = _proposal_parts(system, i, x, y, matching)
     if isinstance(parts, _MergedOverlap):
         return _EagerParts(parts.p, parts.pick, *parts.residuals())
     p, nu0, nu1, nu2, _ = overlap_decompose(
         _full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y)
     )
-    return _EagerParts(p, lambda w: _pick(nu0, w), nu1, nu2)
+    return _EagerParts(p, lambda v: _pick(nu0, v / p), nu1, nu2)
 
 
 def test_pairwise_pass_matches_the_full_decomposition_draw_for_draw(monkeypatch):
@@ -1119,9 +1200,15 @@ def test_pair_atoms_mass_is_checked_on_every_path(start):
         with pytest.raises(ValueError, match=short):
             simulate_coupled_system(system, x0, y0, 2.0, 1.0, 1.0, make_rng(seed))
     if start == "mismatched":
-        for i in range(4):  # merged at 0 and 2, mismatched at 1 and 3
-            with pytest.raises(ValueError, match=short):
-                _proposal_parts(system, i, x0, y0, _matching_of(x0, y0))
+        # Merged at 0 and 2, where a merge uniform of 0.0 reads a matched
+        # donor's atoms and one of 0.999 the mismatched donors'; mismatched
+        # at 1 and 3, where the full pass reads every donor either way.
+        for i in range(4):
+            for v in (0.0, 0.999):
+                with pytest.raises(ValueError, match=short):
+                    _proposal_parts(system, i, x0, y0, _matching_of(x0, y0)).draw(
+                        _FixedUniforms(v, 0.5)
+                    )
 
 
 @pytest.mark.parametrize("start", ["equal", "mismatched"])

@@ -600,6 +600,25 @@ def test_picard_refuses_a_nan_horizon_or_grid_step(horizon, grid_step):
         )
 
 
+@pytest.mark.parametrize(
+    "horizon, grid_step, message",
+    [
+        (math.inf, 0.5, "^drift-toy: horizon inf is NaN, infinite or before the start 0.0$"),
+        (1.0, 2.0, "^drift-toy: grid_step 2.0 leaves no grid point after 0 within the horizon 1.0$"),
+    ],
+    ids=["infinite-horizon", "step-past-horizon"],
+)
+def test_picard_refuses_a_grid_it_cannot_run(horizon, grid_step, message):
+    m0 = EmpiricalMeasure.from_states([(0.0,)])
+    stream = CountingStream(make_rng(14))
+    with pytest.raises(ValueError, match=message):
+        picard_solve(
+            drift_model(), m0, horizon=horizon, grid_step=grid_step, n_samples=100,
+            tol=1e-3, max_iter=2, stream=stream,
+        )
+    assert stream.counts == {}  # refused before any path is simulated
+
+
 def test_picard_grid_refinement_stays_within_noise():
     model = flip_model(rate_value=1.0, ceiling=2.0)
     m0 = EmpiricalMeasure.from_states([(0,)])
