@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -120,6 +121,13 @@ PARTICLE_CASES = {
     ),
 }
 
+#: sha256 of ``couple_particles.csv`` of the CI's coupled selection run on 64
+#: coordinates, half of them matched (seed 3, 4 replicas): its proposals
+#: split often, so the residuals of the maximal coupling are read.
+HALF_MATCHED_SHA256 = (
+    "521385d82543880518704d8776875c62d7aa367c86053cb1d58be2de38781cc5"
+)
+
 #: sha256 of the repr of the library mean-field run below.
 MEANFIELD_SHA256 = (
     "6426b7a2a74f72814c809aae2a3e096ccf421f27e39a7380b82475df3fddc2fe"
@@ -159,6 +167,18 @@ def test_particles_output_bytes_are_pinned(tmp_path, model_id):
     run = {"x0": x0, "horizon": 1.0, "replicas": 3, "sample_times": [0.5, 1.0]}
     sha = _cli_output_sha256(tmp_path, "particles", model, run, seed, "particles.csv")
     assert sha == pinned
+
+
+def test_half_matched_couple_particles_output_is_pinned(tmp_path):
+    rng = random.Random(64)
+    x0 = [[rng.random()] for _ in range(64)]
+    y0 = [x if k % 2 else [rng.random()] for k, x in enumerate(x0)]
+    model = {"id": "selection", "params": {"n_particles": 64}}
+    run = {"x0": x0, "y0": y0, "horizon": 2.0, "t0": 1.0, "replicas": 4,
+           "sample_times": [1.0, 2.0]}
+    sha = _cli_output_sha256(tmp_path, "couple-particles", model, run, 3,
+                             "couple_particles.csv")
+    assert sha == HALF_MATCHED_SHA256
 
 
 def test_meanfield_library_run_is_pinned():
