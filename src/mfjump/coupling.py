@@ -115,22 +115,43 @@ class _Overlap:
     """The maximal coupling of two measures given by weights per state,
     plus ``shared`` mass that both hold outside the two maps.
 
-    ``p`` is the overlap mass (clamped to 1, by ``over``) and ``common`` the
-    positive ``min(w1, w2)`` atoms sorted by state.  The overlap's mass is
+    One sorted pass over the states of both maps splits each state's
+    weights ``a`` and ``b`` into ``min(a, b)`` and the two remainders
+    ``a - min(a, b)`` and ``b - min(a, b)``; a state that only one map
+    holds is all remainder.  ``common`` keeps the positive ``min`` atoms
+    and each side the positive remainders, all sorted by state, and ``p``
+    is the overlap mass (clamped to 1, by ``over``).  The overlap's mass is
     laid out in order, the ``shared`` mass first and then ``common``, and
     :meth:`draw` takes the merged state at the position of its merge
-    uniform.  The normalized overlap and the residuals are built once, when
-    first read, so repeated draws sort nothing again, and :meth:`draw` reads
-    the residuals only when it needs them.
+    uniform.  The overlap and the residuals are normalized once, when first
+    read, and :meth:`draw` reads the residuals only when it needs them.
     """
 
-    __slots__ = ("w1", "w2", "shared", "p", "common", "over", "_nu0", "_residuals")
+    __slots__ = ("shared", "p", "common", "over", "_rests", "_nu0", "_residuals")
 
     def __init__(self, w1: dict, w2: dict, shared: float = 0.0):
-        self.w1, self.w2, self.shared = w1, w2, shared
-        common = ((k, min(w1[k], w2[k])) for k in sorted(k for k in w1 if k in w2))
-        self.common = [(k, w) for k, w in common if w > 0.0]
-        p_raw = shared + sum(w for _, w in self.common)
+        self.shared = shared
+        common, rest1, rest2 = [], [], []
+        get1, get2 = w1.get, w2.get
+        for k in sorted(w1.keys() | w2.keys()):
+            a, b = get1(k), get2(k)
+            if b is None:
+                if a > 0.0:
+                    rest1.append((k, a))
+            elif a is None:
+                if b > 0.0:
+                    rest2.append((k, b))
+            elif b < a:
+                rest1.append((k, a - b))
+                if b > 0.0:
+                    common.append((k, b))
+            else:
+                if a < b:
+                    rest2.append((k, b - a))
+                if a > 0.0:
+                    common.append((k, a))
+        self.common, self._rests = common, (rest1, rest2)
+        p_raw = shared + sum(w for _, w in common)
         self.over = max(p_raw - 1.0, 0.0)
         self.p = 1.0 if 1.0 - p_raw <= 1e-12 else p_raw
         self._nu0 = self._residuals = None
@@ -151,8 +172,7 @@ class _Overlap:
         """The normalized residuals ``(nu1, nu2)``, disjoint and sorted by state."""
         if self._residuals is None:
             self._residuals = (
-                ((), ()) if self.p >= 1.0
-                else (_residual(self.w1, self.w2), _residual(self.w2, self.w1))
+                ((), ()) if self.p >= 1.0 else tuple(map(_normalized, self._rests))
             )
         return self._residuals
 
@@ -172,17 +192,10 @@ class _Overlap:
         return _pick(nu1, w), _pick(nu2, w), v
 
 
-def _residual(side: dict, other: dict) -> tuple:
-    """``side - min(side, other)``, normalized and sorted by state."""
-    raw = []
-    for k in sorted(side):
-        left = side[k] - min(side[k], other.get(k, 0.0))
-        if left > 0.0:
-            raw.append((k, left))
-    mass = sum(w for _, w in raw)
-    if mass <= 0.0:
-        return ()
-    return tuple((k, w / mass) for k, w in raw)
+def _normalized(atoms: list) -> tuple:
+    """``atoms`` divided by their total weight; none when there are none."""
+    mass = sum(w for _, w in atoms)
+    return tuple((k, w / mass) for k, w in atoms) if atoms else ()
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +674,9 @@ class _MergedOverlap(_Overlap):
     ``share / N`` for each matched donor (split by that donor's pair atoms,
     whose mass :meth:`pick` checks), then the ``common`` atoms of ``A`` and
     ``B``.  A merge uniform below ``shared`` reads at most one matched
-    donor; ``A`` and ``B`` (``w1``, ``w2``, ``common``, ``p`` and the
-    residuals) are built from the ``K`` mismatched donors, one pass per
-    side, only when first read.
+    donor; ``A`` and ``B`` (``common``, ``p`` and the residuals) are built
+    from the ``K`` mismatched donors, one pass per side, only when first
+    read.
     """
 
     __slots__ = ("stay", "stay_mass", "share", "donors", "mismatched", "x", "y", "pair_atoms")

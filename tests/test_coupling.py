@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mfjump import coupling
@@ -159,6 +159,64 @@ def test_pair_sampler_reconstructs_marginals(w1, w2):
             rebuilt[s] = rebuilt.get(s, 0.0) + (1.0 - ps.p) * w
         for s, w in m.atoms:
             assert rebuilt.get(s, 0.0) == pytest.approx(w, abs=1e-9)
+
+
+def _three_pass_overlap(w1: dict, w2: dict, shared: float) -> tuple:
+    """``(p, over, common, (nu1, nu2))`` of two weight maps by the
+    definition, one pass each: the sorted intersection's ``min`` atoms,
+    then ``side - min(side, other)`` over each side's sorted states."""
+    common = [(k, min(w1[k], w2[k])) for k in sorted(k for k in w1 if k in w2)]
+    common = [(k, w) for k, w in common if w > 0.0]
+    p_raw = shared + sum(w for _, w in common)
+    p = 1.0 if 1.0 - p_raw <= 1e-12 else p_raw
+
+    def residual(side, other):
+        raw = [(k, side[k] - min(side[k], other.get(k, 0.0))) for k in sorted(side)]
+        raw = [(k, w) for k, w in raw if w > 0.0]
+        mass = sum(w for _, w in raw)
+        return tuple((k, w / mass) for k, w in raw) if mass > 0.0 else ()
+
+    residuals = ((), ()) if p >= 1.0 else (residual(w1, w2), residual(w2, w1))
+    return p, max(p_raw - 1.0, 0.0), common, residuals
+
+
+_OVERLAP_STATES = st.integers(0, 7).map(lambda k: (k / 8.0,))
+#: Exact zeros and a negative weight that ``_load_atoms`` clamps to zero.
+_OVERLAP_WEIGHTS = st.one_of(st.just(0.0), st.just(-1e-10), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def _overlap_atom_lists(draw):
+    """Two atom lists over eight states, with repeated states, zero-weight
+    states and states on one side only; or a second side that moves at
+    most 2e-12 of the first's mass, so that ``p`` is within 1e-12 of 1 or
+    just outside."""
+
+    def side():
+        atoms = draw(st.lists(st.tuples(_OVERLAP_STATES, _OVERLAP_WEIGHTS), min_size=1, max_size=6))
+        total = sum(w for _, w in atoms if w > 0.0)
+        assume(total > 0.0)
+        return [(s, w / total if w > 0.0 else w) for s, w in atoms]
+
+    atoms1 = side()
+    if draw(st.booleans()):
+        return atoms1, side()
+    eps = draw(st.floats(0.0, 2e-12))
+    k = next(k for k, (_, w) in enumerate(atoms1) if w > 0.0)
+    atoms2 = list(atoms1)
+    atoms2[k] = (atoms1[k][0], atoms1[k][1] - eps)
+    atoms2.append((draw(_OVERLAP_STATES), eps))
+    return atoms1, atoms2
+
+
+@settings(max_examples=300)
+@given(_overlap_atom_lists(), st.sampled_from([0.0, 0.0, 0.3]))
+def test_overlap_pass_matches_the_three_pass_definition(atoms, shared):
+    w1, _ = _load_atoms(atoms[0])
+    w2, _ = _load_atoms(atoms[1])
+    parts = coupling._Overlap(w1, w2, shared)
+    got = (parts.p, parts.over, parts.common, parts.residuals())
+    assert got == _three_pass_overlap(w1, w2, shared)
 
 
 def test_pair_sampler_marginal_frequencies(rng):
@@ -1143,9 +1201,9 @@ def test_pairwise_pass_matches_the_full_decomposition_draw_for_draw(monkeypatch)
 
 def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
     # Each side's weights come from one pass over the pair atoms, never from
-    # overlap_decompose (a pairwise system has no kernel_atoms), and a draw
-    # builds the two residuals only when v >= p.  Before, every proposal
-    # with p < 1 built both.
+    # overlap_decompose (a pairwise system has no kernel_atoms).  The raw
+    # remainders come out of the overlap's one sorted pass, and a draw
+    # normalizes the two residuals only when v >= p.
     system, x0, y0 = _couple_sel_layout(3)
     calls = collections.Counter()
 
@@ -1168,7 +1226,7 @@ def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
     monkeypatch.setattr(
         coupling, "overlap_decompose", counted("overlap_decompose", overlap_decompose)
     )
-    monkeypatch.setattr(coupling, "_residual", counted("_residual", coupling._residual))
+    monkeypatch.setattr(coupling, "_normalized", counted("_normalized", coupling._normalized))
     monkeypatch.setattr(coupling._Overlap, "draw", draw)
     simulate_coupled_system(
         system, x0, y0, 1.0, 1.0, system.rate_ceiling, make_rng(31),
@@ -1177,7 +1235,7 @@ def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
     assert calls["proposals"] > 100
     assert system.kernel_atoms is None
     assert calls["overlap_decompose"] == 0
-    assert calls["_residual"] <= 2 * calls["residuals drawn"]
+    assert calls["_normalized"] <= 2 * calls["residuals drawn"]
     assert calls["residuals drawn"] < calls["p < 1"]
 
 
