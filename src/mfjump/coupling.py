@@ -734,8 +734,8 @@ def _proposal_parts(system: SystemSpec, i: int, x, y, matching) -> _Overlap:
     ``i`` is merged and the two rates agree the parts are a
     :class:`_MergedOverlap`, else the :class:`_Overlap` of the two sides'
     :func:`_pairwise_mixed_weights`.  Other systems decompose their kernel
-    atoms.  :meth:`_Overlap.draw` draws from the parts and builds the
-    residuals only when it reads them, and a :class:`_MergedOverlap` reads
+    atoms.  :meth:`_Overlap.draw` draws from the parts and normalizes
+    the residuals only when it reads them, and a :class:`_MergedOverlap` reads
     the mismatched donors only when its merge uniform lands past the
     matched ones.
     """

@@ -193,7 +193,8 @@ def _overlap_atom_lists(draw):
     just outside."""
 
     def side():
-        atoms = draw(st.lists(st.tuples(_OVERLAP_STATES, _OVERLAP_WEIGHTS), min_size=1, max_size=6))
+        atom = st.tuples(_OVERLAP_STATES, _OVERLAP_WEIGHTS)
+        atoms = draw(st.lists(atom, min_size=1, max_size=6))
         total = sum(w for _, w in atoms if w > 0.0)
         assume(total > 0.0)
         return [(s, w / total if w > 0.0 else w) for s, w in atoms]
