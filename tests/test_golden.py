@@ -18,7 +18,9 @@ import pytest
 from click.testing import CliRunner
 
 from mfjump.cli import main
-from mfjump.models import RunTumbleParams, run_tumble
+from mfjump.coupling import MERGE, coupled_base, simulate_merge_split
+from mfjump.engine import EmpiricalMeasure, MeasureFlow
+from mfjump.models import RunTumbleParams, build_model, run_tumble
 from mfjump.particles import meanfield_system, simulate_system
 
 from conftest import make_rng
@@ -133,6 +135,18 @@ MEANFIELD_SHA256 = (
     "6426b7a2a74f72814c809aae2a3e096ccf421f27e39a7380b82475df3fddc2fe"
 )
 
+#: sha256 of the repr of the merge/split records below: 40 seeds, 37 merges
+#: of the base machine among their events.
+MERGE_SPLIT_SHA256 = (
+    "f854712cb4c2a8cf728b9bcca27010c5a4dfe004e414a5faf04509d9007572df"
+)
+
+#: sha256 of the repr of the ``coupled_base`` windows below: 180 windows,
+#: 117 of them merged.
+COUPLED_BASE_SHA256 = (
+    "3943d72aa2812582e0bfedf3d24ddca72026f1413c01c370cb29ffa7cfff8191"
+)
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -195,3 +209,52 @@ def test_meanfield_library_run_is_pinned():
         traj.n_rejected,
     )
     assert _sha256(repr(record).encode()) == MEANFIELD_SHA256
+
+
+def test_merge_split_records_are_pinned():
+    # The MERGE events come from the base machine, the PROPOSAL events from
+    # the maximal coupling of the jump kernels.
+    model = run_tumble(RunTumbleParams(theta=0.1)).model
+    flow1 = MeasureFlow.constant(EmpiricalMeasure([((0.3, 1), 1.0)]))
+    flow2 = MeasureFlow.constant(EmpiricalMeasure([((-0.3, -1), 1.0)]))
+    records = []
+    for seed in range(40):
+        traj = simulate_merge_split(
+            model, flow1, flow2, (0.2, 1), (-0.2, 1), 4.0, 1.0, make_rng(seed),
+            sample_times=(1.0, 2.0, 3.0, 4.0), record_events=True,
+        )
+        records.append((
+            [(e.time, e.kind, e.x, e.y, e.merged, e.p) for e in traj.events],
+            sorted(traj.sample_pairs.items()),
+            traj.n_splits,
+            traj.clamp_excess,
+            traj.n_clamped,
+        ))
+    assert sum(e[1] == MERGE for r in records for e in r[0]) == 37
+    assert _sha256(repr(records).encode()) == MERGE_SPLIT_SHA256
+
+
+def _window_end(model, x, y, stream) -> tuple:
+    """The end pair of one ``coupled_base`` window at ``t0 = 2`` and its
+    ``merged_at``; a side given as a path of ``(time, state)`` points is
+    read at its last point."""
+    x_end, y_end, merged_at = coupled_base(model, x, y, 2.0, stream)
+    if isinstance(x_end, list):
+        x_end, y_end = x_end[-1][1], y_end[-1][1]
+    return tuple(x_end), tuple(y_end), merged_at
+
+
+def test_coupled_base_windows_are_pinned():
+    run_tumble_model = run_tumble(RunTumbleParams(theta=0.1)).model
+    starts = [
+        (run_tumble_model, (0.1, 1), (-0.1, 1)),
+        (run_tumble_model, (0.5, 1), (0.5, 1)),
+        (build_model("mh", {}).base_model, (0.2,), (0.7,)),
+    ]
+    windows = [
+        _window_end(model, x, y, make_rng(1000 + seed))
+        for model, x, y in starts
+        for seed in range(60)
+    ]
+    assert sum(merged_at is not None for _, _, merged_at in windows) == 117
+    assert _sha256(repr(windows).encode()) == COUPLED_BASE_SHA256
