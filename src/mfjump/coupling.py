@@ -7,7 +7,11 @@ Three layers build on each other:
   two disjoint residuals.
 * Base couplers — small state machines that evolve a *pair* of states under
   the base dynamics so that each side keeps its marginal law while the pair
-  merges with positive probability (:func:`coupled_base`).
+  merges with positive probability (:func:`coupled_base`).  A machine
+  answers ``advance(dt)`` with the pair ``(x, y)`` ``dt`` later; its sides
+  merge at most once and then stay merged, and it keeps that merge in
+  ``merge``, ``(time since the machine started, merged state)`` or
+  ``None`` (:func:`~mfjump.engine._base_machine`).
 * Trajectory couplings — :func:`simulate_merge_split` for one measure-driven
   pair and :func:`simulate_coupled_system` for interacting systems, both
   sharing proposal clocks and jump variates so that merged pairs tend to stay
@@ -17,6 +21,7 @@ Three layers build on each other:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -29,6 +34,7 @@ from .engine import (
     _base_machine,
     _check_mass,
     _pick,
+    _waiting_time,
     check_rate,
     clock,
 )
@@ -217,10 +223,11 @@ class _TelegraphCouplerMachine:
     redrawn because the exponential clock is memoryless.
     """
 
-    __slots__ = ("_c", "_stream", "_x", "_y", "_t", "_merged", "_tx", "_ty", "_commit_side")
+    __slots__ = ("_c", "_stream", "_x", "_y", "_t", "_merged", "_tx", "_ty", "_commit_side",
+                 "merge")
 
-    def __init__(self, x, y, flip_rate: float, stream):
-        self._c = float(flip_rate)
+    def __init__(self, x, y, stream, rate: float):
+        self._c = float(rate)
         self._stream = stream
         self._x = (float(x[0]), x[1])
         self._y = (float(y[0]), y[1])
@@ -228,32 +235,25 @@ class _TelegraphCouplerMachine:
         self._merged = self._x == self._y
         if self._merged:
             self._y = self._x
-        self._tx = math.inf
-        self._ty = math.inf
-        self._commit_side: Optional[str] = None
+        self.merge = None
         self._coordinate()
-
-    def _exp(self) -> float:
-        if self._c <= 0.0:
-            return math.inf
-        return self._stream.exponential(1.0 / self._c)
 
     def _coordinate(self) -> None:
         """Draw fresh flip schedules for the current pair geometry."""
         self._commit_side = None
         if self._merged:
-            self._tx = self._t + self._exp()
+            self._tx = self._t + _waiting_time(self._stream, self._c)
             self._ty = self._tx
             return
         vx, vy = self._x[1], self._y[1]
         if vx != vy:
-            self._tx = self._t + self._exp()
-            self._ty = self._t + self._exp()
+            self._tx = self._t + _waiting_time(self._stream, self._c)
+            self._ty = self._t + _waiting_time(self._stream, self._c)
             return
         d = abs(self._x[0] - self._y[0])
         m = d / 2.0
         x_leads = (self._x[0] >= self._y[0]) == (vx > 0)
-        lead_t = self._t + self._exp()
+        lead_t = self._t + _waiting_time(self._stream, self._c)
         if self._stream.random() < math.exp(-self._c * m):
             follow_t = lead_t + m
             self._commit_side = "y" if x_leads else "x"
@@ -285,8 +285,8 @@ class _TelegraphCouplerMachine:
         """
         return (self._x[1], 0), (self._y[1], 0)
 
-    def advance(self, dt: float) -> Sequence:
-        """Advance by ``dt``; returns ``(offset, x, y, is_merge)`` points."""
+    def advance(self, dt: float) -> tuple:
+        """Advance by ``dt``; returns the pair ``(x, y)`` then."""
         start = self._t
         end = start + dt
         if self._merged and self._tx > end:
@@ -296,8 +296,7 @@ class _TelegraphCouplerMachine:
                 position, velocity = self._x
                 self._x = self._y = (position + velocity * move, velocity)
             self._t = end
-            return ((dt, self._x, self._x, False),)
-        points = []
+            return self._x, self._x
         while True:
             t_next = min(self._tx, self._ty)
             if t_next > end:
@@ -308,7 +307,6 @@ class _TelegraphCouplerMachine:
                 self._x = (self._x[0], -self._x[1])
                 self._y = self._x
                 self._coordinate()
-                points.append((self._t - start, self._x, self._y, False))
                 continue
             fire_x = self._tx <= self._ty
             if fire_x:
@@ -318,29 +316,26 @@ class _TelegraphCouplerMachine:
                 self._y = (self._y[0], -self._y[1])
                 self._ty = math.inf
             fired = "x" if fire_x else "y"
-            is_merge = False
             if self._commit_side == fired:
                 # The committed follower flip just fired: merge if the
                 # geometry survived intact.
                 if self._x[1] == self._y[1] and abs(self._x[0] - self._y[0]) <= _MERGE_SNAP:
                     self._y = self._x
                     self._merged = True
-                    is_merge = True
+                    self.merge = (self._t, self._x)
                 self._coordinate()
             elif self._commit_side is not None:
                 # Leader flipped again before the commitment: keep the
                 # committed follower flip, redraw only the leader.
                 if fire_x:
-                    self._tx = self._t + self._exp()
+                    self._tx = self._t + _waiting_time(self._stream, self._c)
                 else:
-                    self._ty = self._t + self._exp()
+                    self._ty = self._t + _waiting_time(self._stream, self._c)
             else:
                 self._coordinate()
-            points.append((self._t - start, self._x, self._y, is_merge))
         self._move(end - self._t)
         self._t = end
-        points.append((dt, self._x, self._y, False))
-        return points
+        return self._x, self._y
 
 
 class _RefreshCouplerMachine:
@@ -351,23 +346,16 @@ class _RefreshCouplerMachine:
     refresh while keeping each marginal law intact.
     """
 
-    __slots__ = ("_rate", "_stream", "_x", "_y", "_t", "_merged", "_next")
+    __slots__ = ("_rate", "_stream", "_x", "_y", "_t", "_next", "merge")
 
-    def __init__(self, x, y, rate: float, stream):
+    def __init__(self, x, y, stream, rate: float):
         self._rate = float(rate)
         self._stream = stream
         self._x = tuple(x)
-        self._y = tuple(y)
+        self._y = self._x if self._x == tuple(y) else tuple(y)
         self._t = 0.0
-        self._merged = self._x == self._y
-        if self._merged:
-            self._y = self._x
-        self._next = self._t + self._gap()
-
-    def _gap(self) -> float:
-        if self._rate <= 0.0:
-            return math.inf
-        return self._stream.exponential(1.0 / self._rate)
+        self.merge = None
+        self._next = self._t + _waiting_time(stream, self._rate)
 
     def next_event_in(self) -> float:
         """Time until the next shared refresh (``inf`` at rate 0)."""
@@ -377,49 +365,36 @@ class _RefreshCouplerMachine:
         """``(None, None)``: both states stand still between refreshes."""
         return None, None
 
-    def advance(self, dt: float) -> list:
-        start = self._t
-        end = start + dt
-        points = []
+    def advance(self, dt: float) -> tuple:
+        """Advance by ``dt``; returns the pair ``(x, y)`` then."""
+        end = self._t + dt
         while self._next <= end:
             self._t = self._next
             target = (self._stream.random(),)
-            newly_merged = not self._merged
-            self._x = target
-            self._y = target
-            self._merged = True
-            points.append((self._t - start, self._x, self._y, newly_merged))
-            self._next = self._t + self._gap()
+            if self._x != self._y:
+                self.merge = (self._t, target)
+            self._x = self._y = target
+            self._next = self._t + _waiting_time(self._stream, self._rate)
         self._t = end
-        points.append((dt, self._x, self._y, False))
-        return points
+        return self._x, self._y
 
 
 def make_telegraph_coupler(flip_rate: float) -> Callable:
-    """Base-coupler factory for unit-speed telegraph base dynamics."""
-
-    def factory(x, y, stream):
-        return _TelegraphCouplerMachine(x, y, flip_rate, stream)
-
-    return factory
+    """The unit-speed telegraph base coupler: its machine class, at ``flip_rate``."""
+    return functools.partial(_TelegraphCouplerMachine, rate=flip_rate)
 
 
 def make_refresh_coupler(rate: float) -> Callable:
-    """Base-coupler factory for refresh-to-uniform base dynamics."""
-
-    def factory(x, y, stream):
-        return _RefreshCouplerMachine(x, y, rate, stream)
-
-    return factory
+    """The refresh-to-uniform base coupler: its machine class, at ``rate``."""
+    return functools.partial(_RefreshCouplerMachine, rate=rate)
 
 
 def coupled_base(model: ModelSpec, x, y, t0: float, stream):
     """Run the coupled base dynamics of a model over one window.
 
-    Returns ``(path_x, path_y, merged_at)`` where each path is a list of
-    ``(time, state)`` points starting at time ``0.0`` and ending at ``t0``,
-    and ``merged_at`` is the first time the pair merged (``None`` if it never
-    did).
+    Returns ``(x_t0, y_t0, merged_at)``: the pair at ``t0`` and the time the
+    pair merged, read from the machine's ``merge`` (``0.0`` for equal
+    starts, ``None`` if it never merged).
     """
     if model.base_coupler is None:
         raise UnsupportedCouplingError(
@@ -430,15 +405,10 @@ def coupled_base(model: ModelSpec, x, y, t0: float, stream):
     x = tuple(x)
     y = tuple(y)
     machine = model.base_coupler(x, y, stream)
-    path_x = [(0.0, x)]
-    path_y = [(0.0, y)]
-    merged_at = 0.0 if x == y else None
-    for offset, sx, sy, is_merge in machine.advance(t0):
-        path_x.append((offset, tuple(sx)))
-        path_y.append((offset, tuple(sy)))
-        if merged_at is None and is_merge:
-            merged_at = offset
-    return path_x, path_y, merged_at
+    x_t0, y_t0 = machine.advance(t0)
+    if x == y:
+        return x_t0, y_t0, 0.0
+    return x_t0, y_t0, None if machine.merge is None else machine.merge[0]
 
 
 def estimate_doeblin_alpha(model: ModelSpec, pair_source: Callable, t0: float, n: int, stream):
@@ -515,10 +485,10 @@ def simulate_merge_split(
     jump kernels (:func:`_mixed_atoms`) the sides draw a common state (merging
     them), otherwise they draw from the disjoint residuals (splitting them).
     Between proposals the pair follows the model's base machine, restarted at
-    every proposal and at every window boundary ``k * t0``.  The pair at
-    each sample time is recorded in ``sample_pairs``.  With
-    ``record_events=False`` no event is kept, while splits and clamped mass
-    are still counted.
+    every proposal and at every window boundary ``k * t0``, whose ``merge``
+    is recorded as a ``MERGE`` event.  The pair at each sample time is
+    recorded in ``sample_pairs``.  With ``record_events=False`` no event is
+    kept, while splits and clamped mass are still counted.
     """
     if not _provides_atoms(model):
         raise UnsupportedCouplingError(
@@ -535,26 +505,19 @@ def simulate_merge_split(
     n_clamped = 0
     clamp_excess = 0.0
     t = 0.0
-    machine = _base_machine(model, x, y, stream)
+    # The machine's own clock: the time it has been advanced since its start.
+    machine, elapsed = _base_machine(model, x, y, stream), 0.0
 
     def run_machine(upto: float) -> None:
-        nonlocal x, y, t
+        nonlocal x, y, t, elapsed
         dt = upto - t
         if dt > 0.0:
-            points = machine.advance(dt)
-            for offset, sx, sy, is_merge in points:
-                if is_merge and record_events:
-                    events.append(
-                        CoupledEvent(
-                            time=t + offset,
-                            kind=MERGE,
-                            x=tuple(sx),
-                            y=tuple(sy),
-                            merged=True,
-                        )
-                    )
-            _, sx, sy, _ = points[-1]
-            x, y = tuple(sx), tuple(sy)
+            unmerged = machine.merge is None
+            x, y = machine.advance(dt)
+            if unmerged and machine.merge is not None and record_events:
+                at, state = machine.merge
+                events.append(CoupledEvent(t + (at - elapsed), MERGE, state, state, True))
+            elapsed += dt
         t = upto
 
     for t_event, kind in ticks:
@@ -563,7 +526,7 @@ def simulate_merge_split(
             sample_pairs[t] = (x, y)
             continue
         if kind == WINDOW:
-            machine = _base_machine(model, x, y, stream)
+            machine, elapsed = _base_machine(model, x, y, stream), 0.0
             continue
         was_merged = x == y
         parts, excess = _decompose(
@@ -581,7 +544,7 @@ def simulate_merge_split(
             events.append(
                 CoupledEvent(time=t, kind=PROPOSAL, x=x, y=y, merged=merged, p=parts.p)
             )
-        machine = _base_machine(model, x, y, stream)
+        machine, elapsed = _base_machine(model, x, y, stream), 0.0
     run_machine(horizon)
     return CoupledTrajectory(
         initial_x=tuple(x0),

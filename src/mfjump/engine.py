@@ -69,6 +69,9 @@ _MAX_FLIGHT = 0.1
 #: Bins per real coordinate when :func:`picard_solve` compares measure flows.
 _GAP_BINS = 20
 
+#: Most grid points :func:`picard_solve` lays on its horizon.
+_MAX_GRID_POINTS = 10**6
+
 
 class RateCeilingError(RuntimeError):
     """A jump rate exceeded the ceiling it was promised to stay under."""
@@ -214,14 +217,16 @@ class ModelSpec:
             is given, :func:`simulate_nonlinear` thins every flight under it
             and ignores ``rate_ceiling``.
         kernel_atoms: ``(state, measure) -> [(state, w), ...]`` atoms of the
-            jump kernel, with weights summing to one.  A single run draws
-            from them by one uniform variate (inverse CDF in the order
-            given); coupled runs derive the mixed (one-proposal) atoms from
-            them.
+            jump kernel, with weights summing to one.  A single run checks
+            their mass and draws from them by one uniform variate (inverse
+            CDF in the order given); coupled runs derive the mixed
+            (one-proposal) atoms from them.
         base_coupler: ``(x, y, stream) -> machine`` factory of a coupled
             simulator of two base motions that may merge (see
-            :mod:`mfjump.coupling`).  Started on the diagonal (``x == y``)
-            the machine is the base motion itself.
+            :mod:`mfjump.coupling`).  The machine answers ``advance(dt)``
+            with the pair ``(x, y)`` ``dt`` later and keeps its one merge in
+            ``merge`` (see :func:`_base_machine`).  Started on the diagonal
+            (``x == y``) it is the base motion itself.
         base_machine: ``(x, stream) -> machine`` factory of the base motion
             of one state, for a model with no merging coupling.
 
@@ -275,10 +280,12 @@ def _jump_sampler(spec, samplers: dict) -> Callable:
 
 def _atoms_jump(atoms: Callable) -> Callable:
     """Jump sampler of a law declared by ``kernel_atoms``: one of its atoms,
-    picked by one uniform variate."""
+    picked by one uniform variate, after their mass is checked."""
 
     def jump(a, b, stream):
-        return _pick(atoms(a, b), stream.random())
+        drawn = atoms(a, b)
+        _check_mass(sum(w for _, w in drawn))
+        return _pick(drawn, stream.random())
 
     return jump
 
@@ -351,7 +358,9 @@ class DriftMachine:
 
 class _SingleMachines:
     """A pair machine of single-side machines: one on the diagonal, where
-    ``y`` is ``x``, or one per side."""
+    ``y`` is ``x``, or one per side.  Its sides never merge."""
+
+    merge = None
 
     def __init__(self, *machines):
         self._machines = machines
@@ -364,7 +373,7 @@ class _SingleMachines:
 
     def advance(self, dt: float) -> tuple:
         states = [m.advance(dt) for m in self._machines]
-        return ((dt, states[0], states[-1], False),)
+        return states[0], states[-1]
 
 
 def _base_machine(spec, x, y, stream):
@@ -380,11 +389,14 @@ def _base_machine(spec, x, y, stream):
       since one stream cannot hand a variate out twice.  Each start spawns a
       fresh child, so neither side reuses a variate it has drawn before.
 
-    A pair machine answers ``advance(dt)``, which returns ``(offset, x, y,
-    is_merge)`` points ending at ``dt``, and two read-only questions:
-    ``next_event_in()``, the time until the next base event of either side
-    (``inf`` if none), and ``drifts()``, one per side, the velocity of each
-    state component until then (``None`` if the state stands still).  A
+    A pair machine answers ``advance(dt)`` with the pair ``(x, y)`` ``dt``
+    later, and two read-only questions: ``next_event_in()``, the time until
+    the next base event of either side (``inf`` if none), and ``drifts()``,
+    one per side, the velocity of each state component until then (``None``
+    if the state stands still).  Its sides merge at most once and then stay
+    merged; the read-only ``merge`` is ``(time since the machine started,
+    merged state)`` from then on, and ``None`` before and for a machine that
+    never merges (one started merged, or single-side machines).  A
     single-side machine answers ``next_event_in()``, ``drift()`` for its one
     side, and ``advance(dt)`` with the state ``dt`` later.
     """
@@ -396,6 +408,12 @@ def _base_machine(spec, x, y, stream):
     return _SingleMachines(
         spec.base_machine(x, child), spec.base_machine(y, copy.deepcopy(child))
     )
+
+
+def _waiting_time(stream, rate: float) -> float:
+    """An exponential waiting time at ``rate`` drawn from ``stream``, or
+    ``inf``, with nothing drawn, when ``rate`` is not positive."""
+    return stream.exponential(1.0 / rate) if rate > 0.0 else math.inf
 
 
 def check_rate(
@@ -486,7 +504,7 @@ def _ticks(horizon, rate, stream, sample_times, window, start):
     t_sample = next(samples)
     k = 1
     next_window = window
-    next_prop = start + stream.exponential(1.0 / rate) if rate > 0.0 else math.inf
+    next_prop = start + _waiting_time(stream, rate)
     while min(t_sample, next_window, next_prop) <= horizon:
         if t_sample <= min(next_window, next_prop):
             yield t_sample, SAMPLE
@@ -497,7 +515,7 @@ def _ticks(horizon, rate, stream, sample_times, window, start):
             next_window = k * window
         else:
             yield next_prop, PROPOSAL
-            next_prop += stream.exponential(1.0 / rate)
+            next_prop += _waiting_time(stream, rate)
 
 
 def simulate_nonlinear(
@@ -547,7 +565,7 @@ def simulate_nonlinear(
             ceiling = float(local_bound(state, end - t, flow.span(t, end)))
         inside = [ts for ts in pending if ts <= end]
         for t_event, kind in clock(end, ceiling, stream, inside, start=t, name=model.name):
-            state = machine.advance(t_event - t)[-1][1]
+            state = machine.advance(t_event - t)[0]
             t = t_event
             if kind == SAMPLE:
                 sample_states[t] = state
@@ -566,7 +584,7 @@ def simulate_nonlinear(
             if accepted and local_bound is not None:
                 break
         else:
-            state = machine.advance(end - t)[-1][1]
+            state = machine.advance(end - t)[0]
             t = end
         if t >= horizon:
             break
@@ -616,7 +634,8 @@ def picard_solve(
     uniform (none when ``m0`` is a point).  The grid is ``k * grid_step`` up
     to ``horizon``, with a last point that rounds past it taken at ``horizon``.
     A horizon that :func:`_run_times` refuses, or a ``grid_step`` that leaves
-    no grid point after 0, raises ``ValueError``.
+    no grid point after 0 or lays more than ``_MAX_GRID_POINTS``, raises
+    ``ValueError`` before any path is simulated.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100 for usable snapshots")
@@ -625,6 +644,11 @@ def picard_solve(
     _run_times(horizon, (), model.name)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not horizon / grid_step <= _MAX_GRID_POINTS:
+        raise ValueError(
+            f"{model.name}: grid_step {grid_step} lays more than {_MAX_GRID_POINTS} "
+            f"grid points on the horizon {horizon}"
+        )
     n_steps = int(math.floor(horizon / grid_step + 1e-9))
     if n_steps < 1:
         raise ValueError(

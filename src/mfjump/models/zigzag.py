@@ -16,7 +16,7 @@ import dataclasses
 import math
 from typing import Callable, Optional
 
-from ..engine import thin
+from ..engine import _waiting_time, thin
 from ..metrics import LyapunovFn
 from ..particles import SystemSpec
 from ._profiles import smooth_abs, smooth_indicator
@@ -47,9 +47,7 @@ class _FlipMachine:
 
     def _start_chunk(self) -> None:
         self._ceiling = self._base_rate(self._z, self._v) + self._lip * _CHUNK
-        gap = math.inf
-        if self._ceiling > 0.0:
-            gap = self._stream.exponential(1.0 / self._ceiling)
+        gap = _waiting_time(self._stream, self._ceiling)
         self._candidate = gap < _CHUNK
         self._next = self._t + min(gap, _CHUNK)
 

@@ -82,11 +82,12 @@ class SystemSpec:
             coordinate ``i`` is ``(1/n) * sum_j pair_atoms(x_i, x_j)`` over
             all ``n`` coordinates ``j`` (``i`` included), and each call's
             weights sum to one.  A single run draws a uniform donor ``j``,
-            then one of its atoms.  Coupled runs add the positive weights of
-            those atoms by state (:func:`_pair_weights`, which checks their
-            mass).  At a merged coordinate they read the donors that agree
-            on both sides only one at a time, the one whose slot the merge
-            uniform lands in, and the others only when it lands past them
+            then one of its atoms, whose mass it checks.  Coupled runs add
+            the positive weights of those atoms by state
+            (:func:`_pair_weights`, which checks their mass).  At a merged
+            coordinate they read the donors that agree on both sides only
+            one at a time, the one whose slot the merge uniform lands in,
+            and the others only when it lands past them
             (:func:`~mfjump.coupling.simulate_coupled_system`).
         base_coupler, base_machine: The base motion of one coordinate,
             declared by exactly one of them, typed as in
@@ -133,11 +134,14 @@ def _pair_weights(pair_atoms: Callable, own, donors, share: float, mass: float =
 
 def _pairwise_jump(pair_atoms: Callable) -> Callable:
     """Jump sampler of a system declared in pairwise form: a uniform donor,
-    then one of its pair atoms by one uniform variate."""
+    then one of its pair atoms by one uniform variate, after their mass is
+    checked."""
 
     def jump(i, config, stream):
         donor = config[int(stream.integers(len(config)))]
-        return _pick(pair_atoms(config[i], donor), stream.random())
+        atoms = pair_atoms(config[i], donor)
+        _check_mass(sum(w for _, w in atoms))
+        return _pick(atoms, stream.random())
 
     return jump
 
@@ -344,7 +348,7 @@ class _LiveConfig:
         since = self.x._since
         try:
             for j in popped:
-                _, x, y, _ = self._machines[j].advance(t - since[j])[-1]
+                x, y = self._machines[j].advance(t - since[j])
                 self._settle(j, x, y, t)
         except RateCeilingError as err:
             raise RateCeilingError(f"coordinate {j}: {err}") from err

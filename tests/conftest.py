@@ -72,7 +72,7 @@ def advance_every_machine(machines: list, dt: float, xs: list, ys: list) -> None
         return
     try:
         for i, machine in enumerate(machines):
-            _, xs[i], ys[i], _ = machine.advance(dt)[-1]
+            xs[i], ys[i] = machine.advance(dt)
     except RateCeilingError as err:
         raise RateCeilingError(f"coordinate {i}: {err}") from err
 

@@ -625,6 +625,35 @@ def test_couple_particles_with_short_pair_atoms_fails_without_output(
     assert_one_line_error(res, out, "replica 0: atom weights sum to")
 
 
+def test_particles_with_short_pair_atoms_fails_without_output(tmp_path, monkeypatch):
+    # A single run checks the pair atoms it draws from, as coupled runs do.
+    build_model = cli.build_model
+
+    def short_pair_atoms(*args):
+        bundle = build_model(*args)
+        system = dataclasses.replace(
+            bundle.system, pair_atoms=lambda own, donor: ((donor, 0.4), (own, 0.4)),
+        )
+        return dataclasses.replace(bundle, system=system)
+
+    monkeypatch.setattr(cli, "build_model", short_pair_atoms)
+    cfg = write_config(
+        tmp_path / "p.json",
+        {
+            "schema": 1,
+            "kind": "particles",
+            "model": {"id": "selection", "params": {"n_particles": 4}},
+            "run": {
+                "x0": [[0.1], [0.2], [0.3], [0.4]], "horizon": 10.0,
+                "replicas": 2, "sample_times": [1.0],
+            },
+        },
+    )
+    out = tmp_path / "out"
+    res = run_cli(["particles", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, "replica 0: atom weights sum to")
+
+
 def test_estimate_without_base_coupler_fails(tmp_path):
     cfg = write_config(
         tmp_path / "tcp.json",
@@ -746,6 +775,18 @@ def test_non_integer_n_samples_fails_without_output(tmp_path):
     out = tmp_path / "out"
     res = run_cli(["picard", "--config", cfg, "--out", str(out)])
     assert_one_line_error(res, out, "n_samples must be an integer, got 'many'")
+
+
+@pytest.mark.parametrize("grid_step", [5e-324, 1e-300])
+def test_picard_grid_too_fine_to_build_fails_without_output(tmp_path, grid_step):
+    cfg = picard_config(tmp_path, grid_step=grid_step, n_samples=100)
+    out = tmp_path / "out"
+    res = run_cli(["picard", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(
+        res, out,
+        f"run-tumble: grid_step {grid_step} lays more than 1000000 grid points "
+        "on the horizon 1.0",
+    )
 
 
 def test_picard_grid_step_past_the_horizon_fails_without_output(tmp_path):

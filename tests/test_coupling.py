@@ -258,11 +258,9 @@ def test_overlap_decompose_rejects_badly_normalised_input():
 
 def test_coupled_base_equal_starts_merge_immediately(rng):
     bundle = run_tumble(RunTumbleParams(theta=0.1))
-    path_x, path_y, merged_at = coupled_base(
-        bundle.model, (0.5, 1), (0.5, 1), 2.0, rng
-    )
+    x, y, merged_at = coupled_base(bundle.model, (0.5, 1), (0.5, 1), 2.0, rng)
     assert merged_at == 0.0
-    assert path_x == path_y
+    assert x == y
 
 
 def test_coupled_base_requires_meeting_rule():
@@ -275,16 +273,14 @@ def test_coupled_base_stays_merged_after_meeting():
     bundle = run_tumble(RunTumbleParams(theta=0.1))
     merged_found = 0
     for r in range(200):
-        px, py, merged_at = coupled_base(
+        x, y, merged_at = coupled_base(
             bundle.model, (0.1, 1), (-0.1, 1), 4.0, make_rng(70_000 + r)
         )
         if merged_at is None:
             continue
         merged_found += 1
-        tail_x = [(t, s) for t, s in px if t >= merged_at]
-        tail_y = [(t, s) for t, s in py if t >= merged_at]
-        assert tail_x == tail_y
-        assert px[-1][1] == py[-1][1]
+        assert 0.0 < merged_at <= 4.0
+        assert x == y
     assert merged_found > 50
 
 
@@ -308,8 +304,8 @@ def test_coupled_base_marginals_match_base_flow():
     coupled_ends = []
     direct_ends = []
     for r in range(n):
-        px, _, _ = coupled_base(model, (0.3, 1), (-0.4, -1), 1.5, make_rng(110_000 + r))
-        coupled_ends.append(px[-1][1])
+        x, _, _ = coupled_base(model, (0.3, 1), (-0.4, -1), 1.5, make_rng(110_000 + r))
+        coupled_ends.append(x)
         direct_ends.append(flow((0.3, 1), 1.5, make_rng(210_000 + r)))
     binning = make_binning(("real", "label"), ((-3.0, 3.0), (-1.0, 1.0)), bins=8)
     assert histogram_tv(coupled_ends, direct_ends, binning) < 0.15
@@ -358,7 +354,7 @@ def test_diagonal_machine_in_small_steps_matches_base_flow(case):
     for _ in range(n):
         machine = _base_machine(spec, start, start, machine_stream)
         for _ in range(steps):
-            _, x, y, _ = machine.advance(total / steps)[-1]
+            x, y = machine.advance(total / steps)
             assert x == y  # a pair started merged stays merged
         machine_ends.append(x)
     flow_ends = [tuple(base_flow(start, total, flow_stream)) for _ in range(n)]
@@ -373,18 +369,79 @@ def test_diagonal_machine_in_small_steps_matches_base_flow(case):
 def test_merged_telegraph_machine_draws_once_per_flip():
     stream = CountingStream(make_rng(63_000))
     machine = make_telegraph_coupler(1.0)((0.0, 1), (0.0, 1), stream)
-    flips = 0
-    for _ in range(1000):
-        # Every point before the last one is a flip.
-        flips += len(machine.advance(1e-3)) - 1
+    flips, velocity = 0, 1
+    for _ in range(4000):
+        # A step of 1e-3 holds at most one flip (at flip rate 1).
+        (_, v), _ = machine.advance(1e-3)
+        flips += v != velocity
+        velocity = v
+    assert flips > 0
     assert stream.counts == {"exponential": flips + 1}
+
+
+#: Pair machine cases: name -> () -> (spec, x, y, whether the pair can merge).
+MACHINE_CASES = {
+    "telegraph-pair": lambda: (
+        run_tumble(RunTumbleParams(theta=0.1)).model, (0.1, 1), (-0.1, 1), True,
+    ),
+    "refresh-pair": lambda: (
+        build_model("mh", {}).base_model, (0.2,), (0.7,), True,
+    ),
+    "diagonal-single": lambda: (
+        build_model("zigzag", {"n_particles": 1}).system, (1.5, 1), (1.5, 1), False,
+    ),
+    "zigzag-twin-pair": lambda: (
+        build_model("zigzag", {"n_particles": 1}).system, (1.5, 1), (-0.5, -1), False,
+    ),
+}
+
+
+def _flat(pair) -> list:
+    return [c for state in pair for c in state]
+
+
+@pytest.mark.parametrize("case", sorted(MACHINE_CASES))
+def test_pair_machine_answers_do_not_depend_on_how_its_time_is_cut(case):
+    # One advance over [0, 3] against advances in random pieces: the same
+    # end pair, the same merge and the same next draw; once merged, every
+    # answer has x == y, and a machine started merged records no merge.
+    spec, x, y, can_merge = MACHINE_CASES[case]()
+    total, cuts = 3.0, make_rng(66_000)
+    merges = 0
+    for seed in range(200):
+        for start in ((x, y), (x, x)):
+            whole_stream, cut_stream = make_rng(seed), make_rng(seed)
+            whole = _base_machine(spec, *start, whole_stream)
+            end = whole.advance(total)
+            machine = _base_machine(spec, *start, cut_stream)
+            t = 0.0
+            for t_next in [*np.sort(cuts.uniform(0.0, total, size=6)), total]:
+                answer = machine.advance(t_next - t)
+                t = t_next
+                if machine.merge is not None:
+                    assert answer[0] == answer[1]
+            assert _flat(answer) == pytest.approx(_flat(end), abs=1e-9)
+            assert (machine.merge is None) == (whole.merge is None)
+            if whole.merge is not None:
+                merges += 1
+                at, state = whole.merge
+                assert (machine.merge[0], *machine.merge[1]) == pytest.approx(
+                    (at, *state), abs=1e-9
+                )
+                assert 0.0 < at <= total
+                assert end[0] == end[1]
+            assert cut_stream.random() == whole_stream.random()
+            if start[0] == start[1]:
+                assert whole.merge is None and machine.merge is None
+                assert end[0] == end[1]
+    assert (merges > 0) == can_merge
 
 
 #: Run-tumble's telegraph base motion, started at (0, +1) and read at time t:
 #: name -> (model, stream, t) -> state.
 TELEGRAPH_MOTIONS = {
     "diagonal-machine": lambda model, stream, t: (
-        model.base_coupler((0.0, 1), (0.0, 1), stream).advance(t)[-1][1]
+        model.base_coupler((0.0, 1), (0.0, 1), stream).advance(t)[0]
     ),
     "base-flow": lambda model, stream, t: telegraph_flow(1.0)((0.0, 1), t, stream),
 }
@@ -1345,7 +1402,7 @@ def test_twin_pair_side_in_small_steps_matches_a_single_machine():
     for _ in range(n):
         pair = _base_machine(system, x, y, pair_stream)
         for _ in range(steps):
-            _, _, end, _ = pair.advance(total / steps)[-1]
+            _, end = pair.advance(total / steps)
         pair_ends.append(end)
         single_ends.append(system.base_machine(y, single_stream).advance(total))
     for stat in (lambda c: c[0], lambda c: c[1] > 0, lambda c: c[0] ** 2):

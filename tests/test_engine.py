@@ -605,8 +605,12 @@ def test_picard_refuses_a_nan_horizon_or_grid_step(horizon, grid_step):
     [
         (math.inf, 0.5, "^drift-toy: horizon inf is NaN, infinite or before the start 0.0$"),
         (1.0, 2.0, "^drift-toy: grid_step 2.0 leaves no grid point after 0 within the horizon 1.0$"),
+        (1.0, 5e-324, "^drift-toy: grid_step 5e-324 lays more than 1000000 grid points "
+                      "on the horizon 1.0$"),
+        (1.0, 1e-300, "^drift-toy: grid_step 1e-300 lays more than 1000000 grid points "
+                      "on the horizon 1.0$"),
     ],
-    ids=["infinite-horizon", "step-past-horizon"],
+    ids=["infinite-horizon", "step-past-horizon", "subnormal-step", "tiny-step"],
 )
 def test_picard_refuses_a_grid_it_cannot_run(horizon, grid_step, message):
     m0 = EmpiricalMeasure.from_states([(0.0,)])
@@ -637,3 +641,14 @@ def test_picard_grid_refinement_stays_within_noise():
     fine = terminal(0.25, 23)
     noise = histogram_tv(coarse_a, coarse_b, binning) + 0.02
     assert histogram_tv(coarse_a, fine, binning) <= 2.0 * noise + 0.02
+
+
+def test_single_run_refuses_kernel_atoms_short_of_mass():
+    # A run-tumble flip atom of weight 0.8: the last atom would silently
+    # take the missing mass, as coupled runs refuse to let it.
+    model = dataclasses.replace(
+        run_tumble(RunTumbleParams(theta=0.1)).model,
+        kernel_atoms=lambda state, measure: (((state[0], -state[1]), 0.8),),
+    )
+    with pytest.raises(ValueError, match="^atom weights sum to 0.8, expected 1$"):
+        simulate_nonlinear(model, constant_flow((0.0, 1)), (0.0, 1), 50.0, make_rng(3))

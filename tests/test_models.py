@@ -113,7 +113,7 @@ def test_run_tumble_kernel_flips_velocity(rng):
 
 def _base_motion(model, state, dt, stream):
     """The state ``dt`` after ``state`` under the model's base machine."""
-    return _base_machine(model, state, state, stream).advance(dt)[-1][1]
+    return _base_machine(model, state, state, stream).advance(dt)[0]
 
 
 def test_run_tumble_base_flow_is_telegraph(rng):

@@ -604,3 +604,13 @@ def test_machines_with_and_without_a_clock_mix():
         assert a.n_accepted == b.n_accepted > 10
         assert_runs_match(a, b, (2.5,))
         assert a_stream.random() == b_stream.random()
+
+
+def test_single_run_refuses_pair_atoms_short_of_mass():
+    system = dataclasses.replace(
+        selection_mutation(SelectionParams(n_particles=4)).system,
+        pair_atoms=lambda own, donor: ((donor, 0.4), (own, 0.4)),
+    )
+    initial = [(0.1,), (0.2,), (0.3,), (0.4,)]
+    with pytest.raises(ValueError, match="^atom weights sum to 0.8, expected 1$"):
+        simulate_system(system, initial, 10.0, make_rng(5))
