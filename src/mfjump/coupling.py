@@ -226,7 +226,7 @@ class _TelegraphCouplerMachine:
     __slots__ = ("_c", "_stream", "_x", "_y", "_t", "_merged", "_tx", "_ty", "_commit_side",
                  "merge")
 
-    def __init__(self, x, y, stream, rate: float):
+    def __init__(self, rate: float, x, y, stream):
         self._c = float(rate)
         self._stream = stream
         self._x = (float(x[0]), x[1])
@@ -348,7 +348,7 @@ class _RefreshCouplerMachine:
 
     __slots__ = ("_rate", "_stream", "_x", "_y", "_t", "_next", "merge")
 
-    def __init__(self, x, y, stream, rate: float):
+    def __init__(self, rate: float, x, y, stream):
         self._rate = float(rate)
         self._stream = stream
         self._x = tuple(x)
@@ -380,13 +380,19 @@ class _RefreshCouplerMachine:
 
 
 def make_telegraph_coupler(flip_rate: float) -> Callable:
-    """The unit-speed telegraph base coupler: its machine class, at ``flip_rate``."""
-    return functools.partial(_TelegraphCouplerMachine, rate=flip_rate)
+    """The unit-speed telegraph base coupler: its machine class, at ``flip_rate``.
+
+    The rate comes first so that the partial binds it by position, which is
+    as cheap to call as a plain function; bound by keyword, it costs a
+    keyword dict per machine start.
+    """
+    return functools.partial(_TelegraphCouplerMachine, flip_rate)
 
 
 def make_refresh_coupler(rate: float) -> Callable:
-    """The refresh-to-uniform base coupler: its machine class, at ``rate``."""
-    return functools.partial(_RefreshCouplerMachine, rate=rate)
+    """The refresh-to-uniform base coupler: its machine class, at ``rate``
+    (bound by position, as for :func:`make_telegraph_coupler`)."""
+    return functools.partial(_RefreshCouplerMachine, rate)
 
 
 def coupled_base(model: ModelSpec, x, y, t0: float, stream):
@@ -505,7 +511,9 @@ def simulate_merge_split(
     n_clamped = 0
     clamp_excess = 0.0
     t = 0.0
-    # The machine's own clock: the time it has been advanced since its start.
+    # The time the machine has been advanced since its start, summed as the
+    # machine sums its own clock, so ``at - elapsed`` below is the offset of
+    # its merge into the advance.
     machine, elapsed = _base_machine(model, x, y, stream), 0.0
 
     def run_machine(upto: float) -> None:
@@ -516,7 +524,9 @@ def simulate_merge_split(
             x, y = machine.advance(dt)
             if unmerged and machine.merge is not None and record_events:
                 at, state = machine.merge
-                events.append(CoupledEvent(t + (at - elapsed), MERGE, state, state, True))
+                events.append(CoupledEvent(
+                    time=t + (at - elapsed), kind=MERGE, x=state, y=state, merged=True,
+                ))
             elapsed += dt
         t = upto
 

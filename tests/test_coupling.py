@@ -403,8 +403,9 @@ def _flat(pair) -> list:
 @pytest.mark.parametrize("case", sorted(MACHINE_CASES))
 def test_pair_machine_answers_do_not_depend_on_how_its_time_is_cut(case):
     # One advance over [0, 3] against advances in random pieces: the same
-    # end pair, the same merge and the same next draw; once merged, every
-    # answer has x == y, and a machine started merged records no merge.
+    # end pair and merge (positions up to the rounding of the extra moves at
+    # the cuts) and the same next draw; once merged, every answer has
+    # x == y, and a machine started merged records no merge.
     spec, x, y, can_merge = MACHINE_CASES[case]()
     total, cuts = 3.0, make_rng(66_000)
     merges = 0
