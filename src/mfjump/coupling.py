@@ -352,10 +352,10 @@ class _RefreshCouplerMachine:
         self._rate = float(rate)
         self._stream = stream
         self._x = tuple(x)
-        self._y = self._x if self._x == tuple(y) else tuple(y)
+        self._y = tuple(y)
         self._t = 0.0
         self.merge = None
-        self._next = self._t + _waiting_time(stream, self._rate)
+        self._next = _waiting_time(stream, self._rate)
 
     def next_event_in(self) -> float:
         """Time until the next shared refresh (``inf`` at rate 0)."""
@@ -380,12 +380,8 @@ class _RefreshCouplerMachine:
 
 
 def make_telegraph_coupler(flip_rate: float) -> Callable:
-    """The unit-speed telegraph base coupler: its machine class, at ``flip_rate``.
-
-    The rate comes first so that the partial binds it by position, which is
-    as cheap to call as a plain function; bound by keyword, it costs a
-    keyword dict per machine start.
-    """
+    """The unit-speed telegraph base coupler: its machine class, at ``flip_rate``
+    (bound by position: by keyword, each machine start builds a dict)."""
     return functools.partial(_TelegraphCouplerMachine, flip_rate)
 
 
