@@ -18,7 +18,12 @@ import pytest
 from click.testing import CliRunner
 
 from mfjump.cli import main
-from mfjump.coupling import MERGE, coupled_base, simulate_merge_split
+from mfjump.coupling import (
+    MERGE,
+    coupled_base,
+    simulate_coupled_system,
+    simulate_merge_split,
+)
 from mfjump.engine import EmpiricalMeasure, MeasureFlow
 from mfjump.models import RunTumbleParams, build_model, run_tumble
 from mfjump.particles import meanfield_system, simulate_system
@@ -141,6 +146,12 @@ MERGE_SPLIT_SHA256 = (
     "f854712cb4c2a8cf728b9bcca27010c5a4dfe004e414a5faf04509d9007572df"
 )
 
+#: sha256 of the repr of the coupled-system records below: 40 runs, 1284
+#: events, on systems that declare ``kernel_atoms``.
+COUPLED_SYSTEM_SHA256 = (
+    "49c05a072210fc2d95bbbdab9b4f2a0fec54068db4d7d92e7c63ccae331ed81a"
+)
+
 #: sha256 of the repr of the ``coupled_base`` windows below: 180 windows,
 #: 117 of them merged.
 COUPLED_BASE_SHA256 = (
@@ -258,3 +269,37 @@ def test_coupled_base_windows_are_pinned():
     ]
     assert sum(merged_at is not None for _, _, merged_at in windows) == 117
     assert _sha256(repr(windows).encode()) == COUPLED_BASE_SHA256
+
+
+def test_coupled_kernel_atoms_systems_are_pinned():
+    # The coupled systems that draw from ``kernel_atoms`` (not ``pair_atoms``):
+    # zigzag from half-matched starts and a mean-field run-tumble lift with
+    # every third coordinate mismatched.
+    def record(traj) -> tuple:
+        return (
+            sorted(traj.samples.items()),
+            [(e.time, e.x, e.y, e.j) for e in traj.events],
+        )
+
+    starts = random.Random(8)
+    x0 = [(starts.uniform(-2, 2), starts.choice([-1, 1])) for _ in range(8)]
+    y0 = [x0[k] if k % 2 else (starts.uniform(-2, 2), x0[k][1]) for k in range(8)]
+    zigzag = build_model("zigzag", {"n_particles": 8}).system
+    records = [
+        record(simulate_coupled_system(
+            zigzag, x0, y0, 2.0, 1.0, 1.0, make_rng(seed), sample_times=(1.0, 2.0)
+        ))
+        for seed in range(20)
+    ]
+    meanfield = meanfield_system(run_tumble(RunTumbleParams(theta=0.5)), 12)
+    x0 = [((k - 5.5) / 4.0, 1 if k % 2 else -1) for k in range(12)]
+    y0 = [x0[k] if k % 3 else (x0[k][0] + 0.3, -x0[k][1]) for k in range(12)]
+    records += [
+        record(simulate_coupled_system(
+            meanfield, x0, y0, 2.0, 1.0, 1.0, make_rng(100 + seed),
+            sample_times=(1.0, 2.0),
+        ))
+        for seed in range(20)
+    ]
+    assert sum(len(events) for _, events in records) == 1284
+    assert _sha256(repr(records).encode()) == COUPLED_SYSTEM_SHA256
