@@ -37,7 +37,9 @@ from .certificates import (
     particle_certificate,
 )
 from .coupling import (
-    _provides_atoms,
+    UnsupportedCouplingError,
+    alpha_from_windows,
+    check_coupled_system,
     coupled_base,
     simulate_coupled_system,
     simulate_merge_split,
@@ -56,6 +58,9 @@ from .particles import simulate_system
 __all__ = ["main"]
 
 _LOG = logging.getLogger("mfjump.cli")
+
+#: The library's refusals of a model or a run, reported as one-line errors.
+_REFUSALS = (RateCeilingError, UnsupportedCouplingError, ValueError)
 
 COUPLE_HEADER = "t,p_unequal,tv_bound,tv_se,vnorm_bound,vnorm_se,n_replicas"
 CERTIFY_HEADER = "beta,c_star,kappa,kappa_tilde,contracts,variant,estimate_grade"
@@ -376,7 +381,7 @@ def _guarded(worker: Callable) -> Callable:
         _LOG.debug("replica %d", replica)
         try:
             return worker(replica, stream)
-        except (RateCeilingError, ValueError) as exc:
+        except _REFUSALS as exc:
             raise click.ClickException(f"replica {replica}: {exc}")
 
     return run
@@ -479,18 +484,13 @@ def _simulate(run: _Run) -> list:
 
 def _estimate(run: _Run) -> list:
     model = run.part("model")
-    if model.base_coupler is None:
-        raise click.ClickException(
-            f"model {model.name!r} provides no coupled base construction"
-        )
     x0, y0 = run.state("x0"), run.state("y0")
     t0 = run.number("t0")
     replicas = run.replica_count()
     merged = run.replicas(
         replicas, lambda replica, stream: coupled_base(model, x0, y0, t0, stream)[2]
     )
-    alpha = sum(merged_at is not None for merged_at in merged) / replicas
-    return [(t0, alpha, math.sqrt(alpha * (1.0 - alpha) / replicas), replicas)]
+    return [(t0, *alpha_from_windows(merged), replicas)]
 
 
 def _picard(run: _Run) -> list:
@@ -507,13 +507,10 @@ def _picard(run: _Run) -> list:
     max_iter = run.number("max_iter", integer=True)
     _LOG.info("picard: %d samples per grid point, up to %d iterations on %s",
               n_samples, max_iter, model.name)
-    try:
-        result = picard_solve(
-            model, m0, horizon, grid_step, n_samples, tol, max_iter,
-            np.random.Generator(np.random.Philox(np.random.SeedSequence(run.seed))),
-        )
-    except (RateCeilingError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    result = picard_solve(
+        model, m0, horizon, grid_step, n_samples, tol, max_iter,
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(run.seed))),
+    )
     return [
         (iteration + 1, gap, bool(gap <= tol))
         for iteration, gap in enumerate(result.gap_history)
@@ -539,10 +536,6 @@ def _particles(run: _Run) -> list:
 
 def _couple_particles(run: _Run) -> list:
     system = run.part("system")
-    if not _provides_atoms(system):
-        raise click.ClickException(
-            f"system {system.name!r} provides no kernel atoms"
-        )
     x0 = run.states("x0", system.n_particles)
     y0 = run.states("y0", system.n_particles)
     horizon = run.horizon()
@@ -550,8 +543,7 @@ def _couple_particles(run: _Run) -> list:
     replicas = run.replica_count()
     times = run.sample_times(horizon)
     theta = run.number("theta") if "theta" in run.fields else float(system.rate_ceiling)
-    if theta < 0.0:
-        raise click.ClickException(f"theta must be nonnegative, got {theta}")
+    check_coupled_system(system, theta)
     trajectories = run.replicas(
         replicas, lambda replica, stream: simulate_coupled_system(
             system, x0, y0, horizon, t0, theta, stream,
@@ -601,7 +593,10 @@ def _command(kind: str, config_path, out_dir, seed, threads) -> None:
     cfg = _load_config(config_path, kind)
     bundle = None if kind == "certify" else _build_bundle(cfg)
     run = _Run(kind, cfg["run"], bundle, seed, threads)
-    rows = run_kind(run)
+    try:
+        rows = run_kind(run)
+    except _REFUSALS as exc:
+        raise click.ClickException(str(exc))
     coords = ",".join(f"x{k}" for k in range(len(run.layout)))
     _write_csv(out_dir, name, header.format(coords=coords), rows)
 

@@ -33,13 +33,15 @@ from .engine import (
     ModelSpec,
     _base_machine,
     _check_mass,
+    _check_weight,
+    _checked,
     _pick,
     _waiting_time,
     check_rate,
     clock,
 )
 from .metrics import dbar1
-from .particles import SystemSpec, _LiveConfig, _pair_weights
+from .particles import SystemSpec, _LiveConfig
 
 __all__ = [
     "CoupledEvent",
@@ -47,6 +49,8 @@ __all__ = [
     "CoupledSystemTrajectory",
     "CoupledTrajectory",
     "UnsupportedCouplingError",
+    "alpha_from_windows",
+    "check_coupled_system",
     "coupled_base",
     "estimate_doeblin_alpha",
     "make_refresh_coupler",
@@ -69,23 +73,16 @@ class UnsupportedCouplingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _load_atoms(atoms) -> tuple[dict, float]:
-    """Accumulate atom weights by state; returns clamped negative mass."""
+def _weights(atoms, rate: float = 1.0, ceiling: float = 1.0) -> dict:
+    """The positive weights of the checked ``atoms`` (read once), each times
+    ``rate / ceiling``, added up by state in the order they come."""
     weights: dict = {}
-    total = 0.0
-    clamped = 0.0
-    for state, w in atoms:
-        w = float(w)
-        if w < 0.0:
-            if w < -1e-9:
-                raise ValueError(f"atom weight {w} is negative")
-            clamped += -w
-            w = 0.0
-        state = tuple(state)
-        weights[state] = weights.get(state, 0.0) + w
-        total += w
-    _check_mass(total)
-    return weights, clamped
+    get = weights.get
+    for state, w in _checked(tuple(atoms)):
+        if w > 0.0:
+            state = tuple(state)
+            weights[state] = get(state, 0.0) + w * rate / ceiling
+    return weights
 
 
 def overlap_decompose(atoms1, atoms2):
@@ -94,27 +91,19 @@ def overlap_decompose(atoms1, atoms2):
     Returns ``(p, nu0, nu1, nu2, excess)`` where ``p`` is the overlap mass,
     ``nu0`` the normalized overlap atoms, ``nu1``/``nu2`` the normalized
     residual atoms of each side (with disjoint supports), and ``excess`` the
-    total weight clamped to keep ``p`` in ``[0, 1]`` and weights nonnegative.
-    Atoms are merged by equal state (``==``) and sorted by state, so the
-    overlap holds only states both sides can reach and each residual only
-    states of its own side.
+    mass by which ``p`` was clamped to 1.  Each list is checked as a jump
+    law's atoms are (:func:`~mfjump.engine._checked`).  Atoms are merged by
+    equal state (``==``) and sorted by state, so the overlap holds only
+    states both sides can reach and each residual only states of its own side.
     """
-    parts, excess = _decompose(atoms1, atoms2)
-    return (parts.p, parts.overlap(), *parts.residuals(), excess)
-
-
-def _decompose(atoms1, atoms2) -> tuple:
-    """The :class:`_Overlap` of two atom lists and the mass clamped to build it."""
-    w1, c1 = _load_atoms(atoms1)
-    w2, c2 = _load_atoms(atoms2)
-    parts = _Overlap(w1, w2)
-    return parts, c1 + c2 + parts.over
+    parts = _Overlap(_weights(atoms1), _weights(atoms2))
+    return (parts.p, parts.overlap(), *parts.residuals(), parts.over)
 
 
 def optimal_pair_sampler(measure1, measure2) -> _Overlap:
     """The maximal coupling of two discrete measures (each exposing
     ``.atoms``), ready for repeated :meth:`~_Overlap.draw` calls."""
-    return _decompose(measure1.atoms, measure2.atoms)[0]
+    return _Overlap(_weights(measure1.atoms), _weights(measure2.atoms))
 
 
 class _Overlap:
@@ -421,14 +410,17 @@ def estimate_doeblin_alpha(model: ModelSpec, pair_source: Callable, t0: float, n
     """
     if n < 1:
         raise ValueError("need at least one replica")
-    hits = 0
-    for _ in range(n):
-        x0, y0 = pair_source(stream)
-        _, _, merged_at = coupled_base(model, x0, y0, t0, stream)
-        hits += merged_at is not None
-    alpha_hat = hits / n
-    se = math.sqrt(alpha_hat * (1.0 - alpha_hat) / n)
-    return alpha_hat, se
+    return alpha_from_windows(
+        [coupled_base(model, *pair_source(stream), t0, stream)[2] for _ in range(n)]
+    )
+
+
+def alpha_from_windows(merged_ats: Sequence) -> tuple:
+    """``(alpha_hat, se)``: the share of windows whose ``coupled_base``
+    ``merged_at`` in ``merged_ats`` is not ``None``, and its standard error."""
+    n = len(merged_ats)
+    alpha_hat = sum(merged_at is not None for merged_at in merged_ats) / n
+    return alpha_hat, math.sqrt(alpha_hat * (1.0 - alpha_hat) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +476,17 @@ def simulate_merge_split(
 
     Both sides share one proposal clock at the rate ceiling and one pair of
     jump variates per proposal: with the overlap probability of the two mixed
-    jump kernels (:func:`_mixed_atoms`) the sides draw a common state (merging
-    them), otherwise they draw from the disjoint residuals (splitting them).
-    Between proposals the pair follows the model's base machine, restarted at
+    jump kernels (:func:`_mixed_weights`) the sides draw a common state
+    (merging them), otherwise they draw from the disjoint residuals
+    (splitting them).  Between proposals the pair follows the model's base machine, restarted at
     every proposal and at every window boundary ``k * t0``, whose ``merge``
     is recorded as a ``MERGE`` event.  The pair at each sample time is
     recorded in ``sample_pairs``.  With ``record_events=False`` no event is
-    kept, while splits and clamped mass are still counted.
+    kept, while splits and the mass by which ``p`` was clamped to 1
+    (``clamp_excess``; ``n_clamped`` counts proposals above 1e-7) are still
+    counted.
     """
-    if not _provides_atoms(model):
-        raise UnsupportedCouplingError(
-            f"model {model.name!r} provides no kernel atoms"
-        )
+    _require_atoms(model, "model")
     lam_star = model.rate_ceiling
     ticks = clock(horizon, lam_star, stream, sample_times, window=t0, name=model.name)
 
@@ -535,12 +526,13 @@ def simulate_merge_split(
             machine, elapsed = _base_machine(model, x, y, stream), 0.0
             continue
         was_merged = x == y
-        parts, excess = _decompose(
-            _mixed_atoms(model, (x, flow1.at(t)), x),
-            _mixed_atoms(model, (y, flow2.at(t)), y),
+        at_x, at_y = (x, flow1.at(t)), (y, flow2.at(t))
+        parts = _Overlap(
+            _mixed_weights(model, at_x, x, *_thinning(model, at_x)),
+            _mixed_weights(model, at_y, y, *_thinning(model, at_y)),
         )
-        clamp_excess += excess
-        if excess > 1e-7:
+        clamp_excess += parts.over
+        if parts.over > 1e-7:
             n_clamped += 1
         x, y, _ = parts.draw(stream)
         merged = x == y
@@ -600,12 +592,12 @@ class CoupledSystemTrajectory:
         return self.samples[float(t)][2]
 
 
-def _provides_atoms(spec) -> bool:
-    """Whether ``spec`` declares its jump law by atoms (``kernel_atoms``, or a
-    system's ``pair_atoms``), which the coupled simulators read.  A spec
-    declares exactly one jump law, so these are the specs with no
-    ``kernel``."""
-    return spec.kernel is None
+def _require_atoms(spec, what: str) -> None:
+    """Raise :class:`UnsupportedCouplingError` unless ``spec`` declares its
+    jump law by atoms (``kernel_atoms``, or a system's ``pair_atoms``), which
+    the coupled simulators read: the specs with no ``kernel``."""
+    if spec.kernel is not None:
+        raise UnsupportedCouplingError(f"{what} {spec.name!r} provides no kernel atoms")
 
 
 def _thinning(spec, at: tuple, coordinate=None) -> tuple:
@@ -618,15 +610,37 @@ def _thinning(spec, at: tuple, coordinate=None) -> tuple:
     return rate, rate / ceiling
 
 
-def _mixed_atoms(spec, at: tuple, stay, coordinate=None) -> list:
-    """Atoms of one thinned proposal from ``stay`` (Lewis & Shedler, 1979):
-    the spec's kernel atoms at ``at`` scaled by the thinning share
-    (:func:`_thinning`), plus the stay-put remainder."""
-    rate, share = _thinning(spec, at, coordinate)
-    # ``w * rate / ceiling`` rounds unlike ``w * share``; outputs are pinned to it.
-    atoms = [(s, w * rate / spec.rate_ceiling) for s, w in spec.kernel_atoms(*at)]
-    atoms.append((stay, 1.0 - share))
-    return atoms
+def _mixed_weights(spec, at: tuple, stay, rate: float, share: float) -> dict:
+    """Weights by state of one thinned proposal from ``stay`` at ``at``
+    (Lewis & Shedler, 1979) with the :func:`_thinning` ``rate`` and
+    ``share``: kernel atoms weighted ``w * rate / ceiling``, or the pair
+    atoms of all ``N`` donors weighted ``w * share / N``, plus the stay-put
+    mass ``1 - share``."""
+    if spec.kernel_atoms is not None:
+        # ``w * rate / ceiling`` rounds unlike ``w * share``; outputs are pinned to it.
+        weights = _weights(spec.kernel_atoms(*at), rate, spec.rate_ceiling)
+    else:
+        weights = _pair_weights(spec.pair_atoms, stay, at[1], share / len(at[1]), 1.0 - share)
+    if share < 1.0:
+        weights[stay] = weights.get(stay, 0.0) + (1.0 - share)
+    return weights
+
+
+def _pair_weights(pair_atoms: Callable, own, donors, share: float, mass: float = 0.0) -> dict:
+    """``share`` times the positive pair atoms of ``own`` with each donor
+    state in ``donors``, added up by state in the order they come.  Raises
+    ``ValueError`` at a negative weight (:func:`~mfjump.engine._check_weight`)
+    and unless they and the ``mass`` held outside them sum to 1 within 1e-6."""
+    weights: dict = {}
+    get = weights.get
+    for donor in donors:
+        for state, w in pair_atoms(own, donor):
+            if w > 0.0:
+                weights[state] = get(state, 0.0) + w * share
+            else:
+                _check_weight(w)
+    _check_mass(mass + sum(weights.values()))
+    return weights
 
 
 class _MergedOverlap(_Overlap):
@@ -641,7 +655,7 @@ class _MergedOverlap(_Overlap):
     ``B``, and the residuals are those of ``A`` and ``B``.  The overlap's
     mass is laid out in order: the stay atom, then a slot of mass
     ``share / N`` for each matched donor (split by that donor's pair atoms,
-    whose mass :meth:`pick` checks), then the ``common`` atoms of ``A`` and
+    which :meth:`pick` checks), then the ``common`` atoms of ``A`` and
     ``B``.  A merge uniform below ``shared`` reads at most one matched
     donor; ``A`` and ``B`` (``common``, ``p`` and the residuals) are built
     from the ``K`` mismatched donors, one pass per side, only when first
@@ -679,45 +693,37 @@ class _MergedOverlap(_Overlap):
         # A matched donor's slot (the last one when rounding puts ``v`` past them).
         m = (v - self.stay_mass) / self.share
         k = min(int(m), len(self.donors) - 1)
-        atoms = self.pair_atoms(self.stay, self.x[self.donors[k]])
-        _check_mass(sum(weight for _, weight in atoms))
-        return _pick(atoms, m - k)
-
-
-def _pairwise_mixed_weights(system: SystemSpec, i: int, config, share: float) -> dict:
-    """Weights by state of one side's mixed kernel at coordinate ``i``
-    (:func:`_mixed_atoms`) for a system with ``pair_atoms``, built in one
-    pass over the ``N`` donors: each pair atom weighted ``w * share / N``,
-    plus the stay-put mass."""
-    own, stay = config[i], 1.0 - share
-    weights = _pair_weights(system.pair_atoms, own, config, share / len(config), stay)
-    weights[own] = weights.get(own, 0.0) + stay
-    return weights
+        return _pick(_checked(self.pair_atoms(self.stay, self.x[self.donors[k]])), m - k)
 
 
 def _proposal_parts(system: SystemSpec, i: int, x, y, matching) -> _Overlap:
     """The parts of a coupled proposal at coordinate ``i``: the maximal
-    coupling of the two sides' mixed kernels (:func:`_mixed_atoms`).
+    coupling of the two sides' mixed kernels (:func:`_mixed_weights`).
 
-    For a system with ``pair_atoms`` each side's rate is read once: where
+    Each side's rate is read once.  For a system with ``pair_atoms`` where
     ``i`` is merged and the two rates agree the parts are a
     :class:`_MergedOverlap`, else the :class:`_Overlap` of the two sides'
-    :func:`_pairwise_mixed_weights`.  Other systems decompose their kernel
-    atoms.  :meth:`_Overlap.draw` draws from the parts and normalizes
-    the residuals only when it reads them, and a :class:`_MergedOverlap` reads
-    the mismatched donors only when its merge uniform lands past the
-    matched ones.
+    :func:`_mixed_weights`.  :meth:`_Overlap.draw` normalizes the residuals
+    only when it reads them, and a :class:`_MergedOverlap` reads the
+    mismatched donors only when its merge uniform lands past the matched
+    ones.
     """
-    if system.pair_atoms is None:
-        return _Overlap(*(_load_atoms(_mixed_atoms(system, (i, c), c[i], i))[0] for c in (x, y)))
     rate_x, share_x = _thinning(system, (i, x), i)
     rate_y, share_y = _thinning(system, (i, y), i)
-    if x[i] == y[i] and rate_x == rate_y:
+    if system.pair_atoms is not None and x[i] == y[i] and rate_x == rate_y:
         return _MergedOverlap(system, i, x, y, matching, share_x)
     return _Overlap(
-        _pairwise_mixed_weights(system, i, x, share_x),
-        _pairwise_mixed_weights(system, i, y, share_y),
+        _mixed_weights(system, (i, x), x[i], rate_x, share_x),
+        _mixed_weights(system, (i, y), y[i], rate_y, share_y),
     )
+
+
+def check_coupled_system(system: SystemSpec, theta: float) -> None:
+    """Raise what :func:`simulate_coupled_system` refuses of ``system`` and
+    the counter threshold ``theta`` before it draws."""
+    _require_atoms(system, "system")
+    if not theta >= 0.0:
+        raise ValueError(f"counter threshold theta must be nonnegative, got {theta}")
 
 
 def simulate_coupled_system(
@@ -741,7 +747,7 @@ def simulate_coupled_system(
     ``1 - theta * j / (n * rate_ceiling)``, which dominates every actual
     split when ``theta >= 0`` bounds the rate-and-kernel sensitivity to
     single-coordinate changes.  Each side's mixed kernel is
-    :func:`_mixed_atoms` of the system's jump atoms.  Between
+    :func:`_mixed_weights` of the system's jump atoms.  Between
     proposals each coordinate pair follows its base machine
     (:func:`~mfjump.engine._base_machine`), drawing from ``stream``,
     restarted at window boundaries ``k * t0``.  A system with a
@@ -761,14 +767,9 @@ def simulate_coupled_system(
     (:func:`_proposal_parts`).  A window boundary restarts all ``N`` pairs,
     and a sample reads all ``N``.
     """
-    if not _provides_atoms(system):
-        raise UnsupportedCouplingError(
-            f"system {system.name!r} provides no kernel atoms"
-        )
+    check_coupled_system(system, theta)
     n = system.n_particles
     lam_star = system.rate_ceiling
-    if not theta >= 0.0:
-        raise ValueError(f"counter threshold theta must be nonnegative, got {theta}")
     if len(x0) != n or len(y0) != n:
         raise ValueError(f"expected {n} coordinates in each configuration")
     total_rate = n * lam_star

@@ -84,12 +84,31 @@ def _check_mass(total: float) -> None:
         raise ValueError(f"atom weights sum to {total}, expected 1")
 
 
+def _check_weight(w: float) -> None:
+    """Raise ``ValueError`` if the atom weight ``w`` is below -1e-9; a weight
+    in ``[-1e-9, 0)`` is float noise and counts as 0."""
+    if w < -1e-9:
+        raise ValueError(f"atom weight {w} is negative")
+
+
+def _checked(atoms: Sequence) -> Sequence:
+    """``atoms``, a sequence of ``(state, weight)`` pairs, once each weight
+    (:func:`_check_weight`) and their mass (:func:`_check_mass`) pass."""
+    total = 0.0
+    for _, w in atoms:
+        if w < 0.0:
+            _check_weight(w)
+        total += w
+    _check_mass(total)
+    return atoms
+
+
 class EmpiricalMeasure:
     """A probability measure supported on finitely many states.
 
-    ``atoms`` is a read-only sequence of ``(state, weight)`` pairs.  Weights
-    must be nonnegative and sum to one (the empty measure, used as a
-    placeholder for zero-mass residuals, is also allowed).
+    ``atoms`` is a read-only sequence of ``(state, weight)`` pairs, checked
+    as a jump law's atoms are (:func:`_checked`); the empty measure, used as
+    a placeholder for zero-mass residuals, is also allowed.
 
     A measure made by :meth:`from_states` only keeps the states: its atoms
     (one per distinct state, sorted) are built on the first read of ``atoms``,
@@ -103,9 +122,7 @@ class EmpiricalMeasure:
     def __init__(self, atoms: Iterable[tuple[State, float]]):
         atoms = tuple((tuple(s), float(w)) for s, w in atoms)
         if atoms:
-            _check_mass(sum(w for _, w in atoms))
-            if any(w < -1e-12 for _, w in atoms):
-                raise ValueError("atom weights must be nonnegative")
+            _checked(atoms)
         self._atoms = atoms
         self._states = None
         self._mean_cache: dict[int, float] = {}
@@ -217,10 +234,11 @@ class ModelSpec:
             is given, :func:`simulate_nonlinear` thins every flight under it
             and ignores ``rate_ceiling``.
         kernel_atoms: ``(state, measure) -> [(state, w), ...]`` atoms of the
-            jump kernel, with weights summing to one.  A single run checks
-            their mass and draws from them by one uniform variate (inverse
-            CDF in the order given); coupled runs derive the mixed
-            (one-proposal) atoms from them.
+            jump kernel, a sequence of nonnegative weights summing to one,
+            which every simulator checks by one rule (:func:`_checked`).  A
+            single run draws from them by one uniform variate (inverse CDF
+            in the order given); coupled runs add up their positive weights
+            by state into the mixed (one-proposal) kernel.
         base_coupler: ``(x, y, stream) -> machine`` factory of a coupled
             simulator of two base motions that may merge (see
             :mod:`mfjump.coupling`).  The machine answers ``advance(dt)``
@@ -280,12 +298,10 @@ def _jump_sampler(spec, samplers: dict) -> Callable:
 
 def _atoms_jump(atoms: Callable) -> Callable:
     """Jump sampler of a law declared by ``kernel_atoms``: one of its atoms,
-    picked by one uniform variate, after their mass is checked."""
+    picked by one uniform variate, after they are checked."""
 
     def jump(a, b, stream):
-        drawn = atoms(a, b)
-        _check_mass(sum(w for _, w in drawn))
-        return _pick(drawn, stream.random())
+        return _pick(_checked(atoms(a, b)), stream.random())
 
     return jump
 

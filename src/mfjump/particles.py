@@ -37,7 +37,7 @@ from .engine import (
     _base_machine,
     _atoms_jump,
     _check_base_motion,
-    _check_mass,
+    _checked,
     _jump_sampler,
     _pick,
     clock,
@@ -76,15 +76,16 @@ class SystemSpec:
             against it.
         name: Human-readable system name.
         kernel_atoms: ``(i, config) -> [(coord_state, w), ...]`` atoms of
-            the jump kernel of coordinate ``i``, used as a model's.
+            the jump kernel of coordinate ``i``, used and checked as a
+            model's (:attr:`~mfjump.engine.ModelSpec.kernel_atoms`).
         pair_atoms: ``(x_i, x_j) -> [(coord_state, w), ...]``, the
             jump kernel in mean-field pairwise form: the kernel of
             coordinate ``i`` is ``(1/n) * sum_j pair_atoms(x_i, x_j)`` over
-            all ``n`` coordinates ``j`` (``i`` included), and each call's
-            weights sum to one.  A single run draws a uniform donor ``j``,
-            then one of its atoms, whose mass it checks.  Coupled runs add
-            the positive weights of those atoms by state
-            (:func:`_pair_weights`, which checks their mass).  At a merged
+            all ``n`` coordinates ``j`` (``i`` included), and each answer
+            is checked as ``kernel_atoms`` are.  A single run draws a uniform
+            donor ``j``, then one of its atoms.  Coupled runs add the
+            positive weights of those atoms by state
+            (:func:`~mfjump.coupling._pair_weights`).  At a merged
             coordinate they read the donors that agree on both sides only
             one at a time, the one whose slot the merge uniform lands in,
             and the others only when it lands past them
@@ -117,31 +118,14 @@ class SystemSpec:
         object.__setattr__(self, "jump", _jump_sampler(self, samplers))
 
 
-def _pair_weights(pair_atoms: Callable, own, donors, share: float, mass: float = 0.0) -> dict:
-    """``share`` times the positive pair atoms of ``own`` with each donor
-    state in ``donors``, added up by state in the order they come.  Raises
-    ``ValueError`` unless they and the ``mass`` held outside them sum to 1
-    within 1e-6."""
-    weights: dict = {}
-    get = weights.get
-    for donor in donors:
-        for state, w in pair_atoms(own, donor):
-            if w > 0.0:
-                weights[state] = get(state, 0.0) + w * share
-    _check_mass(mass + sum(weights.values()))
-    return weights
-
-
 def _pairwise_jump(pair_atoms: Callable) -> Callable:
     """Jump sampler of a system declared in pairwise form: a uniform donor,
-    then one of its pair atoms by one uniform variate, after their mass is
+    then one of its pair atoms by one uniform variate, after they are
     checked."""
 
     def jump(i, config, stream):
         donor = config[int(stream.integers(len(config)))]
-        atoms = pair_atoms(config[i], donor)
-        _check_mass(sum(w for _, w in atoms))
-        return _pick(atoms, stream.random())
+        return _pick(_checked(pair_atoms(config[i], donor)), stream.random())
 
     return jump
 

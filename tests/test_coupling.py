@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from mfjump import coupling
 from mfjump.coupling import (
     UnsupportedCouplingError,
-    _load_atoms,
     _MergedOverlap,
-    _mixed_atoms,
+    _mixed_weights,
+    _pair_weights,
     _proposal_parts,
+    _thinning,
+    _weights,
     coupled_base,
     estimate_doeblin_alpha,
     make_telegraph_coupler,
@@ -58,7 +60,6 @@ from mfjump.engine import RateCeilingError
 from mfjump.particles import (
     SystemSpec,
     _Matching,
-    _pair_weights,
     meanfield_system,
     simulate_system,
 )
@@ -181,7 +182,7 @@ def _three_pass_overlap(w1: dict, w2: dict, shared: float) -> tuple:
 
 
 _OVERLAP_STATES = st.integers(0, 7).map(lambda k: (k / 8.0,))
-#: Exact zeros and a negative weight that ``_load_atoms`` clamps to zero.
+#: Exact zeros and a negative weight that ``_weights`` counts as zero.
 _OVERLAP_WEIGHTS = st.one_of(st.just(0.0), st.just(-1e-10), st.floats(1e-3, 1.0))
 
 
@@ -213,8 +214,8 @@ def _overlap_atom_lists(draw):
 @settings(max_examples=300)
 @given(_overlap_atom_lists(), st.sampled_from([0.0, 0.0, 0.3]))
 def test_overlap_pass_matches_the_three_pass_definition(atoms, shared):
-    w1, _ = _load_atoms(atoms[0])
-    w2, _ = _load_atoms(atoms[1])
+    w1 = _weights(atoms[0])
+    w2 = _weights(atoms[1])
     parts = coupling._Overlap(w1, w2, shared)
     got = (parts.p, parts.over, parts.common, parts.residuals())
     assert got == _three_pass_overlap(w1, w2, shared)
@@ -806,6 +807,16 @@ def _merged_overlap_law(nu0) -> dict:
     return law
 
 
+def _mixed_atoms(spec, at: tuple, stay, coordinate=None) -> list:
+    """Atoms of one thinned proposal from ``stay``, built as a list: the
+    spec's kernel atoms at ``at`` weighted ``w * rate / ceiling``, plus the
+    stay-put remainder.  The reference for :func:`_mixed_weights`."""
+    rate, share = _thinning(spec, at, coordinate)
+    atoms = [(s, w * rate / spec.rate_ceiling) for s, w in spec.kernel_atoms(*at)]
+    atoms.append((stay, 1.0 - share))
+    return atoms
+
+
 def _full_mixed_atoms(system, i, config) -> list:
     """The mixed atoms (:func:`_mixed_atoms`) of coordinate ``i`` of a
     system with ``pair_atoms``, read from its whole kernel: the pair atoms
@@ -881,7 +892,7 @@ def test_merged_parts_match_the_full_decomposition(
     else:
         law0 = dict(parts.overlap())
     for config, residual in ((x, nu1), (y, nu2)):
-        mixed, _ = _load_atoms(_full_mixed_atoms(system, i, config))
+        mixed = _weights(_full_mixed_atoms(system, i, config))
         drawn = {state: p * w for state, w in law0.items()}
         for state, w in residual:
             drawn[state] = drawn.get(state, 0.0) + (1.0 - p) * w
@@ -955,7 +966,7 @@ def test_merged_draw_follows_the_full_maximal_coupling():
     for state in set(law0) | set(merged):
         assert_close(merged[state], p * law0.get(state, 0.0))
     for config, counts in zip((x, y), sides):
-        mixed, _ = _load_atoms(_full_mixed_atoms(system, i, config))
+        mixed = _weights(_full_mixed_atoms(system, i, config))
         for state in set(mixed) | set(counts):
             assert_close(counts[state], mixed.get(state, 0.0))
 
@@ -1529,6 +1540,143 @@ def test_coupled_simulators_reject_a_window_that_is_not_positive(simulator, t0):
     }
     with pytest.raises(ValueError, match=f"window {t0} is not positive"):
         runs[simulator]()
+
+
+# ---------------------------------------------------------------------------
+# one check of a jump law's atoms
+
+
+def _step_atoms(state, low: float) -> tuple:
+    """Jump atoms one unit right and one unit left of ``state`` (its label
+    kept), with weights ``1 - low`` and ``low``, which sum to one."""
+    x, v = state
+    return (((x + 1.0, v), 1.0 - low), ((x - 1.0, v), low))
+
+
+def _signed_model(low: float):
+    return dataclasses.replace(
+        run_tumble(RunTumbleParams(theta=0.1)).model,
+        kernel_atoms=lambda state, measure: _step_atoms(state, low),
+    )
+
+
+def _signed_pair_system(low: float):
+    return dataclasses.replace(
+        selection_bundle(4).system,
+        pair_atoms=lambda own, donor: ((donor, 1.0 - low), (own, low)),
+    )
+
+
+_RT_X0 = ((0.3, 1), (-0.2, -1), (0.9, 1), (-0.6, 1))
+_RT_Y0 = ((0.3, 1), (0.4, -1), (0.9, 1), (-0.6, -1))
+_SEL_X0 = ((0.1,), (0.2,), (0.3,), (0.4,))
+_SEL_Y0 = ((0.1,), (0.95,), (0.3,), (0.85,))
+
+#: Run name -> low weight -> a run that reads the jump law of ``_step_atoms``
+#: (or its pairwise form) with that weight.
+SIGNED_LAW_RUNS = {
+    "simulate_nonlinear": lambda low: simulate_nonlinear(
+        _signed_model(low), constant_flow((0.0, 1)), (0.2, 1), 5.0, make_rng(1)
+    ),
+    "simulate_system-kernel_atoms": lambda low: simulate_system(
+        meanfield_system(_signed_model(low), 4), _RT_X0, 5.0, make_rng(1)
+    ),
+    "simulate_system-pair_atoms": lambda low: simulate_system(
+        _signed_pair_system(low), _SEL_X0, 5.0, make_rng(1)
+    ),
+    "simulate_merge_split": lambda low: simulate_merge_split(
+        _signed_model(low), constant_flow((0.3, 1)), constant_flow((-0.3, -1)),
+        (0.2, 1), (-0.2, 1), 5.0, 1.0, make_rng(1),
+    ),
+    **{
+        f"simulate_coupled_system-{form}-{start}": (
+            lambda low, form=form, x0=x0, y0=y0: simulate_coupled_system(
+                meanfield_system(_signed_model(low), 4) if form == "kernel_atoms"
+                else _signed_pair_system(low),
+                x0, y0, 5.0, 1.0, 1.0, make_rng(1),
+            )
+        )
+        for form, x0, y1 in (("kernel_atoms", _RT_X0, _RT_Y0), ("pair_atoms", _SEL_X0, _SEL_Y0))
+        for start, y0 in (("equal", x0), ("mismatched", y1))
+    },
+    "EmpiricalMeasure": lambda low: EmpiricalMeasure(_step_atoms((0.0, 1), low)),
+    "overlap_decompose": lambda low: overlap_decompose(
+        _step_atoms((0.0, 1), low), [((1.0, 1), 1.0)]
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(SIGNED_LAW_RUNS))
+def test_every_reader_of_a_jump_law_refuses_a_negative_weight(run):
+    # The weights 1.5 and -0.5 sum to one, so only the weight check sees
+    # them.  Before, the single runs drew from such a law and the coupled
+    # runs refused it only on some paths.
+    with pytest.raises(ValueError, match="^atom weight -0.5 is negative$"):
+        SIGNED_LAW_RUNS[run](-0.5)
+
+
+@pytest.mark.parametrize("run", sorted(SIGNED_LAW_RUNS))
+def test_every_reader_of_a_jump_law_takes_a_weight_of_float_noise(run):
+    SIGNED_LAW_RUNS[run](-1e-10)
+
+
+def _load_atoms(atoms) -> dict:
+    """The weights of ``atoms`` added up by state, zero weights included."""
+    weights: dict = {}
+    for state, w in atoms:
+        weights[state] = weights.get(state, 0.0) + w
+    return weights
+
+
+def _pairwise_reference(system, i: int, config, share: float) -> dict:
+    """One side's mixed weights of a system with ``pair_atoms``, written out:
+    each pair atom of each of the ``N`` donors weighted ``w * share / N``,
+    then the stay-put mass."""
+    own, weights = config[i], {}
+    for donor in config:
+        for state, w in system.pair_atoms(own, donor):
+            weights[state] = weights.get(state, 0.0) + w * (share / len(config))
+    weights[own] = weights.get(own, 0.0) + (1.0 - share)
+    return weights
+
+
+def test_mixed_weights_equal_their_reference_definitions():
+    # By ``==``: the same floats, summed in the same order.  States whose
+    # reference weight is 0 (a stay-put mass at a saturated rate) are
+    # absent from ``_mixed_weights``, which draws the same.
+    def nonzero(weights):
+        return {state: w for state, w in weights.items() if w != 0.0}
+
+    checked = 0
+    model = run_tumble(RunTumbleParams(theta=0.3)).model
+    measure = EmpiricalMeasure([((0.5, 1), 0.5), ((-1.0, -1), 0.5)])
+    for x in (-3.0, -0.7, 0.0, 0.4, 2.5):
+        for v in (-1, 1):
+            at = ((x, v), measure)
+            got = _mixed_weights(model, at, (x, v), *_thinning(model, at))
+            assert got == nonzero(_load_atoms(_mixed_atoms(model, at, (x, v))))
+            checked += 1
+    by_atoms = meanfield_system(run_tumble(RunTumbleParams(theta=0.3)), 4)
+    pairwise = dataclasses.replace(
+        selection_mutation(
+            SelectionParams(n_particles=4, accept_prob=ACCEPT_PROBS["distance"])
+        ).system,
+        rate_ceiling=1.6,
+    )
+    for base, config in ((by_atoms, _RT_X0), (pairwise, _SEL_Y0)):
+        for ceiling in (base.rate_ceiling, 2.0 * base.rate_ceiling):
+            system = dataclasses.replace(base, rate_ceiling=ceiling)
+            for i in range(4):
+                at = (i, config)
+                rate, share = _thinning(system, at, i)
+                got = _mixed_weights(system, at, config[i], rate, share)
+                if system.pair_atoms is None:
+                    want = _load_atoms(_mixed_atoms(system, at, config[i], i))
+                else:
+                    want = _pairwise_reference(system, i, config, share)
+                assert got == nonzero(want)
+                checked += 1
+    assert checked == 26
 
 
 # ---------------------------------------------------------------------------

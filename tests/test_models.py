@@ -31,7 +31,8 @@ from mfjump.models import (
     tcp,
     zigzag,
 )
-from mfjump.particles import _pair_weights, empirical, meanfield_system, simulate_system
+from mfjump.coupling import _pair_weights
+from mfjump.particles import empirical, meanfield_system, simulate_system
 
 from conftest import constant_flow, make_rng
 
