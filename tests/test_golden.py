@@ -128,6 +128,13 @@ PARTICLE_CASES = {
     ),
 }
 
+#: sha256 of ``simulate.csv`` of a ``tcp`` run (seed 13, 8 replicas): the one
+#: registry model that moves by a ``DriftMachine`` and thins under
+#: ``local_bound`` flights.
+TCP_SIMULATE_SHA256 = (
+    "56b0278353d97b6910eeaf91eefae8a3d514373f6bda3e29898d059281134067"
+)
+
 #: sha256 of ``couple_particles.csv`` of the CI's coupled selection run on 64
 #: coordinates, half of them matched (seed 3, 4 replicas): its proposals
 #: split often, so the residuals of the maximal coupling are read.
@@ -192,6 +199,14 @@ def test_particles_output_bytes_are_pinned(tmp_path, model_id):
     run = {"x0": x0, "horizon": 1.0, "replicas": 3, "sample_times": [0.5, 1.0]}
     sha = _cli_output_sha256(tmp_path, "particles", model, run, seed, "particles.csv")
     assert sha == pinned
+
+
+def test_tcp_simulate_output_is_pinned(tmp_path):
+    model = {"id": "tcp", "params": {}}
+    run = {"x0": [0.0], "horizon": 3.0, "replicas": 8, "sample_times": [1.0, 2.0, 3.0],
+           "flow": {"type": "constant", "atom": [0.0]}}
+    sha = _cli_output_sha256(tmp_path, "simulate", model, run, 13, "simulate.csv")
+    assert sha == TCP_SIMULATE_SHA256
 
 
 def test_half_matched_couple_particles_output_is_pinned(tmp_path):
