@@ -32,6 +32,7 @@ from .engine import (
     MeasureFlow,
     ModelSpec,
     _base_machine,
+    _MASS_TOL,
     _check_mass,
     _check_weight,
     _checked,
@@ -620,26 +621,31 @@ def _mixed_weights(spec, at: tuple, stay, rate: float, share: float) -> dict:
         # ``w * rate / ceiling`` rounds unlike ``w * share``; outputs are pinned to it.
         weights = _weights(spec.kernel_atoms(*at), rate, spec.rate_ceiling)
     else:
-        weights = _pair_weights(spec.pair_atoms, stay, at[1], share / len(at[1]), 1.0 - share)
+        weights = _pair_weights(spec.pair_atoms, stay, at[1], share / len(at[1]))
     if share < 1.0:
         weights[stay] = weights.get(stay, 0.0) + (1.0 - share)
     return weights
 
 
-def _pair_weights(pair_atoms: Callable, own, donors, share: float, mass: float = 0.0) -> dict:
+def _pair_weights(pair_atoms: Callable, own, donors, share: float) -> dict:
     """``share`` times the positive pair atoms of ``own`` with each donor
-    state in ``donors``, added up by state in the order they come.  Raises
-    ``ValueError`` at a negative weight (:func:`~mfjump.engine._check_weight`)
-    and unless they and the ``mass`` held outside them sum to 1 within 1e-6."""
+    state in ``donors``, added up by state in the order they come.  Each
+    donor's answer is checked as :func:`~mfjump.engine._checked` checks a
+    jump law's atoms: ``ValueError`` at a negative weight
+    (:func:`~mfjump.engine._check_weight`) and unless its weights sum to 1
+    (:func:`~mfjump.engine._check_mass`)."""
     weights: dict = {}
     get = weights.get
     for donor in donors:
+        mass = 0.0
         for state, w in pair_atoms(own, donor):
+            mass += w
             if w > 0.0:
                 weights[state] = get(state, 0.0) + w * share
             else:
                 _check_weight(w)
-    _check_mass(mass + sum(weights.values()))
+        if not abs(mass - 1.0) <= _MASS_TOL:
+            _check_mass(mass)
     return weights
 
 
@@ -677,7 +683,7 @@ class _MergedOverlap(_Overlap):
             raise AttributeError(name)
         w1, w2 = (
             _pair_weights(self.pair_atoms, self.stay, (c[k] for k in self.mismatched),
-                          self.share, self.shared)
+                          self.share)
             for c in (self.x, self.y)
         )
         _Overlap.__init__(self, w1, w2, self.shared)

@@ -69,6 +69,9 @@ _MAX_FLIGHT = 0.1
 #: Bins per real coordinate when :func:`picard_solve` compares measure flows.
 _GAP_BINS = 20
 
+#: Distance from 1 within which a jump law's atom weights must sum.
+_MASS_TOL = 1e-6
+
 #: Most grid points :func:`picard_solve` lays on its horizon.
 _MAX_GRID_POINTS = 10**6
 
@@ -79,8 +82,8 @@ class RateCeilingError(RuntimeError):
 
 def _check_mass(total: float) -> None:
     """Raise ``ValueError`` unless the atom weights ``total`` is 1 within
-    1e-6 (a NaN total fails)."""
-    if not abs(total - 1.0) <= 1e-6:
+    ``_MASS_TOL`` (a NaN total fails)."""
+    if not abs(total - 1.0) <= _MASS_TOL:
         raise ValueError(f"atom weights sum to {total}, expected 1")
 
 

@@ -1339,6 +1339,29 @@ def test_pair_atoms_mass_is_checked_on_every_path(start):
                     )
 
 
+def _uneven_pair_atoms(own, donor):
+    return ((own, 1.2 if donor[0] < 0.5 else 0.8),)
+
+
+@pytest.mark.parametrize("run", ["single", "equal", "mismatched"])
+def test_each_pair_atoms_answer_must_weigh_one(run):
+    # Over the four donors below the answers weigh 1.2, 1.2, 0.8 and 0.8,
+    # so only a check of each answer sees them.  Coupled runs from
+    # mismatched starts used to check only the sum over the donors.
+    system = selection_mutation(
+        SelectionParams(n_particles=4, lam_star=1.0, accept_prob=lambda a, b: 0.5,
+                        base_refresh_rate=0.0)
+    ).system
+    system = dataclasses.replace(system, pair_atoms=_uneven_pair_atoms)
+    x0 = ((0.1,), (0.2,), (0.7,), (0.8,))
+    y0 = {"equal": x0, "mismatched": ((0.15,), (0.25,), (0.75,), (0.85,))}.get(run)
+    with pytest.raises(ValueError, match="^atom weights sum to 1.2, expected 1$"):
+        if y0 is None:
+            simulate_system(system, x0, 2.0, make_rng(1))
+        else:
+            simulate_coupled_system(system, x0, y0, 2.0, 1.0, 1.0, make_rng(1))
+
+
 @pytest.mark.parametrize("start", ["equal", "mismatched"])
 def test_pairwise_rate_above_the_ceiling_fails_naming_the_coordinate(start):
     # From equal starts every proposal takes the merged path; from starts
