@@ -5,21 +5,31 @@ Three layers build on each other:
 * :func:`overlap_decompose` / :func:`optimal_pair_sampler` — the maximal
   coupling of two finite discrete measures, split into an overlap part and
   two disjoint residuals.
-* Base couplers — small state machines that evolve a *pair* of states under
-  the base dynamics so that each side keeps its marginal law while the pair
-  merges with positive probability (:func:`coupled_base`).  A machine
-  answers ``advance(dt)`` with the pair ``(x, y)`` ``dt`` later; its sides
-  merge at most once and then stay merged, and it keeps that merge in
-  ``merge``, ``(time since the machine started, merged state)`` or
-  ``None`` (:func:`~mfjump.engine._base_machine`).
+* Base couplers — a spec's one base motion, ``base_coupler(x, y, stream)``:
+  small state machines that evolve a *pair* of states, each side keeping
+  its marginal law.  The telegraph and refresh couplers merge the pair with
+  positive probability (:func:`coupled_base`); a :class:`TwinCoupler` never.
 * Trajectory couplings — :func:`simulate_merge_split` for one measure-driven
   pair and :func:`simulate_coupled_system` for interacting systems, both
   sharing proposal clocks and jump variates so that merged pairs tend to stay
   merged.
+
+Every simulator starts its machines by ``spec.base_coupler(x, y, stream)``,
+a single run on the diagonal (``x == y``), where a machine is the base
+motion of one state.  A pair machine answers ``advance(dt)`` with the pair
+``(x, y)`` ``dt`` later, ``next_event_in()``, the time until the next base
+event of either side (``inf`` if none), and ``drifts()``, one per side, the
+velocity of each state component until then (``None`` if it stands still).
+Its sides merge at most once and then stay merged; the read-only ``merge``
+is ``(time since the machine started, merged state)`` from then on, and
+``None`` before and for a machine that never merges (one started merged, or
+a twin pair).  A one-side machine, which :class:`TwinCoupler` takes, answers
+``next_event_in()``, ``drift()`` and ``advance(dt)`` for its one side.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import math
@@ -31,7 +41,6 @@ from .engine import (
     WINDOW,
     MeasureFlow,
     ModelSpec,
-    _base_machine,
     _MASS_TOL,
     _check_mass,
     _check_weight,
@@ -49,6 +58,7 @@ __all__ = [
     "CoupledSystemEvent",
     "CoupledSystemTrajectory",
     "CoupledTrajectory",
+    "TwinCoupler",
     "UnsupportedCouplingError",
     "alpha_from_windows",
     "check_coupled_system",
@@ -381,14 +391,59 @@ def make_refresh_coupler(rate: float) -> Callable:
     return functools.partial(_RefreshCouplerMachine, rate)
 
 
+class _SingleMachines:
+    """A pair machine of one-side machines: one on the diagonal, where ``y``
+    is ``x``, or one per side.  Its sides never merge."""
+
+    merge = None
+
+    def __init__(self, *machines):
+        self._machines = machines
+
+    def next_event_in(self) -> float:
+        return min([m.next_event_in() for m in self._machines])
+
+    def drifts(self) -> tuple:
+        return self._machines[0].drift(), self._machines[-1].drift()
+
+    def advance(self, dt: float) -> tuple:
+        states = [m.advance(dt) for m in self._machines]
+        return states[0], states[-1]
+
+
+class TwinCoupler:
+    """The base coupler of a model with no merging coupling, from its
+    one-side machine factory ``machine(x, stream)``.
+
+    On the diagonal (``x == y``) it is one machine at ``x`` drawing from
+    ``stream``.  Off it, it is a twin pair: one machine per side, reading
+    the variates of a child spawned from ``stream`` and of a copy of it
+    (one stream cannot hand a variate out twice; each start spawns a fresh
+    child).  The sides never merge, so :func:`coupled_base` refuses it.
+    """
+
+    __slots__ = ("machine",)
+
+    def __init__(self, machine: Callable):
+        self.machine = machine
+
+    def __call__(self, x, y, stream) -> _SingleMachines:
+        if x == y:
+            return _SingleMachines(self.machine(x, stream))
+        child = stream.spawn(1)[0]
+        machine = self.machine
+        return _SingleMachines(machine(x, child), machine(y, copy.deepcopy(child)))
+
+
 def coupled_base(model: ModelSpec, x, y, t0: float, stream):
     """Run the coupled base dynamics of a model over one window.
 
     Returns ``(x_t0, y_t0, merged_at)``: the pair at ``t0`` and the time the
     pair merged, read from the machine's ``merge`` (``0.0`` for equal
-    starts, ``None`` if it never merged).
+    starts, ``None`` if it never merged).  A model whose base coupler is a
+    :class:`TwinCoupler` is refused by :class:`UnsupportedCouplingError`.
     """
-    if model.base_coupler is None:
+    if isinstance(model.base_coupler, TwinCoupler):
         raise UnsupportedCouplingError(
             f"model {model.name!r} provides no coupled base construction"
         )
@@ -502,7 +557,7 @@ def simulate_merge_split(
     # The time the machine has been advanced since its start, summed as the
     # machine sums its own clock, so ``at - elapsed`` below is the offset of
     # its merge into the advance.
-    machine, elapsed = _base_machine(model, x, y, stream), 0.0
+    machine, elapsed = model.base_coupler(x, y, stream), 0.0
 
     def run_machine(upto: float) -> None:
         nonlocal x, y, t, elapsed
@@ -524,7 +579,7 @@ def simulate_merge_split(
             sample_pairs[t] = (x, y)
             continue
         if kind == WINDOW:
-            machine, elapsed = _base_machine(model, x, y, stream), 0.0
+            machine, elapsed = model.base_coupler(x, y, stream), 0.0
             continue
         was_merged = x == y
         at_x, at_y = (x, flow1.at(t)), (y, flow2.at(t))
@@ -543,7 +598,7 @@ def simulate_merge_split(
             events.append(
                 CoupledEvent(time=t, kind=PROPOSAL, x=x, y=y, merged=merged, p=parts.p)
             )
-        machine, elapsed = _base_machine(model, x, y, stream), 0.0
+        machine, elapsed = model.base_coupler(x, y, stream), 0.0
     run_machine(horizon)
     return CoupledTrajectory(
         initial_x=tuple(x0),
@@ -754,11 +809,10 @@ def simulate_coupled_system(
     split when ``theta >= 0`` bounds the rate-and-kernel sensitivity to
     single-coordinate changes.  Each side's mixed kernel is
     :func:`_mixed_weights` of the system's jump atoms.  Between
-    proposals each coordinate pair follows its base machine
-    (:func:`~mfjump.engine._base_machine`), drawing from ``stream``,
-    restarted at window boundaries ``k * t0``.  A system with a
-    ``base_machine`` in place of a coupler moves a merged pair by one
-    single machine and an unmerged one by two on twin streams.  The
+    proposals each coordinate pair follows its base machine, started by the
+    system's ``base_coupler`` and drawing from ``stream``, restarted at
+    window boundaries ``k * t0``; a :class:`TwinCoupler` moves a merged
+    pair by one machine and an unmerged one by two on twin streams.  The
     configurations and ``j`` at each sample time are recorded in
     ``samples``.  With ``record_events=False`` no event is kept, while ``j``
     is still counted.

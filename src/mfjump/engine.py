@@ -4,9 +4,9 @@ The central objects are:
 
 * :class:`EmpiricalMeasure` — a finitely supported probability measure.
 * :class:`MeasureFlow` — a piecewise-constant path of measures on a time grid.
-* :class:`ModelSpec` — the dynamics: a base motion between jumps, given as a
-  machine, and a jump rate and a jump kernel, both functions of the current
-  state and of the ambient measure.
+* :class:`ModelSpec` — the dynamics: a base motion between jumps, given by
+  a coupler of pair machines, and a jump rate and a jump kernel, both
+  functions of the current state and of the ambient measure.
 
 Trajectories are produced by thinning: jump times are proposed by a Poisson
 :func:`clock` at a ceiling rate and accepted with probability
@@ -20,7 +20,6 @@ short flight.  :func:`picard_solve` closes the loop, iterating the map
 from __future__ import annotations
 
 import collections
-import copy
 import dataclasses
 import math
 from typing import Callable, Iterable, Optional, Sequence
@@ -110,8 +109,7 @@ class EmpiricalMeasure:
     """A probability measure supported on finitely many states.
 
     ``atoms`` is a read-only sequence of ``(state, weight)`` pairs, checked
-    as a jump law's atoms are (:func:`_checked`); the empty measure, used as
-    a placeholder for zero-mass residuals, is also allowed.
+    as a jump law's atoms are (:func:`_checked`): none, of mass 0, is refused.
 
     A measure made by :meth:`from_states` only keeps the states: its atoms
     (one per distinct state, sorted) are built on the first read of ``atoms``,
@@ -123,10 +121,7 @@ class EmpiricalMeasure:
     __slots__ = ("_atoms", "_states", "_mean_cache")
 
     def __init__(self, atoms: Iterable[tuple[State, float]]):
-        atoms = tuple((tuple(s), float(w)) for s, w in atoms)
-        if atoms:
-            _checked(atoms)
-        self._atoms = atoms
+        self._atoms = _checked(tuple((tuple(s), float(w)) for s, w in atoms))
         self._states = None
         self._mean_cache: dict[int, float] = {}
 
@@ -136,9 +131,8 @@ class EmpiricalMeasure:
         states = tuple(states)
         if not states:
             raise ValueError("cannot build an empirical measure from no states")
-        measure = cls(())
-        measure._atoms = None
-        measure._states = states
+        measure = cls.__new__(cls)
+        measure._atoms, measure._states, measure._mean_cache = None, states, {}
         return measure
 
     @property
@@ -242,21 +236,18 @@ class ModelSpec:
             single run draws from them by one uniform variate (inverse CDF
             in the order given); coupled runs add up their positive weights
             by state into the mixed (one-proposal) kernel.
-        base_coupler: ``(x, y, stream) -> machine`` factory of a coupled
-            simulator of two base motions that may merge (see
-            :mod:`mfjump.coupling`).  The machine answers ``advance(dt)``
-            with the pair ``(x, y)`` ``dt`` later and keeps its one merge in
-            ``merge`` (see :func:`_base_machine`).  Started on the diagonal
-            (``x == y``) it is the base motion itself.
-        base_machine: ``(x, stream) -> machine`` factory of the base motion
-            of one state, for a model with no merging coupling.
+        base_coupler: ``(x, y, stream) -> machine``, the base motion: a
+            factory of pair machines drawing from ``stream`` (protocol in
+            :mod:`mfjump.coupling`), which on the diagonal (``x == y``) is
+            the base motion itself.  A model with no merging coupling gives
+            a :class:`~mfjump.coupling.TwinCoupler`.  Required.
 
     The jump law is declared once, by exactly one of ``kernel`` and
-    ``kernel_atoms``, and the base motion once, by exactly one of
-    ``base_coupler`` and ``base_machine`` (see :func:`_base_machine`); a
-    system coordinate's fields take ``(i, config)`` in place of ``(state,
-    measure)``.  Construction stores the one jump sampler that every
-    simulator calls, typed as ``kernel``, as ``jump`` (not a field).
+    ``kernel_atoms``, and the base motion once, by ``base_coupler``, which
+    every simulator starts its machines by; a system coordinate's fields
+    take ``(i, config)`` in place of ``(state, measure)``.  Construction
+    stores the one jump sampler that every simulator calls, typed as
+    ``kernel``, as ``jump`` (not a field).
     """
 
     rate: Callable
@@ -268,7 +259,6 @@ class ModelSpec:
     local_bound: Optional[Callable] = None
     kernel_atoms: Optional[Callable] = None
     base_coupler: Optional[Callable] = None
-    base_machine: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         _check_base_motion(self)
@@ -276,11 +266,9 @@ class ModelSpec:
 
 
 def _check_base_motion(spec) -> None:
-    """Raise ``ValueError`` unless ``spec`` declares one base motion."""
-    if (spec.base_coupler is None) == (spec.base_machine is None):
-        raise ValueError(
-            f"{spec.name}: declare exactly one of base_coupler and base_machine"
-        )
+    """Raise ``ValueError`` unless ``spec`` declares its base motion."""
+    if spec.base_coupler is None:
+        raise ValueError(f"{spec.name}: declare a base_coupler")
 
 
 def _jump_sampler(spec, samplers: dict) -> Callable:
@@ -353,9 +341,10 @@ class Trajectory:
 
 
 class DriftMachine:
-    """Single-side base machine of a state moving at a constant ``drift`` (one
-    velocity per component, or ``None`` to stand still), with no event.  A
-    component with drift 0 keeps its exact value, so labels stay ints."""
+    """One-side base machine (for a :class:`~mfjump.coupling.TwinCoupler`) of
+    a state moving at a constant ``drift`` (one velocity per component, or
+    ``None`` to stand still), with no event.  A component with drift 0 keeps
+    its exact value, so labels stay ints."""
 
     def __init__(self, state, drift: Optional[tuple] = None):
         self._state = tuple(state)
@@ -373,60 +362,6 @@ class DriftMachine:
                 [x + d * dt if d else x for x, d in zip(self._state, self._drift)]
             )
         return self._state
-
-
-class _SingleMachines:
-    """A pair machine of single-side machines: one on the diagonal, where
-    ``y`` is ``x``, or one per side.  Its sides never merge."""
-
-    merge = None
-
-    def __init__(self, *machines):
-        self._machines = machines
-
-    def next_event_in(self) -> float:
-        return min([m.next_event_in() for m in self._machines])
-
-    def drifts(self) -> tuple:
-        return self._machines[0].drift(), self._machines[-1].drift()
-
-    def advance(self, dt: float) -> tuple:
-        states = [m.advance(dt) for m in self._machines]
-        return states[0], states[-1]
-
-
-def _base_machine(spec, x, y, stream):
-    """The base machine of a model or of one system coordinate at ``(x, y)``.
-
-    It is the one place that picks a machine:
-
-    * the spec's ``base_coupler``, if it declares one;
-    * else, on the diagonal (``x == y``), its ``base_machine`` at ``x``, which
-      is the base motion itself and draws from ``stream``;
-    * else a twin pair: one ``base_machine`` per side, both reading the
-      variates of a child spawned from ``stream`` (and of a copy of it),
-      since one stream cannot hand a variate out twice.  Each start spawns a
-      fresh child, so neither side reuses a variate it has drawn before.
-
-    A pair machine answers ``advance(dt)`` with the pair ``(x, y)`` ``dt``
-    later, and two read-only questions: ``next_event_in()``, the time until
-    the next base event of either side (``inf`` if none), and ``drifts()``,
-    one per side, the velocity of each state component until then (``None``
-    if the state stands still).  Its sides merge at most once and then stay
-    merged; the read-only ``merge`` is ``(time since the machine started,
-    merged state)`` from then on, and ``None`` before and for a machine that
-    never merges (one started merged, or single-side machines).  A
-    single-side machine answers ``next_event_in()``, ``drift()`` for its one
-    side, and ``advance(dt)`` with the state ``dt`` later.
-    """
-    if spec.base_coupler is not None:
-        return spec.base_coupler(x, y, stream)
-    if x == y:
-        return _SingleMachines(spec.base_machine(x, stream))
-    child = stream.spawn(1)[0]
-    return _SingleMachines(
-        spec.base_machine(x, child), spec.base_machine(y, copy.deepcopy(child))
-    )
 
 
 def _waiting_time(stream, rate: float) -> float:
@@ -559,8 +494,8 @@ def simulate_nonlinear(
     * A model without one flies once over ``[0, horizon]`` under its
       ``rate_ceiling``, which must then be finite.
 
-    The state moves by the model's base machine (:func:`_base_machine` on the
-    diagonal), drawing from ``stream``; an accepted jump restarts it at the
+    The state moves by the model's ``base_coupler`` started on the
+    diagonal, drawing from ``stream``; an accepted jump restarts it at the
     post-jump state.  Every proposal is recorded as an event (accepted or
     rejected) when ``record_events``; with ``record_events=False`` no event
     is kept.  The state at each sample time is recorded in
@@ -575,7 +510,7 @@ def simulate_nonlinear(
     t = 0.0
     state = tuple(initial)
     n_accepted = n_rejected = 0
-    machine = _base_machine(model, state, state, stream)
+    machine = model.base_coupler(state, state, stream)
     while True:
         if local_bound is None:
             end, ceiling = horizon, model.rate_ceiling
@@ -593,7 +528,7 @@ def simulate_nonlinear(
             accepted = thin(model.rate(state, measure), ceiling, stream, model.name)
             if accepted:
                 state = tuple(model.jump(state, measure, stream))
-                machine = _base_machine(model, state, state, stream)
+                machine = model.base_coupler(state, state, stream)
                 n_accepted += 1
             else:
                 n_rejected += 1

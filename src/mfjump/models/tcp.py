@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..coupling import TwinCoupler
 from ..engine import DriftMachine, ModelSpec
 
 __all__ = ["TcpBundle", "TcpConstants", "TcpParams", "tcp"]
@@ -124,6 +125,6 @@ def tcp(params: TcpParams) -> TcpBundle:
         state_box=((0.0, 100.0),),
         name="tcp",
         local_bound=local_bound,
-        base_machine=lambda state, stream: DriftMachine(state, (1.0,)),
+        base_coupler=TwinCoupler(lambda state, stream: DriftMachine(state, (1.0,))),
     )
     return TcpBundle(model=model, constants=constants)

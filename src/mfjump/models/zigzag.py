@@ -16,6 +16,7 @@ import dataclasses
 import math
 from typing import Callable, Optional
 
+from ..coupling import TwinCoupler
 from ..engine import _waiting_time, thin
 from ..metrics import LyapunovFn
 from ..particles import SystemSpec
@@ -149,7 +150,9 @@ def zigzag(params: ZigZagParams) -> ZigZagBundle:
         coordinate_box=((-6.0, 6.0), (-1, 1)),
         name="zigzag",
         kernel_atoms=kernel_atoms,
-        base_machine=lambda coord, stream: _FlipMachine(coord, stream, base_rate, lip),
+        base_coupler=TwinCoupler(
+            lambda coord, stream: _FlipMachine(coord, stream, base_rate, lip)
+        ),
     )
 
     def lyapunov_value(coord) -> float:

@@ -34,7 +34,6 @@ from .engine import (
     ModelSpec,
     RateCeilingError,
     Trajectory,
-    _base_machine,
     _atoms_jump,
     _check_base_motion,
     _checked,
@@ -90,10 +89,9 @@ class SystemSpec:
             one at a time, the one whose slot the merge uniform lands in,
             and the others only when it lands past them
             (:func:`~mfjump.coupling.simulate_coupled_system`).
-        base_coupler, base_machine: The base motion of one coordinate,
-            declared by exactly one of them, typed as in
+        base_coupler: The base motion of one coordinate, typed as in
             :class:`~mfjump.engine.ModelSpec` (coordinates are exchangeable,
-            so neither takes an index).
+            so it takes no index).  Required.
 
     The jump law is declared once, by exactly one of ``kernel``,
     ``kernel_atoms`` and ``pair_atoms``; construction stores its one sampler
@@ -110,7 +108,6 @@ class SystemSpec:
     kernel_atoms: Optional[Callable] = None
     base_coupler: Optional[Callable] = None
     pair_atoms: Optional[Callable] = None
-    base_machine: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         _check_base_motion(self)
@@ -267,8 +264,8 @@ class _Matching:
 class _LiveConfig:
     """Coordinates of a running system, each moved by one pair machine.
 
-    Coordinate ``j`` is a pair ``(x_j, y_j)`` moved by its base machine
-    (:func:`~mfjump.engine._base_machine`) drawing from the run's one
+    Coordinate ``j`` is a pair ``(x_j, y_j)`` moved by its base machine,
+    started by the system's ``base_coupler`` and drawing from the run's one
     ``stream``.  A single run is the ``x`` side of the diagonal: its
     machines start at ``(x_j, x_j)`` and ``y`` is ``None``.  Each side is a
     :class:`_LiveSide`, and for a pair :attr:`matching` splits the
@@ -309,7 +306,7 @@ class _LiveConfig:
         ``x``) at the flow time."""
         if y is None:
             y = x
-        self._machines[j] = _base_machine(self._system, x, y, self._stream)
+        self._machines[j] = self._system.base_coupler(x, y, self._stream)
         self._settle(j, x, y, self.x.t)
 
     def flow(self, t: float) -> None:
@@ -370,11 +367,9 @@ def simulate_system(
 ) -> Trajectory:
     """Simulate an interacting system by global-clock thinning.
 
-    Each coordinate moves by its base machine
-    (:func:`~mfjump.engine._base_machine`) started on the diagonal and
-    drawing from ``stream``: the system's ``base_coupler`` or its
-    ``base_machine``.  An accepted jump restarts the machine of the
-    coordinate that jumped.
+    Each coordinate moves by its base machine, the system's
+    ``base_coupler`` started on the diagonal and drawing from ``stream``.
+    An accepted jump restarts the machine of the coordinate that jumped.
 
     The run is event-driven: at each proposal and sample only the machines
     whose next base event has come are advanced, in coordinate order.  A
@@ -434,8 +429,8 @@ def simulate_system(
 def meanfield_system(model_or_bundle, n_particles: int) -> SystemSpec:
     """Lift a measure-driven model to an ``N``-coordinate interacting system.
 
-    Each coordinate follows the model's base motion (its ``base_coupler`` or
-    ``base_machine``, passed through unchanged); jump rates and kernels see
+    Each coordinate follows the model's base motion (its ``base_coupler``,
+    passed through unchanged); jump rates and kernels see
     the empirical measure of the current configuration in place of the
     ambient measure, and the jump law keeps the form the model declares.
     Accepts either a :class:`~mfjump.engine.ModelSpec` or a model bundle
@@ -461,5 +456,4 @@ def meanfield_system(model_or_bundle, n_particles: int) -> SystemSpec:
         name=f"{model.name}-system",
         kernel_atoms=lift(model.kernel_atoms),
         base_coupler=model.base_coupler,
-        base_machine=model.base_machine,
     )

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from mfjump.coupling import TwinCoupler
 from mfjump.engine import (
     DriftMachine,
     EmpiricalMeasure,
@@ -170,7 +171,7 @@ def flip_model(rate_value: float = 2.0, ceiling: float = 2.0) -> ModelSpec:
         state_layout=("label",),
         state_box=((0.0, 1.0),),
         name="flip-toy",
-        base_machine=frozen_machine,
+        base_coupler=TwinCoupler(frozen_machine),
     )
 
 
@@ -195,7 +196,7 @@ def measure_rate_flip_model(ceiling: float = 2.0) -> ModelSpec:
         state_layout=("label",),
         state_box=((0.0, 1.0),),
         name="measure-rate-flip-toy",
-        base_machine=frozen_machine,
+        base_coupler=TwinCoupler(frozen_machine),
     )
 
 
@@ -215,7 +216,7 @@ def drift_model(speed: float = 1.0, ceiling: float = 1.0) -> ModelSpec:
         state_layout=("real",),
         state_box=((-50.0, 50.0),),
         name="drift-toy",
-        base_machine=lambda state, stream: DriftMachine(state, (speed,)),
+        base_coupler=TwinCoupler(lambda state, stream: DriftMachine(state, (speed,))),
     )
 
 
@@ -235,7 +236,9 @@ def drift_velocity_model(jump_rate: float = 0.0, ceiling: float = 1.0) -> ModelS
         state_layout=("real", "label"),
         state_box=((-50.0, 50.0), (-1.0, 1.0)),
         name="drift-velocity-toy",
-        base_machine=lambda state, stream: DriftMachine(state, (state[1], 0)),
+        base_coupler=TwinCoupler(
+            lambda state, stream: DriftMachine(state, (state[1], 0))
+        ),
     )
 
 
@@ -260,7 +263,7 @@ def flip_system(
         coordinate_layout=("label",),
         coordinate_box=((0.0, 1.0),),
         name="flip-system-toy",
-        base_machine=frozen_machine,
+        base_coupler=TwinCoupler(frozen_machine),
     )
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from mfjump import coupling
 from mfjump.coupling import (
+    TwinCoupler,
     UnsupportedCouplingError,
     _MergedOverlap,
     _mixed_weights,
@@ -33,7 +34,6 @@ from mfjump.engine import (
     SAMPLE,
     WINDOW,
     EmpiricalMeasure,
-    _base_machine,
     _pick,
     clock,
     simulate_nonlinear,
@@ -265,9 +265,14 @@ def test_coupled_base_equal_starts_merge_immediately(rng):
 
 
 def test_coupled_base_requires_meeting_rule():
-    bundle = tcp(TcpParams())
-    with pytest.raises(UnsupportedCouplingError):
-        coupled_base(bundle.model, (0.0,), (1.0,), 1.0, make_rng(9))
+    # tcp moves its two sides by a twin pair, which never merges.
+    model = tcp(TcpParams()).model
+    assert isinstance(model.base_coupler, TwinCoupler)
+    refusal = "^model 'tcp' provides no coupled base construction$"
+    with pytest.raises(UnsupportedCouplingError, match=refusal):
+        coupled_base(model, (0.0,), (1.0,), 1.0, make_rng(9))
+    with pytest.raises(UnsupportedCouplingError, match=refusal):
+        estimate_doeblin_alpha(model, lambda stream: ((0.0,), (1.0,)), 1.0, 4, make_rng(9))
 
 
 def test_coupled_base_stays_merged_after_meeting():
@@ -353,7 +358,7 @@ def test_diagonal_machine_in_small_steps_matches_base_flow(case):
     machine_stream, flow_stream = make_rng(61_000), make_rng(62_000)
     machine_ends = []
     for _ in range(n):
-        machine = _base_machine(spec, start, start, machine_stream)
+        machine = spec.base_coupler(start, start, machine_stream)
         for _ in range(steps):
             x, y = machine.advance(total / steps)
             assert x == y  # a pair started merged stays merged
@@ -413,9 +418,9 @@ def test_pair_machine_answers_do_not_depend_on_how_its_time_is_cut(case):
     for seed in range(200):
         for start in ((x, y), (x, x)):
             whole_stream, cut_stream = make_rng(seed), make_rng(seed)
-            whole = _base_machine(spec, *start, whole_stream)
+            whole = spec.base_coupler(*start, whole_stream)
             end = whole.advance(total)
-            machine = _base_machine(spec, *start, cut_stream)
+            machine = spec.base_coupler(*start, cut_stream)
             t = 0.0
             for t_next in [*np.sort(cuts.uniform(0.0, total, size=6)), total]:
                 answer = machine.advance(t_next - t)
@@ -1012,7 +1017,7 @@ def eager_simulate_coupled_system(system, x0, y0, horizon, t0, theta, stream,
     matching = _Matching(n)
 
     def build(k):
-        return _base_machine(system, xs[k], ys[k], stream)
+        return system.base_coupler(xs[k], ys[k], stream)
 
     def match_all():
         for k in range(n):
@@ -1396,13 +1401,13 @@ class _StreamOps(CountingStream):
 
 
 def test_coupled_zigzag_copies_streams_per_start_and_advances_due_pairs():
-    # Zigzag declares a single-side machine, so an unmerged pair is a twin
+    # Zigzag's base coupler is a twin coupler, so an unmerged pair is a twin
     # pair: one child spawned from the run's stream and one copy of it per
     # start, two machines.  A merged pair is one machine and copies nothing.
     # Each advance of a pair is due to an event of one side, and each event
     # follows the exponential its chunk drew.
     system, x0, y0 = _coupled_zigzag()
-    base = system.base_machine
+    base = system.base_coupler.machine
     starts, advances = [0], [0]
 
     def machine(c, stream):
@@ -1415,7 +1420,7 @@ def test_coupled_zigzag_copies_streams_per_start_and_advances_due_pairs():
         counts.clear()
         starts[0] = advances[0] = 0
         simulate_coupled_system(
-            dataclasses.replace(system, base_machine=machine), x0, y0, 2.0, 0.7,
+            dataclasses.replace(system, base_coupler=TwinCoupler(machine)), x0, y0, 2.0, 0.7,
             system.rate_ceiling, _StreamOps(make_rng(8_000 + seed), counts),
             sample_times=(0.5, 1.0, 2.0), record_events=False,
         )
@@ -1435,11 +1440,11 @@ def test_twin_pair_side_in_small_steps_matches_a_single_machine():
     pair_stream, single_stream = make_rng(64_000), make_rng(65_000)
     pair_ends, single_ends = [], []
     for _ in range(n):
-        pair = _base_machine(system, x, y, pair_stream)
+        pair = system.base_coupler(x, y, pair_stream)
         for _ in range(steps):
             _, end = pair.advance(total / steps)
         pair_ends.append(end)
-        single_ends.append(system.base_machine(y, single_stream).advance(total))
+        single_ends.append(system.base_coupler(y, y, single_stream).advance(total)[0])
     for stat in (lambda c: c[0], lambda c: c[1] > 0, lambda c: c[0] ** 2):
         gap, se = _mean_and_se([stat(c) for c in pair_ends], [stat(c) for c in single_ends])
         assert gap < 4.0 * se, (gap, se)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mfjump.coupling import overlap_decompose
+from mfjump.coupling import TwinCoupler, overlap_decompose
 from mfjump.engine import (
     JUMP_ACCEPTED,
     JUMP_REJECTED,
@@ -62,7 +62,7 @@ def tcp_toy():
         state_layout=("real",),
         state_box=((0.0, 100.0),),
         name="tcp-toy",
-        base_machine=lambda state, stream: DriftMachine(state, (1.0,)),
+        base_coupler=TwinCoupler(lambda state, stream: DriftMachine(state, (1.0,))),
     )
 
 
@@ -76,6 +76,18 @@ def test_empirical_measure_weights_must_sum_to_one():
         EmpiricalMeasure(atoms=(((0.0,), 0.5), ((1.0,), 0.6)))
     with pytest.raises(ValueError):
         EmpiricalMeasure(atoms=(((0.0,), -0.5), ((1.0,), 1.5)))
+
+
+def test_empirical_measure_refuses_the_empty_measure():
+    # An empty measure has mass 0, yet its mean read 0: run-tumble's
+    # simulate_nonlinear ran under one without an error.
+    with pytest.raises(ValueError, match="^atom weights sum to 0.0, expected 1$"):
+        EmpiricalMeasure(())
+    with pytest.raises(ValueError, match="^cannot build an empirical measure from no states$"):
+        EmpiricalMeasure.from_states(())
+    measure = EmpiricalMeasure.from_states([(1.0,), (3.0,)])
+    assert measure.mean(0) == 2.0
+    assert measure.atoms == (((1.0,), 0.5), ((3.0,), 0.5))
 
 
 def test_empirical_measure_rejects_a_nan_weight_as_overlap_decompose_does():
@@ -266,12 +278,12 @@ def test_thin_checks_the_rate_then_accepts_by_one_uniform():
 
 
 def test_drift_machine_zero_duration_is_identity(rng):
-    machine = drift_velocity_model().base_machine((1.0, 1), rng)
+    machine = drift_velocity_model().base_coupler.machine((1.0, 1), rng)
     assert machine.advance(0.0) == (1.0, 1)
 
 
 def test_drift_machine_drift_with_velocity(rng):
-    machine = drift_velocity_model().base_machine((1.0, 1), rng)
+    machine = drift_velocity_model().base_coupler.machine((1.0, 1), rng)
     assert machine.next_event_in() == math.inf
     assert machine.drift() == (1, 0)
     end = machine.advance(0.5)
@@ -280,7 +292,7 @@ def test_drift_machine_drift_with_velocity(rng):
 
 
 def test_drift_machine_additive_drift(rng):
-    machine = tcp_toy().base_machine((2.0,), rng)
+    machine = tcp_toy().base_coupler.machine((2.0,), rng)
     assert machine.advance(0.25) == pytest.approx((2.25,))
     assert machine.advance(0.75) == pytest.approx((3.0,))
     assert rng.random() == make_rng(20260818).random()  # it drew nothing
@@ -300,19 +312,14 @@ def _toy_fields():
     }
 
 
-@pytest.mark.parametrize("motion", ["neither", "both"])
-def test_spec_declares_exactly_one_base_motion(motion):
-    fields = _toy_fields()
-    if motion == "both":
-        fields["base_machine"] = drift_model().base_machine
-        fields["base_coupler"] = lambda x, y, stream: None
-    with pytest.raises(ValueError, match="exactly one of base_coupler and base_machine"):
-        ModelSpec(**fields)
+def test_spec_without_a_base_coupler_is_refused():
+    with pytest.raises(ValueError, match="^toy: declare a base_coupler$"):
+        ModelSpec(**_toy_fields())
 
 
 @pytest.mark.parametrize("law", ["neither", "both"])
 def test_spec_declares_exactly_one_jump_law(law):
-    fields = dict(_toy_fields(), base_machine=drift_model().base_machine)
+    fields = dict(_toy_fields(), base_coupler=drift_model().base_coupler)
     if law == "neither":
         del fields["kernel"]
     else:
@@ -532,7 +539,7 @@ def test_unbounded_rate_above_local_bound_raises():
         state_layout=("real",),
         state_box=((0.0, 100.0),),
         name="tcp-lying",
-        base_machine=model.base_machine,
+        base_coupler=model.base_coupler,
     )
     with pytest.raises(RateCeilingError):
         simulate_nonlinear(

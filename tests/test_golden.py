@@ -262,11 +262,8 @@ def test_merge_split_records_are_pinned():
 
 def _window_end(model, x, y, stream) -> tuple:
     """The end pair of one ``coupled_base`` window at ``t0 = 2`` and its
-    ``merged_at``; a side given as a path of ``(time, state)`` points is
-    read at its last point."""
+    ``merged_at``."""
     x_end, y_end, merged_at = coupled_base(model, x, y, 2.0, stream)
-    if isinstance(x_end, list):
-        x_end, y_end = x_end[-1][1], y_end[-1][1]
     return tuple(x_end), tuple(y_end), merged_at
 
 

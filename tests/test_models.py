@@ -12,7 +12,6 @@ from mfjump.engine import (
     EmpiricalMeasure,
     MeasureFlow,
     RateCeilingError,
-    _base_machine,
     picard_solve,
     simulate_nonlinear,
 )
@@ -114,7 +113,7 @@ def test_run_tumble_kernel_flips_velocity(rng):
 
 def _base_motion(model, state, dt, stream):
     """The state ``dt`` after ``state`` under the model's base machine."""
-    return _base_machine(model, state, state, stream).advance(dt)[0]
+    return model.base_coupler(state, state, stream).advance(dt)[0]
 
 
 def test_run_tumble_base_flow_is_telegraph(rng):

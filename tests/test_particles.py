@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mfjump.coupling import make_telegraph_coupler
+from mfjump.coupling import TwinCoupler, make_telegraph_coupler
 from mfjump.engine import (
     JUMP_ACCEPTED,
     JUMP_REJECTED,
@@ -21,7 +21,6 @@ from mfjump.engine import (
     Event,
     RateCeilingError,
     Trajectory,
-    _base_machine,
     check_rate,
     clock,
     simulate_nonlinear,
@@ -142,7 +141,7 @@ def test_single_particle_system_matches_frozen_measure_dynamics():
             coordinate_layout=("label",),
             coordinate_box=((0.0, 1.0),),
             name="one-flip",
-            base_machine=frozen_machine,
+            base_coupler=TwinCoupler(frozen_machine),
         )
 
     sys = one_particle()
@@ -199,7 +198,7 @@ def test_exchangeable_coordinates_have_matching_laws():
             coordinate_layout=("label",),
             coordinate_box=((0.0, 1.0),),
             name="symmetric-flips",
-            base_machine=frozen_machine,
+            base_coupler=TwinCoupler(frozen_machine),
         )
 
     sys = symmetric_system(3)
@@ -290,7 +289,7 @@ def test_system_declares_exactly_one_jump_law(law):
     fields = dict(
         n_particles=2, rate=lambda i, config: 1.0, rate_ceiling=1.0,
         coordinate_layout=("label",), coordinate_box=((0, 1),),
-        name="toy-system", base_machine=frozen_machine,
+        name="toy-system", base_coupler=TwinCoupler(frozen_machine),
     )
     flip = lambda i, config, stream: (1 - config[i][0],)  # noqa: E731
     if law == "both":
@@ -349,7 +348,7 @@ def eager_simulate_system(system, initial, horizon, stream, sample_times=(),
     t = 0.0
     config = [tuple(c) for c in initial]
     initial_config = tuple(config)
-    machines = [_base_machine(system, c, c, stream) for c in config]
+    machines = [system.base_coupler(c, c, stream) for c in config]
     n_accepted = n_rejected = 0
     for t_event, kind in clock(horizon, n * ceiling, stream, sample_times, name=system.name):
         if kind == SAMPLE:
@@ -365,7 +364,7 @@ def eager_simulate_system(system, initial, horizon, stream, sample_times=(),
         check_rate(rate_i, ceiling, system.name, i)
         if stream.random() * ceiling < rate_i:
             config[i] = tuple(system.jump(i, full, stream))
-            machines[i] = _base_machine(system, config[i], config[i], stream)
+            machines[i] = system.base_coupler(config[i], config[i], stream)
             n_accepted += 1
             if record_events:
                 events.append(Event(time=t, kind=JUMP_ACCEPTED, state=tuple(config)))
@@ -537,10 +536,7 @@ def test_zigzag_run_advances_per_proposal_do_not_grow_with_n():
     for n in (64, 256):
         advances = [0]
         system = build_model("zigzag", {"n_particles": n}).system
-        base = system.base_machine
-        counted = dataclasses.replace(
-            system, base_machine=lambda c, stream: CountedMachine(base(c, stream), advances)
-        )
+        counted = _counting_system(system, advances)
         initial = tuple((4.0 * (k + 0.5) / n - 2.0, 1 if k % 2 else -1) for k in range(n))
         traj = simulate_system(
             counted, initial, 2.0, make_rng(5), sample_times=(1.0, 2.0),
@@ -573,9 +569,11 @@ def test_machines_with_and_without_a_clock_mix():
     n = 8
     telegraph = make_telegraph_coupler(1.0)
 
+    drifting = TwinCoupler(lambda c, stream: DriftMachine(c, (c[1], 0)))
+
     def coupler(x, y, stream):
         if x[1] > 0:
-            return _base_machine(drifting, x, y, stream)
+            return drifting(x, y, stream)
         return telegraph(x, y, stream)
 
     def rate(i, config):
@@ -591,9 +589,6 @@ def test_machines_with_and_without_a_clock_mix():
         n_particles=n, rate=rate, kernel=kernel,
         rate_ceiling=1.0, coordinate_layout=("real", "label"),
         coordinate_box=((-50.0, 50.0), (-1, 1)), name="mixed-machines",
-    )
-    drifting = SystemSpec(
-        **fields, base_machine=lambda c, stream: DriftMachine(c, (c[1], 0))
     )
     system = SystemSpec(**fields, base_coupler=coupler)
     initial = tuple((k / 4.0, 1 if k % 2 else -1) for k in range(n))
