@@ -1350,9 +1350,8 @@ def _uneven_pair_atoms(own, donor):
 
 @pytest.mark.parametrize("run", ["single", "equal", "mismatched"])
 def test_each_pair_atoms_answer_must_weigh_one(run):
-    # Over the four donors below the answers weigh 1.2, 1.2, 0.8 and 0.8,
-    # so only a check of each answer sees them.  Coupled runs from
-    # mismatched starts used to check only the sum over the donors.
+    # Over the four donors below the answers weigh 1.2, 1.2, 0.8 and 0.8:
+    # their sum is right, so only a check of each answer sees them.
     system = selection_mutation(
         SelectionParams(n_particles=4, lam_star=1.0, accept_prob=lambda a, b: 0.5,
                         base_refresh_rate=0.0)

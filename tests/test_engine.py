@@ -79,8 +79,8 @@ def test_empirical_measure_weights_must_sum_to_one():
 
 
 def test_empirical_measure_refuses_the_empty_measure():
-    # An empty measure has mass 0, yet its mean read 0: run-tumble's
-    # simulate_nonlinear ran under one without an error.
+    # An empty measure has mass 0, so it is no law, though its mean would
+    # read 0 and a run could go on under it.
     with pytest.raises(ValueError, match="^atom weights sum to 0.0, expected 1$"):
         EmpiricalMeasure(())
     with pytest.raises(ValueError, match="^cannot build an empirical measure from no states$"):
