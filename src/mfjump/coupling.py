@@ -23,8 +23,9 @@ velocity of each state component until then (``None`` if it stands still).
 Its sides merge at most once and then stay merged; the read-only ``merge``
 is ``(time since the machine started, merged state)`` from then on, and
 ``None`` before and for a machine that never merges (one started merged, or
-a twin pair).  A one-side machine, which :class:`TwinCoupler` takes, answers
-``next_event_in()``, ``drift()`` and ``advance(dt)`` for its one side.
+a twin pair).  A machine class whose sides can never merge says so by
+``merges = False``.  A one-side machine, which :class:`TwinCoupler` takes,
+answers ``next_event_in()``, ``drift()`` and ``advance(dt)`` for its one side.
 """
 
 from __future__ import annotations
@@ -221,121 +222,111 @@ class _TelegraphCouplerMachine:
     exactly exponential.  Committed flips always fire as scheduled, merged
     pairs share a single flip clock, and all other pending flips may be
     redrawn because the exponential clock is memoryless.
+
+    The pair ``[x, y]`` and its flip times are kept by side: side 0 is
+    ``x`` and side 1 is ``y``, and ``x`` fires first at equal flip times.
     """
 
-    __slots__ = ("_c", "_stream", "_x", "_y", "_t", "_merged", "_tx", "_ty", "_commit_side",
-                 "merge")
+    __slots__ = ("_c", "_stream", "_s", "_t", "_merged", "_due", "_committed", "merge")
 
     def __init__(self, rate: float, x, y, stream):
         self._c = float(rate)
         self._stream = stream
-        self._x = (float(x[0]), x[1])
-        self._y = (float(y[0]), y[1])
+        x = (float(x[0]), x[1])
+        y = (float(y[0]), y[1])
+        self._merged = x == y
+        self._s = [x, x if self._merged else y]
         self._t = 0.0
-        self._merged = self._x == self._y
-        if self._merged:
-            self._y = self._x
         self.merge = None
         self._coordinate()
 
     def _coordinate(self) -> None:
-        """Draw fresh flip schedules for the current pair geometry."""
-        self._commit_side = None
+        """Draw fresh flip times ``_due`` for the current pair geometry; a
+        committed follower flip is marked by its side in ``_committed``."""
+        self._committed = None
+        t, c, stream = self._t, self._c, self._stream
         if self._merged:
-            self._tx = self._t + _waiting_time(self._stream, self._c)
-            self._ty = self._tx
+            t_flip = t + _waiting_time(stream, c)
+            self._due = [t_flip, t_flip]
             return
-        vx, vy = self._x[1], self._y[1]
+        (px, vx), (py, vy) = self._s
         if vx != vy:
-            self._tx = self._t + _waiting_time(self._stream, self._c)
-            self._ty = self._t + _waiting_time(self._stream, self._c)
+            self._due = [t + _waiting_time(stream, c), t + _waiting_time(stream, c)]
             return
-        d = abs(self._x[0] - self._y[0])
-        m = d / 2.0
-        x_leads = (self._x[0] >= self._y[0]) == (vx > 0)
-        lead_t = self._t + _waiting_time(self._stream, self._c)
-        if self._stream.random() < math.exp(-self._c * m):
-            follow_t = lead_t + m
-            self._commit_side = "y" if x_leads else "x"
+        m = abs(px - py) / 2.0
+        lead = 0 if (px >= py) == (vx > 0) else 1
+        self._due = due = [t + _waiting_time(stream, c)] * 2
+        if stream.random() < math.exp(-c * m):
+            due[1 - lead] += m
+            self._committed = 1 - lead
         else:
-            u = self._stream.random()
-            follow_t = self._t - math.log1p(u * math.expm1(-self._c * m)) / self._c
-        if x_leads:
-            self._tx, self._ty = lead_t, follow_t
-        else:
-            self._ty, self._tx = lead_t, follow_t
+            u = stream.random()
+            due[1 - lead] = t - math.log1p(u * math.expm1(-c * m)) / c
 
     def _move(self, dt: float) -> None:
-        if dt <= 0.0:
-            return
-        self._x = (self._x[0] + self._x[1] * dt, self._x[1])
-        if self._merged:
-            self._y = self._x
-        else:
-            self._y = (self._y[0] + self._y[1] * dt, self._y[1])
+        if dt > 0.0:
+            s = self._s
+            s[0] = x = (s[0][0] + s[0][1] * dt, s[0][1])
+            s[1] = x if self._merged else (s[1][0] + s[1][1] * dt, s[1][1])
 
     def next_event_in(self) -> float:
         """Time until the next flip of either side (``inf`` at flip rate 0)."""
-        return min(self._tx, self._ty) - self._t
+        return min(self._due) - self._t
 
     def drifts(self) -> tuple:
         """Velocity of each component of ``x`` and of ``y`` until the next flip.
 
         The position moves at the velocity label and the label stands still.
         """
-        return (self._x[1], 0), (self._y[1], 0)
+        x, y = self._s
+        return (x[1], 0), (y[1], 0)
 
     def advance(self, dt: float) -> tuple:
         """Advance by ``dt``; returns the pair ``(x, y)`` then."""
         start = self._t
         end = start + dt
-        if self._merged and self._tx > end:
+        s = self._s
+        if self._merged and self._due[0] > end:
             # No flip before ``end``: one move of the shared state.
             move = end - start
             if move > 0.0:
-                position, velocity = self._x
-                self._x = self._y = (position + velocity * move, velocity)
+                position, velocity = s[0]
+                s[0] = s[1] = (position + velocity * move, velocity)
             self._t = end
-            return self._x, self._x
+            return s[0], s[1]
         while True:
-            t_next = min(self._tx, self._ty)
+            due = self._due
+            side = 0 if due[0] <= due[1] else 1
+            t_next = due[side]
             if t_next > end:
                 break
             self._move(t_next - self._t)
             self._t = t_next
+            position, velocity = s[side]
+            s[side] = (position, -velocity)
             if self._merged:
-                self._x = (self._x[0], -self._x[1])
-                self._y = self._x
+                s[1 - side] = s[side]
                 self._coordinate()
                 continue
-            fire_x = self._tx <= self._ty
-            if fire_x:
-                self._x = (self._x[0], -self._x[1])
-                self._tx = math.inf
-            else:
-                self._y = (self._y[0], -self._y[1])
-                self._ty = math.inf
-            fired = "x" if fire_x else "y"
-            if self._commit_side == fired:
+            due[side] = math.inf
+            if self._committed == side:
                 # The committed follower flip just fired: merge if the
                 # geometry survived intact.
-                if self._x[1] == self._y[1] and abs(self._x[0] - self._y[0]) <= _MERGE_SNAP:
-                    self._y = self._x
+                x, y = s
+                if x[1] == y[1] and abs(x[0] - y[0]) <= _MERGE_SNAP:
+                    s[1] = x
                     self._merged = True
-                    self.merge = (self._t, self._x)
+                    self.merge = (self._t, x)
                 self._coordinate()
-            elif self._commit_side is not None:
+            elif self._committed is not None:
                 # Leader flipped again before the commitment: keep the
                 # committed follower flip, redraw only the leader.
-                if fire_x:
-                    self._tx = self._t + _waiting_time(self._stream, self._c)
-                else:
-                    self._ty = self._t + _waiting_time(self._stream, self._c)
+                due[side] = self._t + _waiting_time(self._stream, self._c)
             else:
                 self._coordinate()
         self._move(end - self._t)
         self._t = end
-        return self._x, self._y
+        return s[0], s[1]
 
 
 class _RefreshCouplerMachine:
@@ -395,6 +386,7 @@ class _SingleMachines:
     """A pair machine of one-side machines: one on the diagonal, where ``y``
     is ``x``, or one per side.  Its sides never merge."""
 
+    merges = False
     merge = None
 
     def __init__(self, *machines):
@@ -440,18 +432,19 @@ def coupled_base(model: ModelSpec, x, y, t0: float, stream):
 
     Returns ``(x_t0, y_t0, merged_at)``: the pair at ``t0`` and the time the
     pair merged, read from the machine's ``merge`` (``0.0`` for equal
-    starts, ``None`` if it never merged).  A model whose base coupler is a
-    :class:`TwinCoupler` is refused by :class:`UnsupportedCouplingError`.
+    starts, ``None`` if it never merged).  A machine whose class never
+    merges (``merges = False``, as a :class:`TwinCoupler`'s) is refused by
+    :class:`UnsupportedCouplingError`, however the base coupler is wrapped.
     """
-    if isinstance(model.base_coupler, TwinCoupler):
-        raise UnsupportedCouplingError(
-            f"model {model.name!r} provides no coupled base construction"
-        )
     if not 0.0 < t0 < math.inf:
         raise ValueError("window length t0 must be positive")
     x = tuple(x)
     y = tuple(y)
     machine = model.base_coupler(x, y, stream)
+    if not getattr(machine, "merges", True):
+        raise UnsupportedCouplingError(
+            f"model {model.name!r} provides no coupled base construction"
+        )
     x_t0, y_t0 = machine.advance(t0)
     if x == y:
         return x_t0, y_t0, 0.0
@@ -688,7 +681,8 @@ def _pair_weights(pair_atoms: Callable, own, donors, share: float) -> dict:
     donor's answer is checked as :func:`~mfjump.engine._checked` checks a
     jump law's atoms: ``ValueError`` at a negative weight
     (:func:`~mfjump.engine._check_weight`) and unless its weights sum to 1
-    (:func:`~mfjump.engine._check_mass`)."""
+    (:func:`~mfjump.engine._check_mass`).  A state that cannot key the map,
+    such as a list, is keyed as its tuple."""
     weights: dict = {}
     get = weights.get
     for donor in donors:
@@ -696,7 +690,11 @@ def _pair_weights(pair_atoms: Callable, own, donors, share: float) -> dict:
         for state, w in pair_atoms(own, donor):
             mass += w
             if w > 0.0:
-                weights[state] = get(state, 0.0) + w * share
+                try:
+                    weights[state] = get(state, 0.0) + w * share
+                except TypeError:
+                    state = tuple(state)
+                    weights[state] = get(state, 0.0) + w * share
             else:
                 _check_weight(w)
         if not abs(mass - 1.0) <= _MASS_TOL:

@@ -689,6 +689,14 @@ def test_non_numeric_simulate_fields_fail_without_output(tmp_path, change, expec
     assert_one_line_error(res, out, expected)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0], ids=["zero", "negative"])
+def test_nonpositive_horizon_fails_without_output(tmp_path, horizon):
+    cfg = simulate_config(tmp_path, horizon=horizon)
+    out = tmp_path / "out"
+    res = run_cli(["simulate", "--config", cfg, "--out", str(out)])
+    assert_one_line_error(res, out, "horizon must be positive")
+
+
 @pytest.mark.parametrize(
     "kind, change, expected",
     [

@@ -36,6 +36,7 @@ from mfjump.engine import (
     EmpiricalMeasure,
     _pick,
     clock,
+    picard_solve,
     simulate_nonlinear,
 )
 from mfjump.metrics import (
@@ -315,6 +316,53 @@ def test_coupled_base_marginals_match_base_flow():
         direct_ends.append(flow((0.3, 1), 1.5, make_rng(210_000 + r)))
     binning = make_binning(("real", "label"), ((-3.0, 3.0), (-1.0, 1.0)), bins=8)
     assert histogram_tv(coupled_ends, direct_ends, binning) < 0.15
+
+
+def test_coupled_base_refuses_a_wrapped_twin_coupler():
+    # Before, a plain function around the TwinCoupler hid it: coupled_base
+    # ran the twin pair and estimate_doeblin_alpha read (0.0, 0.0).
+    model = tcp(TcpParams()).model
+    twin = model.base_coupler
+    model = dataclasses.replace(model, base_coupler=lambda x, y, stream: twin(x, y, stream))
+    refusal = "^model 'tcp' provides no coupled base construction$"
+    for y in ((1.0,), (0.0,)):
+        with pytest.raises(UnsupportedCouplingError, match=refusal):
+            coupled_base(model, (0.0,), y, 1.0, make_rng(9))
+    with pytest.raises(UnsupportedCouplingError, match=refusal):
+        estimate_doeblin_alpha(model, lambda stream: ((0.0,), (1.0,)), 1.0, 4, make_rng(9))
+
+
+def _window_stats(model, x, y, seed, n):
+    """Merged share and mean end gap ``x - y`` (positions) of ``n`` windows
+    of length 1 from ``(x, y)``, each with its standard error."""
+    merged, gaps = 0, []
+    stream = make_rng(seed)
+    for _ in range(n):
+        x_end, y_end, merged_at = coupled_base(model, x, y, 1.0, stream)
+        merged += merged_at is not None
+        gaps.append(x_end[0] - y_end[0])
+    share = merged / n
+    return (share, math.sqrt(share * (1.0 - share) / n)), (
+        float(np.mean(gaps)), float(np.std(gaps)) / math.sqrt(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [((0.2, 1), (-0.2, 1)), ((0.3, 1), (-0.1, -1)), ((0.5, -1), (-0.4, -1))],
+    ids=["same-velocity", "opposite-velocity", "same-velocity-left"],
+)
+def test_telegraph_coupler_swapping_the_sides_swaps_the_law(x, y):
+    # The coupling treats its sides alike: run from (y, x), the pair's law
+    # is that of (x, y) with its sides swapped, so the gap changes sign.
+    model = run_tumble(RunTumbleParams(theta=0.1)).model
+    n = 10_000
+    (share, share_se), (gap, gap_se) = _window_stats(model, x, y, 1, n)
+    (share_swapped, share_swapped_se), (gap_swapped, gap_swapped_se) = _window_stats(
+        model, y, x, 2, n
+    )
+    assert abs(share - share_swapped) <= 4.0 * math.hypot(share_se, share_swapped_se)
+    assert abs(gap + gap_swapped) <= 4.0 * math.hypot(gap_se, gap_swapped_se)
 
 
 def _run_tumble_diagonal():
@@ -1366,6 +1414,26 @@ def test_each_pair_atoms_answer_must_weigh_one(run):
             simulate_coupled_system(system, x0, y0, 2.0, 1.0, 1.0, make_rng(1))
 
 
+def _list_pair_atoms(own, donor):
+    return ((list(donor), 0.5), (list(own), 0.5))
+
+
+def test_coupled_run_takes_list_states_in_pair_atoms_answers():
+    # Before, the mismatched start failed with ``unhashable type: 'list'``.
+    system = selection_mutation(
+        SelectionParams(n_particles=4, lam_star=1.0, accept_prob=lambda a, b: 0.5,
+                        base_refresh_rate=0.0)
+    ).system
+    x0 = ((0.1,), (0.2,), (0.7,), (0.8,))
+    y0 = ((0.15,), (0.25,), (0.75,), (0.85,))
+    tuples, lists = (
+        simulate_coupled_system(spec, x0, y0, 2.0, 1.0, 1.0, make_rng(1),
+                                sample_times=(1.0, 2.0)).samples
+        for spec in (system, dataclasses.replace(system, pair_atoms=_list_pair_atoms))
+    )
+    assert lists == tuples
+
+
 @pytest.mark.parametrize("start", ["equal", "mismatched"])
 def test_pairwise_rate_above_the_ceiling_fails_naming_the_coordinate(start):
     # From equal starts every proposal takes the merged path; from starts
@@ -1550,6 +1618,51 @@ def test_coupled_system_refuses_a_nan_theta():
     x0 = tuple(((k + 0.5) / 8,) for k in range(8))
     with pytest.raises(ValueError, match="^counter threshold theta must be nonnegative, got nan$"):
         simulate_coupled_system(system, x0, x0, 1.0, 0.5, math.nan, _NoDraws())
+
+
+#: Refusal -> (run on a stream that fails on any draw, its exact message).
+INPUT_REFUSALS = {
+    "system-configuration-length": (
+        lambda: simulate_system(flip_system(3), ((0,),) * 2, 1.0, _NoDraws()),
+        "expected 3 coordinates, got 2",
+    ),
+    "coupled-system-configuration-length": (
+        lambda: simulate_coupled_system(
+            flip_system(3), ((0,),) * 3, ((0,),) * 2, 1.0, 1.0, 1.0, _NoDraws()
+        ),
+        "expected 3 coordinates in each configuration",
+    ),
+    "doeblin-no-replica": (
+        lambda: estimate_doeblin_alpha(
+            run_tumble(RunTumbleParams(theta=0.1)).model,
+            lambda stream: ((0.1, 1), (-0.1, 1)), 1.0, 0, _NoDraws(),
+        ),
+        "need at least one replica",
+    ),
+    "picard-max-iter": (
+        lambda: picard_solve(
+            run_tumble(RunTumbleParams(theta=0.1)).model,
+            EmpiricalMeasure.from_states([(0.0, 1)]), 1.0, 0.5, 100, 0.0, 0, _NoDraws(),
+        ),
+        "max_iter must be at least 1",
+    ),
+    "binning-bins": (
+        lambda: make_binning(("real",), ((0.0, 1.0),), 0),
+        "bins must be a positive integer",
+    ),
+    "binning-box": (
+        lambda: make_binning(("real", "label"), ((0.0, 1.0),), 4),
+        "layout and box must have the same length",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(INPUT_REFUSALS))
+def test_malformed_input_is_refused_with_its_message(refusal):
+    run, message = INPUT_REFUSALS[refusal]
+    with pytest.raises(ValueError) as err:
+        run()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("t0", [0.0, -1.0])
