@@ -87,29 +87,36 @@ class UnsupportedCouplingError(RuntimeError):
 
 def _weights(atoms, rate: float = 1.0, ceiling: float = 1.0) -> dict:
     """The positive weights of the checked ``atoms`` (read once), each times
-    ``rate / ceiling``, added up by state in the order they come."""
+    ``rate / ceiling``, added up by state in the order they come.  A state
+    that cannot key the map, such as a list, is keyed as its tuple, as
+    :func:`_pair_weights` keys it."""
     weights: dict = {}
     get = weights.get
     for state, w in _checked(tuple(atoms)):
         if w > 0.0:
-            state = tuple(state)
-            weights[state] = get(state, 0.0) + w * rate / ceiling
+            try:
+                weights[state] = get(state, 0.0) + w * rate / ceiling
+            except TypeError:
+                state = tuple(state)
+                weights[state] = get(state, 0.0) + w * rate / ceiling
     return weights
 
 
 def overlap_decompose(atoms1, atoms2):
     """Split two atom lists into overlap and residual parts.
 
-    Returns ``(p, nu0, nu1, nu2, excess)`` where ``p`` is the overlap mass,
-    ``nu0`` the normalized overlap atoms, ``nu1``/``nu2`` the normalized
-    residual atoms of each side (with disjoint supports), and ``excess`` the
-    mass by which ``p`` was clamped to 1.  Each list is checked as a jump
-    law's atoms are (:func:`~mfjump.engine._checked`).  Atoms are merged by
-    equal state (``==``) and sorted by state, so the overlap holds only
-    states both sides can reach and each residual only states of its own side.
+    Returns ``(p, nu0, nu1, nu2)`` where ``p`` is the overlap mass of
+    :class:`_Overlap`, ``nu0`` the overlap atoms divided by ``p``, and
+    ``nu1``/``nu2`` the normalized residual atoms of each side (with
+    disjoint supports; none when the sides cannot split).  Each list is
+    checked as a jump law's atoms are (:func:`~mfjump.engine._checked`).
+    Atoms are merged by equal state (``==``) and sorted by state, so the
+    overlap holds only states both sides can reach and each residual only
+    states of its own side.
     """
     parts = _Overlap(_weights(atoms1), _weights(atoms2))
-    return (parts.p, parts.overlap(), *parts.residuals(), parts.over)
+    p = parts.p
+    return (p, tuple((k, w / p) for k, w in parts.common), *parts.residuals())
 
 
 def optimal_pair_sampler(measure1, measure2) -> _Overlap:
@@ -127,14 +134,16 @@ class _Overlap:
     ``a - min(a, b)`` and ``b - min(a, b)``; a state that only one map
     holds is all remainder.  ``common`` keeps the positive ``min`` atoms
     and each side the positive remainders, all sorted by state, and ``p``
-    is the overlap mass (clamped to 1, by ``over``).  The overlap's mass is
-    laid out in order, the ``shared`` mass first and then ``common``, and
-    :meth:`draw` takes the merged state at the position of its merge
-    uniform.  The overlap and the residuals are normalized once, when first
-    read, and :meth:`draw` reads the residuals only when it needs them.
+    is the overlap mass.  The sides can split only when both keep a
+    remainder, so ``p`` is 1 when either is empty (a law's weights sum to 1
+    only within the atom check's tolerance) or within 1e-12 of 1 or past
+    it.  The overlap's mass is laid out in order, the ``shared`` mass
+    first and then ``common``, and :meth:`draw` takes the merged state at
+    the position of its merge uniform.  The residuals are normalized once,
+    when first read, and :meth:`draw` reads them only when it needs them.
     """
 
-    __slots__ = ("shared", "p", "common", "over", "_rests", "_nu0", "_residuals")
+    __slots__ = ("shared", "p", "common", "_rests", "_residuals")
 
     def __init__(self, w1: dict, w2: dict, shared: float = 0.0):
         self.shared = shared
@@ -158,17 +167,9 @@ class _Overlap:
                 if a > 0.0:
                     common.append((k, a))
         self.common, self._rests = common, (rest1, rest2)
-        p_raw = shared + sum(w for _, w in common)
-        self.over = max(p_raw - 1.0, 0.0)
-        self.p = 1.0 if 1.0 - p_raw <= 1e-12 else p_raw
-        self._nu0 = self._residuals = None
-
-    def overlap(self) -> tuple:
-        """The normalized ``common`` atoms ``nu0``."""
-        if self._nu0 is None:
-            p = self.p
-            self._nu0 = tuple((k, w / p) for k, w in self.common) if p > 0.0 else ()
-        return self._nu0
+        p = shared + sum(w for _, w in common)
+        self.p = 1.0 if not (rest1 and rest2) or 1.0 - p <= 1e-12 else p
+        self._residuals = None
 
     def pick(self, v: float) -> Optional[tuple]:
         """The merged state at position ``v`` of the overlap's mass, or
@@ -176,7 +177,8 @@ class _Overlap:
         return _pick(self.common, v - self.shared) if v < self.p else None
 
     def residuals(self) -> tuple:
-        """The normalized residuals ``(nu1, nu2)``, disjoint and sorted by state."""
+        """The normalized residuals ``(nu1, nu2)``, disjoint and sorted by
+        state; none when ``p`` is 1."""
         if self._residuals is None:
             self._residuals = (
                 ((), ()) if self.p >= 1.0 else tuple(map(_normalized, self._rests))
@@ -200,9 +202,9 @@ class _Overlap:
 
 
 def _normalized(atoms: list) -> tuple:
-    """``atoms`` divided by their total weight; none when there are none."""
+    """``atoms`` divided by their total weight."""
     mass = sum(w for _, w in atoms)
-    return tuple((k, w / mass) for k, w in atoms) if atoms else ()
+    return tuple((k, w / mass) for k, w in atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +502,6 @@ class CoupledTrajectory:
     horizon: float
     events: tuple
     n_splits: int
-    clamp_excess: float
-    n_clamped: int
     sample_pairs: dict
 
     def pair_at(self, t: float) -> tuple:
@@ -525,14 +525,13 @@ def simulate_merge_split(
 
     Both sides share one proposal clock at the rate ceiling and one pair of
     jump variates per proposal: with the overlap probability of the two mixed
-    jump kernels (:func:`_mixed_weights`) the sides draw a common state
-    (merging them), otherwise they draw from the disjoint residuals
-    (splitting them).  Between proposals the pair follows the model's base machine, restarted at
-    every proposal and at every window boundary ``k * t0``, whose ``merge``
-    is recorded as a ``MERGE`` event.  The pair at each sample time is
-    recorded in ``sample_pairs``.  With ``record_events=False`` no event is
-    kept, while splits and the mass by which ``p`` was clamped to 1
-    (``clamp_excess``; ``n_clamped`` counts proposals above 1e-7) are still
+    jump kernels (:func:`_mixed_weights`, coupled by :class:`_Overlap`) the
+    sides draw a common state (merging them), otherwise they draw from the
+    disjoint residuals (splitting them).  Between proposals the pair follows
+    the model's base machine, restarted at every proposal and at every
+    window boundary ``k * t0``, whose ``merge`` is recorded as a ``MERGE``
+    event.  The pair at each sample time is recorded in ``sample_pairs``.
+    With ``record_events=False`` no event is kept, while splits are still
     counted.
     """
     _require_atoms(model, "model")
@@ -544,8 +543,6 @@ def simulate_merge_split(
     events: list[CoupledEvent] = []
     sample_pairs: dict[float, tuple] = {}
     n_splits = 0
-    n_clamped = 0
-    clamp_excess = 0.0
     t = 0.0
     # The time the machine has been advanced since its start, summed as the
     # machine sums its own clock, so ``at - elapsed`` below is the offset of
@@ -580,9 +577,6 @@ def simulate_merge_split(
             _mixed_weights(model, at_x, x, *_thinning(model, at_x)),
             _mixed_weights(model, at_y, y, *_thinning(model, at_y)),
         )
-        clamp_excess += parts.over
-        if parts.over > 1e-7:
-            n_clamped += 1
         x, y, _ = parts.draw(stream)
         merged = x == y
         if was_merged and not merged:
@@ -599,8 +593,6 @@ def simulate_merge_split(
         horizon=horizon,
         events=tuple(events),
         n_splits=n_splits,
-        clamp_excess=clamp_excess,
-        n_clamped=n_clamped,
         sample_pairs=sample_pairs,
     )
 

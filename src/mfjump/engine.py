@@ -71,7 +71,7 @@ _GAP_BINS = 20
 #: Distance from 1 within which a jump law's atom weights must sum.
 _MASS_TOL = 1e-6
 
-#: Most grid points :func:`picard_solve` lays on its horizon.
+#: Most grid points (:func:`picard_solve`) or window boundaries (:func:`clock`) on a run.
 _MAX_GRID_POINTS = 10**6
 
 
@@ -421,14 +421,20 @@ def clock(
     per flight, every other simulator one over ``[0, horizon]``.
 
     It refuses, by a ``ValueError`` naming the run ``name``, a ``rate`` that
-    is not finite and nonnegative, a ``window`` that is not positive, and
-    the run times :func:`_run_times` refuses.
+    is not finite and nonnegative, a ``window`` that is not positive, the
+    run times :func:`_run_times` refuses, and a ``window`` that lays more
+    than ``_MAX_GRID_POINTS`` boundaries on the run.
     """
     if not 0.0 <= rate < math.inf:
         raise ValueError(f"{name}: proposal rate {rate} is not finite and nonnegative")
     if not window > 0.0:
         raise ValueError(f"{name}: window {window} is not positive")
     times = _run_times(horizon, sample_times, name, start)
+    if not horizon / window <= _MAX_GRID_POINTS:
+        raise ValueError(
+            f"{name}: window {window} lays more than {_MAX_GRID_POINTS} "
+            f"boundaries on the horizon {horizon}"
+        )
     return _ticks(horizon, rate, stream, times, window, start)
 
 

@@ -422,13 +422,29 @@ def assert_one_line_error(res, out, expected):
 
 
 @pytest.mark.parametrize(
-    "times", [[1.0, 3.0], [-0.5, 1.0]], ids=["past-horizon", "negative"]
+    "times, bad", [([1.0, 3.0], 3.0), ([-0.5, 1.0], -0.5)], ids=["past-horizon", "negative"]
 )
-def test_sample_times_outside_horizon_fail_without_output(tmp_path, times):
+def test_sample_times_outside_horizon_fail_without_output(tmp_path, times, bad):
     cfg = simulate_config(tmp_path, sample_times=times)
     out = tmp_path / "out"
     res = run_cli(["simulate", "--config", cfg, "--out", str(out)])
-    assert_one_line_error(res, out, "outside [0, horizon 2.0]")
+    assert_one_line_error(res, out, f"sample time {bad} lies outside [0, horizon 2.0]")
+
+
+@pytest.mark.parametrize("kind", ["couple", "couple-particles"])
+def test_window_too_small_to_run_fails_without_output(tmp_path, kind):
+    # Before, the run laid 1e300 window boundaries one by one and never ended.
+    if kind == "couple":
+        cfg = couple_config(tmp_path, t0=1e-300)
+    else:
+        cfg = selection_config(tmp_path, kind, 4, t0=1e-300)
+    out = tmp_path / "out"
+    started = time.monotonic()
+    res = run_cli([kind, "--config", cfg, "--out", str(out)])
+    assert time.monotonic() - started < 10.0
+    assert_one_line_error(
+        res, out, "window 1e-300 lays more than 1000000 boundaries on the horizon 1.0"
+    )
 
 
 def test_non_integer_replicas_fail_without_output(tmp_path):
@@ -445,7 +461,7 @@ def test_couple_needs_two_replicas(tmp_path):
     assert_one_line_error(res, out, "replicas must be at least 2")
 
 
-def selection_config(tmp_path, kind, replicas):
+def selection_config(tmp_path, kind, replicas, **run_changes):
     run = {
         "x0": [[0.1], [0.5], [0.9]],
         "horizon": 1.0,
@@ -454,6 +470,7 @@ def selection_config(tmp_path, kind, replicas):
     }
     if kind == "couple-particles":
         run.update(y0=[[0.1], [0.4], [0.8]], t0=0.5)
+    run.update(run_changes)
     return write_config(
         tmp_path / f"{kind}.json",
         {

@@ -31,6 +31,7 @@ from mfjump.coupling import (
     simulate_merge_split,
 )
 from mfjump.engine import (
+    PROPOSAL,
     SAMPLE,
     WINDOW,
     EmpiricalMeasure,
@@ -155,8 +156,8 @@ def test_pair_sampler_reconstructs_marginals(w1, w2):
     ps = optimal_pair_sampler(m1, m2)
     for m, nu_res in zip((m1, m2), ps.residuals()):
         rebuilt = {}
-        for s, w in ps.overlap():
-            rebuilt[s] = rebuilt.get(s, 0.0) + ps.p * w
+        for s, w in ps.common:
+            rebuilt[s] = rebuilt.get(s, 0.0) + w
         for s, w in nu_res:
             rebuilt[s] = rebuilt.get(s, 0.0) + (1.0 - ps.p) * w
         for s, w in m.atoms:
@@ -164,22 +165,27 @@ def test_pair_sampler_reconstructs_marginals(w1, w2):
 
 
 def _three_pass_overlap(w1: dict, w2: dict, shared: float) -> tuple:
-    """``(p, over, common, (nu1, nu2))`` of two weight maps by the
-    definition, one pass each: the sorted intersection's ``min`` atoms,
-    then ``side - min(side, other)`` over each side's sorted states."""
+    """``(p, common, (nu1, nu2))`` of two weight maps by the definition,
+    one pass each: the sorted intersection's ``min`` atoms, then
+    ``side - min(side, other)`` over each side's sorted states.  ``p`` is 1
+    when a side has no positive remainder or the overlap mass is within
+    1e-12 of 1 or above it."""
     common = [(k, min(w1[k], w2[k])) for k in sorted(k for k in w1 if k in w2)]
     common = [(k, w) for k, w in common if w > 0.0]
     p_raw = shared + sum(w for _, w in common)
-    p = 1.0 if 1.0 - p_raw <= 1e-12 else p_raw
 
-    def residual(side, other):
+    def remainder(side, other):
         raw = [(k, side[k] - min(side[k], other.get(k, 0.0))) for k in sorted(side)]
-        raw = [(k, w) for k, w in raw if w > 0.0]
-        mass = sum(w for _, w in raw)
-        return tuple((k, w / mass) for k, w in raw) if mass > 0.0 else ()
+        return [(k, w) for k, w in raw if w > 0.0]
 
-    residuals = ((), ()) if p >= 1.0 else (residual(w1, w2), residual(w2, w1))
-    return p, max(p_raw - 1.0, 0.0), common, residuals
+    def normalized(raw):
+        mass = sum(w for _, w in raw)
+        return tuple((k, w / mass) for k, w in raw)
+
+    raw1, raw2 = remainder(w1, w2), remainder(w2, w1)
+    p = 1.0 if not raw1 or not raw2 or 1.0 - p_raw <= 1e-12 else p_raw
+    residuals = ((), ()) if p >= 1.0 else (normalized(raw1), normalized(raw2))
+    return p, common, residuals
 
 
 _OVERLAP_STATES = st.integers(0, 7).map(lambda k: (k / 8.0,))
@@ -218,7 +224,7 @@ def test_overlap_pass_matches_the_three_pass_definition(atoms, shared):
     w1 = _weights(atoms[0])
     w2 = _weights(atoms[1])
     parts = coupling._Overlap(w1, w2, shared)
-    got = (parts.p, parts.over, parts.common, parts.residuals())
+    got = (parts.p, parts.common, parts.residuals())
     assert got == _three_pass_overlap(w1, w2, shared)
 
 
@@ -240,11 +246,29 @@ def test_pair_sampler_marginal_frequencies(rng):
 # overlap decomposition bookkeeping
 
 
-def test_overlap_decompose_tracks_tiny_clamp_excess():
-    a = (((0.0,), 0.5 + 4e-8), ((1.0,), 0.5))
-    p, *_rest, excess = overlap_decompose(a, a)
-    assert p == 1.0
-    assert 0.0 < excess < 1e-6
+#: A law whose weights sum to 1 - 5e-7, inside the atom check's tolerance.
+_SHORT_LAW = (((0.0,), 0.5), ((1.0,), 0.4999995))
+
+
+def test_overlap_decompose_cannot_split_a_law_from_itself():
+    # Over 1 the overlap mass is snapped to 1; under 1 no side keeps a
+    # remainder to split into, so ``p`` is 1 all the same.
+    for a in ((((0.0,), 0.5 + 4e-8), ((1.0,), 0.5)), _SHORT_LAW):
+        p, _, nu1, nu2 = overlap_decompose(a, a)
+        assert (p, nu1, nu2) == (1.0, (), ())
+
+
+@pytest.mark.parametrize("other", ["itself", "unit-mass"])
+def test_pair_sampler_merges_a_law_short_of_unit_mass_past_its_overlap(other):
+    # The merge uniform lands past the overlap's raw mass 1 - 5e-7 (or
+    # 0.5 + 0.4999995 against a unit-mass law), where neither side (or
+    # only one) has a residual to take: the sides merge.  Before, the
+    # draw read an empty residual and failed with an IndexError.
+    m = EmpiricalMeasure(_SHORT_LAW)
+    unit = EmpiricalMeasure((((0.0,), 0.5), ((1.0,), 0.5)))
+    sampler = optimal_pair_sampler(m, m if other == "itself" else unit)
+    assert sampler.draw(_FixedUniforms(1.0 - 1e-7, 0.5)) == ((1.0,), (1.0,), 1.0 - 1e-7)
+    assert sampler.p == 1.0
 
 
 def test_overlap_decompose_rejects_badly_normalised_input():
@@ -633,14 +657,37 @@ def test_merge_split_marginal_fidelity_run_tumble():
     assert histogram_tv(coupled_ends, direct_ends, binning) < 0.15
 
 
-def test_merge_split_clamp_counter_starts_clean(rng):
-    bundle = run_tumble(RunTumbleParams(theta=0.1))
-    flow = constant_flow((0.0, 1))
-    traj = simulate_merge_split(
-        bundle.model, flow, flow, (0.2, 1), (-0.2, 1), 4.0, 2.0, rng
+class _MergeUniforms:
+    """A stream whose ``random()`` is always ``u`` and whose other draws
+    come from ``stream``."""
+
+    def __init__(self, u, stream):
+        self._u, self._stream = u, stream
+
+    def random(self):
+        return self._u
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
+def test_merge_split_merges_a_kernel_short_of_unit_mass_past_its_overlap():
+    # The flip toy's one kernel atom weighs 1 - 5e-7, so a merged pair's
+    # overlap has raw mass 1 - 5e-7 and no residual on either side.  Every
+    # merge uniform lands past that mass; before, the draw failed with an
+    # IndexError, and now the pair stays merged.
+    model = dataclasses.replace(
+        flip_model(2.0, 2.0),
+        kernel_atoms=lambda state, measure: [((1 - state[0],), 1.0 - 5e-7)],
     )
-    assert traj.clamp_excess <= 1e-6
-    assert traj.n_clamped == 0
+    flow = constant_flow((0,))
+    traj = simulate_merge_split(
+        model, flow, flow, (0,), (0,), 4.0, 1.0, _MergeUniforms(1.0 - 1e-7, make_rng(5)),
+    )
+    proposals = [e for e in traj.events if e.kind == PROPOSAL]
+    assert len(proposals) > 3
+    assert all(e.merged and e.p == 1.0 for e in proposals)
+    assert traj.n_splits == 0
 
 
 def test_merge_split_without_events_keeps_samples_and_counters():
@@ -658,8 +705,7 @@ def test_merge_split_without_events_keeps_samples_and_counters():
             for record in (True, False)
         )
         assert lean.sample_pairs == full.sample_pairs
-        assert (lean.n_splits, lean.n_clamped) == (full.n_splits, full.n_clamped)
-        assert lean.clamp_excess == full.clamp_excess
+        assert lean.n_splits == full.n_splits
         assert sorted(lean.sample_pairs) == list(times)
         assert lean.events == ()
         dropped += len(full.events)
@@ -943,7 +989,7 @@ def test_merged_parts_match_the_full_decomposition(
     if isinstance(parts, _MergedOverlap):
         law0 = _merged_overlap_law(parts)
     else:
-        law0 = dict(parts.overlap())
+        law0 = {state: w / p for state, w in parts.common}
     for config, residual in ((x, nu1), (y, nu2)):
         mixed = _weights(_full_mixed_atoms(system, i, config))
         drawn = {state: p * w for state, w in law0.items()}
@@ -1297,7 +1343,7 @@ def _eager_parts(system, i, x, y, matching):
     parts = _proposal_parts(system, i, x, y, matching)
     if isinstance(parts, _MergedOverlap):
         return _EagerParts(parts.p, parts.pick, *parts.residuals())
-    p, nu0, nu1, nu2, _ = overlap_decompose(
+    p, nu0, nu1, nu2 = overlap_decompose(
         _full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y)
     )
     return _EagerParts(p, lambda v: _pick(nu0, v / p), nu1, nu2)
@@ -1432,6 +1478,41 @@ def test_coupled_run_takes_list_states_in_pair_atoms_answers():
         for spec in (system, dataclasses.replace(system, pair_atoms=_list_pair_atoms))
     )
     assert lists == tuples
+
+
+def test_coupled_runs_take_list_states_in_kernel_atoms_answers():
+    # A kernel_atoms answer keys its states as pair_atoms answers do: a list
+    # state draws what its tuple draws.
+    model = run_tumble(RunTumbleParams(theta=0.5)).model
+    listed = dataclasses.replace(
+        model,
+        kernel_atoms=lambda state, measure: [
+            (list(s), w) for s, w in model.kernel_atoms(state, measure)
+        ],
+    )
+    flow1, flow2 = constant_flow((0.3, 1)), constant_flow((-0.3, -1))
+    pairs = [
+        simulate_merge_split(
+            spec, flow1, flow2, (0.2, 1), (-0.2, 1), 4.0, 1.0, make_rng(3),
+            sample_times=(1.0, 2.0, 3.0, 4.0),
+        )
+        for spec in (model, listed)
+    ]
+    assert pairs[1].events == pairs[0].events
+    assert pairs[1].sample_pairs == pairs[0].sample_pairs
+    assert any(e.kind == PROPOSAL for e in pairs[0].events)
+    x0 = [((k - 2.5) / 2.0, 1 if k % 2 else -1) for k in range(6)]
+    y0 = [x0[k] if k % 3 else (x0[k][0] + 0.3, -x0[k][1]) for k in range(6)]
+    systems = [
+        simulate_coupled_system(
+            meanfield_system(spec, 6), x0, y0, 2.0, 1.0, 1.0, make_rng(4),
+            sample_times=(1.0, 2.0),
+        )
+        for spec in (model, listed)
+    ]
+    assert systems[1].events == systems[0].events
+    assert systems[1].samples == systems[0].samples
+    assert systems[0].events
 
 
 @pytest.mark.parametrize("start", ["equal", "mismatched"])
@@ -1602,6 +1683,31 @@ def test_every_simulator_refuses_bad_run_times_before_drawing(simulator, bad):
     with pytest.raises(ValueError) as err:
         TIME_RUNS[simulator](horizon, times)
     assert str(err.value) == f"{name}: {refusal}"
+
+
+#: Coupled simulator -> window ``t0`` -> run of the flip toys of TIME_RUNS
+#: on a stream that fails on any draw.
+WINDOW_RUNS = {
+    "simulate_merge_split": lambda t0: simulate_merge_split(
+        flip_model(1.0, 2.0), constant_flow((0,)), constant_flow((0,)), (0,), (1,),
+        5.0, t0, _NoDraws(),
+    ),
+    "simulate_coupled_system": lambda t0: simulate_coupled_system(
+        flip_system(3, rates=(1.0, 1.0, 1.0)), ((0,),) * 3,
+        ((1,),) * 3, 5.0, t0, 1.0, _NoDraws(),
+    ),
+}
+
+
+@pytest.mark.parametrize("t0", [1e-300, 5e-324])
+@pytest.mark.parametrize("simulator", sorted(WINDOW_RUNS))
+def test_coupled_simulators_refuse_a_window_too_small_to_run(simulator, t0):
+    name = "flip-system-toy" if "system" in simulator else "flip-toy"
+    with pytest.raises(ValueError) as err:
+        WINDOW_RUNS[simulator](t0)
+    assert str(err.value) == (
+        f"{name}: window {t0} lays more than 1000000 boundaries on the horizon 5.0"
+    )
 
 
 @pytest.mark.parametrize("t0", [math.nan, math.inf])

@@ -259,6 +259,21 @@ def test_clock_refuses_a_window_that_is_not_positive(window):
         clock(2.0, 1.0, _GapStream([]), window=window, name="toy")
 
 
+def test_clock_refuses_a_window_too_small_to_run():
+    # At 1e-300 the clock would lay 1e300 boundaries one by one.  A NaN
+    # horizon keeps its own refusal.
+    for window in (1e-300, 5e-324, 1e-6 / 1.5):
+        with pytest.raises(
+            ValueError,
+            match=rf"^toy: window {window} lays more than 1000000 boundaries "
+            r"on the horizon 1\.0$",
+        ):
+            clock(1.0, 1.0, _GapStream([]), window=window, name="toy")
+        with pytest.raises(ValueError, match="^toy: horizon nan is NaN"):
+            clock(math.nan, 1.0, _GapStream([]), window=window, name="toy")
+    assert len(list(clock(1.0, 0.0, _GapStream([]), window=1e-6, name="toy"))) == 10**6
+
+
 def test_clock_refuses_a_proposal_rate_that_overflowed():
     # Two coordinates under the ceiling 1e308 propose at rate inf: the clock
     # would propose at t = 0 forever.

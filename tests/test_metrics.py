@@ -47,12 +47,11 @@ def test_states_a_hair_apart_stay_distinct_and_keep_each_side_marginal():
     # overlap atom, and each residual holds its own side's state, so each
     # side draws only from its own kernel's support.
     x, y = (1.0,), (1.0 + 1e-13,)
-    p, nu0, nu1, nu2, excess = overlap_decompose([(x, 1.0)], [(y, 1.0)])
+    p, nu0, nu1, nu2 = overlap_decompose([(x, 1.0)], [(y, 1.0)])
     assert p == 0
     assert nu0 == ()
     assert nu1 == ((x, 1.0),)
     assert nu2 == ((y, 1.0),)
-    assert excess == 0.0
     a, b = (1.0, 1), (1.0 + 1e-12, 1)
     assert dbar1((a, a), (a, b)) == 2.0
     runs = [FakeCoupledRun({1.0: (a, b)}), FakeCoupledRun({1.0: (a, a)})]
