@@ -8,12 +8,12 @@ write the CSV.  Each state read is checked against the model's or system's
 layout, and replicas run through :meth:`_Run.replicas`.
 
 ``--threads K`` runs the replicas of ``simulate``, ``particles``, ``couple``,
-``couple-particles`` and ``estimate`` in up to K forked worker processes,
-each taking one contiguous block of replica indices; ``picard`` and
-``certify`` run serially.  The pair (config, seed) determines the output
-byte-exactly, regardless of ``--threads``: replica streams are pre-spawned
-from the seed, results are gathered in replica order, and a failing run
-reports its lowest failing replica.  A malformed config or a failing replica
+``couple-particles`` and ``estimate`` in up to K forked worker processes, at
+most one per CPU, each taking one contiguous block of replica indices;
+``picard`` and ``certify`` run serially.  The pair (config, seed) determines
+the output byte-exactly, regardless of ``--threads``: replica streams are
+pre-spawned from the seed, results are gathered in replica order, and a
+failing run reports its lowest failing replica.  A malformed config or a failing replica
 gives a one-line error and writes nothing.  The ``MFJUMP_LOG`` environment
 variable (``off``, ``info``, ``trace``) controls logging verbosity.
 """
@@ -48,6 +48,7 @@ from .engine import (
     EmpiricalMeasure,
     MeasureFlow,
     RateCeilingError,
+    _run_times,
     picard_solve,
     simulate_nonlinear,
 )
@@ -266,11 +267,7 @@ class _Run:
         if not isinstance(times, list):
             raise click.ClickException(f"sample_times must be a list, got {times!r}")
         times = tuple(_number(t, "sample time") for t in times)
-        for t in times:
-            if not 0.0 <= t <= horizon:
-                raise click.ClickException(
-                    f"sample time {t} lies outside [0, horizon {horizon}]"
-                )
+        _run_times(horizon, times, self.name)
         return times
 
     def flow(self, key: str) -> MeasureFlow:
@@ -324,15 +321,15 @@ def _map_replicas(worker: Callable, streams: Sequence, threads: int) -> list:
     """Run ``worker(replica, stream)`` for every replica, in index order.
 
     With ``threads > 1`` the replicas are split into contiguous chunks, one
-    per forked worker process (serially where ``fork`` is unavailable).  The
-    chunks are read in order, so the list, and the first failure raised, are
-    those of the serial run; once a chunk fails, the later workers are
-    stopped without waiting for them.  The workers are forked because model
-    closures cannot be pickled (only results are); forking is safe because
-    the CLI starts no threads of its own.
+    per forked worker process, at most one per CPU (serially where ``fork``
+    is unavailable).  The chunks are read in order, so the list, and the
+    first failure raised, are those of the serial run; once a chunk fails,
+    the later workers are stopped without waiting for them.  The workers are
+    forked because model closures cannot be pickled (only results are);
+    forking is safe because the CLI starts no threads of its own.
     """
     n = len(streams)
-    workers = min(threads, n)
+    workers = min(threads, n, os.cpu_count() or 1)
     if workers > 1:
         # Imported here, not at the top: it adds to every start-up.
         import multiprocessing

@@ -2,9 +2,8 @@
 
 Three layers build on each other:
 
-* :func:`overlap_decompose` / :func:`optimal_pair_sampler` — the maximal
-  coupling of two finite discrete measures, split into an overlap part and
-  two disjoint residuals.
+* :func:`optimal_pair_sampler` — the maximal coupling of two finite
+  discrete measures, split into an overlap part and two disjoint residuals.
 * Base couplers — a spec's one base motion, ``base_coupler(x, y, stream)``:
   small state machines that evolve a *pair* of states, each side keeping
   its marginal law.  The telegraph and refresh couplers merge the pair with
@@ -34,7 +33,8 @@ import copy
 import dataclasses
 import functools
 import math
-from typing import Callable, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import (
     PROPOSAL,
@@ -68,7 +68,6 @@ __all__ = [
     "make_refresh_coupler",
     "make_telegraph_coupler",
     "optimal_pair_sampler",
-    "overlap_decompose",
     "simulate_coupled_system",
     "simulate_merge_split",
 ]
@@ -85,44 +84,39 @@ class UnsupportedCouplingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _weights(atoms, rate: float = 1.0, ceiling: float = 1.0) -> dict:
-    """The positive weights of the checked ``atoms`` (read once), each times
-    ``rate / ceiling``, added up by state in the order they come.  A state
-    that cannot key the map, such as a list, is keyed as its tuple, as
-    :func:`_pair_weights` keys it."""
+def _weigh(answers: Iterable, scale: float) -> dict:
+    """The positive weights of each atom list in ``answers``, each times
+    ``scale``, added up by state in the order they come.  Each list is
+    checked as :func:`~mfjump.engine._checked` checks a jump law's atoms:
+    ``ValueError`` at a negative weight (:func:`~mfjump.engine._check_weight`)
+    and unless its weights sum to 1 (:func:`~mfjump.engine._check_mass`).  A
+    state that cannot key the map, such as a list, is keyed as its tuple."""
     weights: dict = {}
     get = weights.get
-    for state, w in _checked(tuple(atoms)):
-        if w > 0.0:
-            try:
-                weights[state] = get(state, 0.0) + w * rate / ceiling
-            except TypeError:
-                state = tuple(state)
-                weights[state] = get(state, 0.0) + w * rate / ceiling
+    for atoms in answers:
+        mass = 0.0
+        for state, w in atoms:
+            mass += w
+            if w > 0.0:
+                try:
+                    weights[state] = get(state, 0.0) + w * scale
+                except TypeError:
+                    state = tuple(state)
+                    weights[state] = get(state, 0.0) + w * scale
+            else:
+                _check_weight(w)
+        if not abs(mass - 1.0) <= _MASS_TOL:
+            _check_mass(mass)
     return weights
-
-
-def overlap_decompose(atoms1, atoms2):
-    """Split two atom lists into overlap and residual parts.
-
-    Returns ``(p, nu0, nu1, nu2)`` where ``p`` is the overlap mass of
-    :class:`_Overlap`, ``nu0`` the overlap atoms divided by ``p``, and
-    ``nu1``/``nu2`` the normalized residual atoms of each side (with
-    disjoint supports; none when the sides cannot split).  Each list is
-    checked as a jump law's atoms are (:func:`~mfjump.engine._checked`).
-    Atoms are merged by equal state (``==``) and sorted by state, so the
-    overlap holds only states both sides can reach and each residual only
-    states of its own side.
-    """
-    parts = _Overlap(_weights(atoms1), _weights(atoms2))
-    p = parts.p
-    return (p, tuple((k, w / p) for k, w in parts.common), *parts.residuals())
 
 
 def optimal_pair_sampler(measure1, measure2) -> _Overlap:
     """The maximal coupling of two discrete measures (each exposing
-    ``.atoms``), ready for repeated :meth:`~_Overlap.draw` calls."""
-    return _Overlap(_weights(measure1.atoms), _weights(measure2.atoms))
+    ``.atoms``), ready for repeated :meth:`~_Overlap.draw` calls.  Atoms are
+    checked (:func:`_weigh`), merged by equal state (``==``) and sorted by
+    state, so the overlap holds only states both sides can reach and each
+    residual only states of its own side."""
+    return _Overlap(_weigh((measure1.atoms,), 1.0), _weigh((measure2.atoms,), 1.0))
 
 
 class _Overlap:
@@ -457,10 +451,9 @@ def estimate_doeblin_alpha(model: ModelSpec, pair_source: Callable, t0: float, n
     """Estimate the one-window merge probability of the coupled base dynamics.
 
     Runs ``n`` independent coupled windows from pairs drawn by
-    ``pair_source(stream)`` and returns ``(alpha_hat, se)``.
+    ``pair_source(stream)`` and returns ``(alpha_hat, se)``
+    (:func:`alpha_from_windows`, which refuses ``n < 1``).
     """
-    if n < 1:
-        raise ValueError("need at least one replica")
     return alpha_from_windows(
         [coupled_base(model, *pair_source(stream), t0, stream)[2] for _ in range(n)]
     )
@@ -468,8 +461,11 @@ def estimate_doeblin_alpha(model: ModelSpec, pair_source: Callable, t0: float, n
 
 def alpha_from_windows(merged_ats: Sequence) -> tuple:
     """``(alpha_hat, se)``: the share of windows whose ``coupled_base``
-    ``merged_at`` in ``merged_ats`` is not ``None``, and its standard error."""
+    ``merged_at`` in ``merged_ats`` is not ``None``, and its standard error.
+    Raises ``ValueError`` when ``merged_ats`` is empty."""
     n = len(merged_ats)
+    if n < 1:
+        raise ValueError("need at least one replica")
     alpha_hat = sum(merged_at is not None for merged_at in merged_ats) / n
     return alpha_hat, math.sqrt(alpha_hat * (1.0 - alpha_hat) / n)
 
@@ -574,8 +570,8 @@ def simulate_merge_split(
         was_merged = x == y
         at_x, at_y = (x, flow1.at(t)), (y, flow2.at(t))
         parts = _Overlap(
-            _mixed_weights(model, at_x, x, *_thinning(model, at_x)),
-            _mixed_weights(model, at_y, y, *_thinning(model, at_y)),
+            _mixed_weights(model, at_x, x, _thinning(model, at_x)[1]),
+            _mixed_weights(model, at_y, y, _thinning(model, at_y)[1]),
         )
         x, y, _ = parts.draw(stream)
         merged = x == y
@@ -651,46 +647,18 @@ def _thinning(spec, at: tuple, coordinate=None) -> tuple:
     return rate, rate / ceiling
 
 
-def _mixed_weights(spec, at: tuple, stay, rate: float, share: float) -> dict:
+def _mixed_weights(spec, at: tuple, stay, share: float) -> dict:
     """Weights by state of one thinned proposal from ``stay`` at ``at``
-    (Lewis & Shedler, 1979) with the :func:`_thinning` ``rate`` and
-    ``share``: kernel atoms weighted ``w * rate / ceiling``, or the pair
+    (Lewis & Shedler, 1979) with the :func:`_thinning` ``share``, weighed
+    by :func:`_weigh`: kernel atoms weighted ``w * share``, or the pair
     atoms of all ``N`` donors weighted ``w * share / N``, plus the stay-put
     mass ``1 - share``."""
     if spec.kernel_atoms is not None:
-        # ``w * rate / ceiling`` rounds unlike ``w * share``; outputs are pinned to it.
-        weights = _weights(spec.kernel_atoms(*at), rate, spec.rate_ceiling)
+        weights = _weigh((spec.kernel_atoms(*at),), share)
     else:
-        weights = _pair_weights(spec.pair_atoms, stay, at[1], share / len(at[1]))
+        weights = _weigh(map(spec.pair_atoms, repeat(stay), at[1]), share / len(at[1]))
     if share < 1.0:
         weights[stay] = weights.get(stay, 0.0) + (1.0 - share)
-    return weights
-
-
-def _pair_weights(pair_atoms: Callable, own, donors, share: float) -> dict:
-    """``share`` times the positive pair atoms of ``own`` with each donor
-    state in ``donors``, added up by state in the order they come.  Each
-    donor's answer is checked as :func:`~mfjump.engine._checked` checks a
-    jump law's atoms: ``ValueError`` at a negative weight
-    (:func:`~mfjump.engine._check_weight`) and unless its weights sum to 1
-    (:func:`~mfjump.engine._check_mass`).  A state that cannot key the map,
-    such as a list, is keyed as its tuple."""
-    weights: dict = {}
-    get = weights.get
-    for donor in donors:
-        mass = 0.0
-        for state, w in pair_atoms(own, donor):
-            mass += w
-            if w > 0.0:
-                try:
-                    weights[state] = get(state, 0.0) + w * share
-                except TypeError:
-                    state = tuple(state)
-                    weights[state] = get(state, 0.0) + w * share
-            else:
-                _check_weight(w)
-        if not abs(mass - 1.0) <= _MASS_TOL:
-            _check_mass(mass)
     return weights
 
 
@@ -727,8 +695,8 @@ class _MergedOverlap(_Overlap):
         if name not in _Overlap.__slots__:
             raise AttributeError(name)
         w1, w2 = (
-            _pair_weights(self.pair_atoms, self.stay, (c[k] for k in self.mismatched),
-                          self.share)
+            _weigh(map(self.pair_atoms, repeat(self.stay), map(c.__getitem__, self.mismatched)),
+                   self.share)
             for c in (self.x, self.y)
         )
         _Overlap.__init__(self, w1, w2, self.shared)
@@ -764,8 +732,8 @@ def _proposal_parts(system: SystemSpec, i: int, x, y, matching) -> _Overlap:
     if system.pair_atoms is not None and x[i] == y[i] and rate_x == rate_y:
         return _MergedOverlap(system, i, x, y, matching, share_x)
     return _Overlap(
-        _mixed_weights(system, (i, x), x[i], rate_x, share_x),
-        _mixed_weights(system, (i, y), y[i], rate_y, share_y),
+        _mixed_weights(system, (i, x), x[i], share_x),
+        _mixed_weights(system, (i, y), y[i], share_y),
     )
 
 

@@ -150,10 +150,6 @@ class EmpiricalMeasure:
             self._states = None
         return self._atoms
 
-    def expect(self, fn: Callable[[State], float]) -> float:
-        """Expectation of ``fn`` under the measure."""
-        return sum(w * fn(s) for s, w in self.atoms)
-
     def mean(self, index: int) -> float:
         """Cached mean of the ``index``-th state coordinate."""
         cached = self._mean_cache.get(index)
@@ -298,13 +294,15 @@ def _atoms_jump(atoms: Callable) -> Callable:
 
 
 def _pick(atoms: Sequence, w: float) -> tuple:
-    """Inverse-CDF draw from ``atoms`` in the order given, at quantile ``w``."""
+    """Inverse-CDF draw from ``atoms`` in the order given, at quantile ``w``.
+    A ``w`` past the total, which rounding or a mass short of 1 within
+    ``_MASS_TOL`` leaves, takes the last atom of positive weight."""
     acc = 0.0
     for state, weight in atoms:
         acc += weight
         if w < acc:
             return tuple(state)
-    return tuple(atoms[-1][0])
+    return next(tuple(state) for state, weight in reversed(atoms) if weight > 0.0)
 
 
 @dataclasses.dataclass(frozen=True)

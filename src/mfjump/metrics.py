@@ -20,10 +20,8 @@ __all__ = [
     "BoundEstimate",
     "Binning",
     "LyapunovFn",
-    "d_beta",
     "d_v",
     "dbar1",
-    "dbar_v",
     "discrete_tv",
     "estimate_tv_bound",
     "estimate_vnorm_bound",
@@ -66,25 +64,9 @@ def d_v(x: State, y: State, v: LyapunovFn) -> float:
     return v(x) + v(y)
 
 
-def d_beta(x: State, y: State, v: LyapunovFn, beta: float) -> float:
-    """Distance ``((1 + beta V(x)) + (1 + beta V(y))) 1{x != y}``.
-
-    At ``beta = 0`` this is twice the discrete distance; the ``beta`` weight
-    interpolates towards the ``V``-weighted distance.
-    """
-    if x == y:
-        return 0.0
-    return (1.0 + beta * v(x)) + (1.0 + beta * v(y))
-
-
 def dbar1(x: Sequence[State], y: Sequence[State]) -> float:
     """Configuration distance: twice the number of mismatched coordinates."""
     return 2.0 * sum(1 for a, b in zip(x, y) if a != b)
-
-
-def dbar_v(x: Sequence[State], y: Sequence[State], vis: Sequence[LyapunovFn]) -> float:
-    """Sum of per-coordinate weighted distances ``d_beta(.,.,V_i, 1)``."""
-    return sum(d_beta(a, b, v, 1.0) for a, b, v in zip(x, y, vis))
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def measure_rate_flip_model(ceiling: float = 2.0) -> ModelSpec:
     """
 
     def rate(state, measure):
-        return measure.expect(lambda s: s[0])
+        return measure.mean(0)
 
     def kernel_atoms(state, measure):
         return [((1 - state[0],), 1.0)]

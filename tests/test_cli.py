@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 from click.testing import CliRunner
@@ -422,13 +423,22 @@ def assert_one_line_error(res, out, expected):
 
 
 @pytest.mark.parametrize(
-    "times, bad", [([1.0, 3.0], 3.0), ([-0.5, 1.0], -0.5)], ids=["past-horizon", "negative"]
+    "times, message",
+    [
+        ([1.0, 3.0], "sample time 3.0 is past the horizon 2.0"),
+        ([-0.5, 1.0], "sample time -0.5 is NaN or before the start 0.0"),
+    ],
+    ids=["past-horizon", "negative"],
 )
-def test_sample_times_outside_horizon_fail_without_output(tmp_path, times, bad):
+def test_sample_times_outside_horizon_fail_without_output(
+    tmp_path, monkeypatch, times, message
+):
+    # The library's refusal (engine._run_times), before any replica runs.
+    forbid_replicas(monkeypatch)
     cfg = simulate_config(tmp_path, sample_times=times)
     out = tmp_path / "out"
     res = run_cli(["simulate", "--config", cfg, "--out", str(out)])
-    assert_one_line_error(res, out, f"sample time {bad} lies outside [0, horizon 2.0]")
+    assert_one_line_error(res, out, f"run-tumble: {message}")
 
 
 @pytest.mark.parametrize("kind", ["couple", "couple-particles"])
@@ -578,6 +588,40 @@ def test_dead_worker_process_fails_without_output(tmp_path, monkeypatch):
     out = tmp_path / "out"
     res = run_cli(["couple", "--config", cfg, "--threads", "3", "--out", str(out)])
     assert_one_line_error(res, out, "a replica worker process exited unexpectedly")
+
+
+class _InlineContext:
+    """A ``multiprocessing`` context that counts the processes it starts and
+    runs each one's target in this process."""
+
+    def __init__(self):
+        self.started = 0
+
+    def Pipe(self, duplex):
+        sent = []
+        end = types.SimpleNamespace(send=sent.append, recv=sent.pop, close=lambda: None)
+        return end, end
+
+    def Process(self, target, args, daemon):
+        def start():
+            self.started += 1
+            target(*args)
+
+        return types.SimpleNamespace(start=start, join=lambda: None, terminate=lambda: None)
+
+
+@pytest.mark.parametrize("cpus, started", [(3, 3), (1, 0), (None, 0)])
+def test_worker_processes_are_capped_at_the_cpu_count(monkeypatch, cpus, started):
+    # Before, --threads 5000 with 5000 replicas forked 5000 processes.
+    import multiprocessing
+
+    context = _InlineContext()
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    streams = [object()] * 5000
+    assert cli._map_replicas(lambda r, stream: r, streams, 5000) == list(range(5000))
+    assert context.started == started
 
 
 def test_couple_particles_without_kernel_atoms_fails_before_replicas(

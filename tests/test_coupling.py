@@ -6,6 +6,8 @@ import collections
 import copy
 import dataclasses
 import math
+import types
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -18,15 +20,14 @@ from mfjump.coupling import (
     UnsupportedCouplingError,
     _MergedOverlap,
     _mixed_weights,
-    _pair_weights,
     _proposal_parts,
     _thinning,
-    _weights,
+    _weigh,
+    alpha_from_windows,
     coupled_base,
     estimate_doeblin_alpha,
     make_telegraph_coupler,
     optimal_pair_sampler,
-    overlap_decompose,
     simulate_coupled_system,
     simulate_merge_split,
 )
@@ -35,6 +36,7 @@ from mfjump.engine import (
     SAMPLE,
     WINDOW,
     EmpiricalMeasure,
+    _atoms_jump,
     _pick,
     clock,
     picard_solve,
@@ -189,7 +191,7 @@ def _three_pass_overlap(w1: dict, w2: dict, shared: float) -> tuple:
 
 
 _OVERLAP_STATES = st.integers(0, 7).map(lambda k: (k / 8.0,))
-#: Exact zeros and a negative weight that ``_weights`` counts as zero.
+#: Exact zeros and a negative weight that ``_weigh`` counts as zero.
 _OVERLAP_WEIGHTS = st.one_of(st.just(0.0), st.just(-1e-10), st.floats(1e-3, 1.0))
 
 
@@ -221,8 +223,8 @@ def _overlap_atom_lists(draw):
 @settings(max_examples=300)
 @given(_overlap_atom_lists(), st.sampled_from([0.0, 0.0, 0.3]))
 def test_overlap_pass_matches_the_three_pass_definition(atoms, shared):
-    w1 = _weights(atoms[0])
-    w2 = _weights(atoms[1])
+    w1 = _weigh((atoms[0],), 1.0)
+    w2 = _weigh((atoms[1],), 1.0)
     parts = coupling._Overlap(w1, w2, shared)
     got = (parts.p, parts.common, parts.residuals())
     assert got == _three_pass_overlap(w1, w2, shared)
@@ -250,12 +252,17 @@ def test_pair_sampler_marginal_frequencies(rng):
 _SHORT_LAW = (((0.0,), 0.5), ((1.0,), 0.4999995))
 
 
-def test_overlap_decompose_cannot_split_a_law_from_itself():
+def _pair_parts(atoms1, atoms2) -> coupling._Overlap:
+    """The :func:`optimal_pair_sampler` of two atom lists."""
+    return optimal_pair_sampler(EmpiricalMeasure(atoms1), EmpiricalMeasure(atoms2))
+
+
+def test_pair_sampler_cannot_split_a_law_from_itself():
     # Over 1 the overlap mass is snapped to 1; under 1 no side keeps a
     # remainder to split into, so ``p`` is 1 all the same.
     for a in ((((0.0,), 0.5 + 4e-8), ((1.0,), 0.5)), _SHORT_LAW):
-        p, _, nu1, nu2 = overlap_decompose(a, a)
-        assert (p, nu1, nu2) == (1.0, (), ())
+        parts = _pair_parts(a, a)
+        assert (parts.p, parts.residuals()) == (1.0, ((), ()))
 
 
 @pytest.mark.parametrize("other", ["itself", "unit-mass"])
@@ -271,11 +278,13 @@ def test_pair_sampler_merges_a_law_short_of_unit_mass_past_its_overlap(other):
     assert sampler.p == 1.0
 
 
-def test_overlap_decompose_rejects_badly_normalised_input():
-    b = (((0.0,), 0.5), ((1.0,), 0.5))
-    for a in ((((0.0,), 0.6), ((1.0,), 0.41)), (((0.0,), math.nan),)):
+def test_mixed_weights_reject_badly_normalised_kernel_atoms():
+    base = run_tumble(RunTumbleParams(theta=0.1)).model
+    at = ((0.2, 1), EmpiricalMeasure.from_states([(0.3, 1)]))
+    for a in ((((0.0, 1), 0.6), ((1.0, 1), 0.41)), (((0.0, 1), math.nan),)):
+        model = dataclasses.replace(base, kernel_atoms=lambda state, measure, a=a: a)
         with pytest.raises(ValueError, match="atom weights sum to"):
-            overlap_decompose(a, b)
+            _mixed_weights(model, at, at[0], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -908,10 +917,10 @@ def _merged_overlap_law(nu0) -> dict:
 
 def _mixed_atoms(spec, at: tuple, stay, coordinate=None) -> list:
     """Atoms of one thinned proposal from ``stay``, built as a list: the
-    spec's kernel atoms at ``at`` weighted ``w * rate / ceiling``, plus the
-    stay-put remainder.  The reference for :func:`_mixed_weights`."""
-    rate, share = _thinning(spec, at, coordinate)
-    atoms = [(s, w * rate / spec.rate_ceiling) for s, w in spec.kernel_atoms(*at)]
+    spec's kernel atoms at ``at`` weighted ``w * share``, plus the stay-put
+    remainder.  The reference for :func:`_mixed_weights`."""
+    _, share = _thinning(spec, at, coordinate)
+    atoms = [(s, w * share) for s, w in spec.kernel_atoms(*at)]
     atoms.append((stay, 1.0 - share))
     return atoms
 
@@ -919,10 +928,10 @@ def _mixed_atoms(spec, at: tuple, stay, coordinate=None) -> list:
 def _full_mixed_atoms(system, i, config) -> list:
     """The mixed atoms (:func:`_mixed_atoms`) of coordinate ``i`` of a
     system with ``pair_atoms``, read from its whole kernel: the pair atoms
-    of all ``N`` donors added up by :func:`_pair_weights`."""
+    of all ``N`` donors added up by :func:`_weigh`."""
 
     def kernel_atoms(i, config):
-        weights = _pair_weights(system.pair_atoms, config[i], config, 1.0 / len(config))
+        weights = _weigh(map(system.pair_atoms, repeat(config[i]), config), 1.0 / len(config))
         return tuple(weights.items())
 
     by_atoms = dataclasses.replace(system, pair_atoms=None, kernel_atoms=kernel_atoms)
@@ -959,7 +968,7 @@ def test_merged_parts_match_the_full_decomposition(
 ):
     # The parts a coupled proposal draws from (the sparse ones at a merged
     # coordinate whose rates agree, else one pairwise pass per side) against
-    # overlap_decompose of the full mixed atoms.  States come from five
+    # the maximal coupling of the full mixed atoms.  States come from five
     # values, so states coincide across sides (x_k == y_l for mismatched k
     # != l) and within a side.  A ceiling above the rate leaves stay-put
     # mass, and n runs over sizes that are not powers of two.
@@ -984,14 +993,14 @@ def test_merged_parts_match_the_full_decomposition(
     parts = _proposal_parts(system, i, x, y, _matching_of(x, y))
     p = parts.p
     nu1, nu2 = parts.residuals()
-    full = overlap_decompose(_full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y))
-    assert abs(p - full[0]) <= 1e-12
+    full = _pair_parts(_full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y))
+    assert abs(p - full.p) <= 1e-12
     if isinstance(parts, _MergedOverlap):
         law0 = _merged_overlap_law(parts)
     else:
         law0 = {state: w / p for state, w in parts.common}
     for config, residual in ((x, nu1), (y, nu2)):
-        mixed = _weights(_full_mixed_atoms(system, i, config))
+        mixed = _weigh((_full_mixed_atoms(system, i, config),), 1.0)
         drawn = {state: p * w for state, w in law0.items()}
         for state, w in residual:
             drawn[state] = drawn.get(state, 0.0) + (1.0 - p) * w
@@ -1042,9 +1051,8 @@ def test_merged_draw_follows_the_full_maximal_coupling():
     matching = _matching_of(x, y)
     parts = _proposal_parts(system, i, x, y, matching)
     assert isinstance(parts, _MergedOverlap)
-    p, nu0, *_ = overlap_decompose(
-        _full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y)
-    )
+    full = _pair_parts(_full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y))
+    p = full.p
     assert parts.stay_mass > 0.0 and p - parts.shared > 0.05
     n = 40_000
     stream = make_rng(41)
@@ -1061,11 +1069,11 @@ def test_merged_draw_follows_the_full_maximal_coupling():
         assert abs(count / n - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n) + 1e-12
 
     assert_close(sum(merged.values()), p)
-    law0 = dict(nu0)
-    for state in set(law0) | set(merged):
-        assert_close(merged[state], p * law0.get(state, 0.0))
+    common = dict(full.common)
+    for state in set(common) | set(merged):
+        assert_close(merged[state], common.get(state, 0.0))
     for config, counts in zip((x, y), sides):
-        mixed = _weights(_full_mixed_atoms(system, i, config))
+        mixed = _weigh((_full_mixed_atoms(system, i, config),), 1.0)
         for state in set(mixed) | set(counts):
             assert_close(counts[state], mixed.get(state, 0.0))
 
@@ -1338,15 +1346,15 @@ def _eager_parts(system, i, x, y, matching):
     """A proposal's parts as built before the pairwise pass and the
     residuals on demand: the sparse parts at a merged coordinate whose rates
     agree, with the mismatched donors' parts built before the draw, else
-    ``overlap_decompose`` of the full mixed atoms, whose normalized overlap
+    the maximal coupling of the full mixed atoms, whose normalized overlap
     is read at quantile ``v / p``, and both residuals at every proposal."""
     parts = _proposal_parts(system, i, x, y, matching)
     if isinstance(parts, _MergedOverlap):
         return _EagerParts(parts.p, parts.pick, *parts.residuals())
-    p, nu0, nu1, nu2 = overlap_decompose(
-        _full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y)
-    )
-    return _EagerParts(p, lambda v: _pick(nu0, v / p), nu1, nu2)
+    full = _pair_parts(_full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y))
+    p = full.p
+    nu0 = tuple((k, w / p) for k, w in full.common)
+    return _EagerParts(p, lambda v: _pick(nu0, v / p), *full.residuals())
 
 
 def test_pairwise_pass_matches_the_full_decomposition_draw_for_draw(monkeypatch):
@@ -1369,10 +1377,8 @@ def test_pairwise_pass_matches_the_full_decomposition_draw_for_draw(monkeypatch)
 
 
 def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
-    # Each side's weights come from one pass over the pair atoms, never from
-    # overlap_decompose (a pairwise system has no kernel_atoms).  The raw
-    # remainders come out of the overlap's one sorted pass, and a draw
-    # normalizes the two residuals only when v >= p.
+    # The raw remainders come out of the overlap's one sorted pass, and a
+    # draw normalizes the two residuals only when v >= p.
     system, x0, y0 = _couple_sel_layout(3)
     calls = collections.Counter()
 
@@ -1392,9 +1398,6 @@ def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
         calls["p < 1"] += parts.p < 1.0
         return x, y, v
 
-    monkeypatch.setattr(
-        coupling, "overlap_decompose", counted("overlap_decompose", overlap_decompose)
-    )
     monkeypatch.setattr(coupling, "_normalized", counted("_normalized", coupling._normalized))
     monkeypatch.setattr(coupling._Overlap, "draw", draw)
     simulate_coupled_system(
@@ -1403,7 +1406,6 @@ def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
     )
     assert calls["proposals"] > 100
     assert system.kernel_atoms is None
-    assert calls["overlap_decompose"] == 0
     assert calls["_normalized"] <= 2 * calls["residuals drawn"]
     assert calls["residuals drawn"] < calls["p < 1"]
 
@@ -1745,6 +1747,7 @@ INPUT_REFUSALS = {
         ),
         "need at least one replica",
     ),
+    "alpha-no-window": (lambda: alpha_from_windows([]), "need at least one replica"),
     "picard-max-iter": (
         lambda: picard_solve(
             run_tumble(RunTumbleParams(theta=0.1)).model,
@@ -1846,8 +1849,9 @@ SIGNED_LAW_RUNS = {
         for start, y0 in (("equal", x0), ("mismatched", y1))
     },
     "EmpiricalMeasure": lambda low: EmpiricalMeasure(_step_atoms((0.0, 1), low)),
-    "overlap_decompose": lambda low: overlap_decompose(
-        _step_atoms((0.0, 1), low), [((1.0, 1), 1.0)]
+    "optimal_pair_sampler": lambda low: optimal_pair_sampler(
+        types.SimpleNamespace(atoms=_step_atoms((0.0, 1), low)),
+        EmpiricalMeasure([((1.0, 1), 1.0)]),
     ),
 }
 
@@ -1864,6 +1868,14 @@ def test_every_reader_of_a_jump_law_refuses_a_negative_weight(run):
 @pytest.mark.parametrize("run", sorted(SIGNED_LAW_RUNS))
 def test_every_reader_of_a_jump_law_takes_a_weight_of_float_noise(run):
     SIGNED_LAW_RUNS[run](-1e-10)
+
+
+def test_a_draw_past_a_short_mass_takes_the_last_positive_atom():
+    # The weights sum to 1 - 5e-7, inside the atom check's tolerance, so a
+    # uniform of 1 - 1e-7 lands past them.  Before, the draw took the last
+    # atom, of weight 0.
+    jump = _atoms_jump(lambda a, b: [((1,), 0.9999995), ((2,), 0.0)])
+    assert jump(None, None, _FixedUniforms(1.0 - 1e-7)) == (1,)
 
 
 def _load_atoms(atoms) -> dict:
@@ -1899,7 +1911,7 @@ def test_mixed_weights_equal_their_reference_definitions():
     for x in (-3.0, -0.7, 0.0, 0.4, 2.5):
         for v in (-1, 1):
             at = ((x, v), measure)
-            got = _mixed_weights(model, at, (x, v), *_thinning(model, at))
+            got = _mixed_weights(model, at, (x, v), _thinning(model, at)[1])
             assert got == nonzero(_load_atoms(_mixed_atoms(model, at, (x, v))))
             checked += 1
     by_atoms = meanfield_system(run_tumble(RunTumbleParams(theta=0.3)), 4)
@@ -1914,8 +1926,8 @@ def test_mixed_weights_equal_their_reference_definitions():
             system = dataclasses.replace(base, rate_ceiling=ceiling)
             for i in range(4):
                 at = (i, config)
-                rate, share = _thinning(system, at, i)
-                got = _mixed_weights(system, at, config[i], rate, share)
+                _, share = _thinning(system, at, i)
+                got = _mixed_weights(system, at, config[i], share)
                 if system.pair_atoms is None:
                     want = _load_atoms(_mixed_atoms(system, at, config[i], i))
                 else:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mfjump.coupling import TwinCoupler, overlap_decompose
+from mfjump.coupling import TwinCoupler, _mixed_weights
 from mfjump.engine import (
     JUMP_ACCEPTED,
     JUMP_REJECTED,
@@ -90,12 +90,13 @@ def test_empirical_measure_refuses_the_empty_measure():
     assert measure.atoms == (((1.0,), 0.5), ((3.0,), 0.5))
 
 
-def test_empirical_measure_rejects_a_nan_weight_as_overlap_decompose_does():
+def test_empirical_measure_rejects_a_nan_weight_as_mixed_weights_does():
     atoms = [((0.0,), math.nan), ((1.0,), 1.0)]
     with pytest.raises(ValueError, match="atom weights sum to nan, expected 1"):
         EmpiricalMeasure(atoms=atoms)
+    model = dataclasses.replace(flip_model(), kernel_atoms=lambda state, measure: atoms)
     with pytest.raises(ValueError, match="atom weights sum to nan, expected 1"):
-        overlap_decompose(atoms, [((0.0,), 1.0)])
+        _mixed_weights(model, ((0,), None), (0,), 1.0)
 
 
 def test_empirical_measure_merges_duplicate_states():
@@ -115,9 +116,9 @@ def test_empirical_measure_merges_duplicate_states():
     assert read_first.atoms == m.atoms
 
 
-def test_empirical_measure_expect():
+def test_empirical_measure_mean_and_point():
     m = EmpiricalMeasure(atoms=(((0.0,), 0.25), ((4.0,), 0.75)))
-    assert m.expect(lambda s: s[0]) == pytest.approx(3.0)
+    assert m.mean(0) == pytest.approx(3.0)
     assert m.point() is None
     assert EmpiricalMeasure.from_states([(2.0,)]).point() == (2.0,)
 

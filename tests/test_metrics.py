@@ -9,15 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfjump.coupling import overlap_decompose
+from mfjump.coupling import optimal_pair_sampler
 from mfjump.engine import EmpiricalMeasure
 from mfjump.metrics import (
     BoundEstimate,
     LyapunovFn,
-    d_beta,
     d_v,
     dbar1,
-    dbar_v,
     estimate_tv_bound,
     estimate_vnorm_bound,
     histogram_tv,
@@ -35,9 +33,6 @@ class FakeCoupledRun:
         return self._pairs[t]
 
 
-unit_v = LyapunovFn(lambda s: 1.0, name="one")
-
-
 # ---------------------------------------------------------------------------
 # state equality
 
@@ -47,11 +42,10 @@ def test_states_a_hair_apart_stay_distinct_and_keep_each_side_marginal():
     # overlap atom, and each residual holds its own side's state, so each
     # side draws only from its own kernel's support.
     x, y = (1.0,), (1.0 + 1e-13,)
-    p, nu0, nu1, nu2 = overlap_decompose([(x, 1.0)], [(y, 1.0)])
-    assert p == 0
-    assert nu0 == ()
-    assert nu1 == ((x, 1.0),)
-    assert nu2 == ((y, 1.0),)
+    parts = optimal_pair_sampler(EmpiricalMeasure([(x, 1.0)]), EmpiricalMeasure([(y, 1.0)]))
+    assert parts.p == 0
+    assert parts.common == []
+    assert parts.residuals() == (((x, 1.0),), ((y, 1.0),))
     a, b = (1.0, 1), (1.0 + 1e-12, 1)
     assert dbar1((a, a), (a, b)) == 2.0
     runs = [FakeCoupledRun({1.0: (a, b)}), FakeCoupledRun({1.0: (a, a)})]
@@ -71,12 +65,6 @@ def test_d_v_vanishes_on_equal_states():
 def test_d_v_adds_both_weights_when_distinct():
     v = LyapunovFn(lambda s: 1.0 + abs(s[0]), name="abs")
     assert d_v((1.0,), (-2.0,), v) == pytest.approx(2.0 + 3.0)
-
-
-def test_d_beta_weighted_example():
-    v = LyapunovFn(lambda s: 2.0 if s[0] < 0 else 3.0, name="step")
-    assert d_beta((-1.0,), (1.0,), v, beta=1.0) == pytest.approx(7.0)
-    assert d_beta((1.0,), (1.0,), v, beta=1.0) == 0.0
 
 
 def test_dbar1_counts_mismatched_coordinates():
@@ -99,14 +87,6 @@ def test_dbar1_bounds(xs, ys):
     assert d % 2.0 == 0.0
     if any(a != b for a, b in zip(x, y)):
         assert d >= 2.0
-
-
-def test_dbar_v_single_mismatch_example():
-    vis = (unit_v, unit_v)
-    x = ((0.0,), (1.0,))
-    y = ((0.0,), (2.0,))
-    assert dbar_v(x, y, vis) == pytest.approx(4.0)
-    assert dbar_v(x, x, vis) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from mfjump.models import (
     tcp,
     zigzag,
 )
-from mfjump.coupling import _pair_weights
+from mfjump.coupling import _weigh
 from mfjump.particles import empirical, meanfield_system, simulate_system
 
 from conftest import constant_flow, make_rng
@@ -545,7 +546,7 @@ def test_selection_rate_is_saturated():
 def _selection_kernel(system, i, config) -> dict:
     """The jump kernel of coordinate ``i`` of a selection system, read from
     its pair form: the pair atoms of all ``N`` donors, added up by state."""
-    return _pair_weights(system.pair_atoms, config[i], config, 1.0 / len(config))
+    return _weigh(map(system.pair_atoms, repeat(config[i]), config), 1.0 / len(config))
 
 
 def test_selection_kernel_atoms_exact():
