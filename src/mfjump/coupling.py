@@ -651,8 +651,9 @@ def _mixed_weights(spec, at: tuple, stay, share: float) -> dict:
     """Weights by state of one thinned proposal from ``stay`` at ``at``
     (Lewis & Shedler, 1979) with the :func:`_thinning` ``share``, weighed
     by :func:`_weigh`: kernel atoms weighted ``w * share``, or the pair
-    atoms of all ``N`` donors weighted ``w * share / N``, plus the stay-put
-    mass ``1 - share``."""
+    atoms of the donors in ``at[1]`` (all ``N``, or the one drawn at an
+    unmerged coordinate) weighted ``w * share / len(at[1])``, plus the
+    stay-put mass ``1 - share``."""
     if spec.kernel_atoms is not None:
         weights = _weigh((spec.kernel_atoms(*at),), share)
     else:
@@ -715,25 +716,36 @@ class _MergedOverlap(_Overlap):
         return _pick(_checked(self.pair_atoms(self.stay, self.x[self.donors[k]])), m - k)
 
 
-def _proposal_parts(system: SystemSpec, i: int, x, y, matching) -> _Overlap:
-    """The parts of a coupled proposal at coordinate ``i``: the maximal
-    coupling of the two sides' mixed kernels (:func:`_mixed_weights`).
+def _proposal_parts(system: SystemSpec, i: int, x, y, matching, stream) -> _Overlap:
+    """The parts of a coupled proposal at coordinate ``i``: a coupling of
+    the two sides' mixed kernels (:func:`_mixed_weights`), maximal where
+    ``i`` is merged.
 
     Each side's rate is read once.  For a system with ``pair_atoms`` where
     ``i`` is merged and the two rates agree the parts are a
-    :class:`_MergedOverlap`, else the :class:`_Overlap` of the two sides'
-    :func:`_mixed_weights`.  :meth:`_Overlap.draw` normalizes the residuals
-    only when it reads them, and a :class:`_MergedOverlap` reads the
-    mismatched donors only when its merge uniform lands past the matched
-    ones.
+    :class:`_MergedOverlap`.  Where ``i`` is unmerged, both sides draw one
+    shared uniform donor ``j`` from ``stream`` (Sznitman's synchronous
+    coupling, 1991), and the parts are the :class:`_Overlap` of the two
+    one-donor laws ``(1 - s) δ_own + s · pair_atoms(own, c_j)``: averaged
+    over ``j`` each is its side's mixed kernel, and a proposal reads two
+    answers, not ``2N``.  Any other coordinate takes the :class:`_Overlap`
+    of the two full mixed kernels.  :meth:`_Overlap.draw` normalizes the
+    residuals only when it reads them, and a :class:`_MergedOverlap` reads
+    the mismatched donors only when its merge uniform lands past the
+    matched ones.
     """
     rate_x, share_x = _thinning(system, (i, x), i)
     rate_y, share_y = _thinning(system, (i, y), i)
-    if system.pair_atoms is not None and x[i] == y[i] and rate_x == rate_y:
-        return _MergedOverlap(system, i, x, y, matching, share_x)
+    donors_x, donors_y = x, y
+    if system.pair_atoms is not None:
+        if x[i] != y[i]:
+            j = int(stream.integers(len(x)))
+            donors_x, donors_y = (x[j],), (y[j],)
+        elif rate_x == rate_y:
+            return _MergedOverlap(system, i, x, y, matching, share_x)
     return _Overlap(
-        _mixed_weights(system, (i, x), x[i], share_x),
-        _mixed_weights(system, (i, y), y[i], share_y),
+        _mixed_weights(system, (i, donors_x), x[i], share_x),
+        _mixed_weights(system, (i, donors_y), y[i], share_y),
     )
 
 
@@ -760,7 +772,10 @@ def simulate_coupled_system(
 
     Both runs share the global proposal clock, the coordinate choice, and the
     jump variates; the chosen coordinate's mixed kernels are coupled through
-    their overlap (:func:`_proposal_parts`).  The counter ``j`` starts at
+    their overlap (:func:`_proposal_parts`), maximally where it is merged.
+    At an unmerged coordinate of a system with ``pair_atoms`` both sides
+    draw one shared uniform donor and couple its two one-donor laws, which
+    keeps each marginal and reads two answers.  The counter ``j`` starts at
     half the matching distance of the initial configurations and increments
     at a proposal on a merged coordinate whenever the accept variate exceeds
     ``1 - theta * j / (n * rate_ceiling)``, which dominates every actual
@@ -812,7 +827,7 @@ def simulate_coupled_system(
         i = int(stream.integers(n))
         x, y = live.x.view(), live.y.view()
         equal_before = x[i] == y[i]
-        xi, yi, v = _proposal_parts(system, i, x, y, live.matching).draw(stream)
+        xi, yi, v = _proposal_parts(system, i, x, y, live.matching, stream).draw(stream)
         if equal_before and v >= 1.0 - theta * j / total_rate:
             j += 1.0
         live.start(i, xi, yi)

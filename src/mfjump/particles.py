@@ -87,7 +87,9 @@ class SystemSpec:
             (:func:`~mfjump.coupling._weigh`).  At a merged
             coordinate they read the donors that agree on both sides only
             one at a time, the one whose slot the merge uniform lands in,
-            and the others only when it lands past them
+            and the others only when it lands past them.  At an unmerged
+            coordinate both sides draw one shared uniform donor and read
+            its answer alone, one per side
             (:func:`~mfjump.coupling.simulate_coupled_system`).
         base_coupler: The base motion of one coordinate, typed as in
             :class:`~mfjump.engine.ModelSpec` (coordinates are exchangeable,

@@ -966,9 +966,13 @@ RATES = {
 def test_merged_parts_match_the_full_decomposition(
     n, layout, own, accept, rate, ceiling, data
 ):
-    # The parts a coupled proposal draws from (the sparse ones at a merged
-    # coordinate whose rates agree, else one pairwise pass per side) against
-    # the maximal coupling of the full mixed atoms.  States come from five
+    # The parts a coupled proposal draws from against the maximal coupling
+    # of the full mixed atoms.  At a merged coordinate (the sparse parts
+    # where the rates agree, else one pairwise pass per side) they are that
+    # coupling.  At a mismatched one they couple the one-donor laws of the
+    # donor the stream hands out, so every donor is enumerated: averaged
+    # over the donors each side's law is its mixed kernel, and the merge
+    # mass is no more than the maximal coupling's.  States come from five
     # values, so states coincide across sides (x_k == y_l for mismatched k
     # != l) and within a side.  A ceiling above the rate leaves stay-put
     # mass, and n runs over sizes that are not powers of two.
@@ -990,28 +994,37 @@ def test_merged_parts_match_the_full_decomposition(
         y.append(x[k] if matched else (data.draw(st.sampled_from(other)),))
     y = tuple(y)
 
-    parts = _proposal_parts(system, i, x, y, _matching_of(x, y))
-    p = parts.p
-    nu1, nu2 = parts.residuals()
     full = _pair_parts(_full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y))
-    assert abs(p - full.p) <= 1e-12
-    if isinstance(parts, _MergedOverlap):
-        law0 = _merged_overlap_law(parts)
-    else:
-        law0 = {state: w / p for state, w in parts.common}
-    for config, residual in ((x, nu1), (y, nu2)):
+    donors = range(n) if own == "mismatched" else (None,)
+    merge_mass, drawn = 0.0, ({}, {})
+    for j in donors:
+        stream = None if j is None else _FixedUniforms(donor=j)
+        parts = _proposal_parts(system, i, x, y, _matching_of(x, y), stream)
+        p = parts.p
+        merge_mass += p / len(donors)
+        residuals = parts.residuals()
+        if isinstance(parts, _MergedOverlap):
+            law0 = _merged_overlap_law(parts)
+        else:
+            law0 = {state: w / p for state, w in parts.common}
+        for side, residual in zip(drawn, residuals):
+            for state, w in law0.items():
+                side[state] = side.get(state, 0.0) + p * w / len(donors)
+            for state, w in residual:
+                side[state] = side.get(state, 0.0) + (1.0 - p) * w / len(donors)
+        assert not {s for s, _ in residuals[0]} & {s for s, _ in residuals[1]}
+    if own == "merged":
+        assert abs(merge_mass - full.p) <= 1e-12
+    assert merge_mass <= full.p + 1e-12
+    for config, side in zip((x, y), drawn):
         mixed = _weigh((_full_mixed_atoms(system, i, config),), 1.0)
-        drawn = {state: p * w for state, w in law0.items()}
-        for state, w in residual:
-            drawn[state] = drawn.get(state, 0.0) + (1.0 - p) * w
-        for state in set(mixed) | set(drawn):
-            assert abs(drawn.get(state, 0.0) - mixed.get(state, 0.0)) <= 1e-12
-    assert not {s for s, _ in nu1} & {s for s, _ in nu2}
+        for state in set(mixed) | set(side):
+            assert abs(side.get(state, 0.0) - mixed.get(state, 0.0)) <= 1e-12
 
 
 def test_merged_parts_apply_only_to_merged_coordinates_with_equal_rates():
     def merged(system, i, x, y):
-        parts = _proposal_parts(system, i, x, y, _matching_of(x, y))
+        parts = _proposal_parts(system, i, x, y, _matching_of(x, y), make_rng(0))
         return isinstance(parts, _MergedOverlap)
 
     system = selection_bundle(3).system
@@ -1027,13 +1040,18 @@ def test_merged_parts_apply_only_to_merged_coordinates_with_equal_rates():
 
 
 class _FixedUniforms:
-    """A stream whose ``random()`` returns the given uniforms in turn."""
+    """A stream whose ``random()`` returns the given uniforms in turn and
+    whose ``integers(n)`` returns the fixed ``donor``."""
 
-    def __init__(self, *uniforms):
+    def __init__(self, *uniforms, donor=0):
         self._uniforms = iter(uniforms)
+        self._donor = donor
 
     def random(self):
         return next(self._uniforms)
+
+    def integers(self, n):
+        return self._donor
 
 
 def test_merged_draw_follows_the_full_maximal_coupling():
@@ -1049,7 +1067,7 @@ def test_merged_draw_follows_the_full_maximal_coupling():
     y = ((0.1,), (0.3,), (0.5,), (0.4,), (0.2,), (0.1,))
     i = 0
     matching = _matching_of(x, y)
-    parts = _proposal_parts(system, i, x, y, matching)
+    parts = _proposal_parts(system, i, x, y, matching, None)
     assert isinstance(parts, _MergedOverlap)
     full = _pair_parts(_full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y))
     p = full.p
@@ -1058,7 +1076,7 @@ def test_merged_draw_follows_the_full_maximal_coupling():
     stream = make_rng(41)
     merged, sides = collections.Counter(), (collections.Counter(), collections.Counter())
     for _ in range(n):
-        xi, yi, v = _proposal_parts(system, i, x, y, matching).draw(stream)
+        xi, yi, v = _proposal_parts(system, i, x, y, matching, stream).draw(stream)
         assert (xi == yi) == (v < p)
         if xi == yi:
             merged[xi] += 1
@@ -1094,7 +1112,7 @@ def test_merged_draw_below_the_matched_mass_reads_one_donor():
     system = dataclasses.replace(base, pair_atoms=counted)
     x = tuple(((k + 0.5) / 8,) for k in range(8))
     y = tuple((1.0 - c[0] / 2.0,) if k in (3, 6) else c for k, c in enumerate(x))
-    parts = _proposal_parts(system, 0, x, y, _matching_of(x, y))
+    parts = _proposal_parts(system, 0, x, y, _matching_of(x, y), None)
     assert isinstance(parts, _MergedOverlap)
     xi, yi, v = parts.draw(_FixedUniforms(0.1, 0.5))
     assert (xi, yi, v) == (x[0], x[0], 0.1)
@@ -1142,7 +1160,7 @@ def eager_simulate_coupled_system(system, x0, y0, horizon, t0, theta, stream,
             continue
         i = int(stream.integers(n))
         equal_before = xs[i] == ys[i]
-        parts = _proposal_parts(system, i, tuple(xs), tuple(ys), matching)
+        parts = _proposal_parts(system, i, tuple(xs), tuple(ys), matching, stream)
         xs[i], ys[i], v = parts.draw(stream)
         if equal_before and v >= 1.0 - theta * j / total_rate:
             j += 1.0
@@ -1342,22 +1360,42 @@ class _EagerParts:
         return self._residuals
 
 
-def _eager_parts(system, i, x, y, matching):
-    """A proposal's parts as built before the pairwise pass and the
-    residuals on demand: the sparse parts at a merged coordinate whose rates
-    agree, with the mismatched donors' parts built before the draw, else
-    the maximal coupling of the full mixed atoms, whose normalized overlap
-    is read at quantile ``v / p``, and both residuals at every proposal."""
-    parts = _proposal_parts(system, i, x, y, matching)
-    if isinstance(parts, _MergedOverlap):
-        return _EagerParts(parts.p, parts.pick, *parts.residuals())
-    full = _pair_parts(_full_mixed_atoms(system, i, x), _full_mixed_atoms(system, i, y))
+def _donor_mixed_atoms(system, i, config, j) -> list:
+    """The mixed atoms (:func:`_mixed_atoms`) of coordinate ``i`` of a
+    system with ``pair_atoms`` that reads donor ``j`` alone."""
+
+    def kernel_atoms(i, config):
+        return system.pair_atoms(config[i], config[j])
+
+    by_atoms = dataclasses.replace(system, pair_atoms=None, kernel_atoms=kernel_atoms)
+    return _mixed_atoms(by_atoms, (i, config), config[i], i)
+
+
+def _eager_parts(system, i, x, y, matching, stream):
+    """A proposal's parts as built before the lazy passes and the residuals
+    on demand: the sparse parts at a merged coordinate whose rates agree,
+    with the mismatched donors' parts built before the draw; at a
+    mismatched coordinate the maximal coupling of the two one-donor mixed
+    atoms of a donor drawn from ``stream``; else that of the full mixed
+    atoms.  The normalized overlap is read at quantile ``v / p``, and both
+    residuals are built at every proposal."""
+    if x[i] != y[i]:
+        j = int(stream.integers(len(x)))
+        atoms = [_donor_mixed_atoms(system, i, config, j) for config in (x, y)]
+    else:
+        parts = _proposal_parts(system, i, x, y, matching, None)
+        if isinstance(parts, _MergedOverlap):
+            return _EagerParts(parts.p, parts.pick, *parts.residuals())
+        atoms = [_full_mixed_atoms(system, i, config) for config in (x, y)]
+    full = _pair_parts(*atoms)
     p = full.p
     nu0 = tuple((k, w / p) for k, w in full.common)
     return _EagerParts(p, lambda v: _pick(nu0, v / p), *full.residuals())
 
 
 def test_pairwise_pass_matches_the_full_decomposition_draw_for_draw(monkeypatch):
+    # The lazy parts against an eager reference, which draws the same donor
+    # at a mismatched coordinate and builds every part before the draw.
     horizon, times = 1.0, (0.5, 1.0)
     runs = {}
     for build in (_proposal_parts, _eager_parts):
@@ -1410,6 +1448,26 @@ def test_coupled_selection_builds_only_the_parts_it_draws(monkeypatch):
     assert calls["residuals drawn"] < calls["p < 1"]
 
 
+def test_a_mismatched_proposal_reads_two_pair_atoms_answers():
+    # One answer per side, of the one donor both sides draw, where the
+    # maximal coupling of the two full mixed kernels read all 2N.
+    base, x, y = _couple_sel_layout(5)
+    calls = [0]
+
+    def counted(own, donor):
+        calls[0] += 1
+        return base.pair_atoms(own, donor)
+
+    system = dataclasses.replace(base, pair_atoms=counted)
+    matching, stream = _matching_of(x, y), make_rng(5)
+    mismatched = [i for i in range(len(x)) if x[i] != y[i]]
+    assert len(mismatched) == len(x) // 2
+    for i in mismatched:
+        calls[0] = 0
+        _proposal_parts(system, i, x, y, matching, stream).draw(stream)
+        assert calls[0] == 2
+
+
 def _short_pair_atoms(own, donor):
     return ((donor, 0.4), (own, 0.4))
 
@@ -1418,7 +1476,8 @@ def _short_pair_atoms(own, donor):
 def test_pair_atoms_mass_is_checked_on_every_path(start):
     # The pair atoms sum to 0.8.  From equal starts every proposal draws the
     # overlap from a matched donor's atoms; from mismatched ones the sparse
-    # and the full pass read the mismatched donors'.
+    # pass reads the mismatched donors' and a mismatched coordinate the one
+    # donor it draws.
     system = dataclasses.replace(
         selection_bundle(4).system, pair_atoms=_short_pair_atoms
     )
@@ -1431,13 +1490,16 @@ def test_pair_atoms_mass_is_checked_on_every_path(start):
     if start == "mismatched":
         # Merged at 0 and 2, where a merge uniform of 0.0 reads a matched
         # donor's atoms and one of 0.999 the mismatched donors'; mismatched
-        # at 1 and 3, where the full pass reads every donor either way.
+        # at 1 and 3, where each donor the stream hands out is checked
+        # either way.
         for i in range(4):
-            for v in (0.0, 0.999):
-                with pytest.raises(ValueError, match=short):
-                    _proposal_parts(system, i, x0, y0, _matching_of(x0, y0)).draw(
-                        _FixedUniforms(v, 0.5)
-                    )
+            for j in range(4):
+                for v in (0.0, 0.999):
+                    stream = _FixedUniforms(v, 0.5, donor=j)
+                    with pytest.raises(ValueError, match=short):
+                        _proposal_parts(
+                            system, i, x0, y0, _matching_of(x0, y0), stream
+                        ).draw(stream)
 
 
 def _uneven_pair_atoms(own, donor):
@@ -1447,7 +1509,10 @@ def _uneven_pair_atoms(own, donor):
 @pytest.mark.parametrize("run", ["single", "equal", "mismatched"])
 def test_each_pair_atoms_answer_must_weigh_one(run):
     # Over the four donors below the answers weigh 1.2, 1.2, 0.8 and 0.8:
-    # their sum is right, so only a check of each answer sees them.
+    # their sum is right, so only a check of each answer sees them.  From
+    # mismatched starts the first answer read is that of the donor the
+    # stream draws at the first mismatched proposal, so either wrong mass
+    # may be the one refused.
     system = selection_mutation(
         SelectionParams(n_particles=4, lam_star=1.0, accept_prob=lambda a, b: 0.5,
                         base_refresh_rate=0.0)
@@ -1455,7 +1520,8 @@ def test_each_pair_atoms_answer_must_weigh_one(run):
     system = dataclasses.replace(system, pair_atoms=_uneven_pair_atoms)
     x0 = ((0.1,), (0.2,), (0.7,), (0.8,))
     y0 = {"equal": x0, "mismatched": ((0.15,), (0.25,), (0.75,), (0.85,))}.get(run)
-    with pytest.raises(ValueError, match="^atom weights sum to 1.2, expected 1$"):
+    mass = r"(1\.2|0\.8)" if run == "mismatched" else r"1\.2"
+    with pytest.raises(ValueError, match=f"^atom weights sum to {mass}, expected 1$"):
         if y0 is None:
             simulate_system(system, x0, 2.0, make_rng(1))
         else:
@@ -1520,7 +1586,8 @@ def test_coupled_runs_take_list_states_in_kernel_atoms_answers():
 @pytest.mark.parametrize("start", ["equal", "mismatched"])
 def test_pairwise_rate_above_the_ceiling_fails_naming_the_coordinate(start):
     # From equal starts every proposal takes the merged path; from starts
-    # that differ at every coordinate, the one pairwise pass per side.
+    # that differ at every coordinate, the donor-synchronous one, which
+    # reads both rates before it draws a donor.
     system = dataclasses.replace(selection_bundle(4).system, rate=lambda i, config: 1.5)
     x0 = ((0.1,), (0.2,), (0.3,), (0.4,))
     y0 = x0 if start == "equal" else ((0.6,), (0.7,), (0.8,), (0.9,))
@@ -1530,7 +1597,7 @@ def test_pairwise_rate_above_the_ceiling_fails_naming_the_coordinate(start):
             simulate_coupled_system(system, x0, y0, 2.0, 1.0, 1.0, make_rng(seed))
     for i in range(4):
         with pytest.raises(RateCeilingError, match=over.format(i)):
-            _proposal_parts(system, i, x0, y0, _matching_of(x0, y0))
+            _proposal_parts(system, i, x0, y0, _matching_of(x0, y0), None)
 
 
 class _StreamOps(CountingStream):

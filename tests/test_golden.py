@@ -106,7 +106,7 @@ CASES = {
         },
         4,
         "couple_particles.csv",
-        "86db3cafa97e77d2dfd86e19d68257848a8ae0a1a6446c2d234d7fbf50a89e0c",
+        "5791645bce0fb3cf81e84266d55d7380c214b68ee84e7f5c89fb95ded19af967",
     ),
 }
 
@@ -137,9 +137,10 @@ TCP_SIMULATE_SHA256 = (
 
 #: sha256 of ``couple_particles.csv`` of the CI's coupled selection run on 64
 #: coordinates, half of them matched (seed 3, 4 replicas): its proposals
-#: split often, so the residuals of the maximal coupling are read.
+#: split often, so the residuals are read, and a proposal at a mismatched
+#: coordinate draws one donor for both sides.
 HALF_MATCHED_SHA256 = (
-    "521385d82543880518704d8776875c62d7aa367c86053cb1d58be2de38781cc5"
+    "4a090ec7caf68a9c8f6b81140b1f5480969a26bf4f71adad117cb23978ca992d"
 )
 
 #: sha256 of the repr of the library mean-field run below.
