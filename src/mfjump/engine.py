@@ -616,8 +616,11 @@ def picard_solve(
     grid = [min(k * grid_step, horizon) for k in range(n_steps + 1)]
     binning = make_binning(model.state_layout, model.state_box, _GAP_BINS)
     point = m0.point()
-    snapshots = tuple(m0 for _ in grid)
-    flow = MeasureFlow(grid_step=grid_step, snapshots=snapshots)
+    flow = MeasureFlow(grid_step=grid_step, snapshots=tuple(m0 for _ in grid))
+    # The cell weights of each snapshot of the flow: every measure is binned
+    # once, a sampled one straight from its states.
+    m0_cells = binning.weigh(*zip(*m0.atoms))
+    cells = [m0_cells for _ in grid]
     gap_history: list[float] = []
     converged = False
     for _ in range(max_iter):
@@ -630,15 +633,14 @@ def picard_solve(
             )
             for k, tg in enumerate(grid[1:]):
                 per_grid[k].append(traj.state_at_sample(tg))
-        new_snapshots = (m0,) + tuple(
-            EmpiricalMeasure.from_states(states) for states in per_grid
-        )
-        gap = max(
-            discrete_tv(a.atoms, b.atoms, binning) for a, b in zip(new_snapshots, snapshots)
-        )
+        new_cells = [m0_cells] + [binning.weigh(states) for states in per_grid]
+        gap = max(discrete_tv(a, b) for a, b in zip(new_cells, cells))
         gap_history.append(gap)
-        snapshots = new_snapshots
-        flow = MeasureFlow(grid_step=grid_step, snapshots=snapshots)
+        cells = new_cells
+        flow = MeasureFlow(
+            grid_step=grid_step,
+            snapshots=(m0,) + tuple(EmpiricalMeasure.from_states(s) for s in per_grid),
+        )
         if gap <= tol:
             converged = True
             break

@@ -9,9 +9,10 @@ approximate comparison in the package is the telegraph coupler's merge snap
 
 from __future__ import annotations
 
-import collections
 import dataclasses
+import itertools
 import math
+import numbers
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -120,52 +121,98 @@ def estimate_vnorm_bound(runs: Iterable, t: float, v: LyapunovFn) -> BoundEstima
 
 @dataclasses.dataclass(frozen=True)
 class Binning:
-    """Cell structure for empirical histograms over mixed real/label states.
+    """Cell structure for empirical histograms over states of numbers.
 
-    Real coordinates are cut into ``bins`` equal intervals over their box
-    (out-of-box values are clipped into the boundary cells); label
-    coordinates are kept as exact categories.
+    A real coordinate ``v`` is cut into ``bins`` equal intervals of its box
+    ``(lo, hi)``: its cell is ``(v - lo) / width`` truncated toward 0 and
+    clipped to ``[0, bins - 1]``, so out-of-box values fall in the boundary
+    cells.  A label coordinate is kept as an exact category; its box entry
+    is not read.  A ``bins`` that is not a positive int and a real box that
+    is not finite with ``lo < hi`` are refused.
     """
 
     layout: tuple
     box: tuple
     bins: int
 
-    def cell(self, state: State) -> tuple:
-        key = []
-        for value, kind, (lo, hi) in zip(state, self.layout, self.box):
+    def __post_init__(self) -> None:
+        bins = self.bins
+        if isinstance(bins, bool) or not isinstance(bins, numbers.Integral) or bins < 1:
+            raise ValueError("bins must be a positive integer")
+        if len(self.layout) != len(self.box):
+            raise ValueError("layout and box must have the same length")
+        for i, (kind, entry) in enumerate(zip(self.layout, self.box)):
             if kind == "real":
-                width = (hi - lo) / self.bins
-                idx = int((float(value) - lo) / width)
-                key.append(min(max(idx, 0), self.bins - 1))
-            else:
-                key.append(value)
-        return tuple(key)
+                lo, hi = entry
+                # A finite lo and a finite positive width bound hi too.
+                if not (math.isfinite(lo) and 0.0 < (hi - lo) / bins < math.inf):
+                    raise ValueError(
+                        f"the box {tuple(entry)!r} of real component {i} is not "
+                        f"finite with lo < hi"
+                    )
+
+    def weigh(
+        self, states: Sequence[State], weights: Sequence[float] | None = None
+    ) -> tuple:
+        """The ``(cell, weight)`` atoms of a sample, in which each of the
+        ``n`` states weighs ``1 / n`` (a cell weighs its count over ``n``),
+        or of the atoms ``zip(states, weights)``.
+
+        A cell is a tuple of floats: the cell index of each real coordinate
+        and the value of each label.  The states are binned in one numpy
+        pass.  An empty sample, a state of the wrong length, a weight count
+        that is not the state count and a NaN or infinite real coordinate
+        are refused.
+        """
+        n, dim = len(states), len(self.layout)
+        if n == 0:
+            raise ValueError("cannot bin an empty sample")
+        if weights is not None and len(weights) != n:
+            raise ValueError(f"{len(weights)} weights for {n} states")
+        if set(map(len, states)) != {dim}:
+            state = next(s for s in states if len(s) != dim)
+            raise ValueError(f"cannot bin {state!r}: the layout has {dim} components")
+        cells = np.fromiter(itertools.chain.from_iterable(states), float, n * dim)
+        cells = cells.reshape(n, dim)
+        real = [j for j, kind in enumerate(self.layout) if kind == "real"]
+        if real:
+            lo, hi = np.array([self.box[j] for j in real], dtype=float).T
+            values = cells[:, real]
+            finite = np.isfinite(values).all(axis=1)
+            if not finite.all():
+                state = states[int(np.argmin(finite))]
+                raise ValueError(f"cannot bin {state!r}: a real coordinate is not finite")
+            idx = np.trunc((values - lo) / ((hi - lo) / self.bins))
+            cells[:, real] = np.clip(idx, 0, self.bins - 1)
+        # A stable sort groups equal cells and keeps each group in input order.
+        order = np.lexsort(cells.T)
+        cells = cells[order]
+        starts = np.flatnonzero(np.r_[True, (cells[1:] != cells[:-1]).any(axis=1)])
+        if weights is None:
+            mass = np.diff(np.r_[starts, n]) / n
+        else:
+            mass = np.add.reduceat(np.asarray(weights, dtype=float)[order], starts)
+        return tuple(zip(map(tuple, cells[starts].tolist()), mass.tolist()))
 
 
 def make_binning(layout: tuple, box: tuple, bins: int) -> Binning:
     """Binning with ``bins`` cells per real coordinate over the given box."""
-    if bins < 1:
-        raise ValueError("bins must be a positive integer")
-    if len(layout) != len(box):
-        raise ValueError("layout and box must have the same length")
     return Binning(layout=tuple(layout), box=tuple(tuple(b) for b in box), bins=bins)
 
 
-def discrete_tv(atoms1, atoms2, binning: Binning | None = None) -> float:
+def discrete_tv(atoms1, atoms2) -> float:
     """Total variation ``sum |w1 - w2|`` between two discrete laws given as
     ``(state, weight)`` atoms, in ``[0, 2]`` for probability laws.
 
-    With a ``binning`` each atom counts for its cell, so the laws are
-    compared on the cells.  Weights are added up by key in the order the
-    atoms come, those of ``atoms1`` first.
+    Weights are added up by state in the order the atoms come, those of
+    ``atoms1`` first.  Laws binned by :meth:`Binning.weigh` are compared on
+    their cells.
     """
     diff: dict = {}
     get = diff.get
     for sign, atoms in ((1.0, atoms1), (-1.0, atoms2)):
         for s, w in atoms:
-            k = s if binning is None else binning.cell(s)
-            diff[k] = get(k, 0.0) + sign * w
+            diff[s] = get(s, 0.0) + sign * w
     return float(sum(abs(v) for v in diff.values()))
 
 
@@ -173,10 +220,6 @@ def histogram_tv(
     samples_a: Sequence[State], samples_b: Sequence[State], binning: Binning
 ) -> float:
     """Total variation between the binned empirical laws of two samples: the
-    :func:`discrete_tv` of their cell frequencies, in ``[0, 2]``."""
-
-    def frequencies(samples):
-        counts = collections.Counter(map(binning.cell, samples))
-        return [(k, c / len(samples)) for k, c in counts.items()]
-
-    return discrete_tv(frequencies(samples_a), frequencies(samples_b))
+    :func:`discrete_tv` of their cell weights, in ``[0, 2]``.  An empty
+    sample is refused."""
+    return discrete_tv(binning.weigh(samples_a), binning.weigh(samples_b))

@@ -1830,6 +1830,55 @@ INPUT_REFUSALS = {
         lambda: make_binning(("real", "label"), ((0.0, 1.0),), 4),
         "layout and box must have the same length",
     ),
+    # Before, bins 2.5 gave a cell index of 1.5.
+    "binning-bins-fraction": (
+        lambda: make_binning(("real",), ((0.0, 1.0),), 2.5),
+        "bins must be a positive integer",
+    ),
+    "binning-bins-bool": (
+        lambda: make_binning(("real",), ((0.0, 1.0),), True),
+        "bins must be a positive integer",
+    ),
+    # Before, an empty box raised ZeroDivisionError at the first cell, and a
+    # reversed or unbounded one put every value in one cell, so every TV read 0.
+    "binning-box-empty": (
+        lambda: make_binning(("real",), ((1.0, 1.0),), 4),
+        "the box (1.0, 1.0) of real component 0 is not finite with lo < hi",
+    ),
+    "binning-box-reversed": (
+        lambda: make_binning(("label", "real"), ((-1, 1), (2.0, 1.0)), 4),
+        "the box (2.0, 1.0) of real component 1 is not finite with lo < hi",
+    ),
+    "binning-box-unbounded": (
+        lambda: make_binning(("real",), ((0.0, math.inf),), 4),
+        "the box (0.0, inf) of real component 0 is not finite with lo < hi",
+    ),
+    "binning-box-nan": (
+        lambda: make_binning(("real",), ((math.nan, 1.0),), 4),
+        "the box (nan, 1.0) of real component 0 is not finite with lo < hi",
+    ),
+    # Before, NaN raised "cannot convert float NaN to integer" and inf an
+    # OverflowError.
+    "binning-nan-coordinate": (
+        lambda: histogram_tv(
+            [(0.5, 1), (math.nan, -1)], [(0.5, 1)],
+            make_binning(("real", "label"), ((0.0, 1.0), (-1, 1)), 4),
+        ),
+        "cannot bin (nan, -1): a real coordinate is not finite",
+    ),
+    "binning-inf-coordinate": (
+        lambda: make_binning(("real",), ((0.0, 1.0),), 4).weigh([(0.5,), (-math.inf,)]),
+        "cannot bin (-inf,): a real coordinate is not finite",
+    ),
+    "binning-state-length": (
+        lambda: make_binning(("real",), ((0.0, 1.0),), 4).weigh([(0.5,), (0.5, 1)]),
+        "cannot bin (0.5, 1): the layout has 1 components",
+    ),
+    # Before, an empty sample read as a law with no mass: TV 1.0.
+    "histogram-empty-sample": (
+        lambda: histogram_tv([], [(0.5,)], make_binning(("real",), ((0.0, 1.0),), 4)),
+        "cannot bin an empty sample",
+    ),
 }
 
 

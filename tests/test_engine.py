@@ -29,7 +29,7 @@ from mfjump.engine import (
     simulate_nonlinear,
     thin,
 )
-from mfjump.metrics import histogram_tv, make_binning
+from mfjump.metrics import Binning, histogram_tv, make_binning
 from mfjump.models import RunTumbleParams, run_tumble
 
 from conftest import (
@@ -644,6 +644,36 @@ def test_picard_refuses_a_grid_it_cannot_run(horizon, grid_step, message):
             tol=1e-3, max_iter=2, stream=stream,
         )
     assert stream.counts == {}  # refused before any path is simulated
+
+
+def test_picard_bins_each_measure_once_from_its_states(monkeypatch):
+    # m0 once, then each new snapshot once: it serves as the new flow in its
+    # iteration and as the old one in the next.  No snapshot's sorted atoms
+    # are built for the gap.
+    binned = []
+    weigh = Binning.weigh
+
+    def counted(binning, states, weights=None):
+        binned.append(len(states))
+        return weigh(binning, states, weights)
+
+    atoms = EmpiricalMeasure.atoms
+
+    def built_atoms(measure):
+        if measure._atoms is None:
+            raise AssertionError("a snapshot's atoms were built")
+        return atoms.fget(measure)
+
+    monkeypatch.setattr(Binning, "weigh", counted)
+    monkeypatch.setattr(EmpiricalMeasure, "atoms", property(built_atoms))
+    model = run_tumble(RunTumbleParams(theta=0.1)).model
+    m0 = EmpiricalMeasure([((0.0, 1), 0.5), ((0.5, -1), 0.5)])
+    result = picard_solve(
+        model, m0, horizon=1.0, grid_step=0.25, n_samples=100,
+        tol=0.0, max_iter=3, stream=make_rng(5),
+    )
+    assert result.n_iterations == 3
+    assert binned == [2] + [100] * (4 * 3)
 
 
 def test_picard_grid_refinement_stays_within_noise():

@@ -86,7 +86,7 @@ CASES = {
         },
         5,
         "picard.csv",
-        "f3481f44395912f17659d289dc05d22f9bcde0be547eda1dff209d9388ce5bf0",
+        "30016a69171fbb5200934c0b3068391245390e19a8d6c254fb4d01bb0e503a65",
     ),
     "particles": (
         SELECTION,

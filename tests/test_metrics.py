@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from mfjump.metrics import (
     LyapunovFn,
     d_v,
     dbar1,
+    discrete_tv,
     estimate_tv_bound,
     estimate_vnorm_bound,
     histogram_tv,
@@ -216,3 +218,88 @@ def test_histogram_tv_is_a_pseudometric(xs, ys, zs):
     assert dab == pytest.approx(dba)
     assert 0.0 <= dab <= 2.0
     assert dab <= histogram_tv(a, c, binning) + histogram_tv(c, b, binning) + 1e-12
+
+
+def _cell(binning, state):
+    """The cell of one state by the loop that vectorized binning replaced."""
+    key = []
+    for value, kind, (lo, hi) in zip(state, binning.layout, binning.box):
+        if kind == "real":
+            width = (hi - lo) / binning.bins
+            idx = int((float(value) - lo) / width)
+            key.append(min(max(idx, 0), binning.bins - 1))
+        else:
+            key.append(value)
+    return tuple(key)
+
+
+def _cellwise_tv(atoms1, atoms2, cell):
+    """Total variation that adds up each atom's weight in its cell, atom by atom."""
+    diff: dict = {}
+    for sign, atoms in ((1.0, atoms1), (-1.0, atoms2)):
+        for s, w in atoms:
+            k = cell(s)
+            diff[k] = diff.get(k, 0.0) + sign * w
+    return sum(abs(v) for v in diff.values())
+
+
+def _frequencies(samples, binning):
+    counts = collections.Counter(_cell(binning, s) for s in samples)
+    return [(k, c / len(samples)) for k, c in counts.items()]
+
+
+@st.composite
+def _binned_laws(draw):
+    """A binning of a mixed layout, weighted atoms and two samples whose real
+    coordinates fall inside and outside the box, on cell edges and at ``hi``."""
+    layout = draw(st.lists(st.sampled_from(("real", "label")), min_size=1, max_size=3))
+    bins = draw(st.integers(1, 6))
+    box = []
+    for kind in layout:
+        if kind == "real":
+            lo = draw(st.floats(-10.0, 10.0))
+            box.append((lo, lo + draw(st.floats(0.1, 10.0))))
+        else:
+            box.append((-1, 1))
+    binning = make_binning(tuple(layout), tuple(box), bins)
+
+    def coordinate(kind, lo, hi):
+        if kind == "label":
+            return st.sampled_from((-1, 1, 2))
+        width = (hi - lo) / bins
+        return st.one_of(
+            st.floats(lo - 2.0 * (hi - lo), hi + 2.0 * (hi - lo)),
+            st.integers(-1, bins + 1).map(lambda k: lo + k * width),
+            st.just(hi),
+        )
+
+    state = st.tuples(*(coordinate(kind, *b) for kind, b in zip(layout, box)))
+    atoms = draw(st.lists(state, min_size=1, max_size=20))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(atoms), max_size=len(atoms)))
+    weighted = [(s, w / sum(raw)) for s, w in zip(atoms, raw)]
+    a = draw(st.lists(state, min_size=1, max_size=40))
+    b = draw(st.lists(state, min_size=1, max_size=40))
+    return binning, weighted, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_binned_laws())
+def test_vectorized_binning_matches_the_cellwise_formula(laws):
+    binning, weighted, a, b = laws
+    cell = lambda s: _cell(binning, s)  # noqa: E731
+    sampled_a = EmpiricalMeasure.from_states(a).atoms
+    sampled_b = EmpiricalMeasure.from_states(b).atoms
+    # picard_solve's gap: weighted atoms against a sample, and two samples.
+    weights = binning.weigh(*zip(*weighted))
+    assert discrete_tv(weights, binning.weigh(b)) == pytest.approx(
+        _cellwise_tv(weighted, sampled_b, cell), abs=1e-12
+    )
+    assert discrete_tv(binning.weigh(a), binning.weigh(b)) == pytest.approx(
+        _cellwise_tv(sampled_a, sampled_b, cell), abs=1e-12
+    )
+    assert histogram_tv(a, b, binning) == pytest.approx(
+        _cellwise_tv(_frequencies(a, binning), _frequencies(b, binning), lambda k: k),
+        abs=1e-12,
+    )
+    assert sum(w for _, w in weights) == pytest.approx(1.0, abs=1e-12)
+    assert len({k for k, _ in weights}) == len(weights)
