@@ -11,15 +11,18 @@ layout, and replicas run through :meth:`_Run.replicas`.
 ``couple-particles`` and ``estimate`` in up to K forked worker processes, at
 most one per CPU, each taking one contiguous block of replica indices;
 ``picard`` and ``certify`` run serially.  The pair (config, seed) determines
-the output byte-exactly, regardless of ``--threads``: replica streams are
-pre-spawned from the seed, results are gathered in replica order, and a
-failing run reports its lowest failing replica.  A malformed config or a failing replica
+the output byte-exactly, regardless of ``--threads``: replica ``r`` draws
+from the buffered stream (:class:`~mfjump.engine._BlockStream`) of the
+seed's ``r``-th spawned child, built by the worker that runs it, results
+are gathered in replica order, and a failing run reports its lowest failing
+replica.  A malformed config, a negative ``--seed`` or a failing replica
 gives a one-line error and writes nothing.  The ``MFJUMP_LOG`` environment
 variable (``off``, ``info``, ``trace``) controls logging verbosity.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import json
 import logging
@@ -48,6 +51,7 @@ from .engine import (
     EmpiricalMeasure,
     MeasureFlow,
     RateCeilingError,
+    _BlockStream,
     _run_times,
     picard_solve,
     simulate_nonlinear,
@@ -86,6 +90,14 @@ def main() -> None:
     _configure_logging()
 
 
+class _IntRange(click.IntRange):
+    """An integer range whose refusal is one line naming the option (exit
+    1), as the CLI's other refusals are, not click's usage message."""
+
+    def fail(self, message, param=None, ctx=None):
+        raise click.ClickException(f"invalid value for {param.opts[0]}: {message}")
+
+
 def _options() -> list:
     """The options every kind takes."""
     return [
@@ -95,7 +107,8 @@ def _options() -> list:
         click.Option(["--out", "out_dir"], required=True,
                      type=click.Path(file_okay=False),
                      help="Directory receiving the output CSV."),
-        click.Option(["--seed"], default=0, show_default=True, type=int,
+        click.Option(["--seed"], default=0, show_default=True,
+                     type=_IntRange(min=0),
                      help="Root seed for all replica streams."),
         click.Option(["--threads"], default=1, show_default=True,
                      type=click.IntRange(min=1),
@@ -293,11 +306,29 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def _replica_streams(seed: int, n: int) -> list:
-    """One stream per replica, spawned from ``seed``, so that no byte
-    written depends on ``--threads``."""
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.Philox(child)) for child in children]
+def _block_stream(seed_sequence: np.random.SeedSequence) -> _BlockStream:
+    """The buffered Philox stream of ``seed_sequence``."""
+    return _BlockStream(np.random.Generator(np.random.Philox(seed_sequence)))
+
+
+class _replica_streams(collections.abc.Sequence):
+    """One stream per replica of ``n``, item ``[r]`` built when it is read.
+
+    Replica ``r`` draws from the child ``SeedSequence(seed).spawn(n)[r]``
+    (that is, ``spawn_key=(r,)``), so that no byte written depends on
+    ``--threads``, and each worker builds only its own replicas' streams.
+    """
+
+    def __init__(self, seed: int, n: int):
+        self._seed = seed
+        self._indices = range(n)
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, r: int) -> _BlockStream:
+        r = self._indices[r]  # IndexError past the end, as a list's
+        return _block_stream(np.random.SeedSequence(self._seed, spawn_key=(r,)))
 
 
 def _run_chunk(connection, worker: Callable, streams: Sequence, start: int, stop: int) -> None:
@@ -506,7 +537,7 @@ def _picard(run: _Run) -> list:
               n_samples, max_iter, model.name)
     result = picard_solve(
         model, m0, horizon, grid_step, n_samples, tol, max_iter,
-        np.random.Generator(np.random.Philox(np.random.SeedSequence(run.seed))),
+        _block_stream(np.random.SeedSequence(run.seed)),
     )
     return [
         (iteration + 1, gap, bool(gap <= tol))

@@ -20,6 +20,7 @@ short flight.  :func:`picard_solve` closes the loop, iterating the map
 from __future__ import annotations
 
 import collections
+import copy
 import dataclasses
 import math
 from typing import Callable, Iterable, Optional, Sequence
@@ -73,6 +74,9 @@ _MASS_TOL = 1e-6
 
 #: Most grid points (:func:`picard_solve`) or window boundaries (:func:`clock`) on a run.
 _MAX_GRID_POINTS = 10**6
+
+#: Uniforms a :class:`_BlockStream` draws from its generator at a time.
+_BLOCK = 32
 
 
 class RateCeilingError(RuntimeError):
@@ -360,6 +364,60 @@ class DriftMachine:
                 [x + d * dt if d else x for x, d in zip(self._state, self._drift)]
             )
         return self._state
+
+
+class _BlockStream:
+    """A stream that hands out a numpy ``Generator``'s uniforms from blocks.
+
+    A scalar ``Generator.random()`` costs a numpy call per variate; this
+    stream draws ``_BLOCK`` uniforms in one call and hands them out one at a
+    time.  The generator's doubles are drawn one after another, so
+    :meth:`random` gives exactly the values the generator's own ``random()``
+    calls would.  :meth:`exponential` inverts a uniform of the same block,
+    ``-log1p(-u) * scale``: an exact exponential law, finite since
+    ``u < 1``.  :meth:`integers` and :meth:`spawn` draw from the generator
+    itself (after the uniforms of the blocks already drawn), ``spawn``
+    giving block streams; any other attribute is the generator's.  A deep
+    copy copies the unread block, so a copy hands out the same variates.
+    """
+
+    __slots__ = ("_generator", "_block")
+
+    def __init__(self, generator):
+        self._generator = generator
+        # The unread uniforms of the current block, the next one last.
+        self._block: list[float] = []
+
+    def _fill(self) -> None:
+        self._block = self._generator.random(_BLOCK)[::-1].tolist()
+
+    def random(self) -> float:
+        if not self._block:
+            self._fill()
+        return self._block.pop()
+
+    def exponential(self, scale: float = 1.0) -> float:
+        if not self._block:
+            self._fill()
+        return -math.log1p(-self._block.pop()) * scale
+
+    def integers(self, *args, **kwargs):
+        return self._generator.integers(*args, **kwargs)
+
+    def spawn(self, n_children: int) -> list:
+        return [_BlockStream(child) for child in self._generator.spawn(n_children)]
+
+    def __deepcopy__(self, memo) -> "_BlockStream":
+        twin = _BlockStream(copy.deepcopy(self._generator, memo))
+        twin._block = list(self._block)
+        return twin
+
+    def __getattr__(self, name: str):
+        # Called only for names the class lacks; private names are refused
+        # so that a half-built instance cannot recurse.
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._generator, name)
 
 
 def _waiting_time(stream, rate: float) -> float:

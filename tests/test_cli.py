@@ -13,6 +13,7 @@ import sys
 import time
 import types
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -534,6 +535,52 @@ def test_worker_processes_do_not_change_bytes(tmp_path, kind):
         outputs[replicas, threads] = (out / name).read_bytes()
     assert outputs[7, 1] == outputs[7, 2] == outputs[7, 3]
     assert outputs[3, 1] == outputs[3, 8]
+
+
+#: Valid configs of the kinds that run serially: kind -> config.
+SERIAL_CONFIGS = {
+    "certify": {
+        "schema": 1, "kind": "certify",
+        "run": {"family": "nonlinear", "constants": {
+            "lambda_star": 1.0, "theta": 0.0, "rho": 1.0, "rho_star": 0.3, "eta": 0.5,
+            "M": 2.0, "gamma_star": 2.0, "alpha": 0.8, "t0": 1.0,
+        }},
+    },
+    "picard": {
+        "schema": 1, "kind": "picard",
+        "model": {"id": "run-tumble", "params": {"theta": 0.1}},
+        "run": {"m0": [[0.0, 1]], "horizon": 0.5, "grid_step": 0.25,
+                "n_samples": 100, "tol": 0.0, "max_iter": 1},
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(cli.KINDS))
+def test_negative_seed_is_refused_in_one_line_naming_it(tmp_path, kind):
+    if kind in POOL_KINDS:
+        cfg = POOL_KINDS[kind][0](tmp_path, 2)
+    else:
+        cfg = write_config(tmp_path / f"{kind}.json", SERIAL_CONFIGS[kind])
+    res = run_cli([kind, "--config", cfg, "--seed", "0", "--out", str(tmp_path / "ok")])
+    assert res.exit_code == 0, res.output
+    out = tmp_path / "out"
+    res = run_cli([kind, "--config", cfg, "--seed", "-1", "--out", str(out)])
+    assert_one_line_error(res, out, "invalid value for --seed: -1")
+
+
+def test_replica_streams_are_built_when_read_from_the_spawned_children():
+    start = time.perf_counter()
+    streams = cli._replica_streams(17, 10**9)
+    assert time.perf_counter() - start < 0.5
+    assert len(streams) == 10**9
+    for r in (0, 1, 6, 40):
+        spawned = np.random.SeedSequence(17).spawn(r + 1)[r]
+        generator = np.random.Generator(np.random.Philox(spawned))
+        stream = streams[r]
+        assert stream.bit_generator.seed_seq.spawn_key == (r,)
+        assert [stream.random() for _ in range(40)] == [generator.random() for _ in range(40)]
+    with pytest.raises(IndexError):
+        streams[10**9]
 
 
 def test_replica_failure_reports_lowest_index_at_any_threads(tmp_path, monkeypatch):

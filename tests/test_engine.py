@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import copy
 import dataclasses
 import math
 
@@ -17,12 +18,15 @@ from mfjump.engine import (
     PROPOSAL,
     SAMPLE,
     WINDOW,
+    _BLOCK,
     DriftMachine,
     EmpiricalMeasure,
     MeasureFlow,
     ModelSpec,
     RateCeilingError,
     Trajectory,
+    _BlockStream,
+    _waiting_time,
     check_rate,
     clock,
     picard_solve,
@@ -291,6 +295,65 @@ def test_thin_checks_the_rate_then_accepts_by_one_uniform():
     with pytest.raises(RateCeilingError, match="^toy: coordinate 3: rate 3.0 exceeds ceiling 2.0"):
         thin(3.0, 2.0, stream, "toy", 3)
     assert stream.counts == {"random": 4000}
+
+
+def test_block_stream_uniforms_are_the_generators_own_across_blocks():
+    stream, generator = _BlockStream(make_rng(41)), make_rng(41)
+    n = 3 * _BLOCK + 5
+    assert [stream.random() for _ in range(n)] == [generator.random() for _ in range(n)]
+    assert stream.bit_generator.seed_seq.entropy == 41
+
+
+def _exponential_at(draws, rate: float) -> bool:
+    """Whether ``draws`` pass a KS test against Exp(``rate``) at the 1% level
+    and their mean is within 4 standard errors of ``1 / rate``."""
+    draws = np.asarray(draws)
+    mean = 1.0 / rate
+    return bool(
+        stats.kstest(draws, "expon", args=(0.0, mean)).pvalue > 0.01
+        and abs(draws.mean() - mean) < 4.0 * mean / math.sqrt(draws.size)
+    )
+
+
+def test_block_stream_waiting_times_are_exponential():
+    rate, n = 2.5, 100_000
+    stream = _BlockStream(make_rng(42))
+    assert _exponential_at([_waiting_time(stream, rate) for _ in range(n)], rate)
+    # The check sees a scale off by a factor 0.8.
+    assert not _exponential_at([stream.exponential(0.8 / rate) for _ in range(n)], rate)
+
+
+def test_block_stream_deep_copy_hands_out_the_same_variates():
+    stream = _BlockStream(make_rng(43))
+    for _ in range(_BLOCK + _BLOCK // 2):
+        stream.random()
+    twin = copy.deepcopy(stream)
+
+    def variates(s):
+        return [(s.random(), s.exponential(0.5), int(s.integers(1000))) for _ in range(600)]
+
+    assert variates(stream) == variates(twin)
+
+
+def test_block_stream_spawns_block_streams_of_the_generators_children():
+    children = _BlockStream(make_rng(44)).spawn(2)
+    for child, generator in zip(children, make_rng(44).spawn(2)):
+        assert isinstance(child, _BlockStream)
+        assert child.random() == generator.random()
+        # One uniform drew a whole block from the child's generator.
+        generator.random(_BLOCK - 1)
+        assert child.bit_generator.random_raw() == generator.bit_generator.random_raw()
+
+
+def test_block_stream_integers_are_the_generators_own_draws():
+    stream, generator = _BlockStream(make_rng(45)), make_rng(45)
+    assert [int(stream.integers(7)) for _ in range(50)] == [
+        int(generator.integers(7)) for _ in range(50)
+    ]
+    # After a uniform, integers come after the block it drew.
+    stream.random()
+    generator.random(_BLOCK)
+    assert int(stream.integers(10**9)) == int(generator.integers(10**9))
 
 
 def test_drift_machine_zero_duration_is_identity(rng):

@@ -58,7 +58,7 @@ CASES = {
         },
         7,
         "couple.csv",
-        "be5e80c114a4a607207d9d020fcb3d237948dd8fef46bc3e6f5f83af1298854f",
+        "9648254f131fb6bde5339228c6afb873ccf991c7315b0cabb491486049f80fcf",
     ),
     "simulate": (
         RUN_TUMBLE,
@@ -69,14 +69,14 @@ CASES = {
         },
         1,
         "simulate.csv",
-        "9d56931fa71504b63cffd49102eb610186765828d5bf49aa9d83e96a4a3bdedf",
+        "fc36da2d6a4684c0f143a0480bb014ad69f5d519b58c9f3c1a378e68e3e4be7c",
     ),
     "estimate": (
         RUN_TUMBLE,
         {"x0": [0.1, 1], "y0": [-0.1, 1], "t0": 1.5, "replicas": 32},
         2,
         "estimate.csv",
-        "b87ab336349b4269e24393c26c54a427c5623c2a8a25b62b804c5ec23e8254f3",
+        "62d6a2a0debccff1462da8f3049d96ede51cfda250297ef8696bf47137a0f53a",
     ),
     "picard": (
         RUN_TUMBLE,
@@ -86,7 +86,7 @@ CASES = {
         },
         5,
         "picard.csv",
-        "30016a69171fbb5200934c0b3068391245390e19a8d6c254fb4d01bb0e503a65",
+        "b8a6256900f87484798d5596c24b8f2a90d2abafe72fb453d333f73ca3da2843",
     ),
     "particles": (
         SELECTION,
@@ -96,7 +96,7 @@ CASES = {
         },
         9,
         "particles.csv",
-        "9a6a26e0dbf5825cb4121a4fb3e2019243251c3c6b8cf4ad4f93722ffdd26bb1",
+        "29de901b02b24d3db4f3beef57f3b3e89a7186326f6191c8e44a26c31b6b931e",
     ),
     "couple-particles": (
         SELECTION,
@@ -106,7 +106,7 @@ CASES = {
         },
         4,
         "couple_particles.csv",
-        "5791645bce0fb3cf81e84266d55d7380c214b68ee84e7f5c89fb95ded19af967",
+        "52ac4e114de556612943d800600344ad3f8ed0bc6a017e85056f64649230ceff",
     ),
 }
 
@@ -118,13 +118,13 @@ PARTICLE_CASES = {
         {"n_sites": 3, "beta": 1.0, "lam_bar": 2.0},
         [[0.1], [0.5], [0.9]],
         3,
-        "ea50026ec845588f46e57d0e54593b67e686ab1095de42901ee940797ecc232d",
+        "00738b6615f36aeca877ba4b89dd5d7ca8f2bea7a249ad10abc67590e141dbe6",
     ),
     "zigzag": (
         {"n_particles": 3},
         [[1.0, 1], [-0.8, -1], [0.3, 1]],
         6,
-        "1287d422e6305ab7ea6380ea3a88184fbabf129a6188e7178b3c8b7f8370888a",
+        "a4f14bea2efbad0bfd73f26791d7530ce71cfd9c7a41bb80bd1a328c6c59accb",
     ),
 }
 
@@ -132,7 +132,7 @@ PARTICLE_CASES = {
 #: registry model that moves by a ``DriftMachine`` and thins under
 #: ``local_bound`` flights.
 TCP_SIMULATE_SHA256 = (
-    "56b0278353d97b6910eeaf91eefae8a3d514373f6bda3e29898d059281134067"
+    "e23a8cf9110e20b0412296bed6704ada706f1dad4084367cd6b32cfb8f7c1e88"
 )
 
 #: sha256 of ``couple_particles.csv`` of the CI's coupled selection run on 64
@@ -140,7 +140,7 @@ TCP_SIMULATE_SHA256 = (
 #: split often, so the residuals are read, and a proposal at a mismatched
 #: coordinate draws one donor for both sides.
 HALF_MATCHED_SHA256 = (
-    "4a090ec7caf68a9c8f6b81140b1f5480969a26bf4f71adad117cb23978ca992d"
+    "0e83221a55199879bd088008c3930d050a2c2f084acdf101d28ea02994b43d2f"
 )
 
 #: sha256 of the repr of the library mean-field run below.
