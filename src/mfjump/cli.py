@@ -12,17 +12,19 @@ layout, and replicas run through :meth:`_Run.replicas`.
 most one per CPU, each taking one contiguous block of replica indices;
 ``picard`` and ``certify`` run serially.  The pair (config, seed) determines
 the output byte-exactly, regardless of ``--threads``: replica ``r`` draws
-from the buffered stream (:class:`~mfjump.engine._BlockStream`) of the
-seed's ``r``-th spawned child, built by the worker that runs it, results
-are gathered in replica order, and a failing run reports its lowest failing
-replica.  A malformed config, a negative ``--seed`` or a failing replica
-gives a one-line error and writes nothing.  The ``MFJUMP_LOG`` environment
-variable (``off``, ``info``, ``trace``) controls logging verbosity.
+from ``_stream(SeedSequence(seed, spawn_key=(r,)))``, the stream of the
+seed's ``r``-th spawned child, built by the process that runs it; results
+are gathered in replica order, and a failing run reports its lowest
+failing replica.  ``picard`` draws from ``_stream(SeedSequence(seed))``.
+:func:`~mfjump.engine._stream` is the program's one stream constructor.
+A malformed config, a ``--seed`` below 0, a ``--threads`` below 1 or a
+failing replica gives a one-line error and writes nothing.  The
+``MFJUMP_LOG`` environment variable (``off``, ``info``, ``trace``) controls
+logging verbosity.
 """
 
 from __future__ import annotations
 
-import collections.abc
 import functools
 import json
 import logging
@@ -51,8 +53,8 @@ from .engine import (
     EmpiricalMeasure,
     MeasureFlow,
     RateCeilingError,
-    _BlockStream,
     _run_times,
+    _stream,
     picard_solve,
     simulate_nonlinear,
 )
@@ -111,7 +113,7 @@ def _options() -> list:
                      type=_IntRange(min=0),
                      help="Root seed for all replica streams."),
         click.Option(["--threads"], default=1, show_default=True,
-                     type=click.IntRange(min=1),
+                     type=_IntRange(min=1),
                      help="Maximum worker processes for replicas (forked; the "
                      "output does not depend on it). picard and certify ignore it."),
     ]
@@ -294,11 +296,20 @@ class _Run:
         return MeasureFlow.constant(EmpiricalMeasure.from_states([atom]))
 
     def replicas(self, n: int, worker: Callable) -> list:
-        """``worker(replica, stream)`` over ``n`` seeded replicas, in order."""
+        """``worker(replica, stream)`` over ``n`` seeded replicas, in order.
+
+        Replica ``r`` draws from the stream of the child
+        ``SeedSequence(seed).spawn(n)[r]`` (that is, ``spawn_key=(r,)``),
+        built in the process that runs it, so no byte written depends on
+        ``--threads``.
+        """
         _LOG.info("%s: %d replicas on %s", self.kind, n, self.name)
-        return _map_replicas(
-            _guarded(worker), _replica_streams(self.seed, n), self.threads
-        )
+
+        def seeded(replica: int):
+            seed_sequence = np.random.SeedSequence(self.seed, spawn_key=(replica,))
+            return worker(replica, _stream(seed_sequence))
+
+        return _map_replicas(_guarded(seeded), n, self.threads)
 
 
 # ---------------------------------------------------------------------------
@@ -306,32 +317,7 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def _block_stream(seed_sequence: np.random.SeedSequence) -> _BlockStream:
-    """The buffered Philox stream of ``seed_sequence``."""
-    return _BlockStream(np.random.Generator(np.random.Philox(seed_sequence)))
-
-
-class _replica_streams(collections.abc.Sequence):
-    """One stream per replica of ``n``, item ``[r]`` built when it is read.
-
-    Replica ``r`` draws from the child ``SeedSequence(seed).spawn(n)[r]``
-    (that is, ``spawn_key=(r,)``), so that no byte written depends on
-    ``--threads``, and each worker builds only its own replicas' streams.
-    """
-
-    def __init__(self, seed: int, n: int):
-        self._seed = seed
-        self._indices = range(n)
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def __getitem__(self, r: int) -> _BlockStream:
-        r = self._indices[r]  # IndexError past the end, as a list's
-        return _block_stream(np.random.SeedSequence(self._seed, spawn_key=(r,)))
-
-
-def _run_chunk(connection, worker: Callable, streams: Sequence, start: int, stop: int) -> None:
+def _run_chunk(connection, worker: Callable, start: int, stop: int) -> None:
     """Run replicas ``start <= r < stop`` in a forked worker process.
 
     Sends ``(results, failure)`` through ``connection``: the chunk stops at
@@ -341,15 +327,15 @@ def _run_chunk(connection, worker: Callable, streams: Sequence, start: int, stop
     results, failure = [], None
     for r in range(start, stop):
         try:
-            results.append(worker(r, streams[r]))
+            results.append(worker(r))
         except Exception as exc:
             results, failure = [], exc
             break
     connection.send((results, failure))
 
 
-def _map_replicas(worker: Callable, streams: Sequence, threads: int) -> list:
-    """Run ``worker(replica, stream)`` for every replica, in index order.
+def _map_replicas(worker: Callable, n: int, threads: int) -> list:
+    """Run ``worker(replica)`` for each replica ``0 <= replica < n``, in order.
 
     With ``threads > 1`` the replicas are split into contiguous chunks, one
     per forked worker process, at most one per CPU (serially where ``fork``
@@ -359,7 +345,6 @@ def _map_replicas(worker: Callable, streams: Sequence, threads: int) -> list:
     forked because model closures cannot be pickled (only results are);
     forking is safe because the CLI starts no threads of its own.
     """
-    n = len(streams)
     workers = min(threads, n, os.cpu_count() or 1)
     if workers > 1:
         # Imported here, not at the top: it adds to every start-up.
@@ -368,7 +353,7 @@ def _map_replicas(worker: Callable, streams: Sequence, threads: int) -> list:
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers <= 1:
-        return [worker(r, stream) for r, stream in enumerate(streams)]
+        return [worker(r) for r in range(n)]
     context = multiprocessing.get_context("fork")
     chunks = []
     results = []
@@ -377,7 +362,7 @@ def _map_replicas(worker: Callable, streams: Sequence, threads: int) -> list:
             receive, send = context.Pipe(duplex=False)
             bounds = (n * k // workers, n * (k + 1) // workers)
             process = context.Process(
-                target=_run_chunk, args=(send, worker, streams, *bounds), daemon=True
+                target=_run_chunk, args=(send, worker, *bounds), daemon=True
             )
             process.start()
             # Only the worker holds the sending end, so its death ends the pipe.
@@ -405,10 +390,10 @@ def _map_replicas(worker: Callable, streams: Sequence, threads: int) -> list:
 def _guarded(worker: Callable) -> Callable:
     """Surface model contract violations with the replica index attached."""
 
-    def run(replica: int, stream):
+    def run(replica: int):
         _LOG.debug("replica %d", replica)
         try:
-            return worker(replica, stream)
+            return worker(replica)
         except _REFUSALS as exc:
             raise click.ClickException(f"replica {replica}: {exc}")
 
@@ -537,7 +522,7 @@ def _picard(run: _Run) -> list:
               n_samples, max_iter, model.name)
     result = picard_solve(
         model, m0, horizon, grid_step, n_samples, tol, max_iter,
-        _block_stream(np.random.SeedSequence(run.seed)),
+        _stream(np.random.SeedSequence(run.seed)),
     )
     return [
         (iteration + 1, gap, bool(gap <= tol))

@@ -29,7 +29,6 @@ answers ``next_event_in()``, ``drift()`` and ``advance(dt)`` for its one side.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import math
@@ -47,6 +46,7 @@ from .engine import (
     _check_weight,
     _checked,
     _pick,
+    _stream,
     _waiting_time,
     check_rate,
     clock,
@@ -404,10 +404,11 @@ class TwinCoupler:
     one-side machine factory ``machine(x, stream)``.
 
     On the diagonal (``x == y``) it is one machine at ``x`` drawing from
-    ``stream``.  Off it, it is a twin pair: one machine per side, reading
-    the variates of a child spawned from ``stream`` and of a copy of it
+    ``stream``.  Off it, it is a twin pair: one machine per side, each
+    reading its own stream (:func:`~mfjump.engine._stream`) of one child
+    seed spawned from ``stream``, so both sides read identical variates
     (one stream cannot hand a variate out twice; each start spawns a fresh
-    child).  The sides never merge, so :func:`coupled_base` refuses it.
+    seed).  The sides never merge, so :func:`coupled_base` refuses it.
     """
 
     __slots__ = ("machine",)
@@ -418,9 +419,9 @@ class TwinCoupler:
     def __call__(self, x, y, stream) -> _SingleMachines:
         if x == y:
             return _SingleMachines(self.machine(x, stream))
-        child = stream.spawn(1)[0]
+        seed = stream.spawn(1)[0].bit_generator.seed_seq
         machine = self.machine
-        return _SingleMachines(machine(x, child), machine(y, copy.deepcopy(child)))
+        return _SingleMachines(machine(x, _stream(seed)), machine(y, _stream(seed)))
 
 
 def coupled_base(model: ModelSpec, x, y, t0: float, stream):

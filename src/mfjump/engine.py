@@ -20,10 +20,11 @@ short flight.  :func:`picard_solve` closes the loop, iterating the map
 from __future__ import annotations
 
 import collections
-import copy
 import dataclasses
 import math
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .metrics import discrete_tv, make_binning
 
@@ -375,10 +376,10 @@ class _BlockStream:
     :meth:`random` gives exactly the values the generator's own ``random()``
     calls would.  :meth:`exponential` inverts a uniform of the same block,
     ``-log1p(-u) * scale``: an exact exponential law, finite since
-    ``u < 1``.  :meth:`integers` and :meth:`spawn` draw from the generator
-    itself (after the uniforms of the blocks already drawn), ``spawn``
-    giving block streams; any other attribute is the generator's.  A deep
-    copy copies the unread block, so a copy hands out the same variates.
+    ``u < 1``.  :meth:`integers` draws from the generator itself (after the
+    uniforms of the blocks already drawn); any other attribute, ``spawn``
+    and ``bit_generator`` included, is the generator's.  :func:`_stream` is
+    the one place the program builds one.
     """
 
     __slots__ = ("_generator", "_block")
@@ -404,20 +405,19 @@ class _BlockStream:
     def integers(self, *args, **kwargs):
         return self._generator.integers(*args, **kwargs)
 
-    def spawn(self, n_children: int) -> list:
-        return [_BlockStream(child) for child in self._generator.spawn(n_children)]
-
-    def __deepcopy__(self, memo) -> "_BlockStream":
-        twin = _BlockStream(copy.deepcopy(self._generator, memo))
-        twin._block = list(self._block)
-        return twin
-
     def __getattr__(self, name: str):
         # Called only for names the class lacks; private names are refused
         # so that a half-built instance cannot recurse.
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self._generator, name)
+
+
+def _stream(seed_sequence: np.random.SeedSequence) -> _BlockStream:
+    """The buffered Philox stream of ``seed_sequence``: the one constructor
+    of the program's streams.  Two streams of one seed hand out the same
+    variates."""
+    return _BlockStream(np.random.Generator(np.random.Philox(seed_sequence)))
 
 
 def _waiting_time(stream, rate: float) -> float:

@@ -555,32 +555,61 @@ SERIAL_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(cli.KINDS))
-def test_negative_seed_is_refused_in_one_line_naming_it(tmp_path, kind):
+def _valid_config(tmp_path, kind: str) -> str:
+    """A config of ``kind`` that runs at ``--seed 0``."""
     if kind in POOL_KINDS:
         cfg = POOL_KINDS[kind][0](tmp_path, 2)
     else:
         cfg = write_config(tmp_path / f"{kind}.json", SERIAL_CONFIGS[kind])
     res = run_cli([kind, "--config", cfg, "--seed", "0", "--out", str(tmp_path / "ok")])
     assert res.exit_code == 0, res.output
+    return cfg
+
+
+@pytest.mark.parametrize("kind", sorted(cli.KINDS))
+def test_negative_seed_is_refused_in_one_line_naming_it(tmp_path, kind):
+    cfg = _valid_config(tmp_path, kind)
     out = tmp_path / "out"
     res = run_cli([kind, "--config", cfg, "--seed", "-1", "--out", str(out)])
     assert_one_line_error(res, out, "invalid value for --seed: -1")
 
 
-def test_replica_streams_are_built_when_read_from_the_spawned_children():
-    start = time.perf_counter()
-    streams = cli._replica_streams(17, 10**9)
-    assert time.perf_counter() - start < 0.5
-    assert len(streams) == 10**9
-    for r in (0, 1, 6, 40):
-        spawned = np.random.SeedSequence(17).spawn(r + 1)[r]
-        generator = np.random.Generator(np.random.Philox(spawned))
-        stream = streams[r]
-        assert stream.bit_generator.seed_seq.spawn_key == (r,)
-        assert [stream.random() for _ in range(40)] == [generator.random() for _ in range(40)]
-    with pytest.raises(IndexError):
-        streams[10**9]
+@pytest.mark.parametrize("threads, shown", [("0", "0"), ("-2", "-2"), ("abc", "'abc'")])
+@pytest.mark.parametrize("kind", sorted(cli.KINDS))
+def test_bad_threads_are_refused_in_one_line_naming_it(tmp_path, kind, threads, shown):
+    cfg = _valid_config(tmp_path, kind)
+    out = tmp_path / "out"
+    res = run_cli([kind, "--config", cfg, "--threads", threads, "--out", str(out)])
+    assert_one_line_error(res, out, f"invalid value for --threads: {shown}")
+
+
+def test_replica_streams_are_the_seeds_spawned_children_at_any_threads(
+    tmp_path, monkeypatch
+):
+    original = cli.simulate_merge_split
+
+    def record_stream(*args, **kwargs):
+        # Forked workers cannot append to this process's lists: one file each.
+        stream = args[7]
+        key = stream.bit_generator.seed_seq.spawn_key
+        uniforms = [stream.random() for _ in range(40)]
+        (records / f"{key[-1]}.json").write_text(json.dumps([list(key), uniforms]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_merge_split", record_stream)
+    cfg = couple_config(tmp_path, replicas=7)
+    for threads in (1, 2):
+        records = tmp_path / f"streams-t{threads}"
+        records.mkdir()
+        res = run_cli(["couple", "--config", cfg, "--seed", "17", "--threads",
+                       str(threads), "--out", str(tmp_path / f"t{threads}")])
+        assert res.exit_code == 0, res.output
+        for r in (0, 1, 6):
+            spawned = np.random.SeedSequence(17).spawn(r + 1)[r]
+            generator = np.random.Generator(np.random.Philox(spawned))
+            key, uniforms = json.loads((records / f"{r}.json").read_text())
+            assert tuple(key) == spawned.spawn_key == (r,)
+            assert uniforms == [generator.random() for _ in range(40)]
 
 
 def test_replica_failure_reports_lowest_index_at_any_threads(tmp_path, monkeypatch):
@@ -666,8 +695,7 @@ def test_worker_processes_are_capped_at_the_cpu_count(monkeypatch, cpus, started
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    streams = [object()] * 5000
-    assert cli._map_replicas(lambda r, stream: r, streams, 5000) == list(range(5000))
+    assert cli._map_replicas(lambda r: r, 5000, 5000) == list(range(5000))
     assert context.started == started
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import copy
 import dataclasses
 import math
 import types
@@ -36,6 +35,7 @@ from mfjump.engine import (
     SAMPLE,
     WINDOW,
     EmpiricalMeasure,
+    _BlockStream,
     _atoms_jump,
     _pick,
     clock,
@@ -1600,52 +1600,77 @@ def test_pairwise_rate_above_the_ceiling_fails_naming_the_coordinate(start):
             _proposal_parts(system, i, x0, y0, _matching_of(x0, y0), None)
 
 
-class _StreamOps(CountingStream):
-    """A :class:`CountingStream` that also counts the children it spawns and
-    the deep copies made of it, and hands out streams sharing its counts."""
-
-    def __init__(self, stream, counts):
-        super().__init__(stream)
-        self.counts = counts
-
-    def spawn(self, n):
-        self.counts["spawned"] += n
-        return [_StreamOps(child, self.counts) for child in self._stream.spawn(n)]
-
-    def __deepcopy__(self, memo):
-        self.counts["copied"] += 1
-        return _StreamOps(copy.deepcopy(self._stream), self.counts)
-
-
-def test_coupled_zigzag_copies_streams_per_start_and_advances_due_pairs():
+def test_coupled_zigzag_spawns_one_seed_per_twin_start_and_advances_due_pairs():
     # Zigzag's base coupler is a twin coupler, so an unmerged pair is a twin
-    # pair: one child spawned from the run's stream and one copy of it per
-    # start, two machines.  A merged pair is one machine and copies nothing.
-    # Each advance of a pair is due to an event of one side, and each event
-    # follows the exponential its chunk drew.
+    # pair: one child seed spawned from the run's stream per start, two
+    # machines, and nothing copied.  A merged pair is one machine and spawns
+    # nothing.  Each advance of a pair is due to an event of one side, and
+    # each event follows the exponential its chunk drew.
     system, x0, y0 = _coupled_zigzag()
     base = system.base_coupler.machine
-    starts, advances = [0], [0]
+    twin_starts, advances = [0], [0]
+    side_counts = {}
 
     def machine(c, stream):
-        starts[0] += 1
-        return CountedMachine(base(c, stream), advances)
+        side = CountingStream(stream)
+        side.counts = side_counts
+        return CountedMachine(base(c, side), advances)
 
-    counts = collections.Counter()
-    copies = 0
+    twin = TwinCoupler(machine)
+
+    def coupler(x, y, stream):
+        twin_starts[0] += x != y
+        return twin(x, y, stream)
+
+    total = 0
     for seed in range(20):
-        counts.clear()
-        starts[0] = advances[0] = 0
+        side_counts.clear()
+        twin_starts[0] = advances[0] = 0
+        stream = CountingStream(make_rng(8_000 + seed))
         simulate_coupled_system(
-            dataclasses.replace(system, base_coupler=TwinCoupler(machine)), x0, y0, 2.0, 0.7,
-            system.rate_ceiling, _StreamOps(make_rng(8_000 + seed), counts),
-            sample_times=(0.5, 1.0, 2.0), record_events=False,
+            dataclasses.replace(system, base_coupler=coupler), x0, y0, 2.0, 0.7,
+            system.rate_ceiling, stream, sample_times=(0.5, 1.0, 2.0), record_events=False,
         )
-        # The run spawns only the twin pairs' children.
-        assert counts["spawned"] + counts["copied"] <= starts[0]
-        assert advances[0] <= 2 * counts["exponential"]
-        copies += counts["copied"]
-    assert copies > 0
+        assert stream.counts.get("spawn", 0) == twin_starts[0]
+        assert set(stream.counts) <= {"random", "exponential", "integers", "spawn"}
+        assert advances[0] <= 2 * side_counts["exponential"]
+        total += twin_starts[0]
+    assert total > 0
+
+
+class _StartDraw:
+    """A one-side machine that draws a waiting time at its start, as zigzag's
+    flip machine does, and keeps the stream it was given."""
+
+    def __init__(self, x, stream):
+        self.start = stream.exponential()
+        self.stream = stream
+
+
+@pytest.mark.parametrize("parent", ["generator", "block-stream"])
+def test_twin_pair_sides_read_identical_variates(parent):
+    stream = make_rng(46) if parent == "generator" else _BlockStream(make_rng(46))
+    sides = []
+
+    def machine(x, side_stream):
+        sides.append(_StartDraw(x, side_stream))
+        return sides[-1]
+
+    def variates(side):
+        return [(side.stream.random(), side.stream.exponential()) for _ in range(40)]
+
+    twin = TwinCoupler(machine)
+    for x, y in (((0.0, 1), (1.0, 1)), ((-0.5, -1), (2.0, 1))):
+        sides.clear()
+        twin(x, y, stream)
+        a, b = sides
+        assert a.stream is not b.stream
+        assert a.start == b.start
+        assert variates(a) == variates(b)
+    # On the diagonal the one machine draws from the run's stream itself.
+    sides.clear()
+    twin((0.0, 1), (0.0, 1), stream)
+    assert [side.stream for side in sides] == [stream]
 
 
 def test_twin_pair_side_in_small_steps_matches_a_single_machine():

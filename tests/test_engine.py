@@ -335,16 +335,6 @@ def test_block_stream_deep_copy_hands_out_the_same_variates():
     assert variates(stream) == variates(twin)
 
 
-def test_block_stream_spawns_block_streams_of_the_generators_children():
-    children = _BlockStream(make_rng(44)).spawn(2)
-    for child, generator in zip(children, make_rng(44).spawn(2)):
-        assert isinstance(child, _BlockStream)
-        assert child.random() == generator.random()
-        # One uniform drew a whole block from the child's generator.
-        generator.random(_BLOCK - 1)
-        assert child.bit_generator.random_raw() == generator.bit_generator.random_raw()
-
-
 def test_block_stream_integers_are_the_generators_own_draws():
     stream, generator = _BlockStream(make_rng(45)), make_rng(45)
     assert [int(stream.integers(7)) for _ in range(50)] == [
