@@ -31,6 +31,7 @@ import logging
 import math
 import os
 import pathlib
+import sys
 from typing import Callable, Optional, Sequence
 
 import click
@@ -132,7 +133,7 @@ def _load_config(config_path: str, kind: str) -> dict:
         raise click.ClickException(f"cannot read config: {exc}")
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise click.ClickException(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise click.ClickException("config must be a JSON object")
@@ -180,14 +181,13 @@ def _build_bundle(cfg: dict):
 
 
 def _number(value, name: str, integer: bool = False):
-    """A JSON number as a float (an integer if ``integer``), else a one-line error."""
-    if integer:
-        valid = isinstance(value, int)
-    else:
-        valid = isinstance(value, (int, float)) and math.isfinite(value)
-    if isinstance(value, bool) or not valid:
+    """A JSON number as a float (an integer if ``integer``), else a one-line
+    error; one past a float's range (a 400-digit integer) is not finite."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         expected = "an integer" if integer else "a finite number"
         raise click.ClickException(f"{name} must be {expected}, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise click.ClickException(f"{name} must be a finite number, got {value!r}")
     return value if integer else float(value)
 
 
@@ -430,8 +430,9 @@ def _certify(run: _Run) -> list:
     constants = run.field("constants")
     if not isinstance(constants, dict):
         raise click.ClickException("run 'constants' must be an object")
-    constants = dict(constants)
-    grade = "empirical" if constants.pop("alpha_estimated", False) else "declared"
+    grade = "empirical" if constants.get("alpha_estimated", False) else "declared"
+    constants = {key: _number(value, f"constant {key!r}")
+                 for key, value in constants.items() if key != "alpha_estimated"}
     try:
         c = AssumptionConstants(**constants)
         if family == "nonlinear":

@@ -84,14 +84,15 @@ class UnsupportedCouplingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _weigh(answers: Iterable, scale: float) -> dict:
+def _weigh(answers: Iterable, scale: float, weights: Optional[dict] = None) -> dict:
     """The positive weights of each atom list in ``answers``, each times
-    ``scale``, added up by state in the order they come.  Each list is
-    checked as :func:`~mfjump.engine._checked` checks a jump law's atoms:
-    ``ValueError`` at a negative weight (:func:`~mfjump.engine._check_weight`)
-    and unless its weights sum to 1 (:func:`~mfjump.engine._check_mass`).  A
-    state that cannot key the map, such as a list, is keyed as its tuple."""
-    weights: dict = {}
+    ``scale``, added up by state in the order they come (into ``weights``
+    when given).  Each list is checked as :func:`~mfjump.engine._checked`
+    checks a jump law's atoms: ``ValueError`` at a negative weight
+    (:func:`~mfjump.engine._check_weight`) and unless its weights sum to 1
+    (:func:`~mfjump.engine._check_mass`).  A state that cannot key the map,
+    such as a list, is keyed as its tuple."""
+    weights = {} if weights is None else weights
     get = weights.get
     for atoms in answers:
         mass = 0.0
@@ -571,8 +572,8 @@ def simulate_merge_split(
         was_merged = x == y
         at_x, at_y = (x, flow1.at(t)), (y, flow2.at(t))
         parts = _Overlap(
-            _mixed_weights(model, at_x, x, _thinning(model, at_x)[1]),
-            _mixed_weights(model, at_y, y, _thinning(model, at_y)[1]),
+            _mixed_weights(model.kernel_atoms(*at_x), x, _thinning(model, at_x)),
+            _mixed_weights(model.kernel_atoms(*at_y), y, _thinning(model, at_y)),
         )
         x, y, _ = parts.draw(stream)
         merged = x == y
@@ -638,79 +639,83 @@ def _require_atoms(spec, what: str) -> None:
         raise UnsupportedCouplingError(f"{what} {spec.name!r} provides no kernel atoms")
 
 
-def _thinning(spec, at: tuple, coordinate=None) -> tuple:
-    """``(rate, rate / ceiling)`` of one proposal at ``at`` (``(state,
-    measure)`` for a model, ``(i, config)`` for a system): the rate, checked
-    against the ceiling, and its thinning share, the chance that the
-    proposal is a jump."""
+def _thinning(spec, at: tuple, coordinate=None) -> float:
+    """The thinning share ``rate / ceiling`` of one proposal at ``at``
+    (``(state, measure)`` for a model, ``(i, config)`` for a system), the
+    chance that the proposal is a jump, once the rate is checked against
+    the ceiling."""
     rate, ceiling = spec.rate(*at), spec.rate_ceiling
     check_rate(rate, ceiling, spec.name, coordinate)
-    return rate, rate / ceiling
+    return rate / ceiling
 
 
-def _mixed_weights(spec, at: tuple, stay, share: float) -> dict:
-    """Weights by state of one thinned proposal from ``stay`` at ``at``
-    (Lewis & Shedler, 1979) with the :func:`_thinning` ``share``, weighed
-    by :func:`_weigh`: kernel atoms weighted ``w * share``, or the pair
-    atoms of the donors in ``at[1]`` (all ``N``, or the one drawn at an
-    unmerged coordinate) weighted ``w * share / len(at[1])``, plus the
-    stay-put mass ``1 - share``."""
-    if spec.kernel_atoms is not None:
-        weights = _weigh((spec.kernel_atoms(*at),), share)
-    else:
-        weights = _weigh(map(spec.pair_atoms, repeat(stay), at[1]), share / len(at[1]))
+def _mixed_weights(atoms, stay, share: float) -> dict:
+    """Weights by state of one thinned proposal from ``stay`` (Lewis &
+    Shedler, 1979) with the :func:`_thinning` ``share``: the one jump-law
+    answer ``atoms`` (kernel atoms, or one donor's pair atoms) weighted
+    ``w * share`` by :func:`_weigh`, plus the stay-put mass ``1 - share``."""
+    weights = _weigh((atoms,), share)
     if share < 1.0:
         weights[stay] = weights.get(stay, 0.0) + (1.0 - share)
     return weights
 
 
 class _MergedOverlap(_Overlap):
-    """The parts of a proposal at a merged coordinate ``i`` whose two rates
-    agree, with thinning share ``share``, which read a donor only where the
-    draw lands on it.
+    """The parts of a proposal at a merged coordinate ``i`` of a system with
+    ``pair_atoms``, under the two sides' thinning shares ``shares``, which
+    read a donor only where the draw lands on it.
 
-    Each matched donor in ``matching`` adds the same pair atoms to both
-    sides, and ``min(C + A, C + B) = C + min(A, B)`` state by state.  So the
-    overlap is the ``shared`` part ``C`` (the stay-put mass and the matched
-    donors) plus the overlap of the mismatched donors' parts ``A`` and
-    ``B``, and the residuals are those of ``A`` and ``B``.  The overlap's
-    mass is laid out in order: the stay atom, then a slot of mass
-    ``share / N`` for each matched donor (split by that donor's pair atoms,
-    which :meth:`pick` checks), then the ``common`` atoms of ``A`` and
-    ``B``.  A merge uniform below ``shared`` reads at most one matched
-    donor; ``A`` and ``B`` (``common``, ``p`` and the residuals) are built
-    from the ``K`` mismatched donors, one pass per side, only when first
-    read.
+    With ``lo`` and ``hi`` the smaller and the larger share, both sides
+    hold the part ``C``: the stay atom at mass ``1 - hi`` and each matched
+    donor's pair atoms (the same on both sides) at ``lo / N``.  Since
+    ``min(C + A, C + B) = C + min(A, B)`` state by state, the overlap is
+    the ``shared`` part ``C`` plus the overlap of the two remainders ``A``
+    and ``B``, and the residuals are those of ``A`` and ``B``.  A side of
+    share ``s`` keeps as its remainder its mismatched donors' pair atoms at
+    ``s / N``, the stay mass ``hi - s`` and, on the larger-share side only,
+    its matched donors' again at ``(s - lo) / N``.  The overlap's mass is
+    laid out in order: the stay atom, then a slot of mass ``lo / N`` for
+    each matched donor (split by that donor's pair atoms, which
+    :meth:`pick` checks), then the ``common`` atoms of ``A`` and ``B``.  A
+    merge uniform below ``shared`` reads at most one matched donor; ``A``
+    and ``B`` (``common``, ``p`` and the residuals) are built, one pass per
+    side, only when first read.  Where the rates agree, ``A`` and ``B``
+    hold the ``K`` mismatched donors alone.
     """
 
-    __slots__ = ("stay", "stay_mass", "share", "donors", "mismatched", "x", "y", "pair_atoms")
+    __slots__ = ("stay", "stay_mass", "share", "shares", "donors", "mismatched", "x", "y",
+                 "pair_atoms")
 
-    def __init__(self, system: SystemSpec, i: int, x, y, matching, share: float):
+    def __init__(self, system: SystemSpec, i: int, x, y, matching, shares: tuple):
         self.stay, self.x, self.y, self.pair_atoms = x[i], x, y, system.pair_atoms
         self.donors, self.mismatched = matching.matched, matching.mismatched
-        self.share = share / len(x)
-        self.stay_mass = 1.0 - share
+        self.shares, self.share, self.stay_mass = shares, min(shares) / len(x), 1.0 - max(shares)
         self.shared = self.stay_mass + len(self.donors) * self.share
 
     def __getattr__(self, name: str):
-        # Called only for a slot not yet set: build the mismatched donors' parts.
+        # Called only for a slot not yet set: build the remainders A and B.
         if name not in _Overlap.__slots__:
             raise AttributeError(name)
-        w1, w2 = (
-            _weigh(map(self.pair_atoms, repeat(self.stay), map(c.__getitem__, self.mismatched)),
-                   self.share)
-            for c in (self.x, self.y)
-        )
-        _Overlap.__init__(self, w1, w2, self.shared)
+        lo, hi = min(self.shares), max(self.shares)
+        rests = ({}, {})
+        for c, s, rest in zip((self.x, self.y), self.shares, rests):
+            for donors, share in ((self.mismatched, s), (self.donors, s - lo)):
+                if share > 0.0:
+                    answers = map(self.pair_atoms, repeat(self.stay), map(c.__getitem__, donors))
+                    _weigh(answers, share / len(c), rest)
+            if s < hi:
+                rest[self.stay] = rest.get(self.stay, 0.0) + (hi - s)
+        _Overlap.__init__(self, *rests, self.shared)
         return getattr(self, name)
 
     def pick(self, v: float) -> Optional[tuple]:
         """The merged state at position ``v`` of the overlap's mass, or
         ``None`` when ``v >= p`` and the sides split."""
-        if v < self.stay_mass:
-            return self.stay
         if v >= self.shared and (v >= self.p or self.common):
             return super().pick(v)
+        if v < self.stay_mass or self.shared == self.stay_mass:
+            # Also a ``v`` past the overlap's atoms when no matched slot has mass.
+            return self.stay
         # A matched donor's slot (the last one when rounding puts ``v`` past them).
         m = (v - self.stay_mass) / self.share
         k = min(int(m), len(self.donors) - 1)
@@ -719,35 +724,29 @@ class _MergedOverlap(_Overlap):
 
 def _proposal_parts(system: SystemSpec, i: int, x, y, matching, stream) -> _Overlap:
     """The parts of a coupled proposal at coordinate ``i``: a coupling of
-    the two sides' mixed kernels (:func:`_mixed_weights`), maximal where
-    ``i`` is merged.
+    the two sides' mixed kernels, maximal where ``i`` is merged.
 
-    Each side's rate is read once.  For a system with ``pair_atoms`` where
-    ``i`` is merged and the two rates agree the parts are a
-    :class:`_MergedOverlap`.  Where ``i`` is unmerged, both sides draw one
-    shared uniform donor ``j`` from ``stream`` (Sznitman's synchronous
-    coupling, 1991), and the parts are the :class:`_Overlap` of the two
-    one-donor laws ``(1 - s) δ_own + s · pair_atoms(own, c_j)``: averaged
-    over ``j`` each is its side's mixed kernel, and a proposal reads two
-    answers, not ``2N``.  Any other coordinate takes the :class:`_Overlap`
-    of the two full mixed kernels.  :meth:`_Overlap.draw` normalizes the
-    residuals only when it reads them, and a :class:`_MergedOverlap` reads
-    the mismatched donors only when its merge uniform lands past the
-    matched ones.
+    Each side's rate is read once.  A system with ``kernel_atoms`` takes
+    the :class:`_Overlap` of its two sides' :func:`_mixed_weights`.  For a
+    system with ``pair_atoms`` the parts at a merged ``i`` are a
+    :class:`_MergedOverlap`, whatever the two rates, which reads the
+    mismatched donors only when its merge uniform lands past the matched
+    ones.  Where ``i`` is unmerged, both sides draw one shared uniform
+    donor ``j`` from ``stream`` (Sznitman's synchronous coupling, 1991),
+    and the parts are the :class:`_Overlap` of the two one-donor laws
+    ``(1 - s) δ_own + s · pair_atoms(own, c_j)``: averaged over ``j`` each
+    is its side's mixed kernel, and a proposal reads two answers, not
+    ``2N``.
     """
-    rate_x, share_x = _thinning(system, (i, x), i)
-    rate_y, share_y = _thinning(system, (i, y), i)
-    donors_x, donors_y = x, y
-    if system.pair_atoms is not None:
-        if x[i] != y[i]:
-            j = int(stream.integers(len(x)))
-            donors_x, donors_y = (x[j],), (y[j],)
-        elif rate_x == rate_y:
-            return _MergedOverlap(system, i, x, y, matching, share_x)
-    return _Overlap(
-        _mixed_weights(system, (i, donors_x), x[i], share_x),
-        _mixed_weights(system, (i, donors_y), y[i], share_y),
-    )
+    shares = (_thinning(system, (i, x), i), _thinning(system, (i, y), i))
+    if system.pair_atoms is None:
+        answers = (system.kernel_atoms(i, x), system.kernel_atoms(i, y))
+    elif x[i] == y[i]:
+        return _MergedOverlap(system, i, x, y, matching, shares)
+    else:
+        j = int(stream.integers(len(x)))
+        answers = (system.pair_atoms(x[i], x[j]), system.pair_atoms(y[i], y[j]))
+    return _Overlap(*map(_mixed_weights, answers, (x[i], y[i]), shares))
 
 
 def check_coupled_system(system: SystemSpec, theta: float) -> None:
@@ -781,8 +780,8 @@ def simulate_coupled_system(
     at a proposal on a merged coordinate whenever the accept variate exceeds
     ``1 - theta * j / (n * rate_ceiling)``, which dominates every actual
     split when ``theta >= 0`` bounds the rate-and-kernel sensitivity to
-    single-coordinate changes.  Each side's mixed kernel is
-    :func:`_mixed_weights` of the system's jump atoms.  Between
+    single-coordinate changes.  Each side's mixed kernel is its jump atoms
+    thinned by its own rate, plus the stay-put mass.  Between
     proposals each coordinate pair follows its base machine, started by the
     system's ``base_coupler`` and drawing from ``stream``, restarted at
     window boundaries ``k * t0``; a :class:`TwinCoupler` moves a merged

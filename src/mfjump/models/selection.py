@@ -8,8 +8,8 @@ clocks coincide and the overlap of any two copies of the jump kernel is
 explicit, which makes the system a convenient stress case for coupled runs.
 The kernel is declared in pairwise form (``SystemSpec.pair_atoms``), so a
 coupled proposal at a merged coordinate reads the donors on which the two
-configurations agree only where its merge uniform lands, and one at an
-unmerged coordinate reads the one donor both sides draw.
+configurations agree only where its merge uniform lands, whatever the rates,
+and one at an unmerged coordinate reads the one donor both sides draw.
 The base dynamics refreshes each coordinate to ``Uniform[0, 1)`` at rate
 ``base_refresh_rate`` (rate zero leaves coordinates frozen without consuming
 randomness).

@@ -84,10 +84,10 @@ class SystemSpec:
             is checked as ``kernel_atoms`` are.  A single run draws a uniform
             donor ``j``, then one of its atoms.  Coupled runs add the
             positive weights of those atoms by state
-            (:func:`~mfjump.coupling._weigh`).  At a merged
-            coordinate they read the donors that agree on both sides only
-            one at a time, the one whose slot the merge uniform lands in,
-            and the others only when it lands past them.  At an unmerged
+            (:func:`~mfjump.coupling._weigh`).  At a merged coordinate,
+            whatever the rates, they read the donors that agree on both
+            sides one at a time, the one whose slot the merge uniform lands
+            in, and the others only when it lands past them.  At an unmerged
             coordinate both sides draw one shared uniform donor and read
             its answer alone, one per side
             (:func:`~mfjump.coupling.simulate_coupled_system`).

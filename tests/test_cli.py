@@ -574,6 +574,53 @@ def test_negative_seed_is_refused_in_one_line_naming_it(tmp_path, kind):
     assert_one_line_error(res, out, "invalid value for --seed: -1")
 
 
+def _numeric_paths(node, path: tuple):
+    """The paths to every number (not a bool) in a JSON ``node``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _numeric_paths(value, path + (k,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+@pytest.mark.parametrize("kind", sorted(cli.KINDS))
+def test_an_integer_past_a_float_range_is_refused_in_every_numeric_field(
+    tmp_path, monkeypatch, kind
+):
+    # Before, a 400-digit integer horizon, model parameter or certify
+    # constant failed with a traceback (OverflowError: int too large to
+    # convert to float), and a 400-digit replicas count ran until stopped.
+    big = int("9" * 400)
+    payload = json.loads(pathlib.Path(_valid_config(tmp_path, kind)).read_text())
+    forbid_replicas(monkeypatch)
+    paths = [p for part in ("model", "run") for p in _numeric_paths(payload.get(part), (part,))]
+    assert len(paths) >= 3
+    out = tmp_path / "out"
+    for path in paths:
+        changed = json.loads(json.dumps(payload))
+        node = changed
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = big
+        cfg = write_config(tmp_path / "big.json", changed)
+        res = run_cli([kind, "--config", cfg, "--out", str(out)])
+        assert_one_line_error(res, out, f"must be a finite number, got {big}")
+
+
+def test_an_integer_past_the_parser_digit_limit_is_refused_in_one_line(tmp_path):
+    path = pathlib.Path(simulate_config(tmp_path))
+    path.write_text(path.read_text().replace('"horizon": 2.0', '"horizon": ' + "9" * 5000))
+    out = tmp_path / "out"
+    res = run_cli(["simulate", "--config", str(path), "--out", str(out)])
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert_one_line_error(res, out, "config is not valid JSON: Exceeds the limit")
+    else:
+        assert_one_line_error(res, out, "horizon must be a finite number")
+
+
 @pytest.mark.parametrize("threads, shown", [("0", "0"), ("-2", "-2"), ("abc", "'abc'")])
 @pytest.mark.parametrize("kind", sorted(cli.KINDS))
 def test_bad_threads_are_refused_in_one_line_naming_it(tmp_path, kind, threads, shown):

@@ -279,12 +279,9 @@ def test_pair_sampler_merges_a_law_short_of_unit_mass_past_its_overlap(other):
 
 
 def test_mixed_weights_reject_badly_normalised_kernel_atoms():
-    base = run_tumble(RunTumbleParams(theta=0.1)).model
-    at = ((0.2, 1), EmpiricalMeasure.from_states([(0.3, 1)]))
     for a in ((((0.0, 1), 0.6), ((1.0, 1), 0.41)), (((0.0, 1), math.nan),)):
-        model = dataclasses.replace(base, kernel_atoms=lambda state, measure, a=a: a)
         with pytest.raises(ValueError, match="atom weights sum to"):
-            _mixed_weights(model, at, at[0], 0.5)
+            _mixed_weights(a, (0.2, 1), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +916,7 @@ def _mixed_atoms(spec, at: tuple, stay, coordinate=None) -> list:
     """Atoms of one thinned proposal from ``stay``, built as a list: the
     spec's kernel atoms at ``at`` weighted ``w * share``, plus the stay-put
     remainder.  The reference for :func:`_mixed_weights`."""
-    _, share = _thinning(spec, at, coordinate)
+    share = _thinning(spec, at, coordinate)
     atoms = [(s, w * share) for s, w in spec.kernel_atoms(*at)]
     atoms.append((stay, 1.0 - share))
     return atoms
@@ -945,11 +942,13 @@ ACCEPT_PROBS = {
 }
 
 
-#: Rates of the selection systems below: saturated, and one that reads the
-#: configuration, so the two sides' rates differ where their means do.
+#: Rates of the selection systems below: saturated, and two that read the
+#: configuration, so the two sides' rates differ where their means do; the
+#: last is 0 on a side whose mean is at most 0.3.
 RATES = {
     "saturated": None,
     "by-side": lambda i, config: 0.5 + sum(c[0] for c in config) / len(config),
+    "vanishing": lambda i, config: max(0.0, sum(c[0] for c in config) / len(config) - 0.3),
 }
 
 
@@ -967,8 +966,8 @@ def test_merged_parts_match_the_full_decomposition(
     n, layout, own, accept, rate, ceiling, data
 ):
     # The parts a coupled proposal draws from against the maximal coupling
-    # of the full mixed atoms.  At a merged coordinate (the sparse parts
-    # where the rates agree, else one pairwise pass per side) they are that
+    # of the full mixed atoms.  At a merged coordinate (the sparse parts,
+    # whatever the two rates, one of which may vanish) they are that
     # coupling.  At a mismatched one they couple the one-donor laws of the
     # donor the stream hands out, so every donor is enumerated: averaged
     # over the donors each side's law is its mixed kernel, and the merge
@@ -1022,7 +1021,7 @@ def test_merged_parts_match_the_full_decomposition(
             assert abs(side.get(state, 0.0) - mixed.get(state, 0.0)) <= 1e-12
 
 
-def test_merged_parts_apply_only_to_merged_coordinates_with_equal_rates():
+def test_merged_parts_apply_to_every_merged_coordinate_of_a_pairwise_system():
     def merged(system, i, x, y):
         parts = _proposal_parts(system, i, x, y, _matching_of(x, y), make_rng(0))
         return isinstance(parts, _MergedOverlap)
@@ -1033,10 +1032,31 @@ def test_merged_parts_apply_only_to_merged_coordinates_with_equal_rates():
     assert merged(system, 0, x, y)
     assert not merged(system, 1, x, y)  # not merged
     by_side = dataclasses.replace(system, rate=lambda i, config: 0.5 + config[1][0])
-    assert not merged(by_side, 0, x, y)  # rates differ
+    assert merged(by_side, 0, x, y)  # rates differ
+    vanishing = dataclasses.replace(system, rate=lambda i, config: max(0.0, config[1][0] - 0.45))
+    assert merged(vanishing, 0, x, y)  # one side's rate is 0
     flips = flip_system(3)
     x = y = ((0,), (1,), (0,))
     assert not merged(flips, 0, x, y)  # no pair form
+
+
+def test_a_merge_past_the_stay_atom_with_no_slot_mass_takes_the_stay_atom():
+    # One side's rate is 0 and the other's 1e-13, so each matched slot has
+    # mass lo / N = 0, the two remainders (the stay mass and a jump to
+    # own + 1) share no state, and the overlap's mass 1 - 1e-13 is within
+    # 1e-12 of 1, so p is 1.  A merge uniform past the stay atom takes the
+    # stay atom: reading a slot would divide by lo / N.
+    system = dataclasses.replace(
+        selection_bundle(2).system,
+        rate=lambda i, config: 1e-13 if config[1][0] > 0.6 else 0.0,
+        pair_atoms=lambda own, donor: (((own[0] + 1.0,), 1.0),),
+    )
+    x, y = ((0.1,), (0.5,)), ((0.1,), (0.7,))
+    parts = _proposal_parts(system, 0, x, y, _matching_of(x, y), None)
+    v = 1.0 - 5e-14
+    assert parts.share == 0.0 and parts.stay_mass < v
+    assert parts.draw(_FixedUniforms(v, 0.5)) == (x[0], x[0], v)
+    assert parts.p == 1.0 and parts.common == []
 
 
 class _FixedUniforms:
@@ -1373,12 +1393,12 @@ def _donor_mixed_atoms(system, i, config, j) -> list:
 
 def _eager_parts(system, i, x, y, matching, stream):
     """A proposal's parts as built before the lazy passes and the residuals
-    on demand: the sparse parts at a merged coordinate whose rates agree,
-    with the mismatched donors' parts built before the draw; at a
-    mismatched coordinate the maximal coupling of the two one-donor mixed
-    atoms of a donor drawn from ``stream``; else that of the full mixed
-    atoms.  The normalized overlap is read at quantile ``v / p``, and both
-    residuals are built at every proposal."""
+    on demand: the sparse parts at a merged coordinate, with the
+    remainders built before the draw; at a mismatched coordinate the
+    maximal coupling of the two one-donor mixed atoms of a donor drawn from
+    ``stream``; else that of the full mixed atoms.  The normalized overlap
+    is read at quantile ``v / p``, and both residuals are built at every
+    proposal."""
     if x[i] != y[i]:
         j = int(stream.integers(len(x)))
         atoms = [_donor_mixed_atoms(system, i, config, j) for config in (x, y)]
@@ -1466,6 +1486,36 @@ def test_a_mismatched_proposal_reads_two_pair_atoms_answers():
         calls[0] = 0
         _proposal_parts(system, i, x, y, matching, stream).draw(stream)
         assert calls[0] == 2
+
+
+def test_a_merged_proposal_under_unequal_rates_reads_only_what_its_draw_needs():
+    # Rates that read each side's mean, so they differ at every merged
+    # coordinate.  A merge uniform in the stay atom reads no answer and one
+    # in a matched donor's slot reads that donor's; one past the matched
+    # donors builds both remainders, N + K answers: the K mismatched donors
+    # on each side and the N - K matched ones again on the larger-share
+    # side.  The maximal coupling of the two full mixed kernels read 2N.
+    base, x, y = _couple_sel_layout(5, n=64)
+    calls = [0]
+
+    def counted(own, donor):
+        calls[0] += 1
+        return base.pair_atoms(own, donor)
+
+    def rate(i, config):
+        return 0.2 + 0.8 * sum(c[0] for c in config) / len(config)
+
+    system = dataclasses.replace(base, pair_atoms=counted, rate=rate)
+    n, matching = len(x), _matching_of(x, y)
+    k = sum(a != b for a, b in zip(x, y))
+    for i in [i for i in range(n) if x[i] == y[i]][:8]:
+        parts = _proposal_parts(system, i, x, y, matching, None)
+        assert parts.shares[0] != parts.shares[1] and 0.0 < parts.stay_mass
+        stay, slot = parts.stay_mass / 2.0, parts.stay_mass + parts.share / 2.0
+        for v, reads in ((stay, 0), (slot, 1), ((parts.shared + 1.0) / 2.0, n + k)):
+            calls[0] = 0
+            _proposal_parts(system, i, x, y, matching, None).draw(_FixedUniforms(v, 0.5))
+            assert calls[0] == reads, (i, v)
 
 
 def _short_pair_atoms(own, donor):
@@ -2027,14 +2077,13 @@ def _load_atoms(atoms) -> dict:
     return weights
 
 
-def _pairwise_reference(system, i: int, config, share: float) -> dict:
-    """One side's mixed weights of a system with ``pair_atoms``, written out:
-    each pair atom of each of the ``N`` donors weighted ``w * share / N``,
+def _one_donor_reference(system, own, donor, share: float) -> dict:
+    """One side's mixed weights of a system with ``pair_atoms`` that reads
+    one donor, written out: each of its pair atoms weighted ``w * share``,
     then the stay-put mass."""
-    own, weights = config[i], {}
-    for donor in config:
-        for state, w in system.pair_atoms(own, donor):
-            weights[state] = weights.get(state, 0.0) + w * (share / len(config))
+    weights = {}
+    for state, w in system.pair_atoms(own, donor):
+        weights[state] = weights.get(state, 0.0) + w * share
     weights[own] = weights.get(own, 0.0) + (1.0 - share)
     return weights
 
@@ -2052,7 +2101,7 @@ def test_mixed_weights_equal_their_reference_definitions():
     for x in (-3.0, -0.7, 0.0, 0.4, 2.5):
         for v in (-1, 1):
             at = ((x, v), measure)
-            got = _mixed_weights(model, at, (x, v), _thinning(model, at)[1])
+            got = _mixed_weights(model.kernel_atoms(*at), (x, v), _thinning(model, at))
             assert got == nonzero(_load_atoms(_mixed_atoms(model, at, (x, v))))
             checked += 1
     by_atoms = meanfield_system(run_tumble(RunTumbleParams(theta=0.3)), 4)
@@ -2067,15 +2116,18 @@ def test_mixed_weights_equal_their_reference_definitions():
             system = dataclasses.replace(base, rate_ceiling=ceiling)
             for i in range(4):
                 at = (i, config)
-                _, share = _thinning(system, at, i)
-                got = _mixed_weights(system, at, config[i], share)
+                share = _thinning(system, at, i)
                 if system.pair_atoms is None:
-                    want = _load_atoms(_mixed_atoms(system, at, config[i], i))
-                else:
-                    want = _pairwise_reference(system, i, config, share)
-                assert got == nonzero(want)
-                checked += 1
-    assert checked == 26
+                    got = _mixed_weights(system.kernel_atoms(*at), config[i], share)
+                    assert got == nonzero(_load_atoms(_mixed_atoms(system, at, config[i], i)))
+                    checked += 1
+                    continue
+                for donor in config:
+                    answer = system.pair_atoms(config[i], donor)
+                    got = _mixed_weights(answer, config[i], share)
+                    assert got == nonzero(_one_donor_reference(system, config[i], donor, share))
+                    checked += 1
+    assert checked == 50
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,8 @@ def test_empirical_measure_rejects_a_nan_weight_as_mixed_weights_does():
     atoms = [((0.0,), math.nan), ((1.0,), 1.0)]
     with pytest.raises(ValueError, match="atom weights sum to nan, expected 1"):
         EmpiricalMeasure(atoms=atoms)
-    model = dataclasses.replace(flip_model(), kernel_atoms=lambda state, measure: atoms)
     with pytest.raises(ValueError, match="atom weights sum to nan, expected 1"):
-        _mixed_weights(model, ((0,), None), (0,), 1.0)
+        _mixed_weights(atoms, (0,), 1.0)
 
 
 def test_empirical_measure_merges_duplicate_states():

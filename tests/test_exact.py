@@ -15,6 +15,14 @@ draws one donor for both sides and couples the two one-donor laws.  The
 chain is written twice, once under that rule and once under the maximal
 coupling at every coordinate, and their means of ``K / N`` lie about 30
 standard errors of 4,000 replicas apart, so the gates tell them apart.
+
+A third chain reads the measure in its rate: each side proposes at the
+ceiling 1 and jumps with its thinning share ``0.25 + 0.75 * (share of
+ones)``, so the two sides' rates differ at a merged coordinate whenever
+their configurations do.  Its mixed kernels put the rest of the mass on the
+coordinate's own state, and the exact law couples them as the simulator
+does: maximally under each side's share at a merged coordinate, and under
+one shared donor at an unmerged one.
 """
 
 from __future__ import annotations
@@ -34,18 +42,28 @@ from conftest import make_rng
 N = 8
 EPS = 0.1
 START = (4, 2, 2, 0)  # (n11, n10, n01, n00)
+BY_MEAN_START = (3, 4, 1, 0)
 TIMES = (0.5, 1.0, 2.0)
 REPLICAS = 4_000
 TYPES = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 
-def _noisy_voter(n: int) -> SystemSpec:
+def _saturated(ones: float) -> float:
+    return 1.0
+
+
+def _by_mean(ones: float) -> float:
+    """The thinning share of a side whose share of ones is ``ones``."""
+    return 0.25 + 0.75 * ones
+
+
+def _noisy_voter(n: int, share=_saturated) -> SystemSpec:
     def pair_atoms(own, donor):
         return ((donor, 1.0 - EPS), ((1 - own[0],), EPS))
 
     return SystemSpec(
         n_particles=n,
-        rate=lambda i, config: 1.0,
+        rate=lambda i, config: share(sum(c[0] for c in config) / len(config)),
         rate_ceiling=1.0,
         coordinate_layout=("label",),
         coordinate_box=((0, 1),),
@@ -61,6 +79,13 @@ def _copy_law(donor: float, own: int) -> float:
     return (1.0 - EPS) * donor + EPS * (1 - own)
 
 
+def _mixed_law(share: float, donor: float, own: int) -> float:
+    """The chance that a coordinate at ``own`` is at 1 after a proposal
+    thinned at ``share`` that reads a donor at ``donor``: it jumps by
+    :func:`_copy_law` with chance ``share`` and stays put otherwise."""
+    return (1.0 - share) * own + share * _copy_law(donor, own)
+
+
 def _maximal(qx: float, qy: float) -> dict:
     """The maximal coupling of Bernoulli ``qx`` and ``qy``, by pair type."""
     return {
@@ -71,27 +96,36 @@ def _maximal(qx: float, qy: float) -> dict:
     }
 
 
-def _maximal_step(counts: dict, a: int, b: int) -> dict:
+def _ones(counts: dict) -> tuple:
+    """Each side's share of ones."""
+    return (counts[1, 1] + counts[1, 0]) / N, (counts[1, 1] + counts[0, 1]) / N
+
+
+def _maximal_step(counts: dict, a: int, b: int, share) -> dict:
     """The next pair type of a coordinate of type ``(a, b)`` under the
-    maximal coupling of the two sides' mixed kernels."""
-    ones_x = (counts[1, 1] + counts[1, 0]) / N
-    ones_y = (counts[1, 1] + counts[0, 1]) / N
-    return _maximal(_copy_law(ones_x, a), _copy_law(ones_y, b))
+    maximal coupling of the two sides' mixed kernels, each side thinned at
+    ``share`` of its share of ones."""
+    ones_x, ones_y = _ones(counts)
+    return _maximal(
+        _mixed_law(share(ones_x), ones_x, a), _mixed_law(share(ones_y), ones_y, b)
+    )
 
 
-def _synchronous_step(counts: dict, a: int, b: int) -> dict:
+def _synchronous_step(counts: dict, a: int, b: int, share) -> dict:
     """The same under one shared donor: the maximal coupling of the two
     one-donor laws, averaged over the donor's pair type ``(c, d)``."""
+    share_x, share_y = map(share, _ones(counts))
     law = dict.fromkeys(TYPES, 0.0)
     for (c, d), m in counts.items():
-        for pair, w in _maximal(_copy_law(c, a), _copy_law(d, b)).items():
+        qx, qy = _mixed_law(share_x, c, a), _mixed_law(share_y, d, b)
+        for pair, w in _maximal(qx, qy).items():
             law[pair] += w * m / N
     return law
 
 
-def _exact_mismatch(unmerged_step) -> dict:
-    """``{t: law of K}`` from ``START`` for the chain whose merged
-    coordinates take :func:`_maximal_step` and unmerged ones
+def _exact_mismatch(unmerged_step, start=START, share=_saturated) -> dict:
+    """``{t: law of K}`` from ``start`` for the chain thinned at ``share``
+    whose merged coordinates take :func:`_maximal_step` and unmerged ones
     ``unmerged_step``."""
     states = [s for s in itertools.product(range(N + 1), repeat=4) if sum(s) == N]
     index = {s: k for k, s in enumerate(states)}
@@ -100,7 +134,7 @@ def _exact_mismatch(unmerged_step) -> dict:
         counts = dict(zip(TYPES, s))
         for (a, b), m in counts.items():
             step = _maximal_step if a == b else unmerged_step
-            for pair, w in step(counts, a, b).items():
+            for pair, w in step(counts, a, b, share).items():
                 if m and w > 0.0 and pair != (a, b):
                     moved = dict(counts)
                     moved[a, b] -= 1
@@ -110,19 +144,21 @@ def _exact_mismatch(unmerged_step) -> dict:
                     generator[index[s], index[s]] -= m * w
     mismatch = np.array([s[1] + s[2] for s in states])
     return {
-        t: np.bincount(mismatch, weights=expm(generator * t)[index[START]], minlength=N + 1)
+        t: np.bincount(mismatch, weights=expm(generator * t)[index[start]], minlength=N + 1)
         for t in TIMES
     }
 
 
 MAXIMAL = _exact_mismatch(_maximal_step)
 SYNCHRONOUS = _exact_mismatch(_synchronous_step)
+BY_MEAN = _exact_mismatch(_synchronous_step, BY_MEAN_START, _by_mean)
 
 
-def _simulated_mismatch(seed: int) -> dict:
-    """``{t: K of each replica}`` of coupled runs from ``START``."""
-    system = _noisy_voter(N)
-    counts = dict(zip(TYPES, START))
+def _simulated_mismatch(seed: int, start=START, share=_saturated) -> dict:
+    """``{t: K of each replica}`` of coupled runs from ``start``, thinned
+    at ``share``."""
+    system = _noisy_voter(N, share)
+    counts = dict(zip(TYPES, start))
     pairs = [pair for pair in TYPES for _ in range(counts[pair])]
     x0 = tuple((a,) for a, _ in pairs)
     y0 = tuple((b,) for _, b in pairs)
@@ -187,11 +223,14 @@ def test_coupled_noisy_voter_draws_the_synchronous_chain():
 
 def _maximal_parts(system, i, x, y, matching, stream):
     """A proposal's parts as the maximal coupling of the two sides' full
-    mixed kernels at every coordinate, built eagerly."""
-    return coupling._Overlap(*(
-        coupling._mixed_weights(system, (i, c), c[i], coupling._thinning(system, (i, c), i)[1])
-        for c in (x, y)
-    ))
+    mixed kernels at every coordinate, built eagerly: each side's kernel is
+    the pair atoms of all ``N`` donors, each weighted ``1 / N``."""
+
+    def mixed(c):
+        kernel = coupling._weigh(map(system.pair_atoms, itertools.repeat(c[i]), c), 1.0 / len(c))
+        return coupling._mixed_weights(kernel.items(), c[i], coupling._thinning(system, (i, c), i))
+
+    return coupling._Overlap(mixed(x), mixed(y))
 
 
 class _Independent:
@@ -224,3 +263,16 @@ def test_an_independent_coupling_at_unmerged_coordinates_fails_the_gate(monkeypa
 
     monkeypatch.setattr(coupling, "_proposal_parts", parts)
     assert _gate_failures(_simulated_mismatch(27), SYNCHRONOUS) != []
+
+
+def test_a_rate_that_reads_the_measure_draws_its_exact_chain(monkeypatch):
+    # From a start whose two configurations hold 7 and 4 ones of 8, the two
+    # sides' rates differ at every merged coordinate; the merged parts
+    # couple them maximally under each side's share.  A rate cut to 0.8
+    # of its value keeps the coupling but moves both marginals, and the
+    # gate sees it.
+    ks = _simulated_mismatch(31, BY_MEAN_START, _by_mean)
+    assert _gate_failures(ks, BY_MEAN) == []
+    thinning = coupling._thinning
+    monkeypatch.setattr(coupling, "_thinning", lambda *args: 0.8 * thinning(*args))
+    assert _gate_failures(_simulated_mismatch(31, BY_MEAN_START, _by_mean), BY_MEAN) != []
